@@ -191,7 +191,8 @@ def qubit_rep_exact(k: int) -> tuple[list[list[RadicalSum]], list[list[RadicalSu
         [zero, scalar(-Cyc.root_of_unity(N, quarter + 2))],
     ]
     rows, cols, fm = model.f_matrix_exact(1, 1, 1, 1)
-    assert rows == (0, 2) and cols == (0, 2)
+    if rows != (0, 2) or cols != (0, 2):
+        raise IntegrityError(f"qubit F-matrix at level {k} has channels {rows} x {cols}, not (0, 2)")
     f = [[RadicalSum.from_terms(ctx, [fm[i][j]]) for j in range(2)] for i in range(2)]
     return r_tilde, f
 
@@ -232,7 +233,8 @@ def sparse_encoding_rep(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     basis = enumerate_basis(k, 1, 4, 0)
     if basis.dim != 2:
         raise DomainError(f"level {k} does not have a two-dimensional four-anyon vacuum space")
-    assert basis.states == ((0, 1), (2, 1))
+    if basis.states != ((0, 1), (2, 1)):
+        raise IntegrityError(f"four-anyon qubit basis at level {k} is {basis.states}")
     sparse = tuple(braid_generator_matrix(model, basis, i) for i in (1, 2, 3))
     dense1, dense2 = dense_qubit_generators(k)
     for got, want, name in (

@@ -41,6 +41,19 @@ def _parse_k_range(text: str, minimum: int) -> list[int]:
     return list(range(lo, hi + 1))
 
 
+def _precision(flag: int | None) -> int:
+    """Bits for the float route: --precision, else $SU2K_PRECISION, else 53."""
+    if flag is None:
+        text = os.environ.get(_PRECISION_ENV, "53")
+        try:
+            flag = int(text)
+        except ValueError:
+            raise DomainError(f"${_PRECISION_ENV} must be an integer number of bits, got {text!r}")
+    if flag < 1:
+        raise DomainError(f"precision must be a positive number of bits, got {flag}")
+    return flag
+
+
 def _write_output(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
@@ -93,7 +106,7 @@ def cmd_model(args) -> int:
 
 def cmd_verify(args) -> int:
     ks = _parse_k_range(args.k, minimum=0)
-    precision = args.precision or int(os.environ.get(_PRECISION_ENV, "53"))
+    precision = _precision(args.precision)
     mode = args.mode
     all_pass = True
     results = []
@@ -125,6 +138,7 @@ def cmd_verify(args) -> int:
                         "instances": r.checked,
                         "holds": r.holds,
                         "max_residual": r.max_residual,
+                        "numeric_fallbacks": r.numeric_fallbacks,
                         "counterexamples": [list(map(str, f)) for f in r.failures[:5]],
                     }
                     for r in reports

@@ -1,9 +1,20 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_N).
 
 A :class:`Cyc` is an exact element of Q(zeta_N) with zeta_N = e^{2*pi*i/N},
-stored as rational coefficients over the power basis {1, zeta, ..., zeta^{phi(N)-1}}
-after reduction modulo the N-th cyclotomic polynomial.  Equality is value
-equality: operands of different orders are lifted to Q(zeta_lcm) first.
+stored as integer numerators over one positive common denominator in the
+power basis {1, zeta, ..., zeta^{phi(N)-1}}, after reduction modulo the N-th
+cyclotomic polynomial.  Phi_N is monic with integer coefficients, so
+addition, multiplication, the Galois action and lifting run on Python ints;
+reduction reads a sparse integer table of zeta^j mod Phi_N.  The form is
+canonical (numerators and denominator coprime), so equality of two elements
+of one order is tuple equality.  Operands of different orders are lifted to
+Q(zeta_lcm) first.  The rational coefficients are still available as
+``Cyc.coeffs`` and are what :meth:`Cyc.exact_str` prints.
+
+Inversion (extended Euclid over Q) is the one costly field operation.  Hot
+callers do not invert inside their loops: they invert a fixed set of values
+once (quantum factorials, radical symbols) and invert roots of unity with
+:meth:`Cyc.conjugate`.
 
 The module also provides the supporting number theory: Euler phi, cyclotomic
 polynomials, exact square roots of squarefree integers via Gauss sums, minimal
@@ -18,10 +29,13 @@ from fractions import Fraction
 
 import mpmath
 
+from .errors import IntegrityError
+
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
+@functools.lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
     """Euler's totient, by trial-division factorization."""
     if n < 1:
@@ -101,90 +115,120 @@ def _int_poly_div_exact(num: list[int], den: list[int]) -> list[int]:
     out = [0] * (len(num) - len(den) + 1)
     for i in range(len(out) - 1, -1, -1):
         c = num[i + len(den) - 1]
-        assert c % den[-1] == 0
+        if c % den[-1]:
+            raise IntegrityError("inexact polynomial division: leading coefficient")
         q = c // den[-1]
         out[i] = q
         for j, d in enumerate(den):
             num[i + j] -= q * d
-    assert all(c == 0 for c in num), "inexact polynomial division"
+    if any(num):
+        raise IntegrityError("inexact polynomial division: nonzero remainder")
     return out
 
 
 @functools.lru_cache(maxsize=None)
-def _power_table(order: int) -> tuple[tuple[Fraction, ...], ...]:
-    """zeta^j mod Phi_order for 0 <= j <= max(order-1, 2*phi-2), as coeff tuples."""
+def _power_table(order: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """zeta^j mod Phi_order for 0 <= j < max(order, 2*phi-1).
+
+    Row j lists the nonzero (index, coefficient) pairs of zeta^j in the power
+    basis.  Phi_order is monic with integer coefficients, so every entry is an
+    integer, and the rows are sparse for the orders the models use.
+    """
     phi = euler_phi(order)
-    cyclo = cyclotomic_polynomial(order)
+    tail = cyclotomic_polynomial(order)[:-1]
     # x^phi = -(c_0 + c_1 x + ... + c_{phi-1} x^{phi-1})  (Phi is monic)
-    top = [Fraction(-c) for c in cyclo[:-1]]
-    table: list[tuple[Fraction, ...]] = []
-    for j in range(phi):
-        row = [_ZERO] * phi
-        row[j] = _ONE
-        table.append(tuple(row))
-    n_rows = max(order, 2 * phi - 1)
-    for j in range(phi, n_rows):
-        prev = table[j - 1]
-        shifted = [_ZERO] + list(prev[:-1])
-        lead = prev[-1]
+    dense = [0] * phi
+    rows: list[tuple[tuple[int, int], ...]] = [((j, 1),) for j in range(phi)]
+    dense[phi - 1] = 1
+    for _ in range(phi, max(order, 2 * phi - 1)):
+        lead = dense[-1]
+        dense = [0] + dense[:-1]
         if lead:
-            shifted = [s + lead * t for s, t in zip(shifted, top)]
-        table.append(tuple(shifted))
-    return tuple(table)
+            dense = [s - lead * t for s, t in zip(dense, tail)]
+        rows.append(tuple((i, c) for i, c in enumerate(dense) if c))
+    return tuple(rows)
 
 
-def _reduce_poly(order: int, dense: list[Fraction]) -> tuple[Fraction, ...]:
-    """Reduce a polynomial in zeta_order (dense coeff list) to the power basis."""
-    phi = euler_phi(order)
+def _reduce(order: int, phi: int, dense: list[int]) -> list[int]:
+    """Reduce an integer polynomial in zeta_order (dense, constant first) to the power basis."""
     table = _power_table(order)
-    out = list(dense[:phi]) + [_ZERO] * max(0, phi - len(dense))
+    out = dense[:phi]
     for j in range(phi, len(dense)):
         c = dense[j]
         if c:
-            row = table[j]
-            for i in range(phi):
-                if row[i]:
-                    out[i] += c * row[i]
-    return tuple(out[:phi])
+            for i, r in table[j]:
+                out[i] += c * r
+    return out
 
 
 class Cyc:
     """An exact element of the cyclotomic field Q(zeta_order).
 
-    Immutable.  ``coeffs`` always has length phi(order) and is canonical, so
-    two elements of the same order are equal iff their coefficient tuples are.
+    Immutable.  The value is ``sum(num[i] * zeta^i) / den`` with ``num`` a
+    tuple of phi(order) ints and ``den`` a positive int.  The form is
+    canonical (gcd of den and all numerators is 1; zero has den 1), so two
+    elements of the same order are equal iff their (num, den) are.
     Cross-order comparisons lift both operands to the lcm order first.
     """
 
-    __slots__ = ("order", "coeffs")
+    __slots__ = ("order", "num", "den")
     __hash__ = None  # value equality crosses field orders; use exact_str for keys
 
-    def __init__(self, order: int, coeffs: tuple[Fraction, ...]):
+    def __init__(self, order: int, num: tuple[int, ...], den: int):
+        """Wrap an already canonical (num, den); use :meth:`_make` otherwise."""
         self.order = order
-        self.coeffs = coeffs
+        self.num = num
+        self.den = den
+
+    @staticmethod
+    def _make(order: int, num: list[int], den: int) -> Cyc:
+        """Canonicalize num / den (den > 0) by dividing out their common gcd."""
+        if den != 1:
+            g = math.gcd(den, *num)
+            if g != 1:
+                num = [c // g for c in num]
+                den //= g
+        return Cyc(order, tuple(num), den)
+
+    @staticmethod
+    def _from_terms(order: int, terms, den: int) -> Cyc:
+        """(sum of c * zeta_order^e over integer (e, c) pairs) / den."""
+        table = _power_table(order)
+        out = [0] * euler_phi(order)
+        for e, c in terms:
+            for i, r in table[e % order]:
+                out[i] += c * r
+        return Cyc._make(order, out, den)
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The rational power-basis coefficients, each in lowest terms."""
+        den = self.den
+        return tuple(Fraction(c, den) for c in self.num)
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def from_exponents(order: int, terms: dict[int, Fraction]) -> Cyc:
-        """Sum of c_e * zeta_order^e over the given exponent map."""
+        """Sum of c_e * zeta_order^e over the given exponent map (int or Fraction c_e)."""
         if order < 1:
             raise ValueError(f"order must be >= 1, got {order}")
-        dense = [_ZERO] * order
-        for e, c in terms.items():
-            dense[e % order] += Fraction(c)
-        return Cyc(order, _reduce_poly(order, dense))
+        den = math.lcm(*(c.denominator for c in terms.values()))
+        return Cyc._from_terms(
+            order, ((e, c.numerator * (den // c.denominator)) for e, c in terms.items()), den
+        )
 
     @staticmethod
     def root_of_unity(order: int, exponent: int = 1) -> Cyc:
         """zeta_order^exponent, canonical."""
-        return Cyc.from_exponents(order, {exponent: _ONE})
+        return Cyc.from_exponents(order, {exponent: 1})
 
     @staticmethod
     def rational(value: Fraction | int, order: int = 1) -> Cyc:
-        coeffs = [_ZERO] * euler_phi(order)
-        coeffs[0] = Fraction(value)
-        return Cyc(order, tuple(coeffs))
+        value = Fraction(value)
+        num = [0] * euler_phi(order)
+        num[0] = value.numerator
+        return Cyc(order, tuple(num), value.denominator)
 
     # -- order management --------------------------------------------------
 
@@ -195,8 +239,8 @@ class Cyc:
         if new_order % self.order:
             raise ValueError(f"cannot lift order {self.order} to {new_order}")
         step = new_order // self.order
-        return Cyc.from_exponents(
-            new_order, {i * step: c for i, c in enumerate(self.coeffs) if c}
+        return Cyc._from_terms(
+            new_order, ((i * step, c) for i, c in enumerate(self.num) if c), self.den
         )
 
     @staticmethod
@@ -226,13 +270,11 @@ class Cyc:
             raise ValueError(f"value is not in Q(zeta_{sub_order})")
         phi_sub = euler_phi(sub_order)
         step = self.order // sub_order
-        columns = [
-            Cyc.from_exponents(self.order, {f * step: _ONE}).coeffs
-            for f in range(phi_sub)
-        ]
+        columns = [Cyc.root_of_unity(self.order, f * step).coeffs for f in range(phi_sub)]
         solution = _solve_exact(columns, list(self.coeffs))
-        assert solution is not None
-        return Cyc(sub_order, tuple(solution))
+        if solution is None:
+            raise IntegrityError(f"no rewrite over Q(zeta_{sub_order}) of a value fixed by its Galois group")
+        return Cyc.from_exponents(sub_order, dict(enumerate(solution)))
 
     def minimal_order(self) -> int:
         """Smallest n dividing the order with this value in Q(zeta_n)."""
@@ -247,45 +289,46 @@ class Cyc:
 
     # -- ring/field operations ---------------------------------------------
 
-    def __add__(self, other: Cyc | int | Fraction) -> Cyc:
-        other = _coerce(other)
+    def _add(self, other: Cyc, sign: int) -> Cyc:
         a, b = Cyc._common(self, other)
-        return Cyc(a.order, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
+        fa, fb = (1, sign) if a.den == b.den else (b.den, sign * a.den)
+        return Cyc._make(a.order, [x * fa + y * fb for x, y in zip(a.num, b.num)], a.den * fa)
+
+    def __add__(self, other: Cyc | int | Fraction) -> Cyc:
+        return self._add(_coerce(other), 1)
 
     def __sub__(self, other: Cyc | int | Fraction) -> Cyc:
-        other = _coerce(other)
-        a, b = Cyc._common(self, other)
-        return Cyc(a.order, tuple(x - y for x, y in zip(a.coeffs, b.coeffs)))
+        return self._add(_coerce(other), -1)
 
     def __rsub__(self, other: int | Fraction) -> Cyc:
         return _coerce(other) - self
 
     def __neg__(self) -> Cyc:
-        return Cyc(self.order, tuple(-c for c in self.coeffs))
+        return Cyc(self.order, tuple(-c for c in self.num), self.den)
+
+    def _scaled(self, numerator: int, denominator: int) -> Cyc:
+        return Cyc._make(self.order, [c * numerator for c in self.num], self.den * denominator)
 
     def __mul__(self, other: Cyc | int | Fraction) -> Cyc:
         if isinstance(other, (int, Fraction)):
-            f = Fraction(other)
-            return Cyc(self.order, tuple(c * f for c in self.coeffs))
+            return self._scaled(other.numerator, other.denominator)
         a, b = Cyc._common(self, other)
-        n = len(a.coeffs)
-        prod = [_ZERO] * (2 * n - 1)
-        for i, x in enumerate(a.coeffs):
+        phi = len(a.num)
+        prod = [0] * (2 * phi - 1)
+        b_terms = [(j, y) for j, y in enumerate(b.num) if y]
+        for i, x in enumerate(a.num):
             if x:
-                for j, y in enumerate(b.coeffs):
-                    if y:
-                        prod[i + j] += x * y
-        return Cyc(a.order, _reduce_poly(a.order, prod))
+                for j, y in b_terms:
+                    prod[i + j] += x * y
+        return Cyc._make(a.order, _reduce(a.order, phi, prod), a.den * b.den)
 
     __radd__ = __add__
     __rmul__ = __mul__
 
     def __truediv__(self, other: Cyc | int | Fraction) -> Cyc:
         if isinstance(other, (int, Fraction)):
-            f = Fraction(other)
-            if f == 0:
-                raise ZeroDivisionError("division by zero")
-            return Cyc(self.order, tuple(c / f for c in self.coeffs))
+            f = 1 / Fraction(other)  # ZeroDivisionError for zero
+            return self._scaled(f.numerator, f.denominator)
         return self * other.inverse()
 
     def __rtruediv__(self, other: int | Fraction) -> Cyc:
@@ -304,17 +347,22 @@ class Cyc:
         return result
 
     def inverse(self) -> Cyc:
-        """Multiplicative inverse via extended Euclid against Phi_order."""
+        """Multiplicative inverse via extended Euclid against Phi_order.
+
+        This is the one costly field operation.  Hot callers avoid it: they
+        invert a fixed set of values once, and invert roots of unity with
+        :meth:`conjugate`.
+        """
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
         phi_poly = [Fraction(c) for c in cyclotomic_polynomial(self.order)]
-        inv = _poly_modular_inverse(list(self.coeffs), phi_poly)
-        return Cyc(self.order, _reduce_poly(self.order, inv))
+        inv = _poly_modular_inverse([Fraction(c) for c in self.num], phi_poly)
+        return Cyc.from_exponents(self.order, {i: c * self.den for i, c in enumerate(inv)})
 
     # -- predicates and views -----------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.num)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -322,18 +370,18 @@ class Cyc:
         if not isinstance(other, Cyc):
             return NotImplemented
         a, b = Cyc._common(self, other)
-        return a.coeffs == b.coeffs
+        return a.num == b.num and a.den == b.den
 
     def galois(self, a: int) -> Cyc:
         """Image under the automorphism zeta -> zeta^a, gcd(a, order) = 1."""
         if math.gcd(a, self.order) != 1:
             raise ValueError(f"{a} is not coprime to {self.order}")
-        return Cyc.from_exponents(
-            self.order, {i * a: c for i, c in enumerate(self.coeffs) if c}
+        return Cyc._from_terms(
+            self.order, ((i * a, c) for i, c in enumerate(self.num) if c), self.den
         )
 
     def conjugate(self) -> Cyc:
-        """Complex conjugate (the automorphism zeta -> zeta^-1)."""
+        """Complex conjugate (the automorphism zeta -> zeta^-1); the inverse of a root of unity."""
         if self.order <= 2:
             return self
         return self.galois(self.order - 1)
@@ -347,21 +395,9 @@ class Cyc:
         In the canonical power basis an element is rational iff every
         non-constant coefficient vanishes.
         """
-        if all(c == 0 for c in self.coeffs[1:]):
-            return self.coeffs[0]
-        return None
-
-    def as_rational_galois(self) -> Fraction | None:
-        """Rationality decided by Galois invariance (cross-check route).
-
-        The value is rational iff it is fixed by every automorphism
-        zeta -> zeta^a with gcd(a, order) = 1.
-        """
-        for a in range(2, self.order):
-            if math.gcd(a, self.order) == 1 and self.galois(a) != self:
-                return None
-        # Fixed by the full Galois group => lies in Q; read off the constant.
-        return self.coeffs[0]
+        if any(self.num[1:]):
+            return None
+        return Fraction(self.num[0], self.den)
 
     # -- numerics ------------------------------------------------------------
 
@@ -394,8 +430,9 @@ class Cyc:
 
     def exact_str(self) -> str:
         """Serialization "c0 + c1*z^1 + ...; N=order" used by the JSON emitters."""
-        parts = [str(self.coeffs[0])] if self.coeffs[0] or len(self.coeffs) == 1 else []
-        for e, c in enumerate(self.coeffs[1:], start=1):
+        coeffs = self.coeffs
+        parts = [str(coeffs[0])] if coeffs[0] or len(coeffs) == 1 else []
+        for e, c in enumerate(coeffs[1:], start=1):
             if c:
                 parts.append(f"{c}*z^{e}")
         if not parts:

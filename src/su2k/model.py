@@ -71,6 +71,7 @@ class Model:
         self.labels: tuple[int, ...] = tuple(range(k + 1))
         self._qint: dict[int, Cyc] = {}
         self._qfact: dict[int, Cyc] = {}
+        self._qfact_inv: dict[int, Cyc] = {}
         self._f_exact: dict[tuple[int, ...], Radical] = {}
         self._f_float: dict[tuple[int, ...], float] = {}
         self._fmat_float: dict[tuple[int, int, int, int], tuple] = {}
@@ -117,13 +118,16 @@ class Model:
     # -- quantum integers -------------------------------------------------------
 
     def qint(self, n: int) -> Cyc:
-        """The quantum integer [n]_q, exact.  [0] = 0, [k+2] = 0."""
+        """The quantum integer [n]_q, exact.  [0] = 0, [k+2] = 0.
+
+        Summed as q^{(n-1)/2} + q^{(n-3)/2} + ... + q^{-(n-1)/2} with
+        q^{1/2} = zeta_N^2, which equals (q^{n/2} - q^{-n/2}) / (q^{1/2} - q^{-1/2})
+        without a field division.
+        """
         if n < 0:
             raise DomainError(f"quantum integer needs n >= 0, got {n}")
         if n not in self._qint:
-            num = Cyc.root_of_unity(self.N, 2 * n) - Cyc.root_of_unity(self.N, -2 * n)
-            den = Cyc.root_of_unity(self.N, 2) - Cyc.root_of_unity(self.N, -2)
-            self._qint[n] = num / den
+            self._qint[n] = Cyc.from_exponents(self.N, {2 * (n - 1 - 2 * j): 1 for j in range(n)})
         return self._qint[n]
 
     def qfact(self, n: int) -> Cyc:
@@ -136,6 +140,12 @@ class Model:
                 value = value * self.qint(t)
             self._qfact[n] = value
         return self._qfact[n]
+
+    def qfact_inverse(self, n: int) -> Cyc:
+        """1 / [n]_q!, inverted once per model; n must be below k+2."""
+        if n not in self._qfact_inv:
+            self._qfact_inv[n] = self.qfact(n).inverse()
+        return self._qfact_inv[n]
 
     # -- R-symbols ----------------------------------------------------------------
 
@@ -158,15 +168,6 @@ class Model:
         sign, exponent = self._r_sign_exponent(a, b, c)
         value = cmath.exp(2j * cmath.pi * exponent / self.N)
         return -value if sign % 2 else value
-
-    def r_table(self) -> dict[tuple[int, int, int], Cyc]:
-        """All R-symbols, keyed by the admissible triple (a, b; c)."""
-        out = {}
-        for a in self.labels:
-            for b in self.labels:
-                for c in self.fusion(a, b):
-                    out[(a, b, c)] = self.r_symbol(a, b, c)
-        return out
 
     # -- F-symbols -------------------------------------------------------------------
 
@@ -200,9 +201,9 @@ class Model:
         for z in range(z_lo, z_hi + 1):
             term = self.qfact(z + 1)
             for t in lows:
-                term = term / self.qfact(z - t)
+                term = term * self.qfact_inverse(z - t)
             for u in highs:
-                term = term / self.qfact(u - z)
+                term = term * self.qfact_inverse(u - z)
             zsum = zsum + (-term if z % 2 else term)
         sign = -1 if ((a + b + c + d) // 2) % 2 else 1
         coef = zsum * sign
@@ -306,7 +307,7 @@ class Model:
         for a in self.labels:
             for b in self.labels:
                 for c in self.fusion(a, b):
-                    lhs = spins[c] / (spins[a] * spins[b])
+                    lhs = spins[c] * (spins[a] * spins[b]).conjugate()
                     rhs = self.r_symbol(a, b, c) * self.r_symbol(b, a, c)
                     if lhs != rhs:
                         raise IntegrityError(
@@ -329,7 +330,7 @@ class Model:
                 acc = Cyc.rational(0)
                 for c in self.fusion(a, b):  # dual(a) = a
                     acc = acc + spins[c] * dims[c]
-                row.append(acc / (spins[a] * spins[b]))
+                row.append(acc * (spins[a] * spins[b]).conjugate())
             smatrix.append(row)
         s_num = np.array([[entry.approx() for entry in row] for row in smatrix])
         smallest_sv = min(np.linalg.svd(s_num, compute_uv=False))
@@ -458,13 +459,6 @@ class Model:
                 for i in np.nonzero(residual > tol)[0][:20]:
                     failures.append((tuple(int(v) for v in batch[i]), float(residual[i])))
         return VerificationReport("pentagon", "float", checked, failures, max_residual, 0)
-
-    def _f_entry_float(self, a: int, b: int, c: int, d: int, m: int, n: int) -> float:
-        """Zero-extended float F-symbol lookup."""
-        if not (self.admissible(a, b, m) and self.admissible(m, c, d)
-                and self.admissible(b, c, n) and self.admissible(a, n, d)):
-            return 0.0
-        return self.f_symbol_float(a, b, c, d, m, n)
 
     def _f_entry_exact(self, a: int, b: int, c: int, d: int, m: int, n: int) -> Radical | None:
         if not (self.admissible(a, b, m) and self.admissible(m, c, d)
@@ -644,7 +638,7 @@ class Model:
                         terms: list[Radical] = []
                         if f_bac is not None:
                             if inverse:
-                                scalar = (self.r_symbol(a, b, m) * self.r_symbol(a, c, n)).inverse()
+                                scalar = (self.r_symbol(a, b, m) * self.r_symbol(a, c, n)).conjugate()
                             else:
                                 scalar = self.r_symbol(b, a, m) * self.r_symbol(c, a, n)
                             terms.append(f_bac.scaled(scalar))
@@ -655,7 +649,7 @@ class Model:
                             t3 = self._f_entry_exact(b, c, a, d, x, n)
                             if t3 is None:
                                 continue
-                            r_mid = self.r_symbol(a, x, d).inverse() if inverse else self.r_symbol(x, a, d)
+                            r_mid = self.r_symbol(a, x, d).conjugate() if inverse else self.r_symbol(x, a, d)
                             terms.append(t1.mul(t3, ctx).scaled(-r_mid))
                         diff = RadicalSum.from_terms(ctx, terms)
                         checked += 1

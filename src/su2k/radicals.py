@@ -34,6 +34,7 @@ class RadicalContext:
     def __init__(self, symbols: dict[int, Cyc]):
         self.symbols = dict(symbols)
         self._kind: dict[int, tuple[str, Cyc | None]] = {}
+        self._inverse: dict[int, Cyc] = {}
         for n, value in self.symbols.items():
             if not value.is_real():
                 raise ValueError(f"radical symbol {n} has a non-real value")
@@ -60,14 +61,22 @@ class RadicalContext:
                 continue
             odd = e & 1
             half = (e - odd) // 2
-            if half:
+            if half > 0:
                 coef = coef * self.symbols[n] ** half
+            elif half < 0:
+                coef = coef * self.symbol_inverse(n) ** -half
             if odd:
                 if kind == "rational":
                     coef = coef * root
                 else:
                     key.append(n)
         return Radical(coef, tuple(key))
+
+    def symbol_inverse(self, n: int) -> Cyc:
+        """1 / symbol(n), inverted once per context."""
+        if n not in self._inverse:
+            self._inverse[n] = self.symbols[n].inverse()
+        return self._inverse[n]
 
     def radicand_value(self, key: tuple[int, ...]) -> Cyc:
         value = Cyc.rational(1)

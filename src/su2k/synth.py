@@ -46,10 +46,12 @@ class SearchConfig:
     def __post_init__(self):
         if self.max_depth < 1:
             raise DomainError(f"max_depth must be >= 1, got {self.max_depth}")
-        if self.tolerance <= 0:
-            raise DomainError("tolerance must be positive")
-        if self.dedup_resolution <= 0:
-            raise DomainError("dedup resolution must be positive")
+        if not self.tolerance > 0:
+            raise DomainError(f"tolerance must be positive, got {self.tolerance}")
+        if not self.dedup_resolution > 0:
+            raise DomainError(f"dedup resolution must be positive, got {self.dedup_resolution}")
+        if self.max_states < 1:
+            raise DomainError(f"max_states must be >= 1, got {self.max_states}")
         if not self.generators:
             raise DomainError("the generator set cannot be empty")
         for index, exponent in self.generators:

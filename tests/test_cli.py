@@ -7,12 +7,20 @@ import sys
 import pytest
 
 
-def run_cli(*args, expect=0):
+def run_cli(*args, expect=0, env=None):
     proc = subprocess.run(
-        [sys.executable, "-m", "su2k.cli", *args], capture_output=True, text=True
+        [sys.executable, "-m", "su2k.cli", *args], capture_output=True, text=True, env=env
     )
     assert proc.returncode == expect, (args, proc.returncode, proc.stderr[-400:])
     return proc
+
+
+def assert_usage_error(*args, env=None):
+    """Exit code 2 with a single "error: ..." line on stderr and nothing on stdout."""
+    proc = run_cli(*args, expect=2, env=env)
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr[-400:]
 
 
 class TestModelCommand:
@@ -77,6 +85,26 @@ class TestVerifyCommand:
         assert proc.returncode == 0, proc.stderr[-300:]
         assert "float128" in proc.stdout
 
+    def test_precision_env_var_not_an_integer(self):
+        import os
+
+        env = dict(os.environ, SU2K_PRECISION="abc")
+        assert_usage_error("verify", "--k", "2", env=env)
+
+    @pytest.mark.parametrize("bits", ["0", "-8"])
+    def test_non_positive_precision(self, bits):
+        assert_usage_error("verify", "--k", "2", "--precision", bits)
+
+    def test_exact_json_reports_zero_numeric_fallbacks(self):
+        payload = json.loads(
+            run_cli("verify", "--k", "4", "--mode", "exact", "--format", "json").stdout
+        )
+        checks = {check["name"]: check for check in payload["levels"][0]["checks"]}
+        assert all("numeric_fallbacks" in check for check in checks.values())
+        for name in ("pentagon", "hexagon"):
+            assert checks[name]["mode"] == "exact"
+            assert checks[name]["numeric_fallbacks"] == 0
+
 
 class TestUniversalityCommand:
     def test_csv_sweep(self):
@@ -131,6 +159,13 @@ class TestSynthCommand:
 
     def test_neither_target_nor_profile(self):
         run_cli("synth", "--k", "3", expect=2)
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--grid", "0"), ("--grid", "-0.5"), ("--grid", "nan"),
+        ("--max-states", "0"), ("--max-states", "-5"),
+    ])
+    def test_non_positive_search_limits(self, flag, value):
+        assert_usage_error("synth", "--k", "3", "--profile-samples", "2", "--max-depth", "3", flag, value)
 
     def test_profile_csv(self):
         out = run_cli(

@@ -2,6 +2,8 @@
 
 import math
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -10,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from su2k.cyclotomic import (
     Cyc,
+    _int_poly_div_exact,
     cos_pi_fraction,
     cyclotomic_polynomial,
     euler_phi,
@@ -20,8 +23,70 @@ from su2k.cyclotomic import (
     sqrt_squarefree,
     squarefree_decomposition,
 )
+from su2k.errors import IntegrityError
 
 ORDERS = [1, 2, 3, 4, 5, 6, 8, 9, 12, 15, 16, 20, 24, 30, 40, 60]
+
+
+def as_rational_galois(x: Cyc) -> Fraction | None:
+    """Rationality decided by Galois invariance, independently of the power basis.
+
+    The value is rational iff it is fixed by every automorphism
+    zeta -> zeta^a with gcd(a, order) = 1.
+    """
+    for a in range(2, x.order):
+        if math.gcd(a, x.order) == 1 and x.galois(a) != x:
+            return None
+    return x.coeffs[0]
+
+
+# -- a Fraction reference implementation: dense coefficient tuples modulo Phi_N,
+# reduced by long division instead of the kernel's power table.
+
+
+def ref_reduce(order: int, dense: list[Fraction]) -> tuple[Fraction, ...]:
+    phi_poly = cyclotomic_polynomial(order)
+    phi = len(phi_poly) - 1
+    dense = list(dense) + [Fraction(0)] * max(0, phi - len(dense))
+    for j in range(len(dense) - 1, phi - 1, -1):
+        c = dense[j]
+        if c:
+            for i, p in enumerate(phi_poly):
+                dense[j - phi + i] -= c * p
+    return tuple(dense[:phi])
+
+
+def ref_from_exponents(order: int, terms: dict[int, Fraction]) -> tuple[Fraction, ...]:
+    dense = [Fraction(0)] * order
+    for e, c in terms.items():
+        dense[e % order] += c
+    return ref_reduce(order, dense)
+
+
+def ref_lift(order: int, coeffs: tuple[Fraction, ...], new_order: int) -> tuple[Fraction, ...]:
+    step = new_order // order
+    return ref_from_exponents(new_order, {i * step: c for i, c in enumerate(coeffs)})
+
+
+def ref_galois(order: int, coeffs: tuple[Fraction, ...], a: int) -> tuple[Fraction, ...]:
+    return ref_from_exponents(order, {i * a: c for i, c in enumerate(coeffs)})
+
+
+def ref_mul(order: int, x: tuple[Fraction, ...], y: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
+    prod = [Fraction(0)] * (len(x) + len(y) - 1)
+    for i, a in enumerate(x):
+        for j, b in enumerate(y):
+            prod[i + j] += a * b
+    return ref_reduce(order, prod)
+
+
+def assert_canonical(x: Cyc) -> None:
+    assert len(x.num) == euler_phi(x.order)
+    assert all(type(c) is int for c in x.num)
+    assert type(x.den) is int and x.den > 0
+    assert math.gcd(x.den, *x.num) == 1
+    if x.is_zero():
+        assert x.den == 1
 
 
 def small_cyc(order: int, rng: random.Random) -> Cyc:
@@ -41,6 +106,115 @@ def cyc_values(draw):
         e = draw(st.integers(0, order - 1))
         terms[e] = Fraction(draw(st.integers(-5, 5)), draw(st.integers(1, 4)))
     return Cyc.from_exponents(order, terms)
+
+
+@st.composite
+def exponent_terms(draw, order: int):
+    coefficient = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+    return draw(st.dictionaries(st.integers(0, order - 1), coefficient, min_size=1, max_size=6))
+
+
+@st.composite
+def kernel_operands(draw):
+    """(order, terms x, terms y), y possibly at a second order for mixed arithmetic."""
+    order = draw(st.sampled_from([24, 28, 128]))
+    other = 28 if order == 24 and draw(st.booleans()) else order
+    return order, draw(exponent_terms(order)), other, draw(exponent_terms(other))
+
+
+class TestKernelAgainstFractionReference:
+    @settings(max_examples=40, deadline=None)
+    @given(kernel_operands())
+    def test_ring_operations(self, operands):
+        order_x, tx, order_y, ty = operands
+        x, y = Cyc.from_exponents(order_x, tx), Cyc.from_exponents(order_y, ty)
+        rx, ry = ref_from_exponents(order_x, tx), ref_from_exponents(order_y, ty)
+        assert x.coeffs == rx and y.coeffs == ry
+        order = math.lcm(order_x, order_y)
+        rx, ry = ref_lift(order_x, rx, order), ref_lift(order_y, ry, order)
+        for got, want in (
+            (x + y, tuple(a + b for a, b in zip(rx, ry))),
+            (x - y, tuple(a - b for a, b in zip(rx, ry))),
+            (x * y, ref_mul(order, rx, ry)),
+        ):
+            assert got.order == order
+            assert got.coeffs == want
+            assert_canonical(got)
+
+    @settings(max_examples=40, deadline=None)
+    @given(kernel_operands(), st.integers(1, 1000), st.sampled_from([2, 3]))
+    def test_galois_lift_inverse(self, operands, a, step):
+        order, terms, _, _ = operands
+        x = Cyc.from_exponents(order, terms)
+        rx = ref_from_exponents(order, terms)
+        while math.gcd(a, order) != 1:
+            a += 1
+        assert x.galois(a).coeffs == ref_galois(order, rx, a)
+        assert x.lift(step * order).coeffs == ref_lift(order, rx, step * order)
+        if not x.is_zero():
+            inv = x.inverse()
+            assert_canonical(inv)
+            assert ref_mul(order, rx, inv.coeffs) == ref_from_exponents(order, {0: Fraction(1)})
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from([(24, 12), (24, 8), (28, 14), (28, 4), (128, 32)]), st.data())
+    def test_to_order_recovers_subfield_value(self, orders, data):
+        order, sub = orders
+        terms = data.draw(exponent_terms(sub))
+        lifted = Cyc.from_exponents(sub, terms).lift(order)
+        assert lifted.coeffs == ref_lift(sub, ref_from_exponents(sub, terms), order)
+        back = lifted.to_order(sub)
+        assert back.order == sub
+        assert back.coeffs == ref_from_exponents(sub, terms)
+
+
+class TestCanonicalForm:
+    def test_invariant_after_every_operation(self):
+        rng = random.Random(31)
+        for _ in range(300):
+            order = rng.choice(ORDERS)
+            x, y = small_cyc(order, rng), small_cyc(rng.choice(ORDERS), rng)
+            values = [x, y, x + y, x - y, x * y, -x, x * Fraction(-3, 4), x / 6, x.conjugate()]
+            if not y.is_zero():
+                values.append(x / y)
+            for value in values:
+                assert_canonical(value)
+
+    def test_equal_values_have_equal_tuples(self):
+        rng = random.Random(32)
+        for _ in range(200):
+            order = rng.choice(ORDERS)
+            x, y = small_cyc(order, rng), small_cyc(order, rng)
+            again = (x + y) - y
+            assert (again.num, again.den) == (x.num, x.den)
+            assert (x * 2 / 2).num == x.num
+
+    def test_zero_has_unit_denominator(self):
+        x = Cyc.from_exponents(12, {1: Fraction(1, 3)})
+        zero = x - x
+        assert zero.den == 1 and not any(zero.num)
+        assert (x * 0).den == 1
+
+
+class TestIntegrityGuards:
+    def test_inexact_division_raises(self):
+        with pytest.raises(IntegrityError):
+            _int_poly_div_exact([1, 0, 1], [1, 1])  # x^2 + 1 = (x + 1)(x - 1) + 2
+        with pytest.raises(IntegrityError):
+            _int_poly_div_exact([0, 1], [1, 2])  # leading 1 not divisible by 2
+
+    def test_inexact_division_raises_under_optimize(self):
+        code = (
+            "from su2k.cyclotomic import _int_poly_div_exact\n"
+            "from su2k.errors import IntegrityError\n"
+            "try:\n"
+            "    _int_poly_div_exact([1, 0, 1], [1, 1])\n"
+            "except IntegrityError:\n"
+            "    print('raised')\n"
+        )
+        proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr[-400:]
+        assert proc.stdout.strip() == "raised"
 
 
 class TestConstructors:
@@ -115,7 +289,7 @@ class TestRationality:
         rng = random.Random(202)
         for _ in range(1000):
             x = small_cyc(rng.choice(ORDERS), rng)
-            assert x.as_rational() == x.as_rational_galois()
+            assert x.as_rational() == as_rational_galois(x)
 
 
 class TestCosines:

@@ -80,6 +80,17 @@ class TestQuantumIntegers:
         for n in range(1, 6):
             assert m.qfact(n) == m.qfact(n - 1) * m.qint(n)
 
+    @pytest.mark.parametrize("k", [2, 5, 30])
+    def test_sum_form_equals_quotient_form(self, k):
+        m = Model(k)
+
+        def zeta(e: int) -> Cyc:
+            return Cyc.root_of_unity(m.N, e)
+
+        den_inverse = (zeta(2) - zeta(-2)).inverse()
+        for n in range(2 * k + 4):
+            assert m.qint(n) == (zeta(2 * n) - zeta(-2 * n)) * den_inverse, n
+
 
 class TestRSymbols:
     def test_one_qubit_values(self):
