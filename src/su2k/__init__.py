@@ -10,7 +10,7 @@ approximate arbitrary one-qubit targets.
 
 from .cyclotomic import Cyc, cos_pi_fraction, min_poly_2cos, minimal_polynomial
 from .errors import DomainError, IntegrityError
-from .model import Level, Model, get_model
+from .model import Model, get_model
 from .braids import BraidWord, SplittingBasis, enumerate_basis, evaluate_word
 from .universality import Certificate, certificate, witnesses
 from .synth import SearchConfig, SynthResult, synthesize
@@ -23,7 +23,6 @@ __all__ = [
     "Cyc",
     "DomainError",
     "IntegrityError",
-    "Level",
     "Model",
     "SearchConfig",
     "SplittingBasis",

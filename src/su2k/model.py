@@ -5,15 +5,19 @@ integer 2j.  The deformation parameter is q = e^{2*pi*i/(k+2)}; every exact
 quantity lives in Q(zeta_N) with N = 4(k+2), the smallest order supporting
 the quarter powers of q that braiding phases need.
 
-The model exposes two parallel evaluation routes for the recoupling data:
+The recoupling data has an exact and a numeric form:
 
 * exact -- quantum integers as cyclotomic numbers and F-symbols as formal
   coef*sqrt(radicand) values (:class:`su2k.radicals.Radical`), and
-* float -- direct numeric evaluation (double precision or mpmath at a
-  requested precision) for the large verification sweeps.
+* numeric -- one 6j formula evaluated over tables of [n] and [n]!, in
+  float64 or directly in mpmath at a requested precision.
 
-Pentagon and hexagon verification, topological spins, quantum dimensions and
-the modular S-matrix live here as well.
+Pentagon and hexagon verification is one engine: an admissibility table
+A[a, b, c] built once per model, one instance enumerator per axiom yielding
+bounded index blocks, one vectorized residual evaluator per axiom over
+zero-extended F/R tensors (float64 or mpmath objects), and an exact backend
+that settles the same rows one at a time in radical arithmetic.  Topological
+spins, quantum dimensions and the modular S-matrix live here as well.
 """
 
 from __future__ import annotations
@@ -46,28 +50,14 @@ def parse_label(text: str) -> int:
     return 2 * int(text)
 
 
-@dataclass(frozen=True)
-class Level:
-    """A level k >= 0 with its root-of-unity order N = 4(k+2)."""
-
-    k: int
-
-    def __post_init__(self):
-        if self.k < 0:
-            raise DomainError(f"level must be >= 0, got {self.k}")
-
-    @property
-    def root_order(self) -> int:
-        return 4 * (self.k + 2)
-
-
 class Model:
     """All static data of the anyon model at a fixed level."""
 
     def __init__(self, k: int):
-        self.level = Level(k)
+        if k < 0:
+            raise DomainError(f"level must be >= 0, got {k}")
         self.k = k
-        self.N = self.level.root_order
+        self.N = 4 * (k + 2)
         self.labels: tuple[int, ...] = tuple(range(k + 1))
         self._qint: dict[int, Cyc] = {}
         self._qfact: dict[int, Cyc] = {}
@@ -75,14 +65,23 @@ class Model:
         self._f_exact: dict[tuple[int, ...], Radical] = {}
         self._f_float: dict[tuple[int, ...], float] = {}
         self._fmat_float: dict[tuple[int, int, int, int], tuple] = {}
+        self._tensors: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         context_symbols = {n: self.qint(n) for n in range(1, k + 2)}
         self.radicals = RadicalContext(context_symbols)
-        # float quantum integers / factorials
-        denom = math.sin(math.pi / (k + 2))
-        self._qint_f = [math.sin(n * math.pi / (k + 2)) / denom for n in range(0, 2 * k + 4)]
-        self._qfact_f = [1.0]
-        for n in range(1, 2 * k + 4):
-            self._qfact_f.append(self._qfact_f[-1] * self._qint_f[n])
+        self._qint_f, self._qfact_f = self._q_tables(math.sin, math.pi)
+        self._adm = np.zeros((k + 1,) * 3, dtype=bool)  # A[a, b, c]: (a, b; c) is admissible
+        for a in self.labels:
+            for b in self.labels:
+                self._adm[a, b, list(self.fusion(a, b))] = True
+
+    def _q_tables(self, sin, pi) -> tuple[list, list]:
+        """[n] = sin(n pi/(k+2)) / sin(pi/(k+2)) and [n]! for n < 2k+4, in the arithmetic of sin and pi."""
+        denom = sin(pi / (self.k + 2))
+        qint = [sin(n * pi / (self.k + 2)) / denom for n in range(0, 2 * self.k + 4)]
+        qfact = [1.0]
+        for n in range(1, 2 * self.k + 4):
+            qfact.append(qfact[-1] * qint[n])
+        return qint, qfact
 
     # -- labels and fusion ----------------------------------------------------
 
@@ -107,13 +106,7 @@ class Model:
 
     def fusion_tensor(self) -> np.ndarray:
         """N[a, b, c] in {0, 1}."""
-        size = self.k + 1
-        N = np.zeros((size, size, size), dtype=int)
-        for a in self.labels:
-            for b in self.labels:
-                for c in self.fusion(a, b):
-                    N[a, b, c] = 1
-        return N
+        return self._adm.astype(int)
 
     # -- quantum integers -------------------------------------------------------
 
@@ -227,31 +220,39 @@ class Model:
     def f_symbol_float(self, a: int, b: int, c: int, d: int, m: int, n: int) -> float:
         """Double-precision F-symbol (real), for the large verification sweeps."""
         key = (a, b, c, d, m, n)
-        if key in self._f_float:
-            return self._f_float[key]
+        if key not in self._f_float:
+            self._f_float[key] = self._six_j(key, self._qint_f, self._qfact_f, math.sqrt)
+        return self._f_float[key]
+
+    def _six_j(self, labels: tuple[int, ...], qint, qfact, sqrt):
+        """The 6j formula for F over tables of [n] and [n]! and a matching sqrt.
+
+        One body serves float64 (math tables) and mpmath (mpf tables); a
+        negative radicand means the tables are wrong and raises.
+        """
+        a, b, c, d, m, n = labels
         self._f_check(a, b, c, d, m, n)
         z_lo, z_hi, lows, highs = self._z_range(a, b, c, d, m, n)
-        fact = self._qfact_f
         zsum = 0.0
         for z in range(z_lo, z_hi + 1):
-            term = fact[z + 1]
+            term = qfact[z + 1]
             for t in lows:
-                term /= fact[z - t]
+                term /= qfact[z - t]
             for u in highs:
-                term /= fact[u - z]
+                term /= qfact[u - z]
             zsum += -term if z % 2 else term
         sign = -1.0 if ((a + b + c + d) // 2) % 2 else 1.0
-        radicand = self._qint_f[m + 1] * self._qint_f[n + 1]
+        radicand = qint[m + 1] * qint[n + 1]
         for (x, y, w) in ((a, b, m), (m, c, d), (b, c, n), (a, n, d)):
             radicand *= (
-                fact[(-x + y + w) // 2]
-                * fact[(x - y + w) // 2]
-                * fact[(x + y - w) // 2]
-                / fact[(x + y + w) // 2 + 1]
+                qfact[(-x + y + w) // 2]
+                * qfact[(x - y + w) // 2]
+                * qfact[(x + y - w) // 2]
+                / qfact[(x + y + w) // 2 + 1]
             )
-        value = sign * zsum * math.sqrt(max(radicand, 0.0))
-        self._f_float[key] = value
-        return value
+        if radicand < 0:
+            raise IntegrityError(f"negative F-symbol radicand {radicand} at labels {labels}")
+        return sign * zsum * sqrt(radicand)
 
     def f_matrix_exact(self, a: int, b: int, c: int, d: int) -> tuple[tuple[int, ...], tuple[int, ...], list[list[Radical]]]:
         """(rows, cols, entries): rows are admissible n-channels, cols m-channels."""
@@ -348,17 +349,13 @@ class Model:
         grouping cannot settle); mode "float" reports the maximum residual.
         "auto" picks exact for k <= 3.
         """
-        mode = self._pick_mode(mode)
-        if mode == "exact":
-            return self._verify_pentagon_exact(tol)
-        return self._verify_pentagon_float(tol, precision)
+        return self._verify("pentagon", mode, tol, precision, self._pentagon_rows(),
+                            self._pentagon_residuals, self._pentagon_terms)
 
     def verify_hexagon(self, mode: str = "auto", tol: float = 1e-9, precision: int = 53) -> VerificationReport:
         """Check both hexagon identities (R and R^{-1} variants)."""
-        mode = self._pick_mode(mode)
-        if mode == "exact":
-            return self._verify_hexagon_exact(tol)
-        return self._verify_hexagon_float(tol, precision)
+        return self._verify("hexagon", mode, tol, precision, self._hexagon_rows(),
+                            self._hexagon_residuals, self._hexagon_terms, ("hex", "hex-inv"))
 
     def _pick_mode(self, mode: str) -> str:
         if mode == "auto":
@@ -367,298 +364,180 @@ class Model:
             raise DomainError(f"unknown verification mode {mode!r}")
         return mode
 
-    def _pentagon_instances(self):
-        """Yield (a,b,c,d,e, tree1 pairs (m,n), tree3 pairs (y,z)) with both trees nonempty."""
-        labels = self.labels
-        for a in labels:
-            for b in labels:
-                for c in labels:
-                    for d in labels:
-                        tree1: dict[int, list[tuple[int, int]]] = {}
-                        for m in self.fusion(a, b):
-                            for n in self.fusion(m, c):
-                                for e in self.fusion(n, d):
-                                    tree1.setdefault(e, []).append((m, n))
-                        tree3: dict[int, list[tuple[int, int]]] = {}
-                        for z in self.fusion(c, d):
-                            for y in self.fusion(b, z):
-                                for e in self.fusion(a, y):
-                                    tree3.setdefault(e, []).append((y, z))
-                        for e in tree1:
-                            if e in tree3:
-                                yield a, b, c, d, e, tree1[e], tree3[e]
+    def _verify(self, name, mode, tol, precision, blocks, residuals, terms, tags=()) -> VerificationReport:
+        """Evaluate every instance block and assemble the report.
 
-    def _f_dense_tensor(self) -> np.ndarray:
-        """Zero-extended F[a, b, c, d, n, m] as a dense float array."""
-        if not hasattr(self, "_f6"):
-            size = self.k + 1
-            F6 = np.zeros((size,) * 6, dtype=float)
-            for a in self.labels:
-                for b in self.labels:
-                    for c in self.labels:
-                        for d in self.labels:
-                            rows, cols, mat = self.f_matrix_float(a, b, c, d)
-                            if rows and cols:
-                                F6[a, b, c, d][np.ix_(rows, cols)] = mat
-            self._f6 = F6
-        return self._f6
+        Each route gives one residual per identity of a row: the float routes
+        from the tensors, the exact route 0 for a sum proved zero and the
+        212-bit magnitude of any other sum (a numeric fallback).  An identity
+        fails when its residual exceeds tol (2^-100 in exact mode); the first
+        MAX_FAILURES failures in row order are kept, tagged when a row carries
+        several identities.
+        """
+        mode = self._pick_mode(mode)
+        if mode == "exact":
+            report = VerificationReport(name, "exact", 0)
+            bound, adm = 2.0 ** -100, self._adm.tolist()
 
-    def _pentagon_index_batches(self, batch_rows: int = 500_000):
-        """Yield pentagon instances as stacked index arrays (a,b,c,d,e,m,n,y,z)."""
-        chunks: list[np.ndarray] = []
-        total = 0
-        for a, b, c, d, e, pairs1, pairs3 in self._pentagon_instances():
-            p1 = np.array(pairs1, dtype=np.intp)
-            p3 = np.array(pairs3, dtype=np.intp)
-            n1, n3 = len(p1), len(p3)
-            block = np.empty((n1 * n3, 9), dtype=np.intp)
-            block[:, 0:5] = (a, b, c, d, e)
-            block[:, 5:7] = np.repeat(p1, n3, axis=0)  # m, n
-            block[:, 7:9] = np.tile(p3, (n1, 1))  # y, z
-            chunks.append(block)
-            total += len(block)
-            if total >= batch_rows:
-                yield np.concatenate(chunks)
-                chunks, total = [], 0
-        if chunks:
-            yield np.concatenate(chunks)
+            def evaluate(rows):
+                out = []
+                for row in rows.tolist():
+                    for identity in terms(adm, *row):
+                        diff = RadicalSum.from_terms(self.radicals, identity)
+                        if diff.is_zero():
+                            out.append(0.0)
+                        else:
+                            report.numeric_fallbacks += 1
+                            out.append(float(abs(diff.approx(212))))
+                return np.array(out).reshape(len(rows), -1)
+        else:
+            report = VerificationReport(name, "float" if precision <= 53 else f"float{precision}", 0)
+            bound = tol
+            F, R = self._recoupling_tensors(precision)
 
-    def _verify_pentagon_float(self, tol: float, precision: int) -> VerificationReport:
-        if precision > 53:
-            return self._verify_pentagon_mp(tol, precision)
-        F6 = self._f_dense_tensor()
-        flat = F6.reshape(-1)
-        size = self.k + 1
+            def evaluate(rows):
+                return residuals(rows, F, R)
 
-        def gather(i1, i2, i3, i4, i5, i6):
-            idx = ((((i1 * size + i2) * size + i3) * size + i4) * size + i5) * size + i6
-            return flat[idx]
-
-        max_residual = 0.0
-        checked = 0
-        failures: list[tuple] = []
-        for batch in self._pentagon_index_batches():
-            a, b, c, d, e, m, n, y, z = (batch[:, i] for i in range(9))
-            lhs = gather(m, c, d, e, z, n) * gather(a, b, z, e, y, m)
-            rhs = np.zeros(len(batch))
-            for x in range(size):
-                t1 = gather(a, b, c, n, x, m)
-                live = t1 != 0.0
-                if not live.any():
-                    continue
-                rhs[live] += (
-                    t1[live]
-                    * gather(a[live], x, d[live], e[live], y[live], n[live])
-                    * gather(b[live], c[live], d[live], y[live], z[live], x)
-                )
-            residual = np.abs(lhs - rhs)
-            checked += len(batch)
-            batch_max = float(residual.max()) if len(residual) else 0.0
-            max_residual = max(max_residual, batch_max)
-            if batch_max > tol:
-                for i in np.nonzero(residual > tol)[0][:20]:
-                    failures.append((tuple(int(v) for v in batch[i]), float(residual[i])))
-        return VerificationReport("pentagon", "float", checked, failures, max_residual, 0)
-
-    def _f_entry_exact(self, a: int, b: int, c: int, d: int, m: int, n: int) -> Radical | None:
-        if not (self.admissible(a, b, m) and self.admissible(m, c, d)
-                and self.admissible(b, c, n) and self.admissible(a, n, d)):
-            return None
-        return self.f_symbol(a, b, c, d, m, n)
-
-    def _verify_pentagon_exact(self, tol: float) -> VerificationReport:
-        checked = 0
-        failures: list[tuple] = []
-        numeric_fallbacks = 0
-        ctx = self.radicals
-        for a, b, c, d, e, pairs1, pairs3 in self._pentagon_instances():
-            for (m, n) in pairs1:
-                for (y, z) in pairs3:
-                    terms: list[Radical] = []
-                    lhs1 = self._f_entry_exact(m, c, d, e, n, z)
-                    lhs2 = self._f_entry_exact(a, b, z, e, m, y)
-                    if lhs1 is not None and lhs2 is not None:
-                        terms.append(lhs1.mul(lhs2, ctx))
-                    for x in self.fusion(b, c):
-                        t1 = self._f_entry_exact(a, b, c, n, m, x)
-                        if t1 is None:
-                            continue
-                        t2 = self._f_entry_exact(a, x, d, e, n, y)
-                        if t2 is None:
-                            continue
-                        t3 = self._f_entry_exact(b, c, d, y, x, z)
-                        if t3 is None:
-                            continue
-                        terms.append(t1.mul(t2, ctx).scaled(-1).mul(t3, ctx))
-                    diff = RadicalSum.from_terms(ctx, terms)
-                    checked += 1
-                    if not diff.is_zero():
-                        value = diff.approx(212)
-                        numeric_fallbacks += 1
-                        if abs(value) > mpmath.mpf(2) ** -100:
-                            failures.append(((a, b, c, d, e, m, n, y, z), float(abs(value))))
-        return VerificationReport("pentagon", "exact", checked, failures, 0.0, numeric_fallbacks)
-
-    def _verify_pentagon_mp(self, tol: float, precision: int) -> VerificationReport:
-        get = self._f_entry_exact
-        checked = 0
-        failures: list[tuple] = []
-        max_residual = mpmath.mpf(0)
         with mpmath.workprec(precision + 16):
-            cache: dict[tuple, mpmath.mpf] = {}
+            for rows in blocks:
+                res = evaluate(rows)
+                report.checked += res.size
+                report.max_residual = max(report.max_residual, res.max())
+                for i in np.flatnonzero(res > bound)[:MAX_FAILURES - len(report.failures)]:
+                    row, j = divmod(int(i), res.shape[1])
+                    key = tuple(rows[row].tolist())
+                    report.failures.append(((tags[j], *key) if tags else key, float(res.flat[i])))
+        report.max_residual = float(report.max_residual)
+        return report
 
-            def fv(*args):
-                if args not in cache:
-                    r = get(*args)
-                    cache[args] = mpmath.re(RadicalSum.from_terms(self.radicals, [r]).approx(precision)) if r else mpmath.mpf(0)
-                return cache[args]
+    def _recoupling_tensors(self, precision: int) -> tuple[np.ndarray, np.ndarray]:
+        """Zero-extended F[a, b, c, d, n, m] and R[a, b, c] at a working precision.
 
-            for a, b, c, d, e, pairs1, pairs3 in self._pentagon_instances():
-                for (m, n) in pairs1:
-                    for (y, z) in pairs3:
-                        lhs = fv(m, c, d, e, n, z) * fv(a, b, z, e, m, y)
-                        rhs = mpmath.mpf(0)
-                        for x in self.fusion(b, c):
-                            rhs += fv(a, b, c, n, m, x) * fv(a, x, d, e, n, y) * fv(b, c, d, y, x, z)
-                        residual = abs(lhs - rhs)
-                        checked += 1
-                        if residual > max_residual:
-                            max_residual = residual
-                        if residual > tol:
-                            failures.append(((a, b, c, d, e, m, n, y, z), float(residual)))
-        return VerificationReport("pentagon", f"float{precision}", checked, failures, float(max_residual), 0)
+        Up to 53 bits: float64/complex128 arrays of f_symbol_float and
+        r_symbol_complex.  Above: object arrays of mpf/mpc, the same 6j
+        formula and the R phases evaluated in mpmath at precision + 16 bits.
+        """
+        key = max(precision, 53)
+        if key not in self._tensors:
+            A, size = self._adm, self.k + 1
+            with mpmath.workprec(key + 16):
+                if key == 53:
+                    f_value, r_value, dtype = self.f_symbol_float, self.r_symbol_complex, float
+                else:
+                    qint, qfact = self._q_tables(mpmath.sin, mpmath.pi)
+                    dtype = object
 
-    def _hexagon_instances(self):
+                    def f_value(*labels):
+                        return self._six_j(labels, qint, qfact, mpmath.sqrt)
+
+                    def r_value(a, b, c):
+                        sign, exponent = self._r_sign_exponent(a, b, c)
+                        value = mpmath.expjpi(mpmath.mpf(2 * exponent) / self.N)
+                        return -value if sign % 2 else value
+
+                F = np.zeros((size,) * 6, dtype=dtype)
+                live = np.nonzero(np.einsum("abm,mcd,bcn,and->abcdnm", A, A, A, A))
+                for a, b, c, d, n, m in zip(*(axis.tolist() for axis in live)):
+                    F[a, b, c, d, n, m] = f_value(a, b, c, d, m, n)
+                R = np.zeros((size,) * 3, dtype=complex if dtype is float else object)
+                for a, b, c in zip(*(axis.tolist() for axis in np.nonzero(A))):
+                    R[a, b, c] = r_value(a, b, c)
+            self._tensors[key] = F, R
+        return self._tensors[key]
+
+    def _pentagon_rows(self):
+        """Pentagon instances (a,b,c,d,e,m,n,y,z) in lexicographic order, one block per (a,b).
+
+        A row pairs a fusion tree (ab)m, (mc)n, (nd)e with a tree (cd)z, (bz)y,
+        (ay)e of the same (c,d,e); the pairs are joined per (c,d,e) group.
+        """
+        A, size = self._adm, self.k + 1
         for a in self.labels:
             for b in self.labels:
-                for c in self.labels:
-                    for d in self.labels:
-                        cols = [m for m in self.fusion(b, a) if self.admissible(m, c, d)]
-                        if not cols:
-                            continue
-                        rows = [n for n in self.fusion(a, c) if self.admissible(b, n, d)]
-                        if not rows:
-                            continue
-                        yield a, b, c, d, cols, rows
+                left = np.einsum("m,mcn,nde->cdemn", A[a, b], A, A).reshape(size ** 3, size * size)
+                right = np.einsum("cdz,zy,ye->cdeyz", A, A[b], A[a]).reshape(size ** 3, size * size)
+                group, mn = np.nonzero(left)
+                yz = np.nonzero(right)[1]
+                per_group = np.count_nonzero(right, axis=1)
+                repeats = per_group[group]  # right-tree partners of each left tree
+                if not repeats.any():
+                    continue
+                offset = np.cumsum(per_group) - per_group  # first right tree of each group
+                starts = np.cumsum(repeats) - repeats  # first row of each left tree
+                left_of = np.repeat(np.arange(len(group)), repeats)
+                right_of = np.arange(len(left_of)) + np.repeat(offset[group] - starts, repeats)
+                rows = np.empty((len(left_of), 9), dtype=np.intp)
+                rows[:, 0], rows[:, 1] = a, b
+                rows[:, 2:5] = np.column_stack(np.unravel_index(group[left_of], (size,) * 3))
+                rows[:, 5], rows[:, 6] = np.divmod(mn[left_of], size)
+                rows[:, 7], rows[:, 8] = np.divmod(yz[right_of], size)
+                yield rows
 
-    def _r_dense_tensor(self) -> np.ndarray:
-        """Zero-extended R[a, b, c] as a dense complex array."""
-        if not hasattr(self, "_r3"):
-            size = self.k + 1
-            R3 = np.zeros((size,) * 3, dtype=complex)
-            for a in self.labels:
-                for b in self.labels:
-                    for c in self.fusion(a, b):
-                        R3[a, b, c] = self.r_symbol_complex(a, b, c)
-            self._r3 = R3
-        return self._r3
+    @staticmethod
+    def _pentagon_residuals(rows: np.ndarray, F: np.ndarray, R: np.ndarray) -> np.ndarray:
+        a, b, c, d, e, m, n, y, z = rows.T
+        lhs = F[m, c, d, e, z, n] * F[a, b, z, e, y, m]
+        rhs = np.zeros(len(rows), dtype=F.dtype)
+        for x in range(F.shape[0]):
+            t1 = F[a, b, c, n, x, m]
+            live = t1 != 0
+            if live.any():
+                rhs[live] += (
+                    t1[live]
+                    * F[a[live], x, d[live], e[live], y[live], n[live]]
+                    * F[b[live], c[live], d[live], y[live], z[live], x]
+                )
+        return np.abs(lhs - rhs)[:, None]
 
-    def _verify_hexagon_float(self, tol: float, precision: int) -> VerificationReport:
-        if precision > 53:
-            return self._verify_hexagon_mp(tol, precision)
-        F6 = self._f_dense_tensor()
-        R3 = self._r_dense_tensor()
-        size = self.k + 1
-        rows_idx: list[list[int]] = []
-        for a, b, c, d, cols, rows in self._hexagon_instances():
-            rows_idx.extend((a, b, c, d, m, n) for m in cols for n in rows)
-        if not rows_idx:
-            return VerificationReport("hexagon", "float", 0, [], 0.0, 0)
-        idx = np.array(rows_idx, dtype=np.intp)
-        a, b, c, d, m, n = (idx[:, i] for i in range(6))
-        f_bac = F6[b, a, c, d, n, m]
-        lhs1 = R3[b, a, m] * f_bac * R3[c, a, n]
-        lhs2 = np.conj(R3[a, b, m]) * f_bac * np.conj(R3[a, c, n])  # R inverse = conjugate
-        rhs1 = np.zeros(len(idx), dtype=complex)
-        rhs2 = np.zeros(len(idx), dtype=complex)
-        for x in range(size):
-            t1 = F6[a, b, c, d, x, m]
-            live = t1 != 0.0
-            if not live.any():
-                continue
-            t3 = F6[b[live], c[live], a[live], d[live], n[live], x]
-            r_mid = R3[x, a[live], d[live]]
-            rhs1[live] += t1[live] * t3 * r_mid
-            rhs2[live] += t1[live] * t3 * np.conj(r_mid)
-        res1 = np.abs(lhs1 - rhs1)
-        res2 = np.abs(lhs2 - rhs2)
-        checked = 2 * len(idx)
-        max_residual = float(max(res1.max(), res2.max()))
-        failures: list[tuple] = []
-        for tag, res in (("hex", res1), ("hex-inv", res2)):
-            if res.max() > tol:
-                for i in np.nonzero(res > tol)[0][:20]:
-                    failures.append(((tag, *(int(v) for v in idx[i])), float(res[i])))
-        return VerificationReport("hexagon", "float", checked, failures, max_residual, 0)
+    def _pentagon_terms(self, adm, a, b, c, d, e, m, n, y, z) -> tuple[list[Radical]]:
+        F, ctx = self.f_symbol, self.radicals
+        terms: list[Radical] = []
+        if adm[m][z][e]:
+            terms.append(F(m, c, d, e, n, z).mul(F(a, b, z, e, m, y), ctx))
+        for x in self.labels:
+            if adm[b][c][x] and adm[a][x][n] and adm[x][d][y]:
+                t12 = F(a, b, c, n, m, x).mul(F(a, x, d, e, n, y), ctx)
+                terms.append(t12.scaled(-1).mul(F(b, c, d, y, x, z), ctx))
+        return (terms,)
 
-    def _verify_hexagon_mp(self, tol: float, precision: int) -> VerificationReport:
-        checked = 0
-        failures: list[tuple] = []
-        max_residual = mpmath.mpf(0)
-        with mpmath.workprec(precision + 16):
-            def fv(*args):
-                r = self._f_entry_exact(*args)
-                return mpmath.re(RadicalSum.from_terms(self.radicals, [r]).approx(precision)) if r else mpmath.mpf(0)
+    def _hexagon_rows(self):
+        """Hexagon instances (a,b,c,d,m,n) with (ba)m, (mc)d, (ac)n, (bn)d admissible, one block per (a,b)."""
+        A = self._adm
+        for a in self.labels:
+            for b in self.labels:
+                cdmn = np.nonzero(np.einsum("m,mcd,cn,nd->cdmn", A[b, a], A, A[a], A[b]))
+                if len(cdmn[0]):
+                    yield np.column_stack((np.full_like(cdmn[0], a), np.full_like(cdmn[0], b), *cdmn))
 
-            def rv(x, y, w):
-                return self.r_symbol(x, y, w).approx(precision)
+    @staticmethod
+    def _hexagon_residuals(rows: np.ndarray, F: np.ndarray, R: np.ndarray) -> np.ndarray:
+        a, b, c, d, m, n = rows.T
+        f_bac = F[b, a, c, d, n, m]
+        lhs1 = R[b, a, m] * f_bac * R[c, a, n]
+        lhs2 = np.conj(R[a, b, m]) * f_bac * np.conj(R[a, c, n])  # R inverse = conjugate
+        rhs1 = np.zeros(len(rows), dtype=R.dtype)
+        rhs2 = np.zeros(len(rows), dtype=R.dtype)
+        for x in range(F.shape[0]):
+            t1 = F[a, b, c, d, x, m]
+            live = t1 != 0
+            if live.any():
+                t3 = F[b[live], c[live], a[live], d[live], n[live], x]
+                r_mid = R[x, a[live], d[live]]
+                rhs1[live] += t1[live] * t3 * r_mid
+                rhs2[live] += t1[live] * t3 * np.conj(r_mid)
+        return np.column_stack((np.abs(lhs1 - rhs1), np.abs(lhs2 - rhs2)))
 
-            for a, b, c, d, cols, rows in self._hexagon_instances():
-                for m in cols:
-                    for n in rows:
-                        f_bac = fv(b, a, c, d, m, n)
-                        lhs1 = rv(b, a, m) * f_bac * rv(c, a, n)
-                        lhs2 = f_bac / (rv(a, b, m) * rv(a, c, n))
-                        rhs1 = mpmath.mpc(0)
-                        rhs2 = mpmath.mpc(0)
-                        for x in self.fusion(b, c):
-                            t = fv(a, b, c, d, m, x) * fv(b, c, a, d, x, n)
-                            if t:
-                                rhs1 += t * rv(x, a, d)
-                                rhs2 += t / rv(a, x, d)
-                        for lhs, rhs, tag in ((lhs1, rhs1, "hex"), (lhs2, rhs2, "hex-inv")):
-                            residual = abs(lhs - rhs)
-                            checked += 1
-                            if residual > max_residual:
-                                max_residual = residual
-                            if residual > tol:
-                                failures.append(((tag, a, b, c, d, m, n), float(residual)))
-        return VerificationReport("hexagon", f"float{precision}", checked, failures, float(max_residual), 0)
-
-    def _verify_hexagon_exact(self, tol: float) -> VerificationReport:
-        checked = 0
-        failures: list[tuple] = []
-        numeric_fallbacks = 0
-        ctx = self.radicals
-        for a, b, c, d, cols, rows in self._hexagon_instances():
-            for m in cols:
-                for n in rows:
-                    f_bac = self._f_entry_exact(b, a, c, d, m, n)
-                    for inverse in (False, True):
-                        terms: list[Radical] = []
-                        if f_bac is not None:
-                            if inverse:
-                                scalar = (self.r_symbol(a, b, m) * self.r_symbol(a, c, n)).conjugate()
-                            else:
-                                scalar = self.r_symbol(b, a, m) * self.r_symbol(c, a, n)
-                            terms.append(f_bac.scaled(scalar))
-                        for x in self.fusion(b, c):
-                            t1 = self._f_entry_exact(a, b, c, d, m, x)
-                            if t1 is None:
-                                continue
-                            t3 = self._f_entry_exact(b, c, a, d, x, n)
-                            if t3 is None:
-                                continue
-                            r_mid = self.r_symbol(a, x, d).conjugate() if inverse else self.r_symbol(x, a, d)
-                            terms.append(t1.mul(t3, ctx).scaled(-r_mid))
-                        diff = RadicalSum.from_terms(ctx, terms)
-                        checked += 1
-                        if not diff.is_zero():
-                            numeric_fallbacks += 1
-                            value = diff.approx(212)
-                            if abs(value) > mpmath.mpf(2) ** -100:
-                                failures.append((("hex-inv" if inverse else "hex", a, b, c, d, m, n), float(abs(value))))
-        return VerificationReport("hexagon", "exact", checked, failures, 0.0, numeric_fallbacks)
+    def _hexagon_terms(self, adm, a, b, c, d, m, n) -> tuple[list[Radical], list[Radical]]:
+        F, R, ctx = self.f_symbol, self.r_symbol, self.radicals
+        f_bac = F(b, a, c, d, m, n)
+        hexagon = [f_bac.scaled(R(b, a, m) * R(c, a, n))]
+        inverse = [f_bac.scaled((R(a, b, m) * R(a, c, n)).conjugate())]
+        for x in self.labels:
+            if adm[b][c][x] and adm[a][x][d]:
+                t13 = F(a, b, c, d, m, x).mul(F(b, c, a, d, x, n), ctx)
+                hexagon.append(t13.scaled(-R(x, a, d)))
+                inverse.append(t13.scaled(-R(a, x, d).conjugate()))
+        return hexagon, inverse
 
     # -- fusion-rule axioms -------------------------------------------------------------
 
@@ -741,6 +620,10 @@ class Model:
                 ],
             },
         }
+
+
+#: counterexamples kept per verification report
+MAX_FAILURES = 20
 
 
 @dataclass

@@ -16,6 +16,7 @@ import numpy as np
 
 from .braids import dense_qubit_generators, normalized_qubit_rep, sparse_encoding_rep
 from .cyclotomic import cos_pi_fraction, sqrt_squarefree
+from .errors import IntegrityError
 from .model import get_model
 from .radicals import RadicalSum
 from .synth import projective_distance
@@ -30,23 +31,29 @@ from .universality import (
 )
 
 
+def _require(condition, detail=None) -> None:
+    """Raise IntegrityError unless condition holds; unlike assert, kept under python -O."""
+    if not condition:
+        raise IntegrityError("reference value mismatch" + ("" if detail is None else f": {detail!r}"))
+
+
 def _check_fusion() -> str:
     m3 = get_model(3)
-    assert m3.fusion(1, 1) == (0, 2)
-    assert m3.fusion(1, 2) == (1, 3)
+    _require(m3.fusion(1, 1) == (0, 2))
+    _require(m3.fusion(1, 2) == (1, 3))
     for j in m3.labels:
-        assert m3.fusion(0, j) == (j,)
-    assert get_model(2).fusion(1, 2) == (1,)
-    assert len(get_model(2).labels) == 3
+        _require(m3.fusion(0, j) == (j,))
+    _require(get_model(2).fusion(1, 2) == (1,))
+    _require(len(get_model(2).labels) == 3)
     return "fusion rules at k=2,3"
 
 def _check_r_symbols() -> str:
     for k in range(2, 9):
         m = get_model(k)
         q = cmath.exp(2j * cmath.pi / (k + 2))
-        assert abs(m.r_symbol(1, 1, 0).approx() - (-q ** -0.75)) < 1e-13
-        assert abs(m.r_symbol(1, 1, 2).approx() - q ** 0.25) < 1e-13
-        assert m.r_symbol(0, k, k) == 1
+        _require(abs(m.r_symbol(1, 1, 0).approx() - (-q ** -0.75)) < 1e-13)
+        _require(abs(m.r_symbol(1, 1, 2).approx() - q ** 0.25) < 1e-13)
+        _require(m.r_symbol(0, k, k) == 1)
     return "R-symbols -q^(-3/4), q^(1/4) for k=2..8"
 
 def _check_f_closed_form() -> str:
@@ -56,10 +63,10 @@ def _check_f_closed_form() -> str:
         rad = cmath.sqrt(q + 1 / q + 1)
         want = (cmath.sqrt(q) / (q + 1)) * np.array([[-1, rad], [rad, 1]])
         _, _, got = m.f_matrix_float(1, 1, 1, 1)
-        assert np.max(np.abs(got - want)) < 1e-12, k
-        assert np.max(np.abs(got - got.T)) < 1e-12          # symmetric
-        assert np.max(np.abs(got.imag)) < 1e-12             # real
-        assert np.max(np.abs(got @ got - np.eye(2))) < 1e-12  # involutory
+        _require(np.max(np.abs(got - want)) < 1e-12, k)
+        _require(np.max(np.abs(got - got.T)) < 1e-12)  # symmetric
+        _require(np.max(np.abs(got.imag)) < 1e-12)  # real
+        _require(np.max(np.abs(got @ got - np.eye(2))) < 1e-12)  # involutory
     return "qubit F-matrix closed form, symmetric/real/involutory, k=2..12"
 
 def _check_f_vacuum() -> str:
@@ -69,7 +76,7 @@ def _check_f_vacuum() -> str:
             for x in m.fusion(b1, 1):
                 if m.admissible(x, 1, 0):
                     val = RadicalSum.from_terms(m.radicals, [m.f_symbol(b1, 1, 1, 0, x, b1)])
-                    assert val == 1, (k, b1, x)
+                    _require(val == 1, (k, b1, x))
     return "F = 1 whenever the total charge is the vacuum"
 
 def _check_qubit_generators() -> str:
@@ -79,16 +86,16 @@ def _check_qubit_generators() -> str:
         rad = cmath.sqrt(q + 1 / q + 1)
         want1 = np.diag([-q ** -0.75, q ** 0.25])
         want2 = (q ** 0.25 / (1 + q)) * np.array([[q, rad], [rad, -1 / q]])
-        assert np.max(np.abs(s1 - want1)) < 1e-12
-        assert np.max(np.abs(s2 - want2)) < 1e-12
+        _require(np.max(np.abs(s1 - want1)) < 1e-12)
+        _require(np.max(np.abs(s2 - want2)) < 1e-12)
     return "three-anyon generator matrices, k=2..12"
 
 def _check_clifford() -> str:
     s1, s2 = normalized_qubit_rep(2)
     want1 = cmath.exp(1j * cmath.pi / 4) * np.diag([1, -1j])
     want2 = np.array([[1, -1j], [-1j, 1]]) / math.sqrt(2)
-    assert np.max(np.abs(s1 - want1)) < 1e-12
-    assert np.max(np.abs(s2 - want2)) < 1e-12
+    _require(np.max(np.abs(s1 - want1)) < 1e-12)
+    _require(np.max(np.abs(s2 - want2)) < 1e-12)
     return "k=2 normalized generators are the Clifford pair"
 
 def _check_sparse_dense() -> str:
@@ -115,7 +122,7 @@ def _check_special_values() -> str:
     }
     for k, want in values.items():
         half_trace = witnesses(k).traces()[0] / 2
-        assert half_trace == want, k
+        _require(half_trace == want, k)
     return "half-trace special values at k=3,4,5,6,8,10"
 
 def _check_rationality_sets() -> str:
@@ -130,39 +137,39 @@ def _check_rationality_sets() -> str:
             pair.add(k)
         if s.cos_theta is not None:
             theta.add(k)
-    assert first == {4} and second == {4, 6, 10} and pair == {3, 8} and theta == {4, 8}
+    _require(first == {4} and second == {4, 6, 10} and pair == {3, 8} and theta == {4, 8})
     return "rationality exactly at k=4 | k=4,6,10 | k=3,8 | k=4,8"
 
 def _check_cosine_list() -> str:
     for name, terms, value in KNOWN_COSINE_IDENTITIES:
-        assert rational_cosine_sum(terms) == value, name
-        assert match_known_identity(terms) == name
+        _require(rational_cosine_sum(terms) == value, name)
+        _require(match_known_identity(terms) == name)
     # parametric family at phi = pi/12
     family = [(Fraction(-1), 1, 12), (Fraction(1), 3, 12), (Fraction(1), 5, 12)]
-    assert rational_cosine_sum(family) == 0
-    assert match_known_identity(family) == "phi-family"
+    _require(rational_cosine_sum(family) == 0)
+    _require(match_known_identity(family) == "phi-family")
     # note: some printings give the singleton as 1/3; the verified value is 1/2
-    assert cos_pi_fraction(1, 3).as_rational() == Fraction(1, 2)
+    _require(cos_pi_fraction(1, 3).as_rational() == Fraction(1, 2))
     return "rational-cosine list verified exact (singleton value 1/2)"
 
 def _check_verdicts() -> str:
     for k in range(3, 13):
         cert = certificate(k)
         want = "not-certified" if k in (4, 8) else "dense"
-        assert cert.verdict == want, (k, cert.verdict)
-    assert certificate(4).order_a.projective_order == 2
-    assert certificate(8).order_a.projective_order == 3
-    assert certificate(2).verdict == "not-certified"
+        _require(cert.verdict == want, (k, cert.verdict))
+    _require(certificate(4).order_a.projective_order == 2)
+    _require(certificate(8).order_a.projective_order == 3)
+    _require(certificate(2).verdict == "not-certified")
     return "density verdicts for k=2..12 with finite orders at 4, 8"
 
 def _check_spins_dims() -> str:
     m2 = get_model(2)
     spins, dims, _ = m2.spins_dims_smatrix()
-    assert spins[0] == 1
-    assert abs(dims[1].approx().real - math.sqrt(2)) < 1e-12
+    _require(spins[0] == 1)
+    _require(abs(dims[1].approx().real - math.sqrt(2)) < 1e-12)
     m3 = get_model(3)
     _, dims3, _ = m3.spins_dims_smatrix()
-    assert abs(dims3[2].approx().real - (1 + math.sqrt(5)) / 2) < 1e-12
+    _require(abs(dims3[2].approx().real - (1 + math.sqrt(5)) / 2) < 1e-12)
     return "trivial spin, Ising-like sqrt(2), golden-ratio dimensions"
 
 def _check_clifford_image_small() -> str:
@@ -170,9 +177,9 @@ def _check_clifford_image_small() -> str:
     from .synth import SearchConfig, reachable_counts
 
     counts, closed = reachable_counts(SearchConfig(k=2, max_depth=10))
-    assert closed and counts[-1] == 4
+    _require(closed and counts[-1] == 4)
     s1, s2 = normalized_qubit_rep(2)
-    assert projective_distance(s1 @ s1, np.diag([1, -1]).astype(complex)) < 1e-12
+    _require(projective_distance(s1 @ s1, np.diag([1, -1]).astype(complex)) < 1e-12)
     return "k=2 double-braid closure is the 4-element projective group"
 
 
@@ -201,9 +208,6 @@ def run(write=print) -> int:
         try:
             detail = call()
             write(f"PASS {name}: {detail}")
-        except AssertionError as exc:
-            failures += 1
-            write(f"FAIL {name}: {exc!r}")
         except Exception as exc:  # integrity errors included
             failures += 1
             write(f"FAIL {name}: {type(exc).__name__}: {exc}")

@@ -234,18 +234,6 @@ def decide_projective_order(matrix: list[list[RadicalSum]], k: int, max_phi: int
     return decide_projective_order_from_trace(tr.cyc_value(), k, max_phi)
 
 
-def projective_order_heuristic(matrix: np.ndarray, max_power: int = 10_000, tol: float = 1e-9) -> int | None:
-    """Smallest n <= max_power with matrix^n within tol of a phase times identity."""
-    dim = matrix.shape[0]
-    power = matrix.copy()
-    for n in range(1, max_power + 1):
-        phase = np.trace(power) / dim
-        if abs(abs(phase) - 1) < tol and np.max(np.abs(power - phase * np.eye(dim))) < tol:
-            return n
-        power = power @ matrix
-    return None
-
-
 # -- rational sums of cosines -------------------------------------------------------------
 
 

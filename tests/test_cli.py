@@ -213,6 +213,21 @@ class TestTopLevel:
         run_cli("universality", "--k", "3..6", "--format", "json", "--output", str(out2))
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_regression_mismatch_fails_under_optimize(self):
+        # the reference checks must not be assert statements that -O strips
+        code = (
+            "import sys\n"
+            "from su2k import cli, regression\n"
+            "regression.rational_cosine_sum = lambda terms: None\n"
+            "sys.exit(cli.main(['--paper-regression']))\n"
+        )
+        proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 1, proc.stderr[-400:]
+        lines = proc.stdout.splitlines()
+        assert "FAIL cosine-list: IntegrityError: reference value mismatch: 'cos(pi/3) = 1/2'" in lines
+        assert sum(line.startswith("PASS ") for line in lines) == 13
+        assert lines[-1] == "13/14 reference checks passed"
+
     def test_regression_flag_conflicts_with_subcommand(self):
         proc = subprocess.run(
             [sys.executable, "-m", "su2k.cli", "--paper-regression", "model", "--k", "2"],

@@ -2,19 +2,63 @@
 
 import cmath
 import math
+import subprocess
+import sys
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
 from su2k.cyclotomic import Cyc
-from su2k.errors import DomainError
-from su2k.model import Model, get_model, label_str, parse_label
+from su2k.errors import DomainError, IntegrityError
+from su2k.model import MAX_FAILURES, Model, get_model, label_str, parse_label
 from su2k.radicals import RadicalSum
 
 
 def f_value(model: Model, *labels) -> complex:
     return RadicalSum.from_terms(model.radicals, [model.f_symbol(*labels)]).approx()
+
+
+def reference_pentagon_instances(model: Model) -> set[tuple[int, ...]]:
+    """Pentagon rows (a,b,c,d,e,m,n,y,z) from nested fusion() loops over both trees."""
+    rows = set()
+    for a in model.labels:
+        for b in model.labels:
+            for c in model.labels:
+                for d in model.labels:
+                    tree1: dict[int, list[tuple[int, int]]] = {}
+                    for m in model.fusion(a, b):
+                        for n in model.fusion(m, c):
+                            for e in model.fusion(n, d):
+                                tree1.setdefault(e, []).append((m, n))
+                    tree3: dict[int, list[tuple[int, int]]] = {}
+                    for z in model.fusion(c, d):
+                        for y in model.fusion(b, z):
+                            for e in model.fusion(a, y):
+                                tree3.setdefault(e, []).append((y, z))
+                    for e in tree1:
+                        for (m, n) in tree1[e]:
+                            for (y, z) in tree3.get(e, []):
+                                rows.add((a, b, c, d, e, m, n, y, z))
+    return rows
+
+
+def reference_hexagon_instances(model: Model) -> set[tuple[int, ...]]:
+    """Hexagon rows (a,b,c,d,m,n) from nested fusion() loops."""
+    rows = set()
+    for a in model.labels:
+        for b in model.labels:
+            for c in model.labels:
+                for d in model.labels:
+                    cols = [m for m in model.fusion(b, a) if model.admissible(m, c, d)]
+                    nrows = [n for n in model.fusion(a, c) if model.admissible(b, n, d)]
+                    rows.update((a, b, c, d, m, n) for m in cols for n in nrows)
+    return rows
+
+
+def enumerated(blocks) -> list[tuple[int, ...]]:
+    return [tuple(row) for block in blocks for row in block.tolist()]
 
 
 class TestLabels:
@@ -171,6 +215,52 @@ class TestFSymbols:
         with pytest.raises(DomainError):
             get_model(2).f_symbol(1, 1, 1, 1, 1, 0)
 
+    def test_negative_radicand_raises(self, monkeypatch):
+        # flipping the sign of [2]! leaves an odd power of it in this radicand
+        m = Model(3)
+        table = list(m._qfact_f)
+        table[2] = -table[2]
+        monkeypatch.setattr(m, "_qfact_f", table)
+        with pytest.raises(IntegrityError):
+            m.f_symbol_float(0, 0, 1, 1, 0, 1)
+
+    def test_negative_radicand_raises_under_optimize(self):
+        code = (
+            "from su2k.errors import IntegrityError\n"
+            "from su2k.model import Model\n"
+            "m = Model(3)\n"
+            "m._qfact_f[2] = -m._qfact_f[2]\n"
+            "try:\n"
+            "    m.f_symbol_float(0, 0, 1, 1, 0, 1)\n"
+            "except IntegrityError:\n"
+            "    print('raised')\n"
+        )
+        proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr[-400:]
+        assert proc.stdout.strip() == "raised"
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_mpmath_tensors_match_exact(self, k):
+        # the 256-bit route evaluates the 6j formula directly; compare it with
+        # the exact radicals approximated at the same precision
+        m = Model(k)
+        F, R = m._recoupling_tensors(256)
+        live = np.zeros(F.shape, dtype=bool)
+        with mpmath.workprec(272):
+            for a in m.labels:
+                for b in m.labels:
+                    for c in m.labels:
+                        for d in m.labels:
+                            rows, cols, entries = m.f_matrix_exact(a, b, c, d)
+                            for i, n in enumerate(rows):
+                                for j, mm in enumerate(cols):
+                                    exact = RadicalSum.from_terms(m.radicals, [entries[i][j]]).approx(256)
+                                    assert abs(F[a, b, c, d, n, mm] - exact) < 1e-70, (a, b, c, d, mm, n)
+                                    live[a, b, c, d, n, mm] = True
+                    for cc in m.fusion(a, b):
+                        assert abs(R[a, b, cc] - m.r_symbol(a, b, cc).approx(256)) < 1e-70
+        assert all(value == 0 for value in F[~live])
+
 
 class TestPentagonHexagon:
     def test_exact_small_levels(self):
@@ -198,6 +288,37 @@ class TestPentagonHexagon:
     def test_mode_validation(self):
         with pytest.raises(DomainError):
             get_model(2).verify_pentagon("fancy")
+
+    @pytest.mark.parametrize("k", range(0, 8))
+    def test_enumerators_match_fusion_loops(self, k):
+        m = Model(k)
+        pentagon = enumerated(m._pentagon_rows())
+        hexagon = enumerated(m._hexagon_rows())
+        assert len(pentagon) == len(set(pentagon))
+        assert len(hexagon) == len(set(hexagon))
+        assert set(pentagon) == reference_pentagon_instances(m)
+        assert set(hexagon) == reference_hexagon_instances(m)
+
+    @pytest.mark.parametrize("mode,precision,tol", [
+        ("float", 53, 1e-9), ("float", 256, 1e-30), ("exact", 53, 1e-9)
+    ])
+    def test_every_route_reports_a_corrupted_f_entry(self, monkeypatch, mode, precision, tol):
+        bad = (1, 1, 1, 1, 0, 0)
+        m = Model(3)
+        six_j, f_symbol = m._six_j, m.f_symbol
+        monkeypatch.setattr(m, "_six_j", lambda labels, *tables: six_j(labels, *tables) * (2 if labels == bad else 1))
+        monkeypatch.setattr(m, "f_symbol", lambda *labels: f_symbol(*labels).scaled(2 if labels == bad else 1))
+        pentagon = m.verify_pentagon(mode, tol=tol, precision=precision)
+        hexagon = m.verify_hexagon(mode, tol=tol, precision=precision)
+        healthy = get_model(3).verify_pentagon(mode, tol=tol, precision=precision)
+        assert pentagon.checked == healthy.checked
+        for report in (pentagon, hexagon):
+            assert not report.holds and 0 < len(report.failures) <= MAX_FAILURES
+            assert all(residual > tol for _, residual in report.failures)
+        assert all(len(instance) == 9 for instance, _ in pentagon.failures)
+        assert all(instance[0] in ("hex", "hex-inv") for instance, _ in hexagon.failures)
+        if mode == "exact":
+            assert pentagon.numeric_fallbacks > 0 and hexagon.numeric_fallbacks > 0
 
 
 class TestUnitarity:

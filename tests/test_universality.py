@@ -17,7 +17,6 @@ from su2k.universality import (
     decide_projective_order,
     decide_projective_order_from_trace,
     match_known_identity,
-    projective_order_heuristic,
     rational_cosine_sum,
     rationality_survey,
     trace_cosine_identity,
@@ -25,6 +24,18 @@ from su2k.universality import (
 )
 
 K_MAX = 30
+
+
+def projective_order_heuristic(matrix: np.ndarray, max_power: int = 10_000, tol: float = 1e-9) -> int | None:
+    """Smallest n <= max_power with matrix^n within tol of a phase times identity."""
+    dim = matrix.shape[0]
+    power = matrix.copy()
+    for n in range(1, max_power + 1):
+        phase = np.trace(power) / dim
+        if abs(abs(phase) - 1) < tol and np.max(np.abs(power - phase * np.eye(dim))) < tol:
+            return n
+        power = power @ matrix
+    return None
 
 
 def displayed_witnesses(k: int):
