@@ -22,7 +22,7 @@ import numpy as np
 
 from .cyclotomic import Cyc
 from .errors import DomainError, IntegrityError
-from .model import Model, get_model, label_str
+from .model import Model, get_model
 from .radicals import RadicalSum
 
 
@@ -104,9 +104,6 @@ class BraidWord:
 
     def max_index(self) -> int:
         return max((i for i, _ in self.moves), default=0)
-
-    def substituted(self, mapping: dict[int, int]) -> BraidWord:
-        return BraidWord(tuple((mapping.get(i, i), e) for i, e in self.moves))
 
 
 @functools.lru_cache(maxsize=None)
@@ -248,30 +245,3 @@ def sparse_encoding_rep(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
                 f"max deviation {np.max(np.abs(got - want)):.3e}"
             )
     return sparse
-
-
-def matrix_json(matrix: np.ndarray, exact: list[list[str]] | None = None) -> dict:
-    """Wire format for a unitary: {dim, entries row-major as [re, im], exact?}."""
-    payload = {
-        "schema": "su2k/matrix-v1",
-        "dim": matrix.shape[0],
-        "entries": [
-            [float(matrix[i, j].real), float(matrix[i, j].imag)]
-            for i in range(matrix.shape[0])
-            for j in range(matrix.shape[1])
-        ],
-    }
-    if exact is not None:
-        payload["exact"] = exact
-    return payload
-
-
-def basis_json(basis: SplittingBasis) -> dict:
-    return {
-        "schema": "su2k/basis-v1",
-        "k": basis.k,
-        "anyon": label_str(basis.anyon),
-        "n": basis.n,
-        "total": label_str(basis.total),
-        "states": [[label_str(b) for b in state] for state in basis.states],
-    }

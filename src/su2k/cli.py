@@ -165,7 +165,7 @@ def cmd_verify(args) -> int:
 
 def cmd_universality(args) -> int:
     ks = _parse_k_range(args.k, minimum=2)
-    certificates = [certificate(k, max_phi=args.max_order_bound) for k in ks]
+    certificates = [certificate(k) for k in ks]
     if args.format == "json":
         payload = {
             "schema": "su2k/certificates-v1",
@@ -310,8 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_univ = sub.add_parser("universality", help="density certificates for a level range")
     p_univ.add_argument("--k", required=True, help="level or range, e.g. 3..30")
     p_univ.add_argument("--format", default="text", choices=["text", "json", "csv"])
-    p_univ.add_argument("--max-order-bound", type=int, default=None,
-                        help="override the phi(m) bound of the order search")
     p_univ.add_argument("--output", default=None)
     p_univ.set_defaults(func=cmd_universality)
 

@@ -250,43 +250,6 @@ class Cyc:
         m = math.lcm(a.order, b.order)
         return a.lift(m), b.lift(m)
 
-    def in_subfield(self, sub_order: int) -> bool:
-        """True iff this value lies in Q(zeta_sub_order) (sub_order | order)."""
-        if self.order % sub_order:
-            raise ValueError(f"{sub_order} does not divide {self.order}")
-        for a in range(1, self.order):
-            if (a - 1) % sub_order == 0 and math.gcd(a, self.order) == 1:
-                if self.galois(a) != self:
-                    return False
-        return True
-
-    def to_order(self, sub_order: int) -> Cyc:
-        """Rewrite over Q(zeta_sub_order); raises if the value is not in it."""
-        if sub_order == self.order:
-            return self
-        if sub_order % self.order == 0:
-            return self.lift(sub_order)
-        if not self.in_subfield(sub_order):
-            raise ValueError(f"value is not in Q(zeta_{sub_order})")
-        phi_sub = euler_phi(sub_order)
-        step = self.order // sub_order
-        columns = [Cyc.root_of_unity(self.order, f * step).coeffs for f in range(phi_sub)]
-        solution = _solve_exact(columns, list(self.coeffs))
-        if solution is None:
-            raise IntegrityError(f"no rewrite over Q(zeta_{sub_order}) of a value fixed by its Galois group")
-        return Cyc.from_exponents(sub_order, dict(enumerate(solution)))
-
-    def minimal_order(self) -> int:
-        """Smallest n dividing the order with this value in Q(zeta_n)."""
-        for n in divisors(self.order):
-            if self.in_subfield(n):
-                return n
-        return self.order
-
-    def reduced(self) -> Cyc:
-        """Rewrite over the smallest cyclotomic subfield containing the value."""
-        return self.to_order(self.minimal_order())
-
     # -- ring/field operations ---------------------------------------------
 
     def _add(self, other: Cyc, sign: int) -> Cyc:
@@ -505,46 +468,6 @@ def _poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     return _poly_trim(out)
 
 
-def _solve_exact(
-    columns: list[tuple[Fraction, ...]], target: list[Fraction]
-) -> list[Fraction] | None:
-    """Solve sum_j x_j * columns[j] = target exactly; None if inconsistent."""
-    n_rows = len(target)
-    n_cols = len(columns)
-    aug = [[columns[j][i] for j in range(n_cols)] + [target[i]] for i in range(n_rows)]
-    pivots: list[tuple[int, int]] = []
-    row = 0
-    for col in range(n_cols):
-        pivot = next((r for r in range(row, n_rows) if aug[r][col] != 0), None)
-        if pivot is None:
-            continue
-        aug[row], aug[pivot] = aug[pivot], aug[row]
-        inv = 1 / aug[row][col]
-        aug[row] = [v * inv for v in aug[row]]
-        for r in range(n_rows):
-            if r != row and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [v - factor * w for v, w in zip(aug[r], aug[row])]
-        pivots.append((row, col))
-        row += 1
-        if row == n_rows:
-            break
-    solution = [_ZERO] * n_cols
-    for r, c in pivots:
-        solution[c] = aug[r][-1]
-    for r in range(n_rows):
-        if all(aug[r][c] == 0 for c in range(n_cols)) and aug[r][-1] != 0:
-            return None
-    # verify (cheap, and guards the free-variable case)
-    for i in range(n_rows):
-        acc = _ZERO
-        for j in range(n_cols):
-            acc += solution[j] * columns[j][i]
-        if acc != target[i]:
-            return None
-    return solution
-
-
 def rational_linear_dependence(values: list[Cyc]) -> list[Fraction] | None:
     """A nonzero rational vector c with sum_i c_i * values[i] = 0, or None.
 
@@ -644,18 +567,18 @@ def minimal_polynomial(x: Cyc) -> tuple[Fraction, ...]:
     """Monic minimal polynomial of x over Q, constant coefficient first.
 
     Computed as the product of (t - conjugate) over the distinct Galois
-    conjugates of x; the coefficients are asserted rational.
+    conjugates of x, in the field Q(zeta_order) that x is stored in: any
+    cyclotomic field containing x gives the same distinct conjugates, so no
+    smaller field is sought.  The coefficients are asserted rational.
     """
-    x = x.reduced()
     n = x.order
-    conjugates: list[Cyc] = []
+    conjugates: dict[tuple[tuple[int, ...], int], Cyc] = {}
     for a in range(1, n + 1):
         if math.gcd(a, n) == 1:
-            image = x.galois(a) if n > 1 else x
-            if not any(image == c for c in conjugates):
-                conjugates.append(image)
+            image = x.galois(a)
+            conjugates.setdefault((image.num, image.den), image)  # canonical form
     poly: list[Cyc] = [Cyc.rational(1, n)]
-    for c in conjugates:
+    for c in conjugates.values():
         nxt = [Cyc.rational(0, n) for _ in range(len(poly) + 1)]
         for i, coeff in enumerate(poly):
             nxt[i + 1] = nxt[i + 1] + coeff

@@ -369,7 +369,8 @@ class Model:
 
         Each route gives one residual per identity of a row: the float routes
         from the tensors, the exact route 0 for a sum proved zero and the
-        212-bit magnitude of any other sum (a numeric fallback).  An identity
+        212-bit magnitude of any other sum (a numeric fallback, after which
+        the report's mode reads "exact+numeric").  An identity
         fails when its residual exceeds tol (2^-100 in exact mode); the first
         MAX_FAILURES failures in row order are kept, tagged when a row carries
         several identities.
@@ -408,6 +409,8 @@ class Model:
                     key = tuple(rows[row].tolist())
                     report.failures.append(((tags[j], *key) if tags else key, float(res.flat[i])))
         report.max_residual = float(report.max_residual)
+        if report.numeric_fallbacks:
+            report.mode = "exact+numeric"  # some sums were settled by a 212-bit value, not proved zero
         return report
 
     def _recoupling_tensors(self, precision: int) -> tuple[np.ndarray, np.ndarray]:

@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .braids import dense_qubit_generators, normalized_qubit_rep, sparse_encoding_rep
-from .cyclotomic import cos_pi_fraction, sqrt_squarefree
+from .cyclotomic import Cyc, cos_pi_fraction, sqrt_squarefree
 from .errors import IntegrityError
 from .model import get_model
 from .radicals import RadicalSum
@@ -29,6 +29,24 @@ from .universality import (
     trace_cosine_identity,
     witnesses,
 )
+
+
+#: Published reference values, read by the checks below and by the test suite.
+REFERENCE = {
+    # half-trace tr(A)/2 of the first witness rho~(s1^2 s2^4), exactly
+    "half_trace": {
+        3: (sqrt_squarefree(5) - 2) / 2,
+        4: Cyc.rational(0),
+        5: cos_pi_fraction(3, 7) + cos_pi_fraction(2, 7) - 1,
+        6: (sqrt_squarefree(2) - 2) / 2,
+        8: Cyc.rational(Fraction(-1, 2)),
+        10: (sqrt_squarefree(3) - 3) / 2,
+    },
+    # projective orders of the witnesses (A, B) where both are finite
+    "finite_orders": {4: (2, 3), 8: (3, 2)},
+    # levels k >= 3 whose double-braiding image is not certified dense
+    "non_dense": frozenset({4, 8}),
+}
 
 
 def _require(condition, detail=None) -> None:
@@ -112,15 +130,7 @@ def _check_trace_identities() -> str:
     return "exact trace identities for A, B, W, k=2..30"
 
 def _check_special_values() -> str:
-    values: dict[int, object] = {
-        3: (sqrt_squarefree(5) - 2) / 2,
-        4: Fraction(0),
-        5: cos_pi_fraction(3, 7) + cos_pi_fraction(2, 7) - 1,
-        6: (sqrt_squarefree(2) - 2) / 2,
-        8: Fraction(-1, 2),
-        10: (sqrt_squarefree(3) - 3) / 2,
-    }
-    for k, want in values.items():
+    for k, want in REFERENCE["half_trace"].items():
         half_trace = witnesses(k).traces()[0] / 2
         _require(half_trace == want, k)
     return "half-trace special values at k=3,4,5,6,8,10"
@@ -155,10 +165,10 @@ def _check_cosine_list() -> str:
 def _check_verdicts() -> str:
     for k in range(3, 13):
         cert = certificate(k)
-        want = "not-certified" if k in (4, 8) else "dense"
+        want = "not-certified" if k in REFERENCE["non_dense"] else "dense"
         _require(cert.verdict == want, (k, cert.verdict))
-    _require(certificate(4).order_a.projective_order == 2)
-    _require(certificate(8).order_a.projective_order == 3)
+    for k, (order_a, _) in REFERENCE["finite_orders"].items():
+        _require(certificate(k).order_a.projective_order == order_a, k)
     _require(certificate(2).verdict == "not-certified")
     return "density verdicts for k=2..12 with finite orders at 4, 8"
 

@@ -90,21 +90,39 @@ class SynthResult:
         ]
 
 
-_NOISE_FLOOR = 1e-14  # 1 - |tr|/2 below this is double-precision cancellation noise
+_DISTANCE_BLOCK = 1 << 15  # frontier rows per block: the complex trace temporaries stay ~10 MB
+_CHORD_GAP = 1e-8  # below this 1 - |tr|/2, its square root has lost half its digits to cancellation
+_CHORD_ROUNDING = 4 * np.finfo(float).eps  # a chord this small is rounding in its coordinates
+
+
+def _distances(us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+    """Projective distances d(U, V) = sqrt(1 - |tr(U^dag V)| / 2), one row per U, one column per V.
+
+    Near zero the square root amplifies the rounding of the trace (a gap of
+    1e-16 reads as 1e-8), so gaps below _CHORD_GAP take the equal quaternion
+    chord min(|q_U - q_V|, |q_U + q_V|) / sqrt(2) of the SU(2) projections,
+    which has no cancellation.  Chords within the rounding of the quaternion
+    coordinates (a few ulps) report as zero.
+    """
+    overlaps = np.abs(np.einsum("nij,tij->nt", np.conj(us), vs)) / 2
+    gaps = 1.0 - np.minimum(overlaps, 1.0)
+    rows, cols = np.nonzero(gaps < _CHORD_GAP)
+    out = np.sqrt(gaps)
+    if len(rows):
+        qu = _quaternions(_project_su2(us[rows]))
+        qv = _quaternions(_project_su2(vs[cols]))
+        chord = np.minimum(np.linalg.norm(qu - qv, axis=1), np.linalg.norm(qu + qv, axis=1)) / math.sqrt(2)
+        chord[chord < _CHORD_ROUNDING] = 0.0
+        out[rows, cols] = chord
+    return out
 
 
 def projective_distance(u: np.ndarray, v: np.ndarray) -> float:
-    """d(U, V) = sqrt(1 - |tr(U^dag V)| / 2); zero iff U = phase * V.
-
-    The square root amplifies rounding in the trace, so gaps below the
-    double-precision noise floor report as exactly zero.
-    """
+    """d(U, V) = sqrt(1 - |tr(U^dag V)| / 2); zero iff U = phase * V."""
     for name, m in (("first", u), ("second", v)):
         if m.shape != (2, 2) or np.max(np.abs(m @ m.conj().T - np.eye(2))) > 1e-9:
             raise DomainError(f"{name} argument is not a 2x2 unitary")
-    overlap = abs(np.trace(u.conj().T @ v)) / 2
-    gap = 1.0 - min(overlap, 1.0)
-    return 0.0 if gap < _NOISE_FLOOR else math.sqrt(gap)
+    return float(_distances(u[None], v[None])[0, 0])
 
 
 def haar_su2(rng: random.Random) -> np.ndarray:
@@ -137,11 +155,16 @@ def double_braid_generators(
     return np.stack(mats), [f"s{i}^{e}" for i, e in pieces]
 
 
-def _canonical_grid_keys(batch: np.ndarray, resolution: float) -> np.ndarray:
-    """Grid-rounded canonical quaternion coordinates, one int32[4] row per gate."""
+def _quaternions(batch: np.ndarray) -> np.ndarray:
+    """Coordinates (Re a, Im a, Re b, Im b) of SU(2) gates [[a, b], [-b*, a*]], one row per gate."""
     alpha = (batch[:, 0, 0] + np.conj(batch[:, 1, 1])) / 2
     beta = (batch[:, 0, 1] - np.conj(batch[:, 1, 0])) / 2
-    v = np.stack([alpha.real, alpha.imag, beta.real, beta.imag], axis=1)
+    return np.stack([alpha.real, alpha.imag, beta.real, beta.imag], axis=1)
+
+
+def _canonical_grid_keys(batch: np.ndarray, resolution: float) -> np.ndarray:
+    """Grid-rounded canonical quaternion coordinates, one int32[4] row per gate."""
+    v = _quaternions(batch)
     lead = np.take_along_axis(v, np.argmax(np.abs(v), axis=1)[:, None], axis=1)[:, 0]
     v = np.where((lead < 0)[:, None], -v, v)
     return np.round(v / resolution).astype(np.int32)
@@ -227,11 +250,12 @@ class _Search:
         return str(BraidWord(tuple(reversed(moves)))) if moves else ""
 
     def frontier_errors(self, targets: np.ndarray) -> np.ndarray:
-        """Projective distances frontier x targets, vectorized."""
-        overlaps = np.abs(np.einsum("nij,tij->nt", np.conj(self.frontier), targets)) / 2
-        gaps = np.maximum(0.0, 1.0 - np.minimum(overlaps, 1.0))
-        gaps[gaps < _NOISE_FLOOR] = 0.0
-        return np.sqrt(gaps)
+        """Projective distances frontier x targets, vectorized over blocks of frontier rows."""
+        out = np.empty((len(self.frontier), len(targets)))
+        for start in range(0, len(self.frontier), _DISTANCE_BLOCK):
+            stop = start + _DISTANCE_BLOCK
+            out[start:stop] = _distances(self.frontier[start:stop], targets)
+        return out
 
 
 def synthesize(config: SearchConfig, target: np.ndarray) -> SynthResult:

@@ -148,15 +148,6 @@ class OrderDecision:
     projective_order: int | None = None
     eigenvalue_order: int | None = None
     angle_numerator: int | None = None  # theta = 2*pi*j/m with j = numerator
-    candidate_bound: int | None = None  # phi(m) bound exhausted when infinite
-
-    def describe(self) -> str:
-        if self.finite:
-            return (
-                f"finite projective order {self.projective_order} "
-                f"(eigenvalue angle 2pi*{self.angle_numerator}/{self.eigenvalue_order})"
-            )
-        return f"infinite (no root of unity with phi(m) <= {self.candidate_bound} matches)"
 
 
 _RATIONAL_COS_ORDERS = {
@@ -168,21 +159,21 @@ _RATIONAL_COS_ORDERS = {
 }
 
 
-def decide_projective_order_from_trace(trace: Cyc, k: int, max_phi: int | None = None) -> OrderDecision:
+def decide_projective_order_from_trace(trace: Cyc, k: int) -> OrderDecision:
     """Decide whether e^{i*theta} with 2cos(theta) = trace is a root of unity.
 
     Exact procedure: a real algebraic number t equals 2cos(2*pi*j/m) with
     gcd(j, m) = 1 iff its minimal polynomial over Q equals that of
     2cos(2*pi/m); for rational t the classical rational-cosine values are the
-    only candidates.  The field-degree bound phi(m) = 2*deg(t) restricts m to
-    finitely many candidates, all within phi(m) <= 2*phi(4(k+2)).
+    only candidates.  A match needs phi(m) = 2*deg(t), and phi(m) >= sqrt(m/2)
+    gives m <= 2*phi(m)^2, so every candidate m is tried and "infinite" is
+    exact.  k (the level the trace comes from) only labels errors.
     """
-    bound = max_phi if max_phi is not None else 2 * euler_phi(4 * (k + 2))
     rational = trace.as_rational()
     if rational is not None:
         hit = _RATIONAL_COS_ORDERS.get(rational)
         if hit is None:
-            return OrderDecision(False, candidate_bound=bound)
+            return OrderDecision(False)
         m, j = hit
         return OrderDecision(
             True,
@@ -191,19 +182,16 @@ def decide_projective_order_from_trace(trace: Cyc, k: int, max_phi: int | None =
             angle_numerator=j,
         )
     poly = minimal_polynomial(trace)
-    degree = len(poly) - 1
-    target_phi = 2 * degree
-    if target_phi > bound:
-        return OrderDecision(False, candidate_bound=bound)
-    # phi(m) >= sqrt(m/2) gives m <= 2*phi(m)^2.
-    matches = []
-    for m in range(3, 2 * target_phi * target_phi + 1):
-        if euler_phi(m) == target_phi and min_poly_2cos(m) == poly:
-            matches.append(m)
+    target_phi = 2 * (len(poly) - 1)
+    matches = [
+        m
+        for m in range(3, 2 * target_phi * target_phi + 1)
+        if euler_phi(m) == target_phi and min_poly_2cos(m) == poly
+    ]
     if not matches:
-        return OrderDecision(False, candidate_bound=bound)
+        return OrderDecision(False)
     if len(matches) > 1:
-        raise IntegrityError(f"minimal polynomial matched several angle orders: {matches}")
+        raise IntegrityError(f"minimal polynomial matched several angle orders at k={k}: {matches}")
     m = matches[0]
     value = trace.approx(128).real
     j = next(
@@ -215,23 +203,13 @@ def decide_projective_order_from_trace(trace: Cyc, k: int, max_phi: int | None =
         None,
     )
     if j is None:
-        raise IntegrityError(f"matched order {m} but no conjugate angle agrees numerically")
+        raise IntegrityError(f"matched order {m} at k={k} but no conjugate angle agrees numerically")
     return OrderDecision(
         True,
         projective_order=m if m % 2 else m // 2,
         eigenvalue_order=m,
         angle_numerator=j,
     )
-
-
-def decide_projective_order(matrix: list[list[RadicalSum]], k: int, max_phi: int | None = None) -> OrderDecision:
-    """Order decision for an exact special-unitary 2x2 witness matrix."""
-    if mat_det2(matrix) != 1:
-        raise DomainError("order decision needs a determinant-one matrix")
-    tr = mat_trace(matrix)
-    if not tr.is_radical_free():
-        raise IntegrityError("witness trace carries a radical; cannot decide exactly")
-    return decide_projective_order_from_trace(tr.cyc_value(), k, max_phi)
 
 
 # -- rational sums of cosines -------------------------------------------------------------
@@ -401,7 +379,8 @@ class Certificate:
                     "eigenvalue_order": dec.eigenvalue_order,
                     "angle": f"2*pi*{dec.angle_numerator}/{dec.eigenvalue_order}",
                 }
-            return {"finite": False, "candidate_phi_bound": dec.candidate_bound}
+            # a fixed function of k, kept in the schema: no candidate m has phi(m) above it
+            return {"finite": False, "candidate_phi_bound": 2 * euler_phi(4 * (self.k + 2))}
 
         return {
             "schema": "su2k/certificate-v1",
@@ -428,7 +407,7 @@ class Certificate:
         ]
 
 
-def certificate(k: int, max_phi: int | None = None) -> Certificate:
+def certificate(k: int) -> Certificate:
     """Decide the density certificate at level k (k >= 2).
 
     The verdict is "dense" iff both witness matrices have infinite projective
@@ -438,8 +417,8 @@ def certificate(k: int, max_phi: int | None = None) -> Certificate:
     trace_a, trace_b, trace_w = pair.traces()
     for which, tr in (("A", trace_a), ("B", trace_b), ("W", trace_w)):
         trace_cosine_identity(which, k, tr)
-    order_a = decide_projective_order_from_trace(trace_a, k, max_phi)
-    order_b = decide_projective_order_from_trace(trace_b, k, max_phi)
+    order_a = decide_projective_order_from_trace(trace_a, k)
+    order_b = decide_projective_order_from_trace(trace_b, k)
     commutator_nontrivial = trace_w != 2
     reasons = []
     if order_a.finite:

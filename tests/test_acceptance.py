@@ -19,9 +19,9 @@ from su2k.braids import (
     normalized_qubit_rep,
     sparse_encoding_rep,
 )
-from su2k.cyclotomic import Cyc, cos_pi_fraction, sqrt_squarefree
 from su2k.model import get_model
 from su2k.radicals import mat_approx, mat_mul
+from su2k.regression import REFERENCE
 from su2k.synth import SearchConfig, error_profile, reachable_counts
 from su2k.universality import (
     KNOWN_COSINE_IDENTITIES,
@@ -103,15 +103,7 @@ def test_criterion_4_trace_identities_exact():
 
 def test_criterion_5_special_values():
     with criterion(5, "half-trace special values exact"):
-        cases = {
-            3: (sqrt_squarefree(5) - 2) / 2,
-            4: Cyc.rational(0),
-            5: cos_pi_fraction(3, 7) + cos_pi_fraction(2, 7) - 1,
-            6: (sqrt_squarefree(2) - 2) / 2,
-            8: Cyc.rational(Fraction(-1, 2)),
-            10: (sqrt_squarefree(3) - 3) / 2,
-        }
-        for k, want in cases.items():
+        for k, want in REFERENCE["half_trace"].items():
             assert witnesses(k).traces()[0] / 2 == want, k
 
 
@@ -120,18 +112,19 @@ def test_criterion_6_verdict_sweep():
         start = time.perf_counter()
         for k in range(3, 31):
             cert = certificate(k)
-            if k in (4, 8):
+            if k in REFERENCE["non_dense"]:
                 assert cert.verdict == "not-certified", k
             else:
                 assert cert.verdict == "dense", k
+        order4, order8 = REFERENCE["finite_orders"][4][0], REFERENCE["finite_orders"][8][0]
         cert4 = certificate(4)
-        assert cert4.order_a.finite and cert4.order_a.projective_order == 2
+        assert cert4.order_a.finite and cert4.order_a.projective_order == order4
         a4 = mat_approx(witnesses(4).a)
-        assert np.max(np.abs(np.linalg.matrix_power(a4, 2) + np.eye(2))) < 1e-9
+        assert np.max(np.abs(np.linalg.matrix_power(a4, order4) + np.eye(2))) < 1e-9
         cert8 = certificate(8)
-        assert cert8.order_a.finite and cert8.order_a.projective_order == 3
+        assert cert8.order_a.finite and cert8.order_a.projective_order == order8
         a8 = mat_approx(witnesses(8).a)
-        assert np.max(np.abs(np.linalg.matrix_power(a8, 3) - np.eye(2))) < 1e-9
+        assert np.max(np.abs(np.linalg.matrix_power(a8, order8) - np.eye(2))) < 1e-9
         elapsed = time.perf_counter() - start
         assert elapsed < 300, f"verdict sweep took {elapsed:.1f}s (target < 5 min)"
 

@@ -9,12 +9,10 @@ import pytest
 
 from su2k.braids import (
     BraidWord,
-    basis_json,
     braid_generator_matrix,
     dense_qubit_generators,
     enumerate_basis,
     evaluate_word,
-    matrix_json,
     normalized_qubit_rep,
     qubit_rep_exact,
     sparse_encoding_rep,
@@ -185,7 +183,7 @@ class TestSparseEncoding:
                 for _ in range(rng.randint(1, 8))
             )
             word = BraidWord(moves)
-            dense_word = word.substituted({3: 1})
+            dense_word = BraidWord(tuple((1 if i == 3 else i, e) for i, e in moves))
             u_sparse = evaluate_word(m, sparse_basis, word)
             u_dense = evaluate_word(m, dense_basis, dense_word)
             assert projective_distance(u_sparse, u_dense) < 1e-10
@@ -239,14 +237,3 @@ class TestWords:
         basis = enumerate_basis(4, 1, 3, 1)
         u = evaluate_word(m, basis, BraidWord.parse("s2^3 s2^-3"))
         assert np.max(np.abs(u - np.eye(2))) < 1e-13
-
-
-class TestSerialization:
-    def test_matrix_json(self):
-        payload = matrix_json(np.eye(2, dtype=complex))
-        assert payload["dim"] == 2
-        assert payload["entries"][0] == [1.0, 0.0]
-
-    def test_basis_json(self):
-        payload = basis_json(enumerate_basis(2, 1, 4, 0))
-        assert payload["states"] == [["0", "1/2"], ["1", "1/2"]]

@@ -6,6 +6,8 @@ import sys
 
 import pytest
 
+from su2k.regression import REFERENCE
+
 
 def run_cli(*args, expect=0, env=None):
     proc = subprocess.run(
@@ -113,7 +115,11 @@ class TestUniversalityCommand:
         assert lines[0] == "k,cosThetaA,cosThetaB,orderA,orderB,trW,verdict"
         verdicts = {int(line.split(",")[0]): line.split(",")[-1] for line in lines[1:]}
         for k, verdict in verdicts.items():
-            assert verdict == ("not-certified" if k in (4, 8) else "dense")
+            assert verdict == ("not-certified" if k in REFERENCE["non_dense"] else "dense")
+
+    def test_order_bound_option_is_gone(self):
+        proc = run_cli("universality", "--k", "3", "--max-order-bound", "5", expect=2)
+        assert "unrecognized arguments: --max-order-bound" in proc.stderr
 
     def test_k4_reason(self):
         out = run_cli("universality", "--k", "4").stdout

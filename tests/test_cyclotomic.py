@@ -158,14 +158,14 @@ class TestKernelAgainstFractionReference:
 
     @settings(max_examples=30, deadline=None)
     @given(st.sampled_from([(24, 12), (24, 8), (28, 14), (28, 4), (128, 32)]), st.data())
-    def test_to_order_recovers_subfield_value(self, orders, data):
+    def test_lift_keeps_minimal_polynomial(self, orders, data):
         order, sub = orders
         terms = data.draw(exponent_terms(sub))
-        lifted = Cyc.from_exponents(sub, terms).lift(order)
+        x = Cyc.from_exponents(sub, terms)
+        lifted = x.lift(order)
         assert lifted.coeffs == ref_lift(sub, ref_from_exponents(sub, terms), order)
-        back = lifted.to_order(sub)
-        assert back.order == sub
-        assert back.coeffs == ref_from_exponents(sub, terms)
+        # the Galois orbit in the larger field has the same distinct conjugates
+        assert minimal_polynomial(lifted) == minimal_polynomial(x)
 
 
 class TestCanonicalForm:
@@ -385,6 +385,13 @@ class TestMinimalPolynomials:
             theirs = sympy.Poly(sympy.minimal_polynomial(expr, t), t).all_coeffs()
             monic = [sympy.Rational(c, theirs[0]) for c in theirs]
             assert list(ours) == [Fraction(int(c.p), int(c.q)) for c in reversed(monic)]
+
+    def test_lifted_2cos_has_the_same_minimal_polynomial(self):
+        x = Cyc.root_of_unity(7) + Cyc.root_of_unity(7, -1)
+        lifted = x.lift(28 * 4)
+        assert lifted.order == 112
+        assert minimal_polynomial(lifted) == min_poly_2cos(7)
+        assert minimal_polynomial(lifted) == (Fraction(-1), Fraction(-2), Fraction(1), Fraction(1))
 
     def test_minimal_polynomial_degree_counts_conjugates(self):
         x = Cyc.root_of_unity(7) + Cyc.root_of_unity(7, -1)

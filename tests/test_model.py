@@ -319,6 +319,8 @@ class TestPentagonHexagon:
         assert all(instance[0] in ("hex", "hex-inv") for instance, _ in hexagon.failures)
         if mode == "exact":
             assert pentagon.numeric_fallbacks > 0 and hexagon.numeric_fallbacks > 0
+            assert pentagon.mode == hexagon.mode == "exact+numeric"
+            assert healthy.mode == "exact" and healthy.numeric_fallbacks == 0
 
 
 class TestUnitarity:

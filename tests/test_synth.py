@@ -1,5 +1,6 @@
 """Double-braid synthesis: metric, search, profiles, closure dichotomy."""
 
+import math
 import random
 
 import numpy as np
@@ -31,6 +32,16 @@ class TestProjectiveDistance:
 
     def test_antipodal_value(self):
         assert projective_distance(np.eye(2), np.diag([1, -1]).astype(complex)) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("angle", [1e-3, 1e-5, 1e-7, 1e-9, 1e-12])
+    def test_small_rotation_reports_its_distance(self, angle):
+        # sqrt(1 - cos(angle)) = sqrt(2) * sin(angle / 2), with no floor below 1e-7
+        rotation = np.diag([np.exp(1j * angle), np.exp(-1j * angle)])
+        want = math.sqrt(2) * math.sin(angle / 2)
+        assert projective_distance(rotation, np.eye(2, dtype=complex)) == pytest.approx(want, rel=1e-8, abs=0)
+        # the phased product carries about 1e-16 of rounding
+        phased = projective_distance(np.exp(0.7j) * rotation, np.eye(2))
+        assert phased == pytest.approx(want, rel=1e-8, abs=1e-15)
 
     def test_rejects_non_unitary(self):
         with pytest.raises(DomainError):
@@ -65,6 +76,13 @@ class TestSynthesize:
         result = synthesize(SearchConfig(k=3, max_depth=5), gens[0])
         assert result.best_errors[1] == 0
         assert result.best_words[1] == "s1^2"
+
+    def test_near_identity_target_is_not_an_exact_hit(self):
+        # a 1e-7 rotation is 7.07e-8 from the identity, far above the 1e-9 tolerance
+        target = np.diag([np.exp(1e-7j), np.exp(-1e-7j)])
+        result = synthesize(SearchConfig(k=3, max_depth=2), target)
+        assert result.best_errors[0] == pytest.approx(math.sqrt(2) * math.sin(0.5e-7), rel=1e-8, abs=0)
+        assert result.depths == [0, 1, 2]
 
     def test_identity_target_hits_at_depth_zero(self):
         result = synthesize(SearchConfig(k=5, max_depth=3), np.eye(2, dtype=complex))

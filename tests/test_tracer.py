@@ -1,0 +1,38 @@
+"""The benchmark tracer wraps su2k names by attribute; each subcommand must still run under it.
+
+``bench/tracer.py SPANS ARGS...`` must leave stdout and the exit status of
+``su2k ARGS...`` untouched and record at least one span.  A renamed or deleted
+function that the tracer patches fails here instead of in a traced benchmark run.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("model", "--k", "2"),
+        ("verify", "--k", "2"),
+        ("universality", "--k", "3..4", "--format", "json"),
+        ("synth", "--k", "3", "--profile-samples", "2", "--max-depth", "4"),
+    ],
+    ids=["model", "verify", "universality", "synth"],
+)
+def test_traced_run_matches_plain_cli(tmp_path, args):
+    plain = subprocess.run([sys.executable, "-m", "su2k.cli", *args], capture_output=True, text=True)
+    spans_path = tmp_path / "spans.json"
+    traced = subprocess.run(
+        [sys.executable, str(TRACER), str(spans_path), *args], capture_output=True, text=True
+    )
+    assert plain.returncode == 0, plain.stderr[-400:]
+    assert traced.returncode == 0, traced.stderr[-400:]
+    assert traced.stdout == plain.stdout
+    spans = json.loads(spans_path.read_text(encoding="utf-8"))
+    assert len(spans["name"]) > 0 and len(spans["end"]) == len(spans["name"])

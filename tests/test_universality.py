@@ -7,14 +7,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from su2k.cyclotomic import Cyc, cos_pi_fraction, minimal_polynomial, sqrt_squarefree
+from su2k.cyclotomic import Cyc, cos_pi_fraction, minimal_polynomial
 from su2k.errors import DomainError
 from su2k.radicals import mat_approx, mat_det2, mat_mul, mat_trace
+from su2k.regression import REFERENCE
 from su2k.universality import (
     KNOWN_COSINE_IDENTITIES,
     OrderDecision,
     certificate,
-    decide_projective_order,
     decide_projective_order_from_trace,
     match_known_identity,
     rational_cosine_sum,
@@ -120,37 +120,30 @@ class TestTraceIdentities:
 
 class TestSpecialValues:
     def test_half_traces(self):
-        cases = {
-            3: (sqrt_squarefree(5) - 2) / 2,
-            4: Cyc.rational(0),
-            5: cos_pi_fraction(3, 7) + cos_pi_fraction(2, 7) - 1,
-            6: (sqrt_squarefree(2) - 2) / 2,
-            8: Cyc.rational(Fraction(-1, 2)),
-            10: (sqrt_squarefree(3) - 3) / 2,
-        }
-        for k, want in cases.items():
+        for k, want in REFERENCE["half_trace"].items():
             half = witnesses(k).traces()[0] / 2
             assert half == want, k
 
 
 class TestOrderDecision:
     def test_k4_finite_order_two(self):
-        dec = decide_projective_order(witnesses(4).a, 4)
-        assert dec == OrderDecision(True, 2, 4, 1)
+        order = REFERENCE["finite_orders"][4][0]
+        dec = decide_projective_order_from_trace(witnesses(4).traces()[0], 4)
+        assert dec == OrderDecision(True, order, 4, 1)
         a_num = mat_approx(witnesses(4).a)
-        assert np.max(np.abs(np.linalg.matrix_power(a_num, 2) + np.eye(2))) < 1e-9
+        assert np.max(np.abs(np.linalg.matrix_power(a_num, order) + np.eye(2))) < 1e-9
 
     def test_k8_finite_order_three(self):
-        dec = decide_projective_order(witnesses(8).a, 8)
-        assert dec.finite and dec.projective_order == 3
+        order = REFERENCE["finite_orders"][8][0]
+        dec = decide_projective_order_from_trace(witnesses(8).traces()[0], 8)
+        assert dec.finite and dec.projective_order == order
         a_num = mat_approx(witnesses(8).a)
-        assert np.max(np.abs(np.linalg.matrix_power(a_num, 3) - np.eye(2))) < 1e-9
+        assert np.max(np.abs(np.linalg.matrix_power(a_num, order) - np.eye(2))) < 1e-9
 
     @pytest.mark.parametrize("k", [3, 5, 6, 7, 9, 10, 11, 12])
     def test_infinite_for_dense_levels(self, k):
-        dec = decide_projective_order(witnesses(k).a, k)
-        assert not dec.finite
-        assert dec.candidate_bound is not None
+        dec = decide_projective_order_from_trace(witnesses(k).traces()[0], k)
+        assert dec == OrderDecision(False)
 
     def test_rational_trace_table(self):
         assert decide_projective_order_from_trace(Cyc.rational(2), 3).projective_order == 1
@@ -168,11 +161,11 @@ class TestOrderDecision:
         assert dec.finite and dec.eigenvalue_order == 7 and dec.projective_order == 7
         assert dec.angle_numerator == 1
 
-    def test_rejects_non_special_unitary(self):
-        pair = witnesses(3)
-        doubled = [[entry * 2 for entry in row] for row in pair.a]
-        with pytest.raises(DomainError):
-            decide_projective_order(doubled, 3)
+    def test_matched_angle_in_a_larger_field(self):
+        # 2cos(2pi/7) stored at order 4(k+2) = 112, the field a k=26 trace lives in
+        trace = (Cyc.root_of_unity(7) + Cyc.root_of_unity(7, -1)).lift(112)
+        dec = decide_projective_order_from_trace(trace, 26)
+        assert dec == OrderDecision(True, 7, 7, 1)
 
     @pytest.mark.parametrize("k", range(2, K_MAX + 1))
     def test_heuristic_agrees(self, k):
@@ -285,7 +278,7 @@ class TestCertificates:
     @pytest.mark.parametrize("k", range(3, K_MAX + 1))
     def test_verdict_sweep(self, k):
         cert = certificate(k)
-        if k in (4, 8):
+        if k in REFERENCE["non_dense"]:
             assert cert.verdict == "not-certified"
             assert "finite projective order" in cert.reason
         else:
