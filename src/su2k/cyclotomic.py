@@ -11,10 +11,11 @@ of one order is tuple equality.  Operands of different orders are lifted to
 Q(zeta_lcm) first.  The rational coefficients are still available as
 ``Cyc.coeffs`` and are what :meth:`Cyc.exact_str` prints.
 
-Inversion (extended Euclid over Q) is the one costly field operation.  Hot
-callers do not invert inside their loops: they invert a fixed set of values
-once (quantum factorials, radical symbols) and invert roots of unity with
-:meth:`Cyc.conjugate`.
+Inversion multiplies the phi - 1 nontrivial Galois conjugates and divides by
+the rational norm, so it too runs on integers, but it is the one costly field
+operation.  Hot callers do not invert inside their loops: they invert a fixed
+set of values once (quantum factorials, radical symbols) and invert roots of
+unity with :meth:`Cyc.conjugate`.
 
 The module also provides the supporting number theory: Euler phi, cyclotomic
 polynomials, exact square roots of squarefree integers via Gauss sums, minimal
@@ -30,29 +31,6 @@ from fractions import Fraction
 import mpmath
 
 from .errors import IntegrityError
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
-
-@functools.lru_cache(maxsize=None)
-def euler_phi(n: int) -> int:
-    """Euler's totient, by trial-division factorization."""
-    if n < 1:
-        raise ValueError(f"euler_phi needs n >= 1, got {n}")
-    result = n
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            result -= result // p
-        p += 1
-    if m > 1:
-        result -= result // m
-    return result
-
 
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization {p: exponent} of n >= 1 by trial division."""
@@ -71,6 +49,12 @@ def factorize(n: int) -> dict[int, int]:
     return factors
 
 
+@functools.lru_cache(maxsize=None)
+def euler_phi(n: int) -> int:
+    """Euler's totient, the product of (p - 1) * p^(e - 1) over n's prime powers."""
+    return math.prod((p - 1) * p ** (e - 1) for p, e in factorize(n).items())
+
+
 def squarefree_decomposition(n: int) -> tuple[int, int]:
     """Write n >= 1 as s**2 * f with f squarefree; return (s, f)."""
     s, f = 1, 1
@@ -83,15 +67,10 @@ def squarefree_decomposition(n: int) -> tuple[int, int]:
 
 def divisors(n: int) -> list[int]:
     """All positive divisors of n, ascending."""
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
+    out = [1]
+    for p, e in factorize(n).items():
+        out = [d * p ** i for d in out for i in range(e + 1)]
+    return sorted(out)
 
 
 @functools.lru_cache(maxsize=None)
@@ -310,17 +289,25 @@ class Cyc:
         return result
 
     def inverse(self) -> Cyc:
-        """Multiplicative inverse via extended Euclid against Phi_order.
+        """Multiplicative inverse by the Galois norm.
 
-        This is the one costly field operation.  Hot callers avoid it: they
-        invert a fixed set of values once, and invert roots of unity with
-        :meth:`conjugate`.
+        With y the product of the images of x under every automorphism but
+        the identity, x * y is the norm N(x), a nonzero rational, so
+        1/x = y / N(x).  This is the one costly field operation (phi - 1
+        products).  Hot callers avoid it: they invert a fixed set of values
+        once, and invert roots of unity with :meth:`conjugate`.
         """
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        phi_poly = [Fraction(c) for c in cyclotomic_polynomial(self.order)]
-        inv = _poly_modular_inverse([Fraction(c) for c in self.num], phi_poly)
-        return Cyc.from_exponents(self.order, {i: c * self.den for i, c in enumerate(inv)})
+        n = self.order
+        y = Cyc.rational(1, n)
+        for a in range(2, n):
+            if math.gcd(a, n) == 1:
+                y = y * self.galois(a)
+        norm = (self * y).as_rational()
+        if norm is None:
+            raise IntegrityError("Galois norm is not rational")
+        return y * (1 / norm)
 
     # -- predicates and views -----------------------------------------------
 
@@ -410,99 +397,6 @@ def _coerce(value: Cyc | int | Fraction) -> Cyc:
     if isinstance(value, Cyc):
         return value
     return Cyc.rational(Fraction(value))
-
-
-# -- rational-coefficient polynomial helpers ---------------------------------
-
-
-def _poly_trim(p: list[Fraction]) -> list[Fraction]:
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _poly_divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    a = a[:]
-    q = [_ZERO] * max(0, len(a) - len(b) + 1)
-    inv_lead = 1 / b[-1]
-    for i in range(len(q) - 1, -1, -1):
-        if len(a) < i + len(b):
-            continue
-        c = a[i + len(b) - 1] * inv_lead
-        if c:
-            q[i] = c
-            for j, d in enumerate(b):
-                a[i + j] -= c * d
-    return _poly_trim(q), _poly_trim(a[: len(b) - 1])
-
-
-def _poly_modular_inverse(a: list[Fraction], modulus: list[Fraction]) -> list[Fraction]:
-    """Inverse of a modulo the (monic, squarefree) modulus, by extended Euclid."""
-    r0, r1 = modulus[:], _poly_trim(a[:])
-    s0, s1 = [_ZERO], [_ONE]
-    while r1:
-        q, r2 = _poly_divmod(r0, r1)
-        s2 = _poly_sub(s0, _poly_mul(q, s1))
-        r0, r1, s0, s1 = r1, r2, s1, s2
-    if len(r0) != 1:
-        raise ZeroDivisionError("element is a zero divisor (should not happen in a field)")
-    scale = 1 / r0[0]
-    return [c * scale for c in s0]
-
-
-def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    if not a or not b:
-        return []
-    out = [_ZERO] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return _poly_trim(out)
-
-
-def _poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    n = max(len(a), len(b))
-    out = [(a[i] if i < len(a) else _ZERO) - (b[i] if i < len(b) else _ZERO) for i in range(n)]
-    return _poly_trim(out)
-
-
-def rational_linear_dependence(values: list[Cyc]) -> list[Fraction] | None:
-    """A nonzero rational vector c with sum_i c_i * values[i] = 0, or None.
-
-    Used to decide whether real cyclotomic numbers (together with 1) admit a
-    nontrivial rational relation.
-    """
-    order = math.lcm(*(v.order for v in values))
-    lifted = [v.lift(order) for v in values]
-    phi = euler_phi(order)
-    rows = [list(v.coeffs) for v in lifted]
-    n = len(rows)
-    # Column-reduce the n x phi matrix, tracking the transformation.
-    transform = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    col = 0
-    for j in range(phi):
-        pivot = next((r for r in range(col, n) if rows[r][j] != 0), None)
-        if pivot is None:
-            continue
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        transform[col], transform[pivot] = transform[pivot], transform[col]
-        inv = 1 / rows[col][j]
-        rows[col] = [v * inv for v in rows[col]]
-        transform[col] = [v * inv for v in transform[col]]
-        for r in range(n):
-            if r != col and rows[r][j] != 0:
-                f = rows[r][j]
-                rows[r] = [v - f * w for v, w in zip(rows[r], rows[col])]
-                transform[r] = [v - f * w for v, w in zip(transform[r], transform[col])]
-        col += 1
-        if col == n:
-            return None
-    for r in range(col, n):
-        if all(v == 0 for v in rows[r]):
-            return transform[r]
-    return None
 
 
 # -- square roots of rationals as cyclotomic numbers --------------------------

@@ -78,12 +78,6 @@ class RadicalContext:
             self._inverse[n] = self.symbols[n].inverse()
         return self._inverse[n]
 
-    def radicand_value(self, key: tuple[int, ...]) -> Cyc:
-        value = Cyc.rational(1)
-        for n in key:
-            value = value * self.symbols[n]
-        return value
-
 
 @dataclass(frozen=True)
 class Radical:
@@ -231,9 +225,6 @@ class RadicalSum:
             for key, coef in sorted(self.groups.items())
         ]
         return "RadicalSum(" + " + ".join(parts) + ")"
-
-    def exact_str(self) -> str:
-        return repr(self)
 
 
 def mat_mul(a: list[list[RadicalSum]], b: list[list[RadicalSum]]) -> list[list[RadicalSum]]:

@@ -31,6 +31,16 @@ from .universality import (
 )
 
 
+def _q(k: int) -> complex:
+    return cmath.exp(2j * cmath.pi / (k + 2))
+
+
+def _qubit_f(k: int) -> np.ndarray:
+    q = _q(k)
+    rad = cmath.sqrt(q + 1 / q + 1)
+    return (cmath.sqrt(q) / (q + 1)) * np.array([[-1, rad], [rad, 1]])
+
+
 #: Published reference values, read by the checks below and by the test suite.
 REFERENCE = {
     # half-trace tr(A)/2 of the first witness rho~(s1^2 s2^4), exactly
@@ -46,6 +56,20 @@ REFERENCE = {
     "finite_orders": {4: (2, 3), 8: (3, 2)},
     # levels k >= 3 whose double-braiding image is not certified dense
     "non_dense": frozenset({4, 8}),
+    # qubit R pair diag(R^{11}_0, R^{11}_1) = diag(-q^(-3/4), q^(1/4)), q = e^{2 pi i/(k+2)}
+    "qubit_r": lambda k: np.diag([-_q(k) ** -0.75, _q(k) ** 0.25]),
+    # qubit F matrix F^{111}_1 = (sqrt(q)/(q+1)) [[-1, r], [r, 1]], r = sqrt(q + 1/q + 1)
+    "qubit_f": _qubit_f,
+    # the k=2 normalized generators: the Clifford pair
+    "clifford_k2": (
+        cmath.exp(1j * cmath.pi / 4) * np.diag([1, -1j]),
+        np.array([[1, -1j], [-1j, 1]]) / math.sqrt(2),
+    ),
+    # -cos(phi) + cos(pi/3 - phi) + cos(pi/3 + phi) = 0 at sample angles phi = p*pi/r
+    "phi_family": tuple(
+        [(Fraction(-1), p, r), (Fraction(1), r - 3 * p, 3 * r), (Fraction(1), r + 3 * p, 3 * r)]
+        for p, r in ((1, 12), (1, 18), (1, 24), (2, 15), (3, 20))
+    ),
 }
 
 
@@ -68,18 +92,16 @@ def _check_fusion() -> str:
 def _check_r_symbols() -> str:
     for k in range(2, 9):
         m = get_model(k)
-        q = cmath.exp(2j * cmath.pi / (k + 2))
-        _require(abs(m.r_symbol(1, 1, 0).approx() - (-q ** -0.75)) < 1e-13)
-        _require(abs(m.r_symbol(1, 1, 2).approx() - q ** 0.25) < 1e-13)
+        want = REFERENCE["qubit_r"](k)
+        _require(abs(m.r_symbol(1, 1, 0).approx() - want[0, 0]) < 1e-13)
+        _require(abs(m.r_symbol(1, 1, 2).approx() - want[1, 1]) < 1e-13)
         _require(m.r_symbol(0, k, k) == 1)
     return "R-symbols -q^(-3/4), q^(1/4) for k=2..8"
 
 def _check_f_closed_form() -> str:
     for k in range(2, 13):
         m = get_model(k)
-        q = cmath.exp(2j * cmath.pi / (k + 2))
-        rad = cmath.sqrt(q + 1 / q + 1)
-        want = (cmath.sqrt(q) / (q + 1)) * np.array([[-1, rad], [rad, 1]])
+        want = REFERENCE["qubit_f"](k)
         _, _, got = m.f_matrix_float(1, 1, 1, 1)
         _require(np.max(np.abs(got - want)) < 1e-12, k)
         _require(np.max(np.abs(got - got.T)) < 1e-12)  # symmetric
@@ -99,10 +121,10 @@ def _check_f_vacuum() -> str:
 
 def _check_qubit_generators() -> str:
     for k in range(2, 13):
-        q = cmath.exp(2j * cmath.pi / (k + 2))
+        q = _q(k)
         s1, s2 = dense_qubit_generators(k)
         rad = cmath.sqrt(q + 1 / q + 1)
-        want1 = np.diag([-q ** -0.75, q ** 0.25])
+        want1 = REFERENCE["qubit_r"](k)
         want2 = (q ** 0.25 / (1 + q)) * np.array([[q, rad], [rad, -1 / q]])
         _require(np.max(np.abs(s1 - want1)) < 1e-12)
         _require(np.max(np.abs(s2 - want2)) < 1e-12)
@@ -110,8 +132,7 @@ def _check_qubit_generators() -> str:
 
 def _check_clifford() -> str:
     s1, s2 = normalized_qubit_rep(2)
-    want1 = cmath.exp(1j * cmath.pi / 4) * np.diag([1, -1j])
-    want2 = np.array([[1, -1j], [-1j, 1]]) / math.sqrt(2)
+    want1, want2 = REFERENCE["clifford_k2"]
     _require(np.max(np.abs(s1 - want1)) < 1e-12)
     _require(np.max(np.abs(s2 - want2)) < 1e-12)
     return "k=2 normalized generators are the Clifford pair"
@@ -155,7 +176,7 @@ def _check_cosine_list() -> str:
         _require(rational_cosine_sum(terms) == value, name)
         _require(match_known_identity(terms) == name)
     # parametric family at phi = pi/12
-    family = [(Fraction(-1), 1, 12), (Fraction(1), 3, 12), (Fraction(1), 5, 12)]
+    family = REFERENCE["phi_family"][0]
     _require(rational_cosine_sum(family) == 0)
     _require(match_known_identity(family) == "phi-family")
     # note: some printings give the singleton as 1/3; the verified value is 1/2

@@ -83,12 +83,6 @@ class SynthResult:
     def best_word(self) -> str:
         return self.best_words[-1]
 
-    def rows(self) -> list[list]:
-        return [
-            [d, self.explored, self.distinct, err, word]
-            for d, err, word in zip(self.depths, self.best_errors, self.best_words)
-        ]
-
 
 _DISTANCE_BLOCK = 1 << 15  # frontier rows per block: the complex trace temporaries stay ~10 MB
 _CHORD_GAP = 1e-8  # below this 1 - |tr|/2, its square root has lost half its digits to cancellation
@@ -192,14 +186,18 @@ class _Search:
         self.partial = False
         self.closed = False
 
-    def expand(self) -> int:
-        """Advance one depth; returns the number of new distinct states."""
-        if self.closed or self.partial:
-            self.trace.append((np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)))
-            self.frontier = np.empty((0, 2, 2), dtype=complex)
-            return 0
+    def expand(self) -> bool:
+        """Advance one depth; False, with nothing built, if it could pass the state cap.
+
+        Every candidate of the level may be new, so the cap is checked against
+        that bound before the level is allocated.  The run is then flagged
+        partial, and the last depth reported is the last one expanded.
+        """
         n = len(self.frontier)
         n_gens = len(self.gens)
+        if len(self.visited) + n * n_gens > self.config.max_states:
+            self.partial = True
+            return False
         candidates = np.einsum("nij,gjk->ngik", self.frontier, self.gens).reshape(n_gens * n, 2, 2)
         parents = np.repeat(np.arange(n, dtype=np.intp), n_gens)
         gen_idx = np.tile(np.arange(n_gens, dtype=np.intp), n)
@@ -216,9 +214,7 @@ class _Search:
         self.trace.append((parents[keep], gen_idx[keep]))
         if len(self.frontier) == 0:
             self.closed = True
-        if len(self.visited) > self.config.max_states:
-            self.partial = True
-        return len(self.frontier)
+        return True
 
     def shrink_to_beam(self, errors: np.ndarray) -> np.ndarray:
         """Keep the beam_width best frontier states (stable order); returns the kept errors."""
@@ -257,6 +253,14 @@ class _Search:
             out[start:stop] = _distances(self.frontier[start:stop], targets)
         return out
 
+    def frontier_min_errors(self, targets: np.ndarray) -> np.ndarray:
+        """Per-target minimum of :meth:`frontier_errors`, without the whole matrix (inf if empty)."""
+        best = np.full(len(targets), np.inf)
+        for start in range(0, len(self.frontier), _DISTANCE_BLOCK):
+            block = _distances(self.frontier[start:start + _DISTANCE_BLOCK], targets)
+            best = np.minimum(best, block.min(axis=0))
+        return best
+
 
 def synthesize(config: SearchConfig, target: np.ndarray) -> SynthResult:
     """Best double-braid approximations of `target` per depth.
@@ -279,7 +283,8 @@ def synthesize(config: SearchConfig, target: np.ndarray) -> SynthResult:
     result.best_errors.append(best_error)
     result.best_words.append(best_word)
     for depth in range(1, config.max_depth + 1):
-        search.expand()
+        if not search.expand():
+            break
         if len(search.frontier):
             errors = search.frontier_errors(target_su2)[:, 0]
             errors = search.shrink_to_beam(errors)
@@ -290,7 +295,7 @@ def synthesize(config: SearchConfig, target: np.ndarray) -> SynthResult:
         result.depths.append(depth)
         result.best_errors.append(best_error)
         result.best_words.append(best_word)
-        if best_error <= config.tolerance or search.closed or search.partial:
+        if best_error <= config.tolerance or search.closed:
             break
     result.explored = search.explored
     result.distinct = len(search.visited)
@@ -321,17 +326,16 @@ def error_profile(config: SearchConfig, sample: int) -> list[ProfileRow]:
     rng = random.Random(config.seed)
     targets = np.stack([haar_su2(rng) for _ in range(sample)])
     search = _Search(config)
-    best = search.frontier_errors(targets).min(axis=0)
+    best = search.frontier_min_errors(targets)
     rows = [ProfileRow(0, search.explored, len(search.visited),
                        float(best.min()), float(best.mean()), float(best.max()))]
     for depth in range(1, config.max_depth + 1):
-        search.expand()
-        if len(search.frontier):
-            errors = search.frontier_errors(targets)
-            best = np.minimum(best, errors.min(axis=0))
+        if not search.expand():
+            break
+        best = np.minimum(best, search.frontier_min_errors(targets))
         rows.append(ProfileRow(depth, search.explored, len(search.visited),
                                float(best.min()), float(best.mean()), float(best.max())))
-        if search.closed or search.partial:
+        if search.closed:
             break
     return rows
 
@@ -345,10 +349,9 @@ def reachable_counts(config: SearchConfig) -> tuple[list[int], bool]:
     search = _Search(config)
     counts = [len(search.visited)]
     for _ in range(config.max_depth):
-        search.expand()
+        if not search.expand():
+            break
         counts.append(len(search.visited))
         if search.closed:
             return counts, True
-        if search.partial:
-            break
     return counts, False

@@ -31,7 +31,6 @@ from .cyclotomic import (
     euler_phi,
     min_poly_2cos,
     minimal_polynomial,
-    rational_linear_dependence,
 )
 from .errors import DomainError, IntegrityError
 from .model import get_model
@@ -340,10 +339,12 @@ def rationality_survey(k: int) -> RationalitySurvey:
     cos_second = v.as_rational()
     pair_relation = None
     if cos_first is None and cos_second is None:
-        dep = rational_linear_dependence([Cyc.rational(1), u, v])
-        if dep is not None and (dep[1] != 0 or dep[2] != 0):
-            # dep[0]*1 + dep[1]*u + dep[2]*v = 0
-            pair_relation = (dep[1], dep[2], -dep[0])
+        # v = 2u^2 - 1, so {1, u, v} is rationally dependent iff deg u = 2;
+        # then u^2 + p*u + r = 0 gives 2p*u + v = -2r - 1
+        poly = minimal_polynomial(u)
+        if len(poly) == 3:
+            r, p, _ = poly
+            pair_relation = (2 * p, Fraction(1), -2 * r - 1)
     trace_a = witnesses(k).traces()[0]
     cos_theta = (trace_a / 2).as_rational()
     return RationalitySurvey(k, cos_first, cos_second, pair_relation, cos_theta)

@@ -4,8 +4,6 @@ Run with `pytest -v -s tests/test_acceptance.py` to see the per-criterion
 pass/fail lines and timings.
 """
 
-import cmath
-import math
 import time
 from contextlib import contextmanager
 from fractions import Fraction
@@ -67,9 +65,7 @@ def test_criterion_2_closed_form_regression():
     with criterion(2, "6j machinery vs closed-form F and R, k=2..30"):
         for k in range(2, 31):
             model = get_model(k)
-            q = cmath.exp(2j * cmath.pi / (k + 2))
-            rad = cmath.sqrt(q + 1 / q + 1)
-            want_f = (cmath.sqrt(q) / (q + 1)) * np.array([[-1, rad], [rad, 1]])
+            want_f = REFERENCE["qubit_f"](k)
             rows, cols, _ = model.f_matrix_float(1, 1, 1, 1)
             assert rows == (0, 2) and cols == (0, 2)
             got_f = model.f_matrix_float(1, 1, 1, 1)[2]
@@ -78,7 +74,7 @@ def test_criterion_2_closed_form_regression():
             assert np.max(np.abs(got_f.imag)) < 1e-12
             assert np.max(np.abs(got_f - got_f.T)) < 1e-12
             assert np.max(np.abs(got_f @ got_f - np.eye(2))) < 1e-12
-            want_r = np.diag([-q ** -0.75, q ** 0.25])
+            want_r = REFERENCE["qubit_r"](k)
             got_r = np.diag([model.r_symbol_complex(1, 1, 0), model.r_symbol_complex(1, 1, 2)])
             assert np.max(np.abs(got_r - want_r)) < 1e-12, k
 
@@ -86,8 +82,7 @@ def test_criterion_2_closed_form_regression():
 def test_criterion_3_clifford_generators():
     with criterion(3, "k=2 normalized generators are Clifford"):
         s1, s2 = normalized_qubit_rep(2)
-        want1 = cmath.exp(1j * math.pi / 4) * np.diag([1, -1j])
-        want2 = np.array([[1, -1j], [-1j, 1]]) / math.sqrt(2)
+        want1, want2 = REFERENCE["clifford_k2"]
         assert np.max(np.abs(s1 - want1)) < 1e-12
         assert np.max(np.abs(s2 - want2)) < 1e-12
 
@@ -139,13 +134,8 @@ def test_criterion_7_cosine_identity_suite():
             assert rational_cosine_sum(terms) == value, name
         assert KNOWN_COSINE_IDENTITIES[0][2] == Fraction(1, 2)
         # the tenth entry is the parametric family, verified at sample angles
-        for p, r in ((1, 12), (1, 18), (1, 24), (2, 15), (3, 20)):
-            family = [
-                (Fraction(-1), p, r),
-                (Fraction(1), r - 3 * p, 3 * r),
-                (Fraction(1), r + 3 * p, 3 * r),
-            ]
-            assert rational_cosine_sum(family) == 0, (p, r)
+        for family in REFERENCE["phi_family"]:
+            assert rational_cosine_sum(family) == 0, family
 
 
 def test_criterion_8_sparse_dense_equality():

@@ -1,5 +1,6 @@
 """Command-line interface: formats, exit codes, determinism."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -133,6 +134,16 @@ class TestUniversalityCommand:
 
     def test_below_minimum_usage_error(self):
         run_cli("universality", "--k", "1", expect=2)
+
+    def test_exact_fields_pinned(self):
+        # every exact trace string, order decision and verdict for k=2..30, as first recorded
+        payload = json.loads(run_cli("universality", "--k", "2..30", "--format", "json").stdout)
+        pinned = [
+            [c["k"], c["trA"]["exact"], c["trB"]["exact"], c["trW"]["exact"], c["orderA"], c["orderB"], c["verdict"]]
+            for c in payload["certificates"]
+        ]
+        digest = hashlib.sha256(json.dumps(pinned, sort_keys=True).encode()).hexdigest()
+        assert digest == "0a01ca33c65d4a4e6ff802064f8220498f9434ba8fa64c32d92b6db0ec5b0c02"
 
 
 class TestSynthCommand:

@@ -18,7 +18,6 @@ from su2k.cyclotomic import (
     euler_phi,
     min_poly_2cos,
     minimal_polynomial,
-    rational_linear_dependence,
     sqrt_rational,
     sqrt_squarefree,
     squarefree_decomposition,
@@ -117,7 +116,7 @@ def exponent_terms(draw, order: int):
 @st.composite
 def kernel_operands(draw):
     """(order, terms x, terms y), y possibly at a second order for mixed arithmetic."""
-    order = draw(st.sampled_from([24, 28, 128]))
+    order = draw(st.sampled_from([24, 28, 116, 128]))
     other = 28 if order == 24 and draw(st.booleans()) else order
     return order, draw(exponent_terms(order)), other, draw(exponent_terms(other))
 
@@ -215,6 +214,12 @@ class TestIntegrityGuards:
         proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr[-400:]
         assert proc.stdout.strip() == "raised"
+
+    def test_irrational_norm_raises(self, monkeypatch):
+        # with a broken Galois action the "norm" x * x^3 = (1 + zeta_5)^4 is not rational
+        monkeypatch.setattr(Cyc, "galois", lambda self, a: self)
+        with pytest.raises(IntegrityError):
+            (1 + Cyc.root_of_unity(5)).inverse()
 
 
 class TestConstructors:
@@ -349,6 +354,10 @@ class TestNumberTheory:
 
     def test_euler_phi(self):
         assert [euler_phi(n) for n in range(1, 13)] == [1, 1, 2, 2, 4, 2, 6, 4, 6, 4, 10, 4]
+        for n in range(1, 400):
+            assert euler_phi(n) == sum(math.gcd(a, n) == 1 for a in range(1, n + 1)), n
+        with pytest.raises(ValueError):
+            euler_phi(0)
 
     def test_squarefree_decomposition(self):
         assert squarefree_decomposition(1) == (1, 1)
@@ -406,24 +415,6 @@ class TestMinimalPolynomials:
             acc = acc + power * coeff
             power = power * x
         assert acc.is_zero()
-
-
-class TestLinearDependence:
-    def test_statement_like_relation(self):
-        dep = rational_linear_dependence(
-            [Cyc.rational(1), cos_pi_fraction(2, 10), cos_pi_fraction(4, 10)]
-        )
-        assert dep is not None
-        c0, c1, c2 = dep
-        value = c0 + c1 * cos_pi_fraction(2, 10) + c2 * cos_pi_fraction(4, 10)
-        assert value.is_zero()
-        assert (c1, c2) != (0, 0)
-
-    def test_independent_triple(self):
-        dep = rational_linear_dependence(
-            [Cyc.rational(1), cos_pi_fraction(2, 7), cos_pi_fraction(2, 11)]
-        )
-        assert dep is None
 
 
 class TestSerialization:

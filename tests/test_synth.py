@@ -10,7 +10,9 @@ from su2k.braids import BraidWord, enumerate_basis, evaluate_word
 from su2k.errors import DomainError
 from su2k.model import get_model
 from su2k.synth import (
+    _DISTANCE_BLOCK,
     SearchConfig,
+    _Search,
     double_braid_generators,
     error_profile,
     haar_su2,
@@ -135,6 +137,17 @@ class TestSynthesize:
         result = synthesize(SearchConfig(k=3, max_depth=12, max_states=500), target)
         assert result.partial
 
+    @pytest.mark.parametrize("cap", [1, 50, 500, 5000])
+    def test_state_cap_is_never_exceeded(self, cap):
+        config = SearchConfig(k=3, max_depth=20, max_states=cap)
+        result = synthesize(config, haar_su2(random.Random(8)))
+        assert result.partial and result.distinct <= cap
+        rows = error_profile(config, sample=2)
+        assert rows[-1].distinct <= cap
+        assert [r.depth for r in rows] == result.depths  # the same depths were fully expanded
+        counts, closed = reachable_counts(config)
+        assert not closed and counts[-1] <= cap and len(counts) == len(rows)
+
     def test_rejects_bad_targets(self):
         with pytest.raises(DomainError):
             synthesize(SearchConfig(k=3), np.ones((2, 2), dtype=complex))
@@ -177,6 +190,15 @@ class TestErrorProfile:
     def test_sample_validation(self):
         with pytest.raises(DomainError):
             error_profile(SearchConfig(k=3, max_depth=3), sample=0)
+
+    def test_blockwise_minimum_equals_full_matrix(self):
+        search = _Search(SearchConfig(k=3, max_depth=10))
+        while len(search.frontier) <= _DISTANCE_BLOCK:  # reach a frontier spanning two blocks
+            search.expand()
+        rng = random.Random(9)
+        targets = np.stack([haar_su2(rng) for _ in range(3)])
+        full = search.frontier_errors(targets).min(axis=0)
+        assert np.array_equal(search.frontier_min_errors(targets), full)
 
 
 class TestConfigValidation:
