@@ -205,6 +205,9 @@ def _load_target(path: str) -> np.ndarray:
     return matrix
 
 
+_PARTIAL_WARNING = "warning: state cap reached; result is partial"
+
+
 def cmd_synth(args) -> int:
     ks = _parse_k_range(args.k, minimum=2)
     if len(ks) != 1:
@@ -245,6 +248,8 @@ def cmd_synth(args) -> int:
             _write_output(_json_text(payload), args.output)
         else:
             _write_output(_csv_text(header, table), args.output)
+        if rows[-1].partial:
+            print(_PARTIAL_WARNING, file=sys.stderr)
         return 0
     target = _load_target(args.target)
     result = synthesize(config, target)
@@ -271,7 +276,7 @@ def cmd_synth(args) -> int:
         ]
         _write_output(_csv_text(header, table), args.output)
     if result.partial:
-        print("warning: state cap reached; result is partial", file=sys.stderr)
+        print(_PARTIAL_WARNING, file=sys.stderr)
     return 0
 
 

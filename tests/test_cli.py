@@ -215,6 +215,24 @@ class TestSynthCommand:
         first_row = out.strip().splitlines()[1].split(",")
         assert first_row[0] == "0" and float(first_row[3]) == 0.0
 
+    def test_state_capped_profile_warns(self):
+        profile = ("synth", "--k", "3", "--profile-samples", "2")
+        capped = run_cli(*profile, "--max-depth", "20", "--max-states", "5000")
+        assert capped.stderr == "warning: state cap reached; result is partial\n"
+        uncapped = run_cli(*profile, "--max-depth", "8")
+        assert uncapped.stderr == ""
+        lines = capped.stdout.splitlines()
+        assert len(lines) > 2 and lines == uncapped.stdout.splitlines()[:len(lines)]
+
+    def test_grid_finer_than_the_key_integers(self, target_file):
+        assert_usage_error("synth", "--k", "3", "--target", target_file, "--max-depth", "6", "--grid", "1e-12")
+
+    def test_finest_supported_grid_runs(self, target_file):
+        out = run_cli("synth", "--k", "3", "--target", target_file, "--max-depth", "6", "--grid", "1e-9").stdout
+        rows = [r.split(",") for r in out.strip().splitlines()[1:]]
+        assert [r[0] for r in rows] == [str(d) for d in range(7)]
+        assert int(rows[-1][2]) > 4  # distinct states stay apart on the grid
+
 
 class TestTopLevel:
     def test_no_command_prints_usage(self):
