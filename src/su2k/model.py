@@ -7,17 +7,21 @@ the quarter powers of q that braiding phases need.
 
 The recoupling data has an exact and a numeric form:
 
-* exact -- quantum integers as cyclotomic numbers and F-symbols as formal
-  coef*sqrt(radicand) values (:class:`su2k.radicals.Radical`), and
+* exact -- quantum integers as cyclotomic numbers, F-symbols as formal
+  coef*sqrt(radicand) values (:class:`su2k.radicals.Radical`), and, for
+  verification, F-symbols in a vertex gauge where each lies in Q(zeta_N)
+  with no square root, and
 * numeric -- one 6j formula evaluated over tables of [n] and [n]!, in
   float64 or directly in mpmath at a requested precision.
 
 Pentagon and hexagon verification is one engine: an admissibility table
 A[a, b, c] built once per model, one instance enumerator per axiom yielding
-bounded index blocks, one vectorized residual evaluator per axiom over
-zero-extended F/R tensors (float64 or mpmath objects), and an exact backend
-that settles the same rows one at a time in radical arithmetic.  Topological
-spins, quantum dimensions and the modular S-matrix live here as well.
+bounded index blocks, and one vectorized evaluator per axiom of the signed
+sums lhs - rhs over zero-extended F/R tensors.  The tensors hold float64 or
+mpmath numbers, or, in exact mode, the gauge table packed into Python ints
+(Kronecker substitution), whose sums are then decided in Q(zeta_N).
+Topological spins, quantum dimensions and the modular S-matrix live here as
+well.
 """
 
 from __future__ import annotations
@@ -30,9 +34,9 @@ from dataclasses import dataclass, field
 import mpmath
 import numpy as np
 
-from .cyclotomic import Cyc
+from .cyclotomic import Cyc, euler_phi
 from .errors import DomainError, IntegrityError
-from .radicals import Radical, RadicalContext, RadicalSum
+from .radicals import Radical, RadicalContext
 
 
 def label_str(twice_j: int) -> str:
@@ -63,6 +67,7 @@ class Model:
         self._qfact: dict[int, Cyc] = {}
         self._qfact_inv: dict[int, Cyc] = {}
         self._f_exact: dict[tuple[int, ...], Radical] = {}
+        self._f_gauge: dict[tuple[int, ...], Cyc] | None = None
         self._f_float: dict[tuple[int, ...], float] = {}
         self._fmat_float: dict[tuple[int, int, int, int], tuple] = {}
         self._tensors: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -128,7 +133,7 @@ class Model:
         if n < 0:
             raise DomainError(f"quantum factorial needs n >= 0, got {n}")
         if n not in self._qfact:
-            value = Cyc.rational(1)
+            value = Cyc.rational(1, self.N)  # [0]! in Q(zeta_N), so products with it need no lift
             for t in range(1, n + 1):
                 value = value * self.qint(t)
             self._qfact[n] = value
@@ -178,6 +183,19 @@ class Model:
         highs = [(a + b + c + d) // 2, (a + m + c + n) // 2, (b + m + d + n) // 2]
         return max(lows), min(highs), lows, highs
 
+    def _zsum_sign(self, a: int, b: int, c: int, d: int, m: int, n: int) -> tuple[Cyc, int]:
+        """The alternating z-sum of the 6j formula, exact, and the sign (-1)^((a+b+c+d)/2)."""
+        z_lo, z_hi, lows, highs = self._z_range(a, b, c, d, m, n)
+        zsum = Cyc.rational(0)
+        for z in range(z_lo, z_hi + 1):
+            term = self.qfact(z + 1)
+            for t in lows:
+                term = term * self.qfact_inverse(z - t)
+            for u in highs:
+                term = term * self.qfact_inverse(u - z)
+            zsum = zsum + (-term if z % 2 else term)
+        return zsum, -1 if ((a + b + c + d) // 2) % 2 else 1
+
     def f_symbol(self, a: int, b: int, c: int, d: int, m: int, n: int) -> Radical:
         """Exact F-symbol: row channel n (fusing b,c), column channel m (fusing a,b).
 
@@ -189,16 +207,7 @@ class Model:
         if key in self._f_exact:
             return self._f_exact[key]
         self._f_check(a, b, c, d, m, n)
-        z_lo, z_hi, lows, highs = self._z_range(a, b, c, d, m, n)
-        zsum = Cyc.rational(0)
-        for z in range(z_lo, z_hi + 1):
-            term = self.qfact(z + 1)
-            for t in lows:
-                term = term * self.qfact_inverse(z - t)
-            for u in highs:
-                term = term * self.qfact_inverse(u - z)
-            zsum = zsum + (-term if z % 2 else term)
-        sign = -1 if ((a + b + c + d) // 2) % 2 else 1
+        zsum, sign = self._zsum_sign(a, b, c, d, m, n)
         coef = zsum * sign
         word: dict[int, int] = {}
 
@@ -344,18 +353,17 @@ class Model:
     def verify_pentagon(self, mode: str = "auto", tol: float = 1e-9, precision: int = 53) -> VerificationReport:
         """Check F^{mcd}_{e;zn} F^{abz}_{e;ym} = sum_x F^{abc}_{n;xm} F^{axd}_{e;yn} F^{bcd}_{y;zx}.
 
-        mode "exact" proves each instance identically zero in radical
-        arithmetic (with a high-precision numeric fallback for sums the
-        grouping cannot settle); mode "float" reports the maximum residual.
-        "auto" picks exact for k <= 3.
+        mode "exact" decides each instance exactly in the vertex gauge (see
+        :meth:`_gauge_table`); mode "float" reports the maximum residual.
+        "auto" picks exact for k <= 3.  tol must be positive and finite.
         """
         return self._verify("pentagon", mode, tol, precision, self._pentagon_rows(),
-                            self._pentagon_residuals, self._pentagon_terms)
+                            self._pentagon_sums, self._pentagon_gauge)
 
     def verify_hexagon(self, mode: str = "auto", tol: float = 1e-9, precision: int = 53) -> VerificationReport:
         """Check both hexagon identities (R and R^{-1} variants)."""
         return self._verify("hexagon", mode, tol, precision, self._hexagon_rows(),
-                            self._hexagon_residuals, self._hexagon_terms, ("hex", "hex-inv"))
+                            self._hexagon_sums, self._hexagon_gauge, ("hex", "hex-inv"))
 
     def _pick_mode(self, mode: str) -> str:
         if mode == "auto":
@@ -364,42 +372,39 @@ class Model:
             raise DomainError(f"unknown verification mode {mode!r}")
         return mode
 
-    def _verify(self, name, mode, tol, precision, blocks, residuals, terms, tags=()) -> VerificationReport:
+    def _verify(self, name, mode, tol, precision, blocks, sums, gauge, tags=()) -> VerificationReport:
         """Evaluate every instance block and assemble the report.
 
-        Each route gives one residual per identity of a row: the float routes
-        from the tensors, the exact route 0 for a sum proved zero and the
-        212-bit magnitude of any other sum (a numeric fallback, after which
-        the report's mode reads "exact+numeric").  An identity
-        fails when its residual exceeds tol (2^-100 in exact mode); the first
+        One evaluator per axiom gives the signed sum lhs - rhs of each
+        identity of a row over the tensors of a route.  The float routes
+        report its magnitude.  The exact route evaluates the same expression
+        over the packed gauge table (:meth:`_packed_tensors`) and settles
+        each sum in Q(zeta_N) (:meth:`_settle`): 0 for a sum proved zero, and
+        for any other sum its magnitude in the unitary gauge.  An identity
+        fails when its residual exceeds tol (0 in exact mode); the first
         MAX_FAILURES failures in row order are kept, tagged when a row carries
         several identities.
         """
         mode = self._pick_mode(mode)
-        if mode == "exact":
-            report = VerificationReport(name, "exact", 0)
-            bound, adm = 2.0 ** -100, self._adm.tolist()
-
-            def evaluate(rows):
-                out = []
-                for row in rows.tolist():
-                    for identity in terms(adm, *row):
-                        diff = RadicalSum.from_terms(self.radicals, identity)
-                        if diff.is_zero():
-                            out.append(0.0)
-                        else:
-                            report.numeric_fallbacks += 1
-                            out.append(float(abs(diff.approx(212))))
-                return np.array(out).reshape(len(rows), -1)
-        else:
-            report = VerificationReport(name, "float" if precision <= 53 else f"float{precision}", 0)
-            bound = tol
-            F, R = self._recoupling_tensors(precision)
-
-            def evaluate(rows):
-                return residuals(rows, F, R)
-
+        if not (math.isfinite(tol) and tol > 0):
+            raise DomainError(f"tolerance must be a positive finite number, got {tol}")
         with mpmath.workprec(precision + 16):
+            if mode == "exact":
+                report = VerificationReport(name, "exact", 0)
+                bound = 0.0
+                F, R, R_inv, D, B = self._packed_tensors()
+
+                def evaluate(rows):
+                    return self._settle(sums(rows, F, R, R_inv, D), B, lambda: gauge(rows, self._vertex_float(), D))
+            else:
+                report = VerificationReport(name, "float" if precision <= 53 else f"float{precision}", 0)
+                bound = tol
+                F, R = self._recoupling_tensors(precision)
+                R_inv = np.conj(R)  # R-symbols are phases; mpc conjugates round to the working precision
+
+                def evaluate(rows):
+                    return np.abs(sums(rows, F, R, R_inv, 1))
+
             for rows in blocks:
                 res = evaluate(rows)
                 report.checked += res.size
@@ -409,9 +414,13 @@ class Model:
                     key = tuple(rows[row].tolist())
                     report.failures.append(((tags[j], *key) if tags else key, float(res.flat[i])))
         report.max_residual = float(report.max_residual)
-        if report.numeric_fallbacks:
-            report.mode = "exact+numeric"  # some sums were settled by a 212-bit value, not proved zero
         return report
+
+    def _live_f(self):
+        """Labels (a, b, c, d, n, m) of every admissible F-symbol, in lexicographic order."""
+        A = self._adm
+        live = np.nonzero(np.einsum("abm,mcd,bcn,and->abcdnm", A, A, A, A))
+        return zip(*(axis.tolist() for axis in live))
 
     def _recoupling_tensors(self, precision: int) -> tuple[np.ndarray, np.ndarray]:
         """Zero-extended F[a, b, c, d, n, m] and R[a, b, c] at a working precision.
@@ -439,14 +448,142 @@ class Model:
                         return -value if sign % 2 else value
 
                 F = np.zeros((size,) * 6, dtype=dtype)
-                live = np.nonzero(np.einsum("abm,mcd,bcn,and->abcdnm", A, A, A, A))
-                for a, b, c, d, n, m in zip(*(axis.tolist() for axis in live)):
+                for a, b, c, d, n, m in self._live_f():
                     F[a, b, c, d, n, m] = f_value(a, b, c, d, m, n)
                 R = np.zeros((size,) * 3, dtype=complex if dtype is float else object)
                 for a, b, c in zip(*(axis.tolist() for axis in np.nonzero(A))):
                     R[a, b, c] = r_value(a, b, c)
             self._tensors[key] = F, R
         return self._tensors[key]
+
+    # -- the exact route: F in the vertex gauge, packed -----------------------------------
+
+    def _gauge_table(self) -> dict[tuple[int, ...], Cyc]:
+        """Every admissible F in the vertex gauge, keyed like f_symbol (a, b, c, d, m, n).
+
+        The unitary F is sign * zsum * sqrt([m+1][n+1] D(abm) D(mcd) D(bcn) D(and))
+        with D(x,y,w) = [(-x+y+w)/2]! [(x-y+w)/2]! [(x+y-w)/2]! / [(x+y+w)/2+1]!.
+        Rescaling the vertex (x,y;w) by v(x,y,w) = sqrt([w+1] D(x,y,w)),
+        which is positive and symmetric in x and y, turns it into
+        F'' = sign * zsum * [m+1] * D(abm) * D(mcd), an element of Q(zeta_N)
+        with no square root.  The R-symbols do not change, since v is
+        symmetric, and the pentagon and hexagon identities are
+        gauge-invariant (Kitaev, arXiv:cond-mat/0506438, App. E), so F''
+        satisfies them exactly when F does.  Built once per model.
+        """
+        if self._f_gauge is None:
+            qfact, qfact_inverse = self.qfact, self.qfact_inverse
+            delta = {
+                (x, y, w): qfact((-x + y + w) // 2) * qfact((x - y + w) // 2) * qfact((x + y - w) // 2)
+                * qfact_inverse((x + y + w) // 2 + 1)
+                for x, y, w in zip(*(axis.tolist() for axis in np.nonzero(self._adm)))
+            }
+            table = {}
+            for a, b, c, d, n, m in self._live_f():
+                zsum, sign = self._zsum_sign(a, b, c, d, m, n)
+                table[a, b, c, d, m, n] = zsum * sign * self.qint(m + 1) * delta[a, b, m] * delta[m, c, d]
+            self._f_gauge = table
+        return self._f_gauge
+
+    def _vertex_float(self) -> np.ndarray:
+        """The gauge's vertex factors v(x, y, w) = sqrt([w+1] D(x,y,w)) in float64, 0 where inadmissible."""
+        qint, qfact = self._qint_f, self._qfact_f
+        V = np.zeros(self._adm.shape)
+        for x, y, w in zip(*(axis.tolist() for axis in np.nonzero(self._adm))):
+            V[x, y, w] = math.sqrt(
+                qint[w + 1] * qfact[(-x + y + w) // 2] * qfact[(x - y + w) // 2] * qfact[(x + y - w) // 2]
+                / qfact[(x + y + w) // 2 + 1]
+            )
+        return V
+
+    def _packed_tensors(self, slot_bits: int | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, int]:
+        """The gauge table as packed integers: (F, R, R_inv, D, B).
+
+        D is the common denominator of the table and B the slot width in
+        bits.  F[a, b, c, d, n, m] packs the power-basis coefficients c_i of
+        the integer polynomial D*F'' into one int, sum c_i 2^(iB), and is 0
+        where inadmissible.  A product of packed values is the packed
+        product polynomial (Kronecker substitution), not yet reduced modulo
+        Phi_N.  An R-symbol is a root of unity +-zeta^e = zeta^s with
+        0 <= s < N, packed as 2^(sB), so multiplying by it shifts a
+        polynomial by s slots; R_inv packs the conjugates.
+
+        Width bound.  Let H be the largest |c_i| over the table and phi the
+        degree of Phi_N.  A pentagon sum lhs*D - sum_x rhs_x has at most
+        k+2 terms: each rhs_x is a triple product, whose coefficients are
+        at most phi^2 H^3, and lhs*D is at most phi H^2 D.  A hexagon sum
+        has at most k+2 terms, each at most phi H^2 or H D.  So every
+        coefficient of every sum is at most (k+2) phi^2 H^3 D.  B is the
+        least multiple of 8 with 2^(B-1) above that bound; then the signed
+        base-2^B digits of a packed sum are exactly its coefficients, and a
+        sum that packs to 0 is the zero polynomial.  A given slot_bits is
+        checked against the same bound (IntegrityError if it cannot hold it).
+        """
+        table = self._gauge_table()
+        D = math.lcm(*(value.den for value in table.values()))
+        numerators = {labels: [c * (D // value.den) for c in value.num] for labels, value in table.items()}
+        H = max(abs(c) for coefficients in numerators.values() for c in coefficients)
+        phi = euler_phi(self.N)
+        bound = (self.k + 2) * phi * phi * H ** 3 * D
+        if slot_bits is None:
+            slot_bits = -(-(bound.bit_length() + 1) // 8) * 8
+        if slot_bits % 8 or bound >= 1 << (slot_bits - 1):
+            raise IntegrityError(
+                f"slot width {slot_bits} bits cannot hold packed coefficients up to {bound} "
+                f"(needs a multiple of 8 with 2^(B-1) > bound)"
+            )
+        size = self.k + 1
+        F = np.zeros((size,) * 6, dtype=object)
+        for (a, b, c, d, m, n), coefficients in numerators.items():
+            F[a, b, c, d, n, m] = sum(c_i << (i * slot_bits) for i, c_i in enumerate(coefficients))
+        R = np.zeros((size,) * 3, dtype=object)
+        R_inv = np.zeros((size,) * 3, dtype=object)
+        for a, b, c in zip(*(axis.tolist() for axis in np.nonzero(self._adm))):
+            sign, exponent = self._r_sign_exponent(a, b, c)
+            shift = (exponent + (self.N // 2 if sign % 2 else 0)) % self.N
+            R[a, b, c] = 1 << (shift * slot_bits)
+            R_inv[a, b, c] = 1 << ((-shift % self.N) * slot_bits)
+        return F, R, R_inv, D, slot_bits
+
+    def _settle(self, sums: np.ndarray, slot_bits: int, gauge) -> np.ndarray:
+        """Exact residuals of packed sums, one per identity.
+
+        A sum that packs to 0 is zero.  Any other sum is unpacked into its
+        signed base-2^B digits, the coefficients of a polynomial in zeta_N,
+        and reduced modulo Phi_N, which decides it: a zero reduction has
+        residual 0, and a nonzero value x has residual |x| / g with g the
+        row's factor from ``gauge()`` (the table's denominator power times
+        the vertex-factor ratio), the magnitude of the sum in the unitary gauge.
+        """
+        res = np.zeros(sums.shape)
+        packed = np.flatnonzero(sums != 0)
+        if not len(packed):
+            return res
+        values = sums.flat[packed].tolist()
+        # |value| >= 2^(B*degree - 1), so this leaves a spare slot above the top digit
+        slots = max(abs(v).bit_length() for v in values) // slot_bits + 1
+        width, half = slot_bits // 8, 1 << (slot_bits - 1)
+        bias = half * ((1 << (slots * slot_bits)) - 1) // ((1 << slot_bits) - 1)  # half in every slot
+        data = b"".join((v + bias).to_bytes(slots * width, "little") for v in values)
+        fold = _reduction_matrix(self.N, slots)
+        # int64 holds every digit and every reduced coefficient, or Python ints are used
+        dtype = np.int64 if width < 8 and half * int(np.abs(fold).sum(axis=0).max()) < 1 << 63 else object
+        raw = np.frombuffer(data, np.uint8).reshape(-1, width)
+        digits = np.zeros(len(raw), dtype)
+        for j in reversed(range(width)):
+            digits <<= 8
+            digits |= raw[:, j].astype(dtype)
+        digits -= half
+        reduced = digits.reshape(len(values), slots) @ fold.astype(dtype)
+        nonzero = np.flatnonzero(reduced.any(axis=1))
+        if len(nonzero):
+            factor = np.broadcast_to(np.asarray(gauge())[:, None], sums.shape).flat
+            for i, coefficients in zip(packed[nonzero].tolist(), reduced[nonzero].tolist()):
+                value = Cyc(self.N, tuple(int(c) for c in coefficients), 1)
+                res.flat[i] = abs(value.approx()) / factor[i]
+        return res
+
+    # -- instance enumerators and evaluators ------------------------------------------------
 
     def _pentagon_rows(self):
         """Pentagon instances (a,b,c,d,e,m,n,y,z) in lexicographic order, one block per (a,b).
@@ -477,7 +614,8 @@ class Model:
                 yield rows
 
     @staticmethod
-    def _pentagon_residuals(rows: np.ndarray, F: np.ndarray, R: np.ndarray) -> np.ndarray:
+    def _pentagon_sums(rows: np.ndarray, F: np.ndarray, R: np.ndarray, R_inv: np.ndarray, scale) -> np.ndarray:
+        """lhs * scale - rhs per row, one column; scale is 1 except for the packed table."""
         a, b, c, d, e, m, n, y, z = rows.T
         lhs = F[m, c, d, e, z, n] * F[a, b, z, e, y, m]
         rhs = np.zeros(len(rows), dtype=F.dtype)
@@ -490,18 +628,15 @@ class Model:
                     * F[a[live], x, d[live], e[live], y[live], n[live]]
                     * F[b[live], c[live], d[live], y[live], z[live], x]
                 )
-        return np.abs(lhs - rhs)[:, None]
+        if scale != 1:
+            lhs = lhs * scale
+        return (lhs - rhs)[:, None]
 
-    def _pentagon_terms(self, adm, a, b, c, d, e, m, n, y, z) -> tuple[list[Radical]]:
-        F, ctx = self.f_symbol, self.radicals
-        terms: list[Radical] = []
-        if adm[m][z][e]:
-            terms.append(F(m, c, d, e, n, z).mul(F(a, b, z, e, m, y), ctx))
-        for x in self.labels:
-            if adm[b][c][x] and adm[a][x][n] and adm[x][d][y]:
-                t12 = F(a, b, c, n, m, x).mul(F(a, x, d, e, n, y), ctx)
-                terms.append(t12.scaled(-1).mul(F(b, c, d, y, x, z), ctx))
-        return (terms,)
+    @staticmethod
+    def _pentagon_gauge(rows: np.ndarray, V: np.ndarray, D: int) -> np.ndarray:
+        """Per row, the packed pentagon sum over the unitary one: D^3 times the vertex-factor ratio."""
+        a, b, c, d, e, m, n, y, z = rows.T
+        return float(D) ** 3 * V[a, b, m] * V[m, c, n] * V[n, d, e] / (V[a, y, e] * V[c, d, z] * V[b, z, y])
 
     def _hexagon_rows(self):
         """Hexagon instances (a,b,c,d,m,n) with (ba)m, (mc)d, (ac)n, (bn)d admissible, one block per (a,b)."""
@@ -513,11 +648,12 @@ class Model:
                     yield np.column_stack((np.full_like(cdmn[0], a), np.full_like(cdmn[0], b), *cdmn))
 
     @staticmethod
-    def _hexagon_residuals(rows: np.ndarray, F: np.ndarray, R: np.ndarray) -> np.ndarray:
+    def _hexagon_sums(rows: np.ndarray, F: np.ndarray, R: np.ndarray, R_inv: np.ndarray, scale) -> np.ndarray:
+        """lhs * scale - rhs per row for the R and the R^{-1} hexagon, two columns."""
         a, b, c, d, m, n = rows.T
         f_bac = F[b, a, c, d, n, m]
         lhs1 = R[b, a, m] * f_bac * R[c, a, n]
-        lhs2 = np.conj(R[a, b, m]) * f_bac * np.conj(R[a, c, n])  # R inverse = conjugate
+        lhs2 = R_inv[a, b, m] * f_bac * R_inv[a, c, n]
         rhs1 = np.zeros(len(rows), dtype=R.dtype)
         rhs2 = np.zeros(len(rows), dtype=R.dtype)
         for x in range(F.shape[0]):
@@ -525,22 +661,17 @@ class Model:
             live = t1 != 0
             if live.any():
                 t3 = F[b[live], c[live], a[live], d[live], n[live], x]
-                r_mid = R[x, a[live], d[live]]
-                rhs1[live] += t1[live] * t3 * r_mid
-                rhs2[live] += t1[live] * t3 * np.conj(r_mid)
-        return np.column_stack((np.abs(lhs1 - rhs1), np.abs(lhs2 - rhs2)))
+                rhs1[live] += t1[live] * t3 * R[x, a[live], d[live]]
+                rhs2[live] += t1[live] * t3 * R_inv[x, a[live], d[live]]
+        if scale != 1:
+            lhs1, lhs2 = lhs1 * scale, lhs2 * scale
+        return np.column_stack((lhs1 - rhs1, lhs2 - rhs2))
 
-    def _hexagon_terms(self, adm, a, b, c, d, m, n) -> tuple[list[Radical], list[Radical]]:
-        F, R, ctx = self.f_symbol, self.r_symbol, self.radicals
-        f_bac = F(b, a, c, d, m, n)
-        hexagon = [f_bac.scaled(R(b, a, m) * R(c, a, n))]
-        inverse = [f_bac.scaled((R(a, b, m) * R(a, c, n)).conjugate())]
-        for x in self.labels:
-            if adm[b][c][x] and adm[a][x][d]:
-                t13 = F(a, b, c, d, m, x).mul(F(b, c, a, d, x, n), ctx)
-                hexagon.append(t13.scaled(-R(x, a, d)))
-                inverse.append(t13.scaled(-R(a, x, d).conjugate()))
-        return hexagon, inverse
+    @staticmethod
+    def _hexagon_gauge(rows: np.ndarray, V: np.ndarray, D: int) -> np.ndarray:
+        """Per row, the packed hexagon sums over the unitary ones: D^2 times the vertex-factor ratio."""
+        a, b, c, d, m, n = rows.T
+        return float(D) ** 2 * V[b, a, m] * V[m, c, d] / (V[a, c, n] * V[b, n, d])
 
     # -- fusion-rule axioms -------------------------------------------------------------
 
@@ -627,6 +758,12 @@ class Model:
 
 #: counterexamples kept per verification report
 MAX_FAILURES = 20
+
+
+@functools.lru_cache(maxsize=None)
+def _reduction_matrix(order: int, slots: int) -> np.ndarray:
+    """Row j: the power-basis coefficients of zeta_order^j, so digits @ matrix reduces mod Phi_order."""
+    return np.array([Cyc.root_of_unity(order, j % order).num for j in range(slots)], dtype=np.int64)
 
 
 @dataclass

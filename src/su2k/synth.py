@@ -9,8 +9,9 @@ candidate, and the projective distance to a target reads off the overlap
 expressions, so results do not depend on BLAS or on block sizes.
 
 States are deduplicated on a grid over the quaternion coordinates with the
-sign fixed by the largest one.  The resolution must leave a unit coordinate
-within the int32 key range, or distinct states would share a key.  Dedup is
+sign fixed by the largest one.  The resolution must lie below 1 (the
+coordinates lie in [-1, 1]) and leave a unit coordinate within the int32
+key range, or distinct states would share a key.  Dedup is
 vectorized and exact: keys are sorted by a 64-bit hash, and both repeats
 within a depth and hits in the sorted visited set are confirmed on the full
 key, so a hash collision never merges two states; the first occurrence in
@@ -61,8 +62,9 @@ class SearchConfig:
             raise DomainError(f"max_depth must be >= 1, got {self.max_depth}")
         if not self.tolerance > 0:
             raise DomainError(f"tolerance must be positive, got {self.tolerance}")
-        if not self.dedup_resolution > 0:
-            raise DomainError(f"dedup resolution must be positive, got {self.dedup_resolution}")
+        if not 0 < self.dedup_resolution < 1:
+            # quaternion coordinates lie in [-1, 1]: a cell of 1 or more merges distinct states
+            raise DomainError(f"dedup resolution must lie strictly between 0 and 1, got {self.dedup_resolution}")
         if not 1.0 / self.dedup_resolution < np.iinfo(_KEY_DTYPE).max:
             raise DomainError(
                 f"dedup resolution {self.dedup_resolution} is too fine: a unit coordinate over it "

@@ -98,6 +98,11 @@ class TestVerifyCommand:
     def test_non_positive_precision(self, bits):
         assert_usage_error("verify", "--k", "2", "--precision", bits)
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-9"])
+    def test_bad_tolerance(self, tol):
+        # a NaN or infinite tol would let every float residual pass
+        assert_usage_error("verify", "--k", "2", "--mode", "float", f"--tol={tol}")
+
     def test_exact_json_reports_zero_numeric_fallbacks(self):
         payload = json.loads(
             run_cli("verify", "--k", "4", "--mode", "exact", "--format", "json").stdout
@@ -183,6 +188,16 @@ class TestSynthCommand:
     ])
     def test_non_positive_search_limits(self, flag, value):
         assert_usage_error("synth", "--k", "3", "--profile-samples", "2", "--max-depth", "3", flag, value)
+
+    @pytest.mark.parametrize("grid", ["inf", "1", "5", "1e300"])
+    def test_coarse_grid(self, grid):
+        # coordinates lie in [-1, 1]: a cell of 1 or more merges distinct states
+        assert_usage_error("synth", "--k", "3", "--profile-samples", "2", "--max-depth", "3", "--grid", grid)
+
+    @pytest.mark.parametrize("grid", [("--grid", "0.5"), ()])
+    def test_coarse_but_valid_grid_runs(self, grid):
+        out = run_cli("synth", "--k", "3", "--profile-samples", "2", "--max-depth", "3", *grid).stdout
+        assert out.startswith("depth,explored,distinct,best_error,mean_error\n")
 
     def test_profile_csv(self):
         out = run_cli(

@@ -12,12 +12,26 @@ import pytest
 
 from su2k.cyclotomic import Cyc
 from su2k.errors import DomainError, IntegrityError
+import su2k.model as model_module
 from su2k.model import MAX_FAILURES, Model, get_model, label_str, parse_label
 from su2k.radicals import RadicalSum
 
 
 def f_value(model: Model, *labels) -> complex:
     return RadicalSum.from_terms(model.radicals, [model.f_symbol(*labels)]).approx()
+
+
+def corrupted_model(monkeypatch, mode: str) -> Model:
+    """A fresh k=3 model whose route for ``mode`` reads F(1,1,1,1; 0,0) doubled."""
+    bad = (1, 1, 1, 1, 0, 0)
+    m = Model(3)
+    if mode == "exact":
+        table = m._gauge_table()
+        table[bad] = table[bad] * 2
+    else:
+        six_j = m._six_j
+        monkeypatch.setattr(m, "_six_j", lambda labels, *tables: six_j(labels, *tables) * (2 if labels == bad else 1))
+    return m
 
 
 def reference_pentagon_instances(model: Model) -> set[tuple[int, ...]]:
@@ -303,11 +317,7 @@ class TestPentagonHexagon:
         ("float", 53, 1e-9), ("float", 256, 1e-30), ("exact", 53, 1e-9)
     ])
     def test_every_route_reports_a_corrupted_f_entry(self, monkeypatch, mode, precision, tol):
-        bad = (1, 1, 1, 1, 0, 0)
-        m = Model(3)
-        six_j, f_symbol = m._six_j, m.f_symbol
-        monkeypatch.setattr(m, "_six_j", lambda labels, *tables: six_j(labels, *tables) * (2 if labels == bad else 1))
-        monkeypatch.setattr(m, "f_symbol", lambda *labels: f_symbol(*labels).scaled(2 if labels == bad else 1))
+        m = corrupted_model(monkeypatch, mode)
         pentagon = m.verify_pentagon(mode, tol=tol, precision=precision)
         hexagon = m.verify_hexagon(mode, tol=tol, precision=precision)
         healthy = get_model(3).verify_pentagon(mode, tol=tol, precision=precision)
@@ -318,9 +328,92 @@ class TestPentagonHexagon:
         assert all(len(instance) == 9 for instance, _ in pentagon.failures)
         assert all(instance[0] in ("hex", "hex-inv") for instance, _ in hexagon.failures)
         if mode == "exact":
-            assert pentagon.numeric_fallbacks > 0 and hexagon.numeric_fallbacks > 0
-            assert pentagon.mode == hexagon.mode == "exact+numeric"
-            assert healthy.mode == "exact" and healthy.numeric_fallbacks == 0
+            # the corrupted sums are proved nonzero, not settled numerically
+            assert pentagon.mode == hexagon.mode == healthy.mode == "exact"
+            assert pentagon.numeric_fallbacks == hexagon.numeric_fallbacks == 0
+            assert len(pentagon.failures) == MAX_FAILURES and len(hexagon.failures) == 6
+
+    def test_exact_failures_are_unitary_gauge_magnitudes(self, monkeypatch):
+        # uncapped, the exact route finds 28 pentagon instances and 6 hexagon
+        # identities; each keeps its row key, and its residual (the gauge sum
+        # over the row's vertex factor) is what the float route measures for
+        # the same corrupted entry in the unitary gauge
+        exact, unitary = corrupted_model(monkeypatch, "exact"), corrupted_model(monkeypatch, "float")
+        capped = exact.verify_pentagon("exact").failures
+        monkeypatch.setattr(model_module, "MAX_FAILURES", 1000)
+        for verify, count in (("verify_pentagon", 28), ("verify_hexagon", 6)):
+            got = getattr(exact, verify)("exact")
+            want = getattr(unitary, verify)("float")
+            assert got.mode == "exact" and got.numeric_fallbacks == 0
+            assert len(got.failures) == len(want.failures) == count
+            assert [key for key, _ in got.failures] == [key for key, _ in want.failures]
+            for (_, residual), (_, expected) in zip(got.failures, want.failures):
+                assert residual == pytest.approx(expected, rel=1e-12)
+            if verify == "verify_pentagon":
+                assert got.failures[:MAX_FAILURES] == capped
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-9])
+    def test_bad_tolerance_rejected(self, tol):
+        m = get_model(2)
+        for mode in ("exact", "float"):
+            with pytest.raises(DomainError):
+                m.verify_pentagon(mode, tol=tol)
+            with pytest.raises(DomainError):
+                m.verify_hexagon(mode, tol=tol)
+
+
+class TestGaugeTable:
+    @pytest.mark.parametrize("k", range(2, 8))
+    def test_gauge_entries_are_unitary_f_times_vertex_factors(self, k):
+        m = get_model(k)
+        table, V = m._gauge_table(), m._vertex_float()
+        live = np.count_nonzero(np.einsum("abm,mcd,bcn,and->abcdnm", *(m._adm,) * 4))
+        assert len(table) == live
+        for (a, b, c, d, mm, n), value in table.items():
+            gauge = V[a, b, mm] * V[mm, c, d] / (V[b, c, n] * V[a, n, d])
+            z = value.approx()
+            assert abs(z.imag) < 1e-12
+            assert abs(z.real / gauge - m.f_symbol_float(a, b, c, d, mm, n)) < 1e-12
+
+    @pytest.mark.parametrize("k", [6, 7])
+    def test_exact_holds_with_float_instance_counts(self, k):
+        m = get_model(k)
+        for verify in (m.verify_pentagon, m.verify_hexagon):
+            exact, numeric = verify("exact"), verify("float")
+            assert exact.holds and exact.mode == "exact" and exact.max_residual == 0.0
+            assert exact.checked == numeric.checked
+
+    def test_wide_slots_settle_alike(self, monkeypatch):
+        # 64-bit slots unpack through Python ints instead of int64: same decisions, same residuals
+        m = corrupted_model(monkeypatch, "exact")
+        for rows in m._pentagon_rows():
+            got = [
+                m._settle(m._pentagon_sums(rows, F, R, R_inv, D), B,
+                          lambda: m._pentagon_gauge(rows, m._vertex_float(), D))
+                for F, R, R_inv, D, B in (m._packed_tensors(), m._packed_tensors(64))
+            ]
+            assert np.array_equal(*got)
+
+    def test_undersized_slot_width_raises(self):
+        m = Model(3)
+        width = m._packed_tensors()[4]
+        for bad in (width - 8, width + 1):
+            with pytest.raises(IntegrityError):
+                m._packed_tensors(bad)
+
+    def test_undersized_slot_width_raises_under_optimize(self):
+        code = (
+            "from su2k.errors import IntegrityError\n"
+            "from su2k.model import Model\n"
+            "m = Model(3)\n"
+            "try:\n"
+            "    m._packed_tensors(m._packed_tensors()[4] - 8)\n"
+            "except IntegrityError:\n"
+            "    print('raised')\n"
+        )
+        proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr[-400:]
+        assert proc.stdout.strip() == "raised"
 
 
 class TestUnitarity:

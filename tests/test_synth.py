@@ -234,6 +234,11 @@ class TestConfigValidation:
             SearchConfig(k=3, dedup_resolution=1 / np.iinfo(np.int32).max)
         SearchConfig(k=3, dedup_resolution=1e-9)
 
+    @pytest.mark.parametrize("resolution", [float("inf"), float("nan"), 1.0, 5.0])
+    def test_grid_must_be_finer_than_a_coordinate(self, resolution):
+        with pytest.raises(DomainError):
+            SearchConfig(k=3, dedup_resolution=resolution)
+
     def test_custom_generator_set(self):
         # quadruple braidings only: still searchable, word pieces match
         config = SearchConfig(k=3, max_depth=4, generators=((1, 4), (1, -4), (2, 4), (2, -4)))

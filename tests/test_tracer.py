@@ -20,10 +20,11 @@ TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
     [
         ("model", "--k", "2"),
         ("verify", "--k", "2"),
+        ("verify", "--k", "4", "--mode", "exact", "--format", "json"),
         ("universality", "--k", "3..4", "--format", "json"),
         ("synth", "--k", "3", "--profile-samples", "2", "--max-depth", "4"),
     ],
-    ids=["model", "verify", "universality", "synth"],
+    ids=["model", "verify", "verify-exact", "universality", "synth"],
 )
 def test_traced_run_matches_plain_cli(tmp_path, args):
     plain = subprocess.run([sys.executable, "-m", "su2k.cli", *args], capture_output=True, text=True)
