@@ -58,8 +58,11 @@ def _write_output(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise DomainError(f"cannot write output file {path!r}: {exc.strerror}")
 
 
 def _json_text(payload) -> str:
@@ -198,6 +201,8 @@ def _load_target(path: str) -> np.ndarray:
         matrix = np.array(
             [[complex(re, im) for re, im in row] for row in entries], dtype=complex
         )
+    except OSError as exc:
+        raise DomainError(f"cannot read target file {path!r}: {exc.strerror}")
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise DomainError(f"target file {path!r} is not a matrix JSON: {exc}")
     if matrix.shape != (2, 2):

@@ -744,14 +744,11 @@ class Model:
             },
             "spins": {
                 "exact": [s.exact_str() for s in spins],
-                "float": [[s.approx().real, s.approx().imag] for s in spins],
+                "float": [[z.real, z.imag] for z in (s.approx() for s in spins)],
             },
             "S": {
                 "exact": [[entry.exact_str() for entry in row] for row in smatrix],
-                "float": [
-                    [[entry.approx().real, entry.approx().imag] for entry in row]
-                    for row in smatrix
-                ],
+                "float": [[[z.real, z.imag] for z in (entry.approx() for entry in row)] for row in smatrix],
             },
         }
 
@@ -775,7 +772,7 @@ class VerificationReport:
     checked: int
     failures: list[tuple] = field(default_factory=list)
     max_residual: float = 0.0
-    numeric_fallbacks: int = 0
+    numeric_fallbacks: int = 0  # always 0 (every exact sum is decided exactly); kept in the verify JSON
 
     @property
     def holds(self) -> bool:
@@ -784,8 +781,7 @@ class VerificationReport:
     def summary(self) -> str:
         status = "holds" if self.holds else f"FAILS ({len(self.failures)} counterexamples, first: {self.failures[0]})"
         extra = f", max residual {self.max_residual:.3e}" if self.mode.startswith("float") else ""
-        fallback = f", {self.numeric_fallbacks} numeric fallbacks" if self.numeric_fallbacks else ""
-        return f"{self.name} [{self.mode}] over {self.checked} instances: {status}{extra}{fallback}"
+        return f"{self.name} [{self.mode}] over {self.checked} instances: {status}{extra}"
 
 
 @functools.lru_cache(maxsize=None)

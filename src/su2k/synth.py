@@ -60,8 +60,10 @@ class SearchConfig:
     def __post_init__(self):
         if self.max_depth < 1:
             raise DomainError(f"max_depth must be >= 1, got {self.max_depth}")
-        if not self.tolerance > 0:
-            raise DomainError(f"tolerance must be positive, got {self.tolerance}")
+        if self.beam_width < 0:
+            raise DomainError(f"beam width must be >= 0 (0 = exhaustive), got {self.beam_width}")
+        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
+            raise DomainError(f"tolerance must be a positive finite number, got {self.tolerance}")
         if not 0 < self.dedup_resolution < 1:
             # quaternion coordinates lie in [-1, 1]: a cell of 1 or more merges distinct states
             raise DomainError(f"dedup resolution must lie strictly between 0 and 1, got {self.dedup_resolution}")

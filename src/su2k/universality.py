@@ -5,11 +5,12 @@ generators, U = rho~(s1^2 s2^4) and V = rho~(s1^2 s2^6), plus their
 commutator.  Both are computed exactly as 2x2 matrices over the cyclotomic
 field adjoined a single radical.  Their traces are radical-free, so each
 trace is an exact cyclotomic number, and the question "is the rotation angle
-a rational multiple of pi?" is decided exactly: the half-trace is a cosine of
-a rational angle iff its minimal polynomial matches the minimal polynomial of
-2cos(2*pi/m) for an admissible m (plus the classical rational cases 0, +-1/2,
-+-1).  Two non-commuting infinite-order special unitaries generate a dense
-subgroup of SU(2), which yields the verdict.
+a rational multiple of pi?" is decided exactly by the conductor: a trace t in
+Q(zeta_N) is 2cos of a rational multiple of 2*pi iff t = zeta_M^a + zeta_M^-a
+for some 0 <= a <= M/2, M = lcm(N, 12) (Washington, Introduction to
+Cyclotomic Fields, GTM 83, ch. 3; Niven's theorem for rational t).  Two
+non-commuting infinite-order special unitaries generate a dense subgroup of
+SU(2), which yields the verdict.
 
 The module also decides exact rationality of rational-coefficient sums of
 cosines of rational angles, and matches small instances against the
@@ -25,13 +26,8 @@ from fractions import Fraction
 import numpy as np
 
 from .braids import qubit_rep_exact
-from .cyclotomic import (
-    Cyc,
-    cos_pi_fraction,
-    euler_phi,
-    min_poly_2cos,
-    minimal_polynomial,
-)
+from .cyclotomic import Cyc, cos_pi_fraction, euler_phi, minimal_polynomial
+from .cyclotomic import min_poly_2cos  # noqa: F401  (unused; bench/tracer.py patches it here)
 from .errors import DomainError, IntegrityError
 from .model import get_model
 from .radicals import RadicalSum, mat_adjugate2, mat_approx, mat_det2, mat_mul, mat_trace
@@ -149,65 +145,47 @@ class OrderDecision:
     angle_numerator: int | None = None  # theta = 2*pi*j/m with j = numerator
 
 
-_RATIONAL_COS_ORDERS = {
-    Fraction(2): (1, 0),  # eigenvalue 1
-    Fraction(-2): (2, 1),  # eigenvalue -1
-    Fraction(0): (4, 1),
-    Fraction(1): (6, 1),
-    Fraction(-1): (3, 1),
-}
-
-
-def decide_projective_order_from_trace(trace: Cyc, k: int) -> OrderDecision:
+def decide_projective_order_from_trace(trace: Cyc) -> OrderDecision:
     """Decide whether e^{i*theta} with 2cos(theta) = trace is a root of unity.
 
-    Exact procedure: a real algebraic number t equals 2cos(2*pi*j/m) with
-    gcd(j, m) = 1 iff its minimal polynomial over Q equals that of
-    2cos(2*pi/m); for rational t the classical rational-cosine values are the
-    only candidates.  A match needs phi(m) = 2*deg(t), and phi(m) >= sqrt(m/2)
-    gives m <= 2*phi(m)^2, so every candidate m is tried and "infinite" is
-    exact.  k (the level the trace comes from) only labels errors.
+    Exact rule: with M = lcm(trace.order, 12), e^{i*theta} has finite order
+    iff trace = zeta_M^a + zeta_M^-a in Q(zeta_M) for some 0 <= a <= M/2.
+    Then, with g = gcd(a, M), the eigenvalue order is m = M/g and the angle
+    numerator is j = a/g (theta = 2*pi*j/m, gcd(j, m) = 1); the projective
+    order is m, or m/2 for even m.
+
+    Proof that the lookup is complete.  Suppose trace = 2cos(2*pi*j/m) with
+    gcd(j, m) = 1; it suffices to show m | M, for then zeta_m^j = zeta_M^a.
+    - Irrational trace: Q(trace) is the real subfield of Q(zeta_m), whose
+      conductor is m if m != 2 (mod 4) and m/2 otherwise.  A subfield of
+      Q(zeta_M) has conductor dividing M (Washington, Introduction to
+      Cyclotomic Fields, GTM 83, ch. 3), so m | M, or m/2 | M with m/2
+      odd, and then m | M as well because M is even (4 | M).
+    - Rational trace: by Niven's theorem m is 1, 2, 3, 4 or 6, each of
+      which divides 12 and so M.
+    - Uniqueness: a -> 2cos(2*pi*a/M) is injective on [0, M/2], so at most
+      one a matches, and j/m is determined.
     """
-    rational = trace.as_rational()
-    if rational is not None:
-        hit = _RATIONAL_COS_ORDERS.get(rational)
-        if hit is None:
-            return OrderDecision(False)
-        m, j = hit
-        return OrderDecision(
-            True,
-            projective_order=m if m % 2 else m // 2,
-            eigenvalue_order=m,
-            angle_numerator=j,
-        )
-    poly = minimal_polynomial(trace)
-    target_phi = 2 * (len(poly) - 1)
-    matches = [
-        m
-        for m in range(3, 2 * target_phi * target_phi + 1)
-        if euler_phi(m) == target_phi and min_poly_2cos(m) == poly
-    ]
-    if not matches:
-        return OrderDecision(False)
-    if len(matches) > 1:
-        raise IntegrityError(f"minimal polynomial matched several angle orders at k={k}: {matches}")
-    m = matches[0]
-    value = trace.approx(128).real
-    j = next(
+    order = math.lcm(trace.order, 12)
+    lifted = trace.lift(order)
+    # two separate roots, not one exponent map: at a = 0 and a = M/2 they coincide
+    a = next(
         (
-            j
-            for j in range(1, m // 2 + 1)
-            if math.gcd(j, m) == 1 and abs(2 * math.cos(2 * math.pi * j / m) - float(value)) < 1e-9
+            a
+            for a in range(order // 2 + 1)
+            if lifted == Cyc.root_of_unity(order, a) + Cyc.root_of_unity(order, -a)
         ),
         None,
     )
-    if j is None:
-        raise IntegrityError(f"matched order {m} at k={k} but no conjugate angle agrees numerically")
+    if a is None:
+        return OrderDecision(False)
+    g = math.gcd(a, order)
+    m = order // g
     return OrderDecision(
         True,
         projective_order=m if m % 2 else m // 2,
         eigenvalue_order=m,
-        angle_numerator=j,
+        angle_numerator=a // g,
     )
 
 
@@ -380,7 +358,7 @@ class Certificate:
                     "eigenvalue_order": dec.eigenvalue_order,
                     "angle": f"2*pi*{dec.angle_numerator}/{dec.eigenvalue_order}",
                 }
-            # a fixed function of k, kept in the schema: no candidate m has phi(m) above it
+            # a fixed function of k, kept for the certificate-v1 schema; the decision needs no bound
             return {"finite": False, "candidate_phi_bound": 2 * euler_phi(4 * (self.k + 2))}
 
         return {
@@ -418,8 +396,8 @@ def certificate(k: int) -> Certificate:
     trace_a, trace_b, trace_w = pair.traces()
     for which, tr in (("A", trace_a), ("B", trace_b), ("W", trace_w)):
         trace_cosine_identity(which, k, tr)
-    order_a = decide_projective_order_from_trace(trace_a, k)
-    order_b = decide_projective_order_from_trace(trace_b, k)
+    order_a = decide_projective_order_from_trace(trace_a)
+    order_b = decide_projective_order_from_trace(trace_b)
     commutator_nontrivial = trace_w != 2
     reasons = []
     if order_a.finite:

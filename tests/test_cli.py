@@ -55,6 +55,9 @@ class TestModelCommand:
     def test_range_rejected(self):
         run_cli("model", "--k", "2..4", expect=2)
 
+    def test_output_in_missing_directory_usage_error(self, tmp_path):
+        assert_usage_error("model", "--k", "2", "--output", str(tmp_path / "missing" / "x.json"))
+
 
 class TestVerifyCommand:
     def test_small_range_passes(self):
@@ -184,7 +187,7 @@ class TestSynthCommand:
 
     @pytest.mark.parametrize("flag, value", [
         ("--grid", "0"), ("--grid", "-0.5"), ("--grid", "nan"),
-        ("--max-states", "0"), ("--max-states", "-5"),
+        ("--max-states", "0"), ("--max-states", "-5"), ("--beam-width", "-3"), ("--tol", "inf"),
     ])
     def test_non_positive_search_limits(self, flag, value):
         assert_usage_error("synth", "--k", "3", "--profile-samples", "2", "--max-depth", "3", flag, value)
@@ -215,6 +218,9 @@ class TestSynthCommand:
         run_cli("synth", "--k", "3", "--target", target_file, "--max-depth", "7",
                 "--output", str(out2))
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_directory_target_usage_error(self, tmp_path):
+        assert_usage_error("synth", "--k", "3", "--target", str(tmp_path))
 
     def test_malformed_target_exit_2(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -215,8 +215,15 @@ class TestConfigValidation:
             SearchConfig(k=3, max_depth=0)
 
     def test_bad_tolerance(self):
+        # an infinite tolerance would stop a target search at depth 1 and call it a hit
+        for tolerance in (0, -1e-9, float("inf"), float("nan")):
+            with pytest.raises(DomainError):
+                SearchConfig(k=3, tolerance=tolerance)
+
+    def test_negative_beam_width(self):
         with pytest.raises(DomainError):
-            SearchConfig(k=3, tolerance=0)
+            SearchConfig(k=3, beam_width=-3)
+        SearchConfig(k=3, beam_width=0)  # 0 = exhaustive
 
     def test_generators_must_be_double_braids(self):
         with pytest.raises(DomainError):

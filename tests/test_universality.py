@@ -2,12 +2,13 @@
 rational cosine sums."""
 
 import cmath
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from su2k.cyclotomic import Cyc, cos_pi_fraction, minimal_polynomial
+from su2k.cyclotomic import Cyc, cos_pi_fraction, euler_phi, min_poly_2cos, minimal_polynomial
 from su2k.errors import DomainError
 from su2k.radicals import mat_approx, mat_det2, mat_mul, mat_trace
 from su2k.regression import REFERENCE
@@ -36,6 +37,55 @@ def projective_order_heuristic(matrix: np.ndarray, max_power: int = 10_000, tol:
             return n
         power = power @ matrix
     return None
+
+
+#: Niven's theorem: the rational values of 2cos(2*pi*j/m), as trace -> (m, j)
+_RATIONAL_COS_ORDERS = {
+    Fraction(2): (1, 0),
+    Fraction(-2): (2, 1),
+    Fraction(0): (4, 1),
+    Fraction(1): (6, 1),
+    Fraction(-1): (3, 1),
+}
+
+
+def order_by_minimal_polynomial(trace: Cyc) -> OrderDecision:
+    """Reference decision: match the trace's minimal polynomial against 2cos(2*pi/m).
+
+    Rational traces come from Niven's table.  Otherwise a match needs
+    phi(m) = 2*deg(t), and phi(m) >= sqrt(m/2) bounds m by 2*phi^2, so every
+    m is tried; the angle numerator is then picked among the conjugate
+    angles numerically.  Slow at large orders, but independent of the
+    conductor rule it checks.
+    """
+    rational = trace.as_rational()
+    if rational is not None:
+        if rational not in _RATIONAL_COS_ORDERS:
+            return OrderDecision(False)
+        m, j = _RATIONAL_COS_ORDERS[rational]
+    else:
+        poly = minimal_polynomial(trace)
+        target_phi = 2 * (len(poly) - 1)
+        matches = [
+            m
+            for m in range(3, 2 * target_phi * target_phi + 1)
+            if euler_phi(m) == target_phi and min_poly_2cos(m) == poly
+        ]
+        if not matches:
+            return OrderDecision(False)
+        (m,) = matches
+        value = float(trace.approx(128).real)
+        (j,) = [
+            j
+            for j in range(1, m // 2 + 1)
+            if math.gcd(j, m) == 1 and abs(2 * math.cos(2 * math.pi * j / m) - value) < 1e-9
+        ]
+    return OrderDecision(True, m if m % 2 else m // 2, m, j)
+
+
+def two_cos(m: int, j: int, order: int) -> Cyc:
+    """2cos(2*pi*j/m) stored in Q(zeta_order), order a multiple of m."""
+    return (Cyc.root_of_unity(m, j) + Cyc.root_of_unity(m, -j)).lift(order)
 
 
 def displayed_witnesses(k: int):
@@ -128,44 +178,69 @@ class TestSpecialValues:
 class TestOrderDecision:
     def test_k4_finite_order_two(self):
         order = REFERENCE["finite_orders"][4][0]
-        dec = decide_projective_order_from_trace(witnesses(4).traces()[0], 4)
+        dec = decide_projective_order_from_trace(witnesses(4).traces()[0])
         assert dec == OrderDecision(True, order, 4, 1)
         a_num = mat_approx(witnesses(4).a)
         assert np.max(np.abs(np.linalg.matrix_power(a_num, order) + np.eye(2))) < 1e-9
 
     def test_k8_finite_order_three(self):
         order = REFERENCE["finite_orders"][8][0]
-        dec = decide_projective_order_from_trace(witnesses(8).traces()[0], 8)
+        dec = decide_projective_order_from_trace(witnesses(8).traces()[0])
         assert dec.finite and dec.projective_order == order
         a_num = mat_approx(witnesses(8).a)
         assert np.max(np.abs(np.linalg.matrix_power(a_num, order) - np.eye(2))) < 1e-9
 
     @pytest.mark.parametrize("k", [3, 5, 6, 7, 9, 10, 11, 12])
     def test_infinite_for_dense_levels(self, k):
-        dec = decide_projective_order_from_trace(witnesses(k).traces()[0], k)
+        dec = decide_projective_order_from_trace(witnesses(k).traces()[0])
         assert dec == OrderDecision(False)
 
     def test_rational_trace_table(self):
-        assert decide_projective_order_from_trace(Cyc.rational(2), 3).projective_order == 1
-        assert decide_projective_order_from_trace(Cyc.rational(-2), 3).projective_order == 1
-        assert decide_projective_order_from_trace(Cyc.rational(0), 3).projective_order == 2
-        assert decide_projective_order_from_trace(Cyc.rational(1), 3).projective_order == 3
-        assert decide_projective_order_from_trace(Cyc.rational(-1), 3).projective_order == 3
+        assert decide_projective_order_from_trace(Cyc.rational(2)).projective_order == 1
+        assert decide_projective_order_from_trace(Cyc.rational(-2)).projective_order == 1
+        assert decide_projective_order_from_trace(Cyc.rational(0)).projective_order == 2
+        assert decide_projective_order_from_trace(Cyc.rational(1)).projective_order == 3
+        assert decide_projective_order_from_trace(Cyc.rational(-1)).projective_order == 3
         # Niven: any other rational cosine value has infinite order
-        assert not decide_projective_order_from_trace(Cyc.rational(Fraction(1, 2)), 3).finite
+        assert not decide_projective_order_from_trace(Cyc.rational(Fraction(1, 2))).finite
 
     def test_matched_angle_reproduces_trace(self):
-        dec = decide_projective_order_from_trace(
-            Cyc.root_of_unity(7) + Cyc.root_of_unity(7, -1), 5
-        )
+        dec = decide_projective_order_from_trace(Cyc.root_of_unity(7) + Cyc.root_of_unity(7, -1))
         assert dec.finite and dec.eigenvalue_order == 7 and dec.projective_order == 7
         assert dec.angle_numerator == 1
 
     def test_matched_angle_in_a_larger_field(self):
         # 2cos(2pi/7) stored at order 4(k+2) = 112, the field a k=26 trace lives in
         trace = (Cyc.root_of_unity(7) + Cyc.root_of_unity(7, -1)).lift(112)
-        dec = decide_projective_order_from_trace(trace, 26)
+        dec = decide_projective_order_from_trace(trace)
         assert dec == OrderDecision(True, 7, 7, 1)
+
+    @pytest.mark.parametrize("order", [1, 5, 12, 28, 60])
+    def test_plus_minus_two(self, order):
+        # a = 0 and a = M/2, where zeta^a and zeta^-a coincide
+        assert decide_projective_order_from_trace(Cyc.rational(2, order)) == OrderDecision(True, 1, 1, 0)
+        assert decide_projective_order_from_trace(Cyc.rational(-2, order)) == OrderDecision(True, 1, 2, 1)
+
+    def test_reference_agrees_on_witnesses(self):
+        for k in range(2, 41):
+            for tr in witnesses(k).traces():
+                assert decide_projective_order_from_trace(tr) == order_by_minimal_polynomial(tr), k
+
+    @pytest.mark.parametrize("m, order", [
+        (5, 5), (5, 20), (5, 35), (7, 7), (7, 28), (7, 49), (8, 8), (8, 56), (9, 9), (9, 36),
+        (15, 15), (15, 60), (35, 35), (35, 140), (35, 245),
+    ])
+    def test_reference_agrees_on_rational_angles(self, m, order):
+        # orders with and without the factors 4 and 3; the rule lifts each to lcm(order, 12)
+        for j in range(0, m, 12 if order > 200 else 1):
+            trace = two_cos(m, j, order)
+            dec = decide_projective_order_from_trace(trace)
+            assert dec == order_by_minimal_polynomial(trace), (m, j, order)
+            assert dec.eigenvalue_order == m // math.gcd(j, m)
+            assert two_cos(dec.eigenvalue_order, dec.angle_numerator, order) == trace
+            shifted = trace + Fraction(1, 3)
+            assert decide_projective_order_from_trace(shifted) == order_by_minimal_polynomial(shifted)
+            assert not decide_projective_order_from_trace(shifted).finite
 
     @pytest.mark.parametrize("k", range(2, K_MAX + 1))
     def test_heuristic_agrees(self, k):
@@ -173,7 +248,7 @@ class TestOrderDecision:
         ta, tb, _ = pair.traces()
         an, bn, _ = pair.numeric()
         for tr, mat in ((ta, an), (tb, bn)):
-            exact = decide_projective_order_from_trace(tr, k)
+            exact = decide_projective_order_from_trace(tr)
             heuristic = projective_order_heuristic(mat)
             if exact.finite:
                 assert heuristic == exact.projective_order
