@@ -8,8 +8,15 @@ addition, multiplication, the Galois action and lifting run on Python ints;
 reduction reads a sparse integer table of zeta^j mod Phi_N.  The form is
 canonical (numerators and denominator coprime), so equality of two elements
 of one order is tuple equality.  Operands of different orders are lifted to
-Q(zeta_lcm) first.  The rational coefficients are still available as
-``Cyc.coeffs`` and are what :meth:`Cyc.exact_str` prints.
+Q(zeta_lcm) first.  The rational coefficients are available as
+``Cyc.coeffs``; :meth:`Cyc.exact_str` prints the same lowest-terms ratios
+straight from the integers.
+
+The numeric embedding reads zeta^e for 0 <= e < phi from a table cached per
+(order, precision), each entry ``expjpi(2e/N)`` at the working precision, and
+adds c/den * zeta^e over the nonzero numerators with c/den reduced by their
+gcd.  That is the arithmetic of a fresh ``Fraction`` and ``expjpi`` per
+term, in the same order, so the results are bit-identical to it.
 
 Inversion multiplies the phi - 1 nontrivial Galois conjugates and divides by
 the rational norm, so it too runs on integers, but it is the one costly field
@@ -18,8 +25,8 @@ set of values once (quantum factorials, radical symbols) and invert roots of
 unity with :meth:`Cyc.conjugate`.
 
 The module also provides the supporting number theory: Euler phi, cyclotomic
-polynomials, exact square roots of squarefree integers via Gauss sums, minimal
-polynomials over Q via Galois orbits, and high-precision numeric embedding.
+polynomials, exact square roots of squarefree integers via Gauss sums, and
+minimal polynomials over Q via Galois orbits.
 """
 
 from __future__ import annotations
@@ -65,27 +72,30 @@ def squarefree_decomposition(n: int) -> tuple[int, int]:
     return s, f
 
 
-def divisors(n: int) -> list[int]:
-    """All positive divisors of n, ascending."""
-    out = [1]
-    for p, e in factorize(n).items():
-        out = [d * p ** i for d in out for i in range(e + 1)]
-    return sorted(out)
-
-
 @functools.lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """Integer coefficients of the n-th cyclotomic polynomial, constant first.
 
-    Computed by dividing x^n - 1 by the cyclotomic polynomials of the proper
-    divisors of n.
+    Built from Phi_1 = x - 1 with two identities: Phi_{pm}(x) = Phi_m(x^p) /
+    Phi_m(x) for a prime p not dividing m, one exact division per prime
+    factor of n, and Phi_n(x) = Phi_r(x^{n/r}) with r the product of those
+    primes (Lang, Algebra, ch. VI, section 3).
     """
     if n < 1:
         raise ValueError(f"cyclotomic_polynomial needs n >= 1, got {n}")
-    poly = [-1] + [0] * (n - 1) + [1]
-    for d in divisors(n)[:-1]:
-        poly = _int_poly_div_exact(poly, list(cyclotomic_polynomial(d)))
-    return tuple(poly)
+    poly = [-1, 1]
+    radical = 1
+    for p in factorize(n):
+        poly = _int_poly_div_exact(_spread(poly, p), poly)
+        radical *= p
+    return tuple(_spread(poly, n // radical))
+
+
+def _spread(poly: list[int], step: int) -> list[int]:
+    """poly(x^step), constant first."""
+    out = [0] * (step * (len(poly) - 1) + 1)
+    out[::step] = poly
+    return out
 
 
 def _int_poly_div_exact(num: list[int], den: list[int]) -> list[int]:
@@ -367,30 +377,44 @@ class Cyc:
         return self._approx_mp(bits)
 
     def _approx_mp(self, bits: int) -> mpmath.mpc:
+        powers = _zeta_powers(self.order, bits)
+        den = self.den
         with mpmath.workprec(bits + 16):
             total = mpmath.mpc(0)
-            n = self.order
-            for e, c in enumerate(self.coeffs):
+            for e, c in enumerate(self.num):
                 if c:
-                    w = mpmath.expjpi(mpmath.mpf(2 * e) / n)
-                    total += w * mpmath.mpf(c.numerator) / c.denominator
+                    g = math.gcd(c, den)  # c/den in lowest terms, as a Fraction would hold it
+                    total += powers[e] * mpmath.mpf(c // g) / (den // g)
             return +total
 
     # -- formatting ----------------------------------------------------------
 
     def exact_str(self) -> str:
         """Serialization "c0 + c1*z^1 + ...; N=order" used by the JSON emitters."""
-        coeffs = self.coeffs
-        parts = [str(coeffs[0])] if coeffs[0] or len(coeffs) == 1 else []
-        for e, c in enumerate(coeffs[1:], start=1):
+        num = self.num
+        parts = [_ratio_str(num[0], self.den)] if num[0] or len(num) == 1 else []
+        for e, c in enumerate(num[1:], start=1):
             if c:
-                parts.append(f"{c}*z^{e}")
+                parts.append(f"{_ratio_str(c, self.den)}*z^{e}")
         if not parts:
             parts = ["0"]
         return " + ".join(parts) + f"; N={self.order}"
 
     def __repr__(self) -> str:
         return f"Cyc({self.exact_str()!r})"
+
+
+@functools.lru_cache(maxsize=None)
+def _zeta_powers(order: int, bits: int) -> tuple[mpmath.mpc, ...]:
+    """zeta_order^e = expjpi(2e/order) for 0 <= e < phi(order), at working precision bits + 16."""
+    with mpmath.workprec(bits + 16):
+        return tuple(mpmath.expjpi(mpmath.mpf(2 * e) / order) for e in range(euler_phi(order)))
+
+
+def _ratio_str(c: int, den: int) -> str:
+    """c/den in lowest terms, printed as str(Fraction(c, den)) would print it (den > 0)."""
+    g = math.gcd(c, den)
+    return str(c // g) if den == g else f"{c // g}/{den // g}"
 
 
 def _coerce(value: Cyc | int | Fraction) -> Cyc:

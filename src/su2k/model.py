@@ -15,13 +15,14 @@ The recoupling data has an exact and a numeric form:
   float64 or directly in mpmath at a requested precision.
 
 Pentagon and hexagon verification is one engine: an admissibility table
-A[a, b, c] built once per model, one instance enumerator per axiom yielding
-bounded index blocks, and one vectorized evaluator per axiom of the signed
-sums lhs - rhs over zero-extended F/R tensors.  The tensors hold float64 or
-mpmath numbers, or, in exact mode, the gauge table packed into Python ints
-(Kronecker substitution), whose sums are then decided in Q(zeta_N).
-Topological spins, quantum dimensions and the modular S-matrix live here as
-well.
+A[a, b, c] built once per model on first use, one instance enumerator per
+axiom yielding bounded index blocks, and one vectorized evaluator per axiom
+of the signed sums lhs - rhs over zero-extended F/R tensors.  The tensors
+hold float64 or mpmath numbers, or, in exact mode, the gauge table packed
+into Python ints (Kronecker substitution), whose sums are then decided in
+Q(zeta_N).  Topological spins, quantum dimensions and the modular S-matrix
+live here as well; they are validated once per model, the spin condition on
+exponents of zeta_N.
 """
 
 from __future__ import annotations
@@ -74,10 +75,15 @@ class Model:
         context_symbols = {n: self.qint(n) for n in range(1, k + 2)}
         self.radicals = RadicalContext(context_symbols)
         self._qint_f, self._qfact_f = self._q_tables(math.sin, math.pi)
-        self._adm = np.zeros((k + 1,) * 3, dtype=bool)  # A[a, b, c]: (a, b; c) is admissible
+
+    @functools.cached_property
+    def _adm(self) -> np.ndarray:
+        """A[a, b, c]: (a, b; c) is admissible.  Built on first use; certificates never read it."""
+        adm = np.zeros((self.k + 1,) * 3, dtype=bool)
         for a in self.labels:
             for b in self.labels:
-                self._adm[a, b, list(self.fusion(a, b))] = True
+                adm[a, b, list(self.fusion(a, b))] = True
+        return adm
 
     def _q_tables(self, sin, pi) -> tuple[list, list]:
         """[n] = sin(n pi/(k+2)) / sin(pi/(k+2)) and [n]! for n < 2k+4, in the arithmetic of sin and pi."""
@@ -310,19 +316,36 @@ class Model:
         """Validated spin table, dimension table, and S-matrix.
 
         Raises IntegrityError if the spin condition, the Perron-Frobenius
-        cross-check, or S-matrix invertibility fails.
+        cross-check, or S-matrix invertibility fails.  The checks run once per
+        model; every call returns fresh lists of the same values.
         """
-        spins = [self.spin(a) for a in self.labels]
-        # spin condition theta_c / (theta_a theta_b) = R^{ab}_c R^{ba}_c
+        spins, dims, smatrix, _ = self._validated_tables
+        return list(spins), list(dims), [list(row) for row in smatrix]
+
+    def _spin_condition_holds(self, a: int, b: int, c: int) -> bool:
+        """theta_c / (theta_a theta_b) = R^{ab}_c R^{ba}_c, decided on exponents of zeta_N.
+
+        theta_x = zeta^{x(x+2)}, R = (-1)^sign zeta^exponent and -1 = zeta^{N/2},
+        so both sides are powers of zeta, and zeta^x = zeta^y iff x = y (mod N):
+        this is the exact comparison of the two sides in Q(zeta_N).
+        """
+        sign_ab, exp_ab = self._r_sign_exponent(a, b, c)
+        sign_ba, exp_ba = self._r_sign_exponent(b, a, c)
+        lhs = c * (c + 2) - a * (a + 2) - b * (b + 2)
+        rhs = exp_ab + exp_ba + (sign_ab + sign_ba) * (self.N // 2)
+        return (lhs - rhs) % self.N == 0
+
+    @functools.cached_property
+    def _validated_tables(self) -> tuple[list[Cyc], list[Cyc], list[list[Cyc]], list[list[complex]]]:
+        """(spins, dims, S, S as complex floats), checked as spins_dims_smatrix documents."""
         for a in self.labels:
             for b in self.labels:
                 for c in self.fusion(a, b):
-                    lhs = spins[c] * (spins[a] * spins[b]).conjugate()
-                    rhs = self.r_symbol(a, b, c) * self.r_symbol(b, a, c)
-                    if lhs != rhs:
+                    if not self._spin_condition_holds(a, b, c):
                         raise IntegrityError(
                             f"spin condition fails at ({label_str(a)},{label_str(b)};{label_str(c)})"
                         )
+        spins = [self.spin(a) for a in self.labels]
         dims = [self.dim_exact(a) for a in self.labels]
         pf = self.dims_perron_frobenius()
         for a in self.labels:
@@ -333,20 +356,21 @@ class Model:
                 )
             if exact <= 0:
                 raise IntegrityError(f"non-positive quantum dimension at {label_str(a)}")
+        twisted = [spins[c] * dims[c] for c in self.labels]
         smatrix = []
         for a in self.labels:
             row = []
             for b in self.labels:
                 acc = Cyc.rational(0)
                 for c in self.fusion(a, b):  # dual(a) = a
-                    acc = acc + spins[c] * dims[c]
+                    acc = acc + twisted[c]
                 row.append(acc * (spins[a] * spins[b]).conjugate())
             smatrix.append(row)
-        s_num = np.array([[entry.approx() for entry in row] for row in smatrix])
-        smallest_sv = min(np.linalg.svd(s_num, compute_uv=False))
+        s_float = [[entry.approx() for entry in row] for row in smatrix]
+        smallest_sv = min(np.linalg.svd(np.array(s_float), compute_uv=False))
         if smallest_sv < 1e-8:
             raise IntegrityError(f"S-matrix is numerically singular (sigma_min={smallest_sv})")
-        return spins, dims, smatrix
+        return spins, dims, smatrix, s_float
 
     # -- pentagon / hexagon verification -----------------------------------------------
 
@@ -748,7 +772,7 @@ class Model:
             },
             "S": {
                 "exact": [[entry.exact_str() for entry in row] for row in smatrix],
-                "float": [[[z.real, z.imag] for z in (entry.approx() for entry in row)] for row in smatrix],
+                "float": [[[z.real, z.imag] for z in row] for row in self._validated_tables[3]],
             },
         }
 

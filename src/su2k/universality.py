@@ -26,7 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from .braids import qubit_rep_exact
-from .cyclotomic import Cyc, cos_pi_fraction, euler_phi, minimal_polynomial
+from .cyclotomic import Cyc, _power_table, cos_pi_fraction, euler_phi, minimal_polynomial
 from .cyclotomic import min_poly_2cos  # noqa: F401  (unused; bench/tracer.py patches it here)
 from .errors import DomainError, IntegrityError
 from .model import get_model
@@ -165,18 +165,19 @@ def decide_projective_order_from_trace(trace: Cyc) -> OrderDecision:
       which divides 12 and so M.
     - Uniqueness: a -> 2cos(2*pi*a/M) is injective on [0, M/2], so at most
       one a matches, and j/m is determined.
+    - Integrality: every candidate zeta_M^a + zeta_M^-a lies in Z[zeta_M],
+      and the power basis is an integral basis of Z[zeta_M] (Phi_M is monic
+      with integer coefficients), so each candidate has integer coordinates.
+      The canonical form of the lifted trace has a denominator other than 1
+      iff some coordinate is not an integer; then no candidate matches and
+      the order is infinite.  Otherwise its numerators are compared with the
+      integer coordinates of each candidate.
     """
     order = math.lcm(trace.order, 12)
     lifted = trace.lift(order)
-    # two separate roots, not one exponent map: at a = 0 and a = M/2 they coincide
-    a = next(
-        (
-            a
-            for a in range(order // 2 + 1)
-            if lifted == Cyc.root_of_unity(order, a) + Cyc.root_of_unity(order, -a)
-        ),
-        None,
-    )
+    if lifted.den != 1:
+        return OrderDecision(False)
+    a = next((a for a in range(order // 2 + 1) if _two_cos_coords(order, a) == lifted.num), None)
     if a is None:
         return OrderDecision(False)
     g = math.gcd(a, order)
@@ -187,6 +188,19 @@ def decide_projective_order_from_trace(trace: Cyc) -> OrderDecision:
         eigenvalue_order=m,
         angle_numerator=a // g,
     )
+
+
+def _two_cos_coords(order: int, a: int) -> tuple[int, ...]:
+    """Integer power-basis coordinates of zeta_order^a + zeta_order^-a.
+
+    The two terms are added separately, so a = 0 and a = order/2 give 2 and -2.
+    """
+    coords = [0] * euler_phi(order)
+    table = _power_table(order)
+    for e in (a, -a % order):
+        for i, c in table[e]:
+            coords[i] += c
+    return tuple(coords)
 
 
 # -- rational sums of cosines -------------------------------------------------------------

@@ -58,6 +58,15 @@ class TestModelCommand:
     def test_output_in_missing_directory_usage_error(self, tmp_path):
         assert_usage_error("model", "--k", "2", "--output", str(tmp_path / "missing" / "x.json"))
 
+    @pytest.mark.parametrize("fmt, digest", [
+        ("json", "dc3841cbd35b979cabaf031de87e7ceea39918df5f2e098e59ed0539dcff607d"),
+        ("text", "d1a709c75e9f00ab5b4ba26192fc300bf21a1d7c614120a1e0caa8c8976d3c43"),
+    ])
+    def test_k30_stdout_pinned(self, fmt, digest):
+        # the complete stdout, every float included, as first recorded
+        out = run_cli("model", "--k", "30", "--format", fmt).stdout
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
 
 class TestVerifyCommand:
     def test_small_range_passes(self):

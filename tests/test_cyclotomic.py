@@ -342,7 +342,70 @@ class TestApprox:
             assert err < mpmath.mpf(2) ** -250
 
 
+def ref_approx(x: Cyc, bits: int):
+    """The numeric embedding as first written: a Fraction and a fresh expjpi per term."""
+    with mpmath.workprec(max(bits, 64) + 16):
+        total = mpmath.mpc(0)
+        for e, c in enumerate(x.coeffs):
+            if c:
+                w = mpmath.expjpi(mpmath.mpf(2 * e) / x.order)
+                total += w * mpmath.mpf(c.numerator) / c.denominator
+        total = +total
+    return complex(total.real, total.imag) if bits <= 53 else total
+
+
+def ref_exact_str(x: Cyc) -> str:
+    """exact_str as first written, over the Fraction coefficients."""
+    coeffs = x.coeffs
+    parts = [str(coeffs[0])] if coeffs[0] or len(coeffs) == 1 else []
+    parts += [f"{c}*z^{e}" for e, c in enumerate(coeffs[1:], start=1) if c]
+    return " + ".join(parts or ["0"]) + f"; N={x.order}"
+
+
+def random_wide_cyc(order: int, rng: random.Random) -> Cyc:
+    """Sparse numerators of both signs and mixed sizes over a composite denominator."""
+    num = [rng.choice((0, 0, rng.randint(-9, 9), rng.randint(-10**30, 10**30))) for _ in range(euler_phi(order))]
+    return Cyc._make(order, num, rng.choice((1, 2, 12, 7 * 9 * 16, 10**20 + 39)))
+
+
+class TestCachedEmbedding:
+    @pytest.mark.parametrize("order", [1, 4, 8, 24, 28, 128, 1680])
+    @pytest.mark.parametrize("bits", [53, 64, 128, 256])
+    def test_approx_is_bit_identical_to_the_reference(self, order, bits):
+        rng = random.Random(order * 1000 + bits)
+        samples = [random_wide_cyc(order, rng) for _ in range(3)]
+        samples += [Cyc.rational(0, order), Cyc.rational(Fraction(-5, 3), order), -samples[0]]
+        for x in samples:
+            want = ref_approx(x, bits)
+            assert x.approx(bits) == want  # cold or warm table alike
+            assert x.approx(bits) == want
+            if bits > 53:
+                assert repr(x.approx(bits)) == repr(want)
+
+    @pytest.mark.parametrize("order", [1, 4, 8, 24, 28, 128, 1680])
+    def test_exact_str_matches_the_fraction_rendering(self, order):
+        rng = random.Random(order)
+        samples = [random_wide_cyc(order, rng) for _ in range(5)]
+        samples += [Cyc.rational(0, order), Cyc.rational(Fraction(-5, 3), order), -samples[0]]
+        for x in samples:
+            assert x.exact_str() == ref_exact_str(x)
+
+
 class TestNumberTheory:
+    def test_cyclotomic_polynomials_multiply_to_x_n_minus_one(self):
+        for n in range(1, 241):
+            product = [1]
+            for d in range(1, n + 1):
+                if n % d == 0:
+                    phi_d = cyclotomic_polynomial(d)
+                    assert len(phi_d) == euler_phi(d) + 1 and phi_d[-1] == 1
+                    out = [0] * (len(product) + len(phi_d) - 1)
+                    for i, x in enumerate(product):
+                        for j, y in enumerate(phi_d):
+                            out[i + j] += x * y
+                    product = out
+            assert product == [-1] + [0] * (n - 1) + [1], n
+
     def test_cyclotomic_polynomials_match_sympy(self):
         import sympy
 

@@ -474,6 +474,78 @@ class TestSpinsDimsSMatrix:
         rhs = m.r_symbol(a, b, c) * m.r_symbol(b, a, c)
         assert lhs == rhs
 
+    @pytest.mark.parametrize("k", range(0, 13))
+    def test_exponent_decision_agrees_with_cyc_comparison(self, k, monkeypatch):
+        # every triple, as built and with R^{ab}_c shifted by -1 = zeta^{N/2}, by zeta or by both;
+        # for a = b the shift enters both R factors, so -1 squares away
+        m = Model(k)
+        unshifted = m._r_sign_exponent
+        shifts = [
+            (0, 0, True, True),
+            (1, 0, False, True),
+            (0, 1, False, False),
+            (0, m.N // 2, False, True),
+            (1, m.N // 2, True, True),
+        ]
+        for a in m.labels:
+            for b in m.labels:
+                for c in m.fusion(a, b):
+                    for d_sign, d_exp, holds_ab, holds_aa in shifts:
+                        holds = holds_aa if a == b else holds_ab
+
+                        def shifted(x, y, z, a=a, b=b, c=c, d_sign=d_sign, d_exp=d_exp):
+                            sign, exponent = unshifted(x, y, z)
+                            if (x, y, z) == (a, b, c):
+                                return sign + d_sign, exponent + d_exp
+                            return sign, exponent
+
+                        monkeypatch.setattr(m, "_r_sign_exponent", shifted)
+                        lhs = m.spin(c) * (m.spin(a) * m.spin(b)).conjugate()
+                        rhs = m.r_symbol(a, b, c) * m.r_symbol(b, a, c)
+                        assert m._spin_condition_holds(a, b, c) is (lhs == rhs) is holds, (a, b, c, d_sign, d_exp)
+
+    def test_shifted_r_exponent_fails_the_spin_condition(self, monkeypatch):
+        m = Model(3)
+        unshifted = m._r_sign_exponent
+
+        def shifted(a, b, c):
+            sign, exponent = unshifted(a, b, c)
+            return sign, exponent + ((a, b, c) == (1, 2, 1))
+
+        monkeypatch.setattr(m, "_r_sign_exponent", shifted)
+        with pytest.raises(IntegrityError, match=r"spin condition fails at \(1/2,1;1/2\)"):
+            m.spins_dims_smatrix()
+
+    def test_shifted_r_exponent_fails_under_optimize(self):
+        code = (
+            "from su2k.errors import IntegrityError\n"
+            "from su2k.model import Model\n"
+            "m = Model(3)\n"
+            "unshifted = m._r_sign_exponent\n"
+            "m._r_sign_exponent = lambda a, b, c: (unshifted(a, b, c)[0], unshifted(a, b, c)[1] + ((a, b, c) == (1, 2, 1)))\n"
+            "try:\n"
+            "    m.spins_dims_smatrix()\n"
+            "except IntegrityError as exc:\n"
+            "    print(exc)\n"
+        )
+        proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr[-400:]
+        assert proc.stdout.strip() == "spin condition fails at (1/2,1;1/2)"
+
+    def test_s_matrix_floats_are_the_exact_entries_embedded(self):
+        m = Model(5)
+        _, _, smatrix = m.spins_dims_smatrix()
+        floats = m.json_payload()["S"]["float"]
+        assert floats == [[[z.real, z.imag] for z in (entry.approx() for entry in row)] for row in smatrix]
+
+    def test_calls_return_fresh_lists(self):
+        m = Model(2)
+        spins, _, smatrix = m.spins_dims_smatrix()
+        spins.clear()
+        smatrix[0].clear()
+        again, _, smatrix_again = m.spins_dims_smatrix()
+        assert len(again) == 3 and len(smatrix_again[0]) == 3
+
 
 class TestDegenerateLevels:
     def test_k0_model_builds(self):

@@ -3,6 +3,8 @@ rational cosine sums."""
 
 import cmath
 import math
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -242,6 +244,13 @@ class TestOrderDecision:
             assert decide_projective_order_from_trace(shifted) == order_by_minimal_polynomial(shifted)
             assert not decide_projective_order_from_trace(shifted).finite
 
+    def test_non_integral_trace_is_infinite(self):
+        # (zeta_7 + zeta_7^-1)/3 is no algebraic integer, so no 2cos of a rational angle
+        trace = (Cyc.root_of_unity(7) + Cyc.root_of_unity(7, -1)) / 3
+        assert trace.lift(84).den == 3
+        assert decide_projective_order_from_trace(trace) == OrderDecision(False)
+        assert order_by_minimal_polynomial(trace) == OrderDecision(False)
+
     @pytest.mark.parametrize("k", range(2, K_MAX + 1))
     def test_heuristic_agrees(self, k):
         pair = witnesses(k)
@@ -382,6 +391,18 @@ class TestCertificates:
         assert row[0] == 4 and row[3] == 2 and row[6] == "not-certified"
         row = certificate(5).csv_row()
         assert row[3] == "inf" and row[4] == "inf"
+
+    def test_certificate_leaves_the_admissibility_table_unbuilt(self):
+        # in a fresh interpreter, so the shared per-level model is new
+        code = (
+            "from su2k.model import get_model\n"
+            "from su2k.universality import certificate\n"
+            "assert certificate(40).verdict == 'dense'\n"
+            "print('_adm' in vars(get_model(40)))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr[-400:]
+        assert proc.stdout.strip() == "False"
 
     def test_commutator_nontrivial_everywhere_tested(self):
         for k in range(2, 13):
