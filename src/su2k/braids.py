@@ -17,13 +17,15 @@ from __future__ import annotations
 import functools
 import re
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .cyclotomic import Cyc
 from .errors import DomainError, IntegrityError
 from .model import Model, get_model
 from .radicals import RadicalSum
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -108,6 +110,8 @@ class BraidWord:
 
 @functools.lru_cache(maxsize=None)
 def _generator_matrix_cached(k: int, anyon: int, n: int, total: int, i: int) -> np.ndarray:
+    import numpy as np
+
     model = get_model(k)
     basis = enumerate_basis(k, anyon, n, total)
     if not 1 <= i <= n - 1:
@@ -146,6 +150,8 @@ def braid_generator_matrix(model: Model, basis: SplittingBasis, i: int) -> np.nd
 
 def evaluate_word(model: Model, basis: SplittingBasis, word: BraidWord) -> np.ndarray:
     """Ordered product of generator powers; the empty word gives the identity."""
+    import numpy as np
+
     if word.max_index() > basis.n - 1:
         raise DomainError(
             f"word uses generator s{word.max_index()} but the basis has {basis.n} strands"
@@ -226,6 +232,8 @@ def sparse_encoding_rep(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     with the three-anyon basis state x, the images agree generator by
     generator; any mismatch raises IntegrityError.
     """
+    import numpy as np
+
     model = _require_qubit_level(k)
     basis = enumerate_basis(k, 1, 4, 0)
     if basis.dim != 2:

@@ -14,15 +14,41 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from .errors import DomainError, IntegrityError
-from .model import get_model, label_str
-from .synth import SearchConfig, error_profile, synthesize
-from .universality import certificate
-from . import regression
 
 _PRECISION_ENV = "SU2K_PRECISION"
+
+
+# -- layer entry points ----------------------------------------------------------------
+#
+# Each subcommand imports only the layers it runs, so a certificate run never
+# loads NumPy.  These four names stay module-level functions, looked up here on
+# every call, so callers that replace them on this module (bench/tracer.py) see
+# every call.
+
+
+def get_model(k: int):
+    from .model import get_model
+
+    return get_model(k)
+
+
+def certificate(k: int):
+    from .universality import certificate
+
+    return certificate(k)
+
+
+def error_profile(config, sample: int):
+    from .synth import error_profile
+
+    return error_profile(config, sample)
+
+
+def synthesize(config, target):
+    from .synth import synthesize
+
+    return synthesize(config, target)
 
 
 def _parse_k_range(text: str, minimum: int) -> list[int]:
@@ -38,6 +64,8 @@ def _parse_k_range(text: str, minimum: int) -> list[int]:
         raise DomainError(f"empty level range {text!r}")
     if lo < minimum:
         raise DomainError(f"level must be >= {minimum} for this command, got {lo}")
+    if hi + 2 > sys.maxsize:  # Model(k) holds range(k + 1), whose length must fit a Python index
+        raise DomainError(f"level must be at most {sys.maxsize - 2}, got {hi}")
     return list(range(lo, hi + 1))
 
 
@@ -81,6 +109,8 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
 
 
 def cmd_model(args) -> int:
+    from .model import label_str
+
     ks = _parse_k_range(args.k, minimum=0)
     if len(ks) != 1:
         raise DomainError("the model command takes a single level, not a range")
@@ -191,7 +221,9 @@ def cmd_universality(args) -> int:
 # -- synth ---------------------------------------------------------------------------
 
 
-def _load_target(path: str) -> np.ndarray:
+def _load_target(path: str):
+    import numpy as np
+
     if not os.path.exists(path):
         raise DomainError(f"target file {path!r} does not exist")
     try:
@@ -214,6 +246,8 @@ _PARTIAL_WARNING = "warning: state cap reached; result is partial"
 
 
 def cmd_synth(args) -> int:
+    from .synth import SearchConfig
+
     ks = _parse_k_range(args.k, minimum=2)
     if len(ks) != 1:
         raise DomainError("the synth command takes a single level, not a range")
@@ -346,6 +380,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.paper_regression:
         if args.command is not None:
             parser.error("--paper-regression does not combine with a subcommand")
+        from . import regression
+
         return 1 if regression.run() else 0
     if args.command is None:
         parser.print_usage(sys.stderr)

@@ -31,13 +31,16 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import mpmath
-import numpy as np
 
 from .cyclotomic import Cyc, euler_phi
 from .errors import DomainError, IntegrityError
 from .radicals import Radical, RadicalContext
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def label_str(twice_j: int) -> str:
@@ -79,6 +82,8 @@ class Model:
     @functools.cached_property
     def _adm(self) -> np.ndarray:
         """A[a, b, c]: (a, b; c) is admissible.  Built on first use; certificates never read it."""
+        import numpy as np
+
         adm = np.zeros((self.k + 1,) * 3, dtype=bool)
         for a in self.labels:
             for b in self.labels:
@@ -278,6 +283,8 @@ class Model:
 
     def f_matrix_float(self, a: int, b: int, c: int, d: int):
         """(rows, cols, numpy array) with zero-extended admissibility filtering."""
+        import numpy as np
+
         key = (a, b, c, d)
         if key in self._fmat_float:
             return self._fmat_float[key]
@@ -305,6 +312,8 @@ class Model:
 
     def dims_perron_frobenius(self) -> list[float]:
         """Quantum dimensions as Perron-Frobenius eigenvalues of the fusion matrices."""
+        import numpy as np
+
         N = self.fusion_tensor()
         out = []
         for a in self.labels:
@@ -338,6 +347,8 @@ class Model:
     @functools.cached_property
     def _validated_tables(self) -> tuple[list[Cyc], list[Cyc], list[list[Cyc]], list[list[complex]]]:
         """(spins, dims, S, S as complex floats), checked as spins_dims_smatrix documents."""
+        import numpy as np
+
         for a in self.labels:
             for b in self.labels:
                 for c in self.fusion(a, b):
@@ -356,17 +367,24 @@ class Model:
                 )
             if exact <= 0:
                 raise IntegrityError(f"non-positive quantum dimension at {label_str(a)}")
-        twisted = [spins[c] * dims[c] for c in self.labels]
-        smatrix = []
+        # S_ab = sum over c in a x b of theta_c d_c, times conj(theta_a theta_b) (dual(a) = a).
+        # a x b is lo, lo + 2, ..., hi, so the sum is a difference of the parity prefix sums
+        # upto[c] = theta_c d_c + upto[c - 2]; S is symmetric, so each pair is built once.
+        upto: list[Cyc] = []
+        for c in self.labels:
+            twisted = spins[c] * dims[c]
+            upto.append(twisted + upto[c - 2] if c >= 2 else twisted)
+        size = self.k + 1
+        smatrix: list[list[Cyc]] = [[None] * size for _ in range(size)]
+        s_float: list[list[complex]] = [[None] * size for _ in range(size)]
         for a in self.labels:
-            row = []
-            for b in self.labels:
-                acc = Cyc.rational(0)
-                for c in self.fusion(a, b):  # dual(a) = a
-                    acc = acc + twisted[c]
-                row.append(acc * (spins[a] * spins[b]).conjugate())
-            smatrix.append(row)
-        s_float = [[entry.approx() for entry in row] for row in smatrix]
+            for b in range(a, size):
+                channels = self.fusion(a, b)
+                lo, hi = channels[0], channels[-1]
+                acc = upto[hi] - upto[lo - 2] if lo >= 2 else upto[hi]
+                entry = acc * (spins[a] * spins[b]).conjugate()
+                smatrix[a][b] = smatrix[b][a] = entry
+                s_float[a][b] = s_float[b][a] = entry.approx()
         smallest_sv = min(np.linalg.svd(np.array(s_float), compute_uv=False))
         if smallest_sv < 1e-8:
             raise IntegrityError(f"S-matrix is numerically singular (sigma_min={smallest_sv})")
@@ -409,6 +427,8 @@ class Model:
         MAX_FAILURES failures in row order are kept, tagged when a row carries
         several identities.
         """
+        import numpy as np
+
         mode = self._pick_mode(mode)
         if not (math.isfinite(tol) and tol > 0):
             raise DomainError(f"tolerance must be a positive finite number, got {tol}")
@@ -442,6 +462,8 @@ class Model:
 
     def _live_f(self):
         """Labels (a, b, c, d, n, m) of every admissible F-symbol, in lexicographic order."""
+        import numpy as np
+
         A = self._adm
         live = np.nonzero(np.einsum("abm,mcd,bcn,and->abcdnm", A, A, A, A))
         return zip(*(axis.tolist() for axis in live))
@@ -453,6 +475,8 @@ class Model:
         r_symbol_complex.  Above: object arrays of mpf/mpc, the same 6j
         formula and the R phases evaluated in mpmath at precision + 16 bits.
         """
+        import numpy as np
+
         key = max(precision, 53)
         if key not in self._tensors:
             A, size = self._adm, self.k + 1
@@ -495,6 +519,8 @@ class Model:
         gauge-invariant (Kitaev, arXiv:cond-mat/0506438, App. E), so F''
         satisfies them exactly when F does.  Built once per model.
         """
+        import numpy as np
+
         if self._f_gauge is None:
             qfact, qfact_inverse = self.qfact, self.qfact_inverse
             delta = {
@@ -511,6 +537,8 @@ class Model:
 
     def _vertex_float(self) -> np.ndarray:
         """The gauge's vertex factors v(x, y, w) = sqrt([w+1] D(x,y,w)) in float64, 0 where inadmissible."""
+        import numpy as np
+
         qint, qfact = self._qint_f, self._qfact_f
         V = np.zeros(self._adm.shape)
         for x, y, w in zip(*(axis.tolist() for axis in np.nonzero(self._adm))):
@@ -543,6 +571,8 @@ class Model:
         sum that packs to 0 is the zero polynomial.  A given slot_bits is
         checked against the same bound (IntegrityError if it cannot hold it).
         """
+        import numpy as np
+
         table = self._gauge_table()
         D = math.lcm(*(value.den for value in table.values()))
         numerators = {labels: [c * (D // value.den) for c in value.num] for labels, value in table.items()}
@@ -579,6 +609,8 @@ class Model:
         row's factor from ``gauge()`` (the table's denominator power times
         the vertex-factor ratio), the magnitude of the sum in the unitary gauge.
         """
+        import numpy as np
+
         res = np.zeros(sums.shape)
         packed = np.flatnonzero(sums != 0)
         if not len(packed):
@@ -615,6 +647,8 @@ class Model:
         A row pairs a fusion tree (ab)m, (mc)n, (nd)e with a tree (cd)z, (bz)y,
         (ay)e of the same (c,d,e); the pairs are joined per (c,d,e) group.
         """
+        import numpy as np
+
         A, size = self._adm, self.k + 1
         for a in self.labels:
             for b in self.labels:
@@ -640,6 +674,8 @@ class Model:
     @staticmethod
     def _pentagon_sums(rows: np.ndarray, F: np.ndarray, R: np.ndarray, R_inv: np.ndarray, scale) -> np.ndarray:
         """lhs * scale - rhs per row, one column; scale is 1 except for the packed table."""
+        import numpy as np
+
         a, b, c, d, e, m, n, y, z = rows.T
         lhs = F[m, c, d, e, z, n] * F[a, b, z, e, y, m]
         rhs = np.zeros(len(rows), dtype=F.dtype)
@@ -664,6 +700,8 @@ class Model:
 
     def _hexagon_rows(self):
         """Hexagon instances (a,b,c,d,m,n) with (ba)m, (mc)d, (ac)n, (bn)d admissible, one block per (a,b)."""
+        import numpy as np
+
         A = self._adm
         for a in self.labels:
             for b in self.labels:
@@ -674,6 +712,8 @@ class Model:
     @staticmethod
     def _hexagon_sums(rows: np.ndarray, F: np.ndarray, R: np.ndarray, R_inv: np.ndarray, scale) -> np.ndarray:
         """lhs * scale - rhs per row for the R and the R^{-1} hexagon, two columns."""
+        import numpy as np
+
         a, b, c, d, m, n = rows.T
         f_bac = F[b, a, c, d, n, m]
         lhs1 = R[b, a, m] * f_bac * R[c, a, n]
@@ -701,6 +741,8 @@ class Model:
 
     def verify_fusion_axioms(self) -> VerificationReport:
         """Commutativity, duality, unit law, vacuum pairing, associativity."""
+        import numpy as np
+
         N = self.fusion_tensor()
         failures: list[tuple] = []
         checked = 0
@@ -724,6 +766,8 @@ class Model:
 
     def verify_unitarity(self, tol: float = 1e-12) -> VerificationReport:
         """Every F-matrix is unitary; every R-symbol has unit modulus (exactly)."""
+        import numpy as np
+
         failures: list[tuple] = []
         checked = 0
         max_residual = 0.0
@@ -784,6 +828,8 @@ MAX_FAILURES = 20
 @functools.lru_cache(maxsize=None)
 def _reduction_matrix(order: int, slots: int) -> np.ndarray:
     """Row j: the power-basis coefficients of zeta_order^j, so digits @ matrix reduces mod Phi_order."""
+    import numpy as np
+
     return np.array([Cyc.root_of_unity(order, j % order).num for j in range(slots)], dtype=np.int64)
 
 

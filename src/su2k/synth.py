@@ -146,10 +146,18 @@ def _distances(qu: np.ndarray, qv: np.ndarray) -> np.ndarray:
     return out
 
 
+def _is_unitary2(m: np.ndarray) -> bool:
+    """m is a 2x2 unitary within 1e-9; a NaN or infinite entry makes the deviation NaN, which fails."""
+    if m.shape != (2, 2):
+        return False
+    with np.errstate(all="ignore"):
+        return bool(np.max(np.abs(m @ m.conj().T - np.eye(2))) <= 1e-9)
+
+
 def projective_distance(u: np.ndarray, v: np.ndarray) -> float:
     """d(U, V) = sqrt(1 - |tr(U^dag V)| / 2); zero iff U = phase * V."""
     for name, m in (("first", u), ("second", v)):
-        if m.shape != (2, 2) or np.max(np.abs(m @ m.conj().T - np.eye(2))) > 1e-9:
+        if not _is_unitary2(m):
             raise DomainError(f"{name} argument is not a 2x2 unitary")
     return float(_distances(_su2_quaternions(u[None]), _su2_quaternions(v[None]))[0, 0])
 
@@ -405,7 +413,7 @@ def synthesize(config: SearchConfig, target: np.ndarray) -> SynthResult:
     is then flagged partial).
     """
     target = np.asarray(target, dtype=complex)
-    if target.shape != (2, 2) or np.max(np.abs(target @ target.conj().T - np.eye(2))) > 1e-9:
+    if not _is_unitary2(target):
         raise DomainError("synthesis target must be a 2x2 unitary")
     target_q = _su2_quaternions(target[None])
     start = time.perf_counter()

@@ -22,8 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .braids import qubit_rep_exact
 from .cyclotomic import Cyc, _power_table, cos_pi_fraction, euler_phi, minimal_polynomial
@@ -31,6 +30,9 @@ from .cyclotomic import min_poly_2cos  # noqa: F401  (unused; bench/tracer.py pa
 from .errors import DomainError, IntegrityError
 from .model import get_model
 from .radicals import RadicalSum, mat_adjugate2, mat_approx, mat_det2, mat_mul, mat_trace
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 # -- witness matrices -------------------------------------------------------------

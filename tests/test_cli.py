@@ -231,6 +231,13 @@ class TestSynthCommand:
     def test_directory_target_usage_error(self, tmp_path):
         assert_usage_error("synth", "--k", "3", "--target", str(tmp_path))
 
+    @pytest.mark.parametrize("entry", ["1e400", "NaN", "Infinity"])
+    def test_non_finite_target_usage_error(self, tmp_path, entry):
+        # json.load reads all three spellings as non-finite floats
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"entries": [[[%s, 0], [0, 0]], [[0, 0], [1, 0]]]}' % entry)
+        assert_usage_error("synth", "--k", "3", "--target", str(bad), "--max-depth", "3")
+
     def test_malformed_target_exit_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{\"entries\": [[1, 2]]}")
@@ -265,6 +272,17 @@ class TestSynthCommand:
 
 
 class TestTopLevel:
+    @pytest.mark.parametrize("args", [
+        ("verify", "--k", "99999999999999999999"),
+        ("model", "--k", "99999999999999999999"),
+        ("universality", "--k", "99999999999999999999"),
+        ("synth", "--k", "99999999999999999999", "--profile-samples", "2"),
+        ("universality", "--k", "3..99999999999999999999"),
+    ], ids=["verify", "model", "universality", "synth", "universality-range"])
+    def test_oversized_level_usage_error(self, args):
+        # a level whose label range does not fit a Python sequence is a usage error, not a crash
+        assert_usage_error(*args)
+
     def test_no_command_prints_usage(self):
         proc = subprocess.run(
             [sys.executable, "-m", "su2k.cli"], capture_output=True, text=True

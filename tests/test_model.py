@@ -441,7 +441,34 @@ class TestUnitarity:
             assert sq[0][1].is_zero() and sq[1][0].is_zero()
 
 
+def reference_smatrix(model: Model) -> list[list[Cyc]]:
+    """S_ab = sum_{c in a x b} theta_c d_c conj(theta_a theta_b), one fusion loop per entry."""
+    spins = [model.spin(a) for a in model.labels]
+    twisted = [spins[c] * model.dim_exact(c) for c in model.labels]
+    smatrix = []
+    for a in model.labels:
+        row = []
+        for b in model.labels:
+            acc = Cyc.rational(0)
+            for c in model.fusion(a, b):
+                acc = acc + twisted[c]
+            row.append(acc * (spins[a] * spins[b]).conjugate())
+        smatrix.append(row)
+    return smatrix
+
+
 class TestSpinsDimsSMatrix:
+    @pytest.mark.parametrize("k", range(0, 31))
+    def test_smatrix_equals_the_fusion_loop(self, k):
+        # same canonical (order, num, den) per entry, hence the same floats
+        m = Model(k)
+        want = reference_smatrix(m)
+        got = m.spins_dims_smatrix()[2]
+        assert [[(e.order, e.num, e.den) for e in row] for row in got] == [
+            [(e.order, e.num, e.den) for e in row] for row in want
+        ]
+        assert m._validated_tables[3] == [[e.approx() for e in row] for row in want]
+
     def test_trivial_spin(self):
         spins, _, _ = get_model(4).spins_dims_smatrix()
         assert spins[0] == 1

@@ -52,6 +52,14 @@ class TestProjectiveDistance:
         with pytest.raises(DomainError):
             projective_distance(np.eye(2) * 2, np.eye(2))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        # a NaN deviation compares False against any bound, so it must not slip through
+        with pytest.raises(DomainError, match="first argument"):
+            projective_distance(np.full((2, 2), bad), np.eye(2))
+        with pytest.raises(DomainError, match="second argument"):
+            projective_distance(np.eye(2), np.array([[bad, 0], [0, 1]], dtype=complex))
+
     def test_symmetry_and_triangle(self):
         rng = random.Random(3)
         u, v, w = (haar_su2(rng) for _ in range(3))
