@@ -8,8 +8,10 @@ the root, every consecutive triple (b_{i-1}, a; b_i) admissible.
 Generator sigma_1 acts diagonally by R-symbols; sigma_i for i >= 2 acts on
 the b_{i-1} slot through an F-conjugated R within the block of fixed
 (b_{i-2}, b_i).  The one-qubit case (a = 1/2, n = 3) is also provided in
-closed form, both normalized to determinant one and as exact radical
-matrices for downstream trace work.
+closed form: normalized to determinant one as complex matrices (the
+synthesis generators), and as exact matrices over radical sums built from
+the exact F-symbols.  The density certificates do not use the latter; they
+work in a gauge without square roots (:func:`su2k.universality.witnesses`).
 """
 
 from __future__ import annotations

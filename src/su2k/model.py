@@ -37,10 +37,18 @@ import mpmath
 
 from .cyclotomic import Cyc, euler_phi
 from .errors import DomainError, IntegrityError
-from .radicals import Radical, RadicalContext
 
 if TYPE_CHECKING:
     import numpy as np
+
+    from .radicals import Radical, RadicalContext
+
+#: Largest level a Model is built for, checked before any table is allocated.
+#: Every command that builds a model needs at least (k+1)^2 exact S-matrix
+#: entries (model, verify) or k quantum integers of phi(4(k+2)) coefficients
+#: each (the exact qubit matrices behind synth), over 4*10^9 stored integers
+#: at this level, so no run above it can finish.
+MAX_LEVEL = 1 << 16
 
 
 def label_str(twice_j: int) -> str:
@@ -64,6 +72,8 @@ class Model:
     def __init__(self, k: int):
         if k < 0:
             raise DomainError(f"level must be >= 0, got {k}")
+        if k > MAX_LEVEL:
+            raise DomainError(f"level must be at most {MAX_LEVEL} to build the model tables, got {k}")
         self.k = k
         self.N = 4 * (k + 2)
         self.labels: tuple[int, ...] = tuple(range(k + 1))
@@ -75,9 +85,14 @@ class Model:
         self._f_float: dict[tuple[int, ...], float] = {}
         self._fmat_float: dict[tuple[int, int, int, int], tuple] = {}
         self._tensors: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        context_symbols = {n: self.qint(n) for n in range(1, k + 2)}
-        self.radicals = RadicalContext(context_symbols)
         self._qint_f, self._qfact_f = self._q_tables(math.sin, math.pi)
+
+    @functools.cached_property
+    def radicals(self) -> RadicalContext:
+        """The radical context over [1], ..., [k+1], built on first use by the exact F-symbols."""
+        from .radicals import RadicalContext
+
+        return RadicalContext({n: self.qint(n) for n in range(1, self.k + 2)})
 
     @functools.cached_property
     def _adm(self) -> np.ndarray:
@@ -310,23 +325,12 @@ class Model:
         self.check_label(a)
         return self.qint(a + 1)
 
-    def dims_perron_frobenius(self) -> list[float]:
-        """Quantum dimensions as Perron-Frobenius eigenvalues of the fusion matrices."""
-        import numpy as np
-
-        N = self.fusion_tensor()
-        out = []
-        for a in self.labels:
-            eigs = np.linalg.eigvals(N[a])
-            out.append(float(max(eigs.real)))
-        return out
-
     def spins_dims_smatrix(self) -> tuple[list[Cyc], list[Cyc], list[list[Cyc]]]:
         """Validated spin table, dimension table, and S-matrix.
 
         Raises IntegrityError if the spin condition, the Perron-Frobenius
-        cross-check, or S-matrix invertibility fails.  The checks run once per
-        model; every call returns fresh lists of the same values.
+        cross-check, or S-matrix unitarity up to scale fails.  The checks run
+        once per model; every call returns fresh lists of the same values.
         """
         spins, dims, smatrix, _ = self._validated_tables
         return list(spins), list(dims), [list(row) for row in smatrix]
@@ -347,8 +351,6 @@ class Model:
     @functools.cached_property
     def _validated_tables(self) -> tuple[list[Cyc], list[Cyc], list[list[Cyc]], list[list[complex]]]:
         """(spins, dims, S, S as complex floats), checked as spins_dims_smatrix documents."""
-        import numpy as np
-
         for a in self.labels:
             for b in self.labels:
                 for c in self.fusion(a, b):
@@ -358,15 +360,6 @@ class Model:
                         )
         spins = [self.spin(a) for a in self.labels]
         dims = [self.dim_exact(a) for a in self.labels]
-        pf = self.dims_perron_frobenius()
-        for a in self.labels:
-            exact = dims[a].approx().real
-            if abs(exact - pf[a]) > 1e-10:
-                raise IntegrityError(
-                    f"dimension mismatch at {label_str(a)}: [2j+1]_q={exact} vs PF={pf[a]}"
-                )
-            if exact <= 0:
-                raise IntegrityError(f"non-positive quantum dimension at {label_str(a)}")
         # S_ab = sum over c in a x b of theta_c d_c, times conj(theta_a theta_b) (dual(a) = a).
         # a x b is lo, lo + 2, ..., hi, so the sum is a difference of the parity prefix sums
         # upto[c] = theta_c d_c + upto[c - 2]; S is symmetric, so each pair is built once.
@@ -385,10 +378,42 @@ class Model:
                 entry = acc * (spins[a] * spins[b]).conjugate()
                 smatrix[a][b] = smatrix[b][a] = entry
                 s_float[a][b] = s_float[b][a] = entry.approx()
-        smallest_sv = min(np.linalg.svd(np.array(s_float), compute_uv=False))
-        if smallest_sv < 1e-8:
-            raise IntegrityError(f"S-matrix is numerically singular (sigma_min={smallest_sv})")
+        self._check_dims_and_s([d.approx().real for d in dims], s_float)
         return spins, dims, smatrix, s_float
+
+    def _check_dims_and_s(self, dims: list[float], s_float: list[list[complex]]) -> None:
+        """Numeric cross-checks of the quantum dimensions and the S-matrix; raise IntegrityError.
+
+        Perron-Frobenius: every d_a is positive and sum_{c in a x b} d_c = d_a d_b,
+        so d is a positive eigenvector of each fusion matrix (N_a)_bc = N_ab^c
+        with eigenvalue d_a.  A nonnegative matrix with a positive eigenvector
+        has that eigenvalue as its spectral radius, so d_a is the
+        Perron-Frobenius eigenvalue of N_a.  S: S S^dagger = D^2 I with
+        D^2 = sum_c d_c^2, i.e. S / D is unitary (and so invertible).  Both hold
+        to a relative 1e-10.
+        """
+        for a in self.labels:
+            if not dims[a] > 0:
+                raise IntegrityError(f"non-positive quantum dimension at {label_str(a)}")
+        for a in self.labels:
+            for b in range(a, self.k + 1):  # both sides are symmetric in a and b
+                total = sum(dims[c] for c in self.fusion(a, b))
+                product = dims[a] * dims[b]
+                if not abs(total - product) <= 1e-10 * product:
+                    raise IntegrityError(
+                        f"dimension mismatch at ({label_str(a)},{label_str(b)}): sum of d_c over the "
+                        f"fusion channels is {total}, d_a d_b = {product} (Perron-Frobenius)"
+                    )
+        scale = sum(d * d for d in dims)
+        conj = [[z.conjugate() for z in row] for row in s_float]
+        for a in self.labels:
+            for b in range(a, self.k + 1):
+                gram = sum(x * y for x, y in zip(s_float[a], conj[b]))
+                if not abs(gram - (scale if a == b else 0)) <= 1e-10 * scale:
+                    raise IntegrityError(
+                        f"S-matrix is not unitary up to scale: (S S^dagger)[{label_str(a)},{label_str(b)}]"
+                        f" = {gram}, expected {scale if a == b else 0}"
+                    )
 
     # -- pentagon / hexagon verification -----------------------------------------------
 

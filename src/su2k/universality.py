@@ -2,15 +2,20 @@
 
 The certificate rests on two double-braid words: with the determinant-one
 generators, U = rho~(s1^2 s2^4) and V = rho~(s1^2 s2^6), plus their
-commutator.  Both are computed exactly as 2x2 matrices over the cyclotomic
-field adjoined a single radical.  Their traces are radical-free, so each
-trace is an exact cyclotomic number, and the question "is the rotation angle
-a rational multiple of pi?" is decided exactly by the conductor: a trace t in
-Q(zeta_N) is 2cos of a rational multiple of 2*pi iff t = zeta_M^a + zeta_M^-a
-for some 0 <= a <= M/2, M = lcm(N, 12) (Washington, Introduction to
-Cyclotomic Fields, GTM 83, ch. 3; Niven's theorem for rational t).  Two
-non-commuting infinite-order special unitaries generate a dense subgroup of
-SU(2), which yields the verdict.
+commutator.  Both are computed exactly as 2x2 matrices over Q(zeta_N),
+N = 4(k+2), in a closed-form gauge: conjugating the qubit basis by a fixed
+diagonal matrix turns the recoupling matrix into one with entries 1 and
+d^2 - 1, d = [2]_q, so no square root and no F table is needed.  Traces,
+determinants and "W = I" do not change under conjugation, and the braid
+group's image is unchanged up to that change of basis (Freedman, Larsen and
+Wang, CMP 228 (2002)).  Each trace is an exact cyclotomic number, and the
+question "is the rotation angle a rational multiple of pi?" is decided
+exactly by the conductor: a trace t in Q(zeta_N) is 2cos of a rational
+multiple of 2*pi iff t = zeta_M^a + zeta_M^-a for some 0 <= a <= M/2,
+M = lcm(N, 12) (Washington, Introduction to Cyclotomic Fields, GTM 83,
+ch. 3; Niven's theorem for rational t).  Two non-commuting infinite-order
+special unitaries generate a dense subgroup of SU(2), which yields the
+verdict.
 
 The module also decides exact rationality of rational-coefficient sums of
 cosines of rational angles, and matches small instances against the
@@ -24,12 +29,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .braids import qubit_rep_exact
 from .cyclotomic import Cyc, _power_table, cos_pi_fraction, euler_phi, minimal_polynomial
 from .cyclotomic import min_poly_2cos  # noqa: F401  (unused; bench/tracer.py patches it here)
 from .errors import DomainError, IntegrityError
-from .model import get_model
-from .radicals import RadicalSum, mat_adjugate2, mat_approx, mat_det2, mat_mul, mat_trace
 
 if TYPE_CHECKING:
     import numpy as np
@@ -38,46 +40,107 @@ if TYPE_CHECKING:
 # -- witness matrices -------------------------------------------------------------
 
 
+Matrix = list[list[Cyc]]
+
+
 @dataclass(frozen=True)
 class WitnessPair:
-    """The two double-braid words probed by the certificate, exactly."""
+    """The two double-braid words probed by the certificate, exactly.
+
+    Entries lie in Q(zeta_N), N = 4(k+2), in the closed-form gauge: each
+    matrix is D1 M D1^-1 for the word M in the unitary qubit basis, with
+    D1 = diag(-d, d*s), d = [2]_q and s = sqrt(d^2 - 1) (see :func:`witnesses`).
+    """
 
     k: int
-    a: list[list[RadicalSum]]  # rho~(s1^2 s2^4)
-    b: list[list[RadicalSum]]  # rho~(s1^2 s2^6)
-    w: list[list[RadicalSum]]  # commutator a b a^-1 b^-1
+    a: Matrix  # rho~(s1^2 s2^4)
+    b: Matrix  # rho~(s1^2 s2^6)
+    w: Matrix  # commutator a b a^-1 b^-1
 
     def traces(self) -> tuple[Cyc, Cyc, Cyc]:
-        """Exact traces; asserted radical-free and real."""
+        """Exact traces, asserted real; a zero trace is the rational 0 (printed "0; N=1")."""
         out = []
         for name, mat in (("A", self.a), ("B", self.b), ("W", self.w)):
-            tr = mat_trace(mat)
-            if not tr.is_radical_free():
-                raise IntegrityError(f"trace of {name} is not radical-free at k={self.k}")
-            value = tr.cyc_value()
+            value = mat[0][0] + mat[1][1]
+            if value.is_zero():
+                value = Cyc.rational(0)
             if not value.is_real():
                 raise IntegrityError(f"trace of {name} is not real at k={self.k}")
             out.append(value)
         return tuple(out)
 
     def numeric(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return mat_approx(self.a), mat_approx(self.b), mat_approx(self.w)
+        """The three matrices as complex floats in the unitary basis, D1^-1 M D1."""
+        import numpy as np
+
+        s = math.sqrt(1 + 2 * math.cos(2 * math.pi / (self.k + 2)))  # sqrt(d^2 - 1) = sqrt([3]_q)
+        frame = np.array([[1, -s], [-1 / s, 1]])  # (D1^-1 M D1)_ij = M_ij D1_j / D1_i
+        return tuple(
+            np.array([[entry.approx() for entry in row] for row in mat], dtype=complex) * frame
+            for mat in (self.a, self.b, self.w)
+        )
+
+
+def _mat_mul(x: Matrix, y: Matrix) -> Matrix:
+    return [[x[i][0] * y[0][j] + x[i][1] * y[1][j] for j in range(2)] for i in range(2)]
+
+
+def _adjugate(x: Matrix) -> Matrix:
+    """The inverse of a determinant-one 2x2 matrix."""
+    return [[x[1][1], -x[0][1]], [-x[1][0], x[0][0]]]
+
+
+def _inverse_d2(N: int) -> Cyc:
+    """1/d^2 for d = zeta_N^2 + zeta_N^-2, without a field inversion.
+
+    With y = zeta_N^4, d^2 = (1 + y)^2 / y.  For a root of unity z != 1 with
+    z^n = 1, 1/(1 - z) = -(1/n) sum_{j<n} j z^j (multiply out: the product
+    telescopes to -n).  Take z = -y = zeta_N^(N/2 + 4) and n its order; then
+    1/d^2 = y (1/(1 - z))^2.  z != 1 because y has order k + 2 >= 4.
+    """
+    step = N // 2 + 4
+    n = N // math.gcd(step, N)
+    inv_1_minus_z = Cyc.from_exponents(N, {j * step % N: Fraction(-j, n) for j in range(1, n)})
+    return Cyc.root_of_unity(N, 4) * inv_1_minus_z * inv_1_minus_z
 
 
 def witnesses(k: int) -> WitnessPair:
-    """Build the witness matrices exactly; determinant-one is verified."""
+    """Build the witness matrices exactly in the closed-form gauge; determinant one is verified.
+
+    The generators are R~ = diag(zeta_N^(N/4-2), -zeta_N^(N/4+2)) for sigma~_1
+    and F R~ F for sigma~_2, with F = [[-1/d, s/d], [s/d, 1/d]] the unitary
+    recoupling matrix F^{1/2 1/2 1/2}_{1/2} (rows and columns: channels 0, 1),
+    d = [2]_q = zeta_N^2 + zeta_N^-2 and s = sqrt(d^2 - 1).  With
+    D1 = diag(-d, d*s) and D2 = diag(1, -1/s), G = D1 F D2 = [[1, 1],
+    [d^2 - 1, -1]], and G^-1 = G / d^2 (G^2 = d^2 I).  R~ and D2 are
+    diagonal, so D1 sigma~_1^n D1^-1 = R~^n and D1 sigma~_2^n D1^-1 =
+    G R~^n G / d^2: every word is a matrix over Q(zeta_N), conjugate to the
+    unitary one by D1.
+    """
     if k < 2:
         raise DomainError(f"witness matrices need level k >= 2, got {k}")
-    r_tilde, f = qubit_rep_exact(k)
-    r2 = mat_mul(r_tilde, r_tilde)
-    r4 = mat_mul(r2, r2)
-    r6 = mat_mul(r4, r2)
-    a = mat_mul(mat_mul(r2, f), mat_mul(r4, f))
-    b = mat_mul(mat_mul(r2, f), mat_mul(r6, f))
+    N = 4 * (k + 2)
+    quarter = N // 4
+    d2 = Cyc.from_exponents(N, {4: 1, 0: 2, -4: 1})  # (zeta^2 + zeta^-2)^2
+    inv_d2 = _inverse_d2(N)
+    if d2 * inv_d2 != 1:
+        raise IntegrityError(f"closed-form 1/d^2 is wrong at k={k}")
+    zero, one = Cyc.rational(0, N), Cyc.rational(1, N)
+    g = [[one, one], [d2 - 1, -one]]
+
+    def r_tilde_power(n: int) -> Matrix:  # n even, so the sign of -zeta^(N/4+2) drops
+        return [[Cyc.root_of_unity(N, n * (quarter - 2)), zero], [zero, Cyc.root_of_unity(N, n * (quarter + 2))]]
+
+    def sigma2_power(n: int) -> Matrix:
+        return [[entry * inv_d2 for entry in row] for row in _mat_mul(_mat_mul(g, r_tilde_power(n)), g)]
+
+    r2 = r_tilde_power(2)
+    a = _mat_mul(r2, sigma2_power(4))
+    b = _mat_mul(r2, sigma2_power(6))
     for name, mat in (("A", a), ("B", b)):
-        if not mat_det2(mat) == 1:
+        if mat[0][0] * mat[1][1] - mat[0][1] * mat[1][0] != 1:
             raise IntegrityError(f"det({name}) != 1 at k={k}")
-    w = mat_mul(mat_mul(a, b), mat_mul(mat_adjugate2(a), mat_adjugate2(b)))
+    w = _mat_mul(_mat_mul(a, b), _mat_mul(_adjugate(a), _adjugate(b)))
     return WitnessPair(k, a, b, w)
 
 

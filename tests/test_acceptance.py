@@ -18,7 +18,6 @@ from su2k.braids import (
     sparse_encoding_rep,
 )
 from su2k.model import get_model
-from su2k.radicals import mat_approx, mat_mul
 from su2k.regression import REFERENCE
 from su2k.synth import SearchConfig, error_profile, reachable_counts
 from su2k.universality import (
@@ -114,11 +113,11 @@ def test_criterion_6_verdict_sweep():
         order4, order8 = REFERENCE["finite_orders"][4][0], REFERENCE["finite_orders"][8][0]
         cert4 = certificate(4)
         assert cert4.order_a.finite and cert4.order_a.projective_order == order4
-        a4 = mat_approx(witnesses(4).a)
+        a4 = witnesses(4).numeric()[0]
         assert np.max(np.abs(np.linalg.matrix_power(a4, order4) + np.eye(2))) < 1e-9
         cert8 = certificate(8)
         assert cert8.order_a.finite and cert8.order_a.projective_order == order8
-        a8 = mat_approx(witnesses(8).a)
+        a8 = witnesses(8).numeric()[0]
         assert np.max(np.abs(np.linalg.matrix_power(a8, order8) - np.eye(2))) < 1e-9
         elapsed = time.perf_counter() - start
         assert elapsed < 300, f"verdict sweep took {elapsed:.1f}s (target < 5 min)"

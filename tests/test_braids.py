@@ -1,6 +1,7 @@
 """Splitting-tree bases and braid-group representation matrices."""
 
 import cmath
+import hashlib
 import math
 import random
 
@@ -143,6 +144,16 @@ class TestNormalizedRep:
             same = mat_approx(mat_mul(mat_mul(f, r_tilde), f))
             assert np.max(np.abs(s2 - same)) == 0
 
+    def test_generators_are_bit_identical(self):
+        # sha256 of the complex128 bytes of (sigma_1~, sigma_2~) for k = 2..30, recorded before the
+        # radical context became lazy; every synth run starts from these generators
+        digest = hashlib.sha256()
+        for k in range(2, 31):
+            for gen in normalized_qubit_rep(k):
+                assert gen.dtype == np.complex128 and gen.flags.c_contiguous
+                digest.update(gen.tobytes())
+        assert digest.hexdigest() == "fc3f6fe18144b353ba2b3842e13f9919d7e5deb63afe686bb7e83afbbadf1b62"
+
     def test_normalization_phase(self):
         # normalized = (-i q^{1/4}) * unnormalized, entrywise
         for k in (2, 3, 5, 9):
@@ -223,13 +234,12 @@ class TestWords:
 
     def test_first_witness_word(self):
         # the word s1^2 s2^4 reproduces the first witness matrix up to phase
-        from su2k.radicals import mat_approx
         from su2k.universality import witnesses
 
         m = get_model(3)
         basis = enumerate_basis(3, 1, 3, 1)
         u = evaluate_word(m, basis, BraidWord.parse("s1^2 s2^4"))
-        a = mat_approx(witnesses(3).a)
+        a = witnesses(3).numeric()[0]
         assert projective_distance(u, a) < 1e-12
 
     def test_inverse_exponents(self):

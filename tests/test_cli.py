@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from su2k.model import MAX_LEVEL
 from su2k.regression import REFERENCE
 
 
@@ -282,6 +283,12 @@ class TestTopLevel:
     def test_oversized_level_usage_error(self, args):
         # a level whose label range does not fit a Python sequence is a usage error, not a crash
         assert_usage_error(*args)
+
+    @pytest.mark.parametrize("command", ["verify", "model"])
+    def test_unallocatable_level_usage_error(self, command):
+        # fits a Python index but not memory: refused before Model builds any table
+        assert_usage_error(command, "--k", "9223372036854775805")
+        assert_usage_error(command, "--k", str(MAX_LEVEL + 1))
 
     def test_no_command_prints_usage(self):
         proc = subprocess.run(

@@ -1,7 +1,7 @@
 """Each CLI run loads only the layers its subcommand uses.
 
-A certificate run never imports NumPy, and building the parser imports no
-computation layer at all.  Every check runs in a fresh interpreter, since the
+No run of the certify chain (universality, then model) imports NumPy, and
+building the parser imports no computation layer at all.  Every check runs in a fresh interpreter, since the
 test process itself has long since imported everything.
 """
 
@@ -33,8 +33,17 @@ def test_parser_loads_no_layer():
 
 def test_certificates_never_import_numpy():
     modules = loaded_modules("assert cli.main(['universality', '--k', '3..5']) == 0")
-    assert "su2k.universality" in modules
     assert "numpy" not in modules
+    # the closed-form gauge needs no model, braid or radical layer
+    assert {m for m in modules if m.startswith("su2k")} == {
+        "su2k", "su2k.cli", "su2k.errors", "su2k.cyclotomic", "su2k.universality",
+    }
+
+
+def test_model_dump_never_imports_numpy():
+    modules = loaded_modules("assert cli.main(['model', '--k', '30']) == 0")
+    assert "su2k.model" in modules
+    assert "numpy" not in modules and "su2k.radicals" not in modules
 
 
 @pytest.mark.parametrize("argv", [["model", "--k", "3"], ["verify", "--k", "2"]], ids=["model", "verify"])

@@ -4,6 +4,7 @@ import cmath
 import math
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -13,7 +14,7 @@ import pytest
 from su2k.cyclotomic import Cyc
 from su2k.errors import DomainError, IntegrityError
 import su2k.model as model_module
-from su2k.model import MAX_FAILURES, Model, get_model, label_str, parse_label
+from su2k.model import MAX_FAILURES, MAX_LEVEL, Model, get_model, label_str, parse_label
 from su2k.radicals import RadicalSum
 
 
@@ -86,6 +87,29 @@ class TestLabels:
     def test_invalid_label_rejected(self):
         with pytest.raises(DomainError):
             get_model(2).check_label(3)
+
+
+class TestLevelBound:
+    @pytest.mark.parametrize("k", [MAX_LEVEL + 1, 9223372036854775805])
+    def test_oversized_level_allocates_nothing(self, k):
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match=f"at most {MAX_LEVEL}"):
+                Model(k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64_000  # the error message, not an O(k) table
+
+    def test_radical_context_is_lazy(self):
+        # neither the checks of `model` nor exact verification build the radical context
+        m = Model(4)
+        assert "radicals" not in vars(m) and "_validated_tables" not in vars(m)
+        m.spins_dims_smatrix()
+        assert m.verify_pentagon("exact").holds and m.verify_hexagon("exact").holds
+        assert "radicals" not in vars(m)
+        m.f_symbol(1, 1, 1, 1, 0, 0)
+        assert "radicals" in vars(m)
 
 
 class TestFusion:
@@ -483,8 +507,10 @@ class TestSpinsDimsSMatrix:
 
     @pytest.mark.parametrize("k", range(0, 13))
     def test_perron_frobenius_agreement(self, k):
+        # the largest eigenvalue of each fusion matrix, from NumPy, against the exact [2j+1]_q
         m = get_model(k)
-        pf = m.dims_perron_frobenius()
+        N = m.fusion_tensor()
+        pf = [float(max(np.linalg.eigvals(N[a]).real)) for a in m.labels]
         for a in m.labels:
             assert abs(pf[a] - m.dim_exact(a).approx().real) < 1e-10
 
@@ -558,6 +584,42 @@ class TestSpinsDimsSMatrix:
         proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr[-400:]
         assert proc.stdout.strip() == "spin condition fails at (1/2,1;1/2)"
+
+    def test_doubled_dimension_fails_the_perron_frobenius_check(self, monkeypatch):
+        m = Model(5)
+        exact = m.dim_exact
+        monkeypatch.setattr(m, "dim_exact", lambda a: exact(a) * 2 if a == 2 else exact(a))
+        with pytest.raises(IntegrityError, match=r"dimension mismatch at \(1/2,1/2\)"):
+            m.spins_dims_smatrix()
+
+    def test_perturbed_s_entry_fails_the_gram_check(self):
+        m = Model(5)
+        _, dims, _ = m.spins_dims_smatrix()
+        dims_float = [d.approx().real for d in dims]
+        s_float = [list(row) for row in m._validated_tables[3]]
+        m._check_dims_and_s(dims_float, s_float)
+        s_float[1][3] *= 1 + 1e-7
+        with pytest.raises(IntegrityError, match=r"not unitary up to scale: \(S S\^dagger\)\[0,1/2\]"):
+            m._check_dims_and_s(dims_float, s_float)
+
+    def test_numeric_checks_hold_under_optimize(self):
+        # a doubled dimension, then theta_1 times zeta_N, which changes every S entry with 1 in a x b
+        code = (
+            "from su2k.cyclotomic import Cyc\n"
+            "from su2k.errors import IntegrityError\n"
+            "from su2k.model import Model\n"
+            "for name, scale in (('dim_exact', 2), ('spin', Cyc.root_of_unity(28))):\n"
+            "    m = Model(5)\n"
+            "    original = getattr(m, name)\n"
+            "    setattr(m, name, lambda a, f=original, s=scale: f(a) * s if a == 2 else f(a))\n"
+            "    try:\n"
+            "        m.spins_dims_smatrix()\n"
+            "    except IntegrityError as exc:\n"
+            "        print(str(exc).split(':')[0])\n"
+        )
+        proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr[-400:]
+        assert proc.stdout.splitlines() == ["dimension mismatch at (1/2,1/2)", "S-matrix is not unitary up to scale"]
 
     def test_s_matrix_floats_are_the_exact_entries_embedded(self):
         m = Model(5)

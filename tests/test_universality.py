@@ -2,6 +2,7 @@
 rational cosine sums."""
 
 import cmath
+import hashlib
 import math
 import subprocess
 import sys
@@ -10,9 +11,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from su2k import cli
+from su2k.braids import qubit_rep_exact
 from su2k.cyclotomic import Cyc, cos_pi_fraction, euler_phi, min_poly_2cos, minimal_polynomial
 from su2k.errors import DomainError
-from su2k.radicals import mat_approx, mat_det2, mat_mul, mat_trace
+from su2k.radicals import mat_adjugate2, mat_det2, mat_mul, mat_trace
 from su2k.regression import REFERENCE
 from su2k.universality import (
     KNOWN_COSINE_IDENTITIES,
@@ -152,6 +155,47 @@ class TestWitnesses:
             witnesses(1)
 
 
+def radical_route_traces(k: int) -> tuple[Cyc, Cyc, Cyc]:
+    """Traces of A, B, W from the exact radical F-matrix in the unitary basis."""
+    r_tilde, f = qubit_rep_exact(k)
+    r2 = mat_mul(r_tilde, r_tilde)
+    r4 = mat_mul(r2, r2)
+    r6 = mat_mul(r4, r2)
+    a = mat_mul(mat_mul(r2, f), mat_mul(r4, f))
+    b = mat_mul(mat_mul(r2, f), mat_mul(r6, f))
+    w = mat_mul(mat_mul(a, b), mat_mul(mat_adjugate2(a), mat_adjugate2(b)))
+    return tuple(mat_trace(m).cyc_value() for m in (a, b, w))
+
+
+class TestGaugeWitnesses:
+    """The closed-form gauge against the radical route and the recorded CLI output."""
+
+    @pytest.mark.parametrize("k", [*range(2, K_MAX + 1), 418])
+    def test_traces_equal_the_radical_route(self, k):
+        got = witnesses(k).traces()
+        want = radical_route_traces(k)
+        for g, w in zip(got, want):
+            assert g == w and g.exact_str() == w.exact_str(), k
+
+    def test_zero_trace_is_the_rational_zero(self):
+        # k=2: tr A = tr B = 0; k=4: tr A = tr W = 0; k=8: tr B = 0
+        for k, zeros in ((2, (0, 1)), (4, (0, 2)), (8, (1,))):
+            traces = witnesses(k).traces()
+            for i in zeros:
+                assert traces[i].exact_str() == "0; N=1", (k, i)
+
+    # sha256 of the stdout recorded before the witnesses moved to the closed-form gauge
+    @pytest.mark.parametrize("argv, digest", [
+        (("--k", "2..60"), "d63bfabc807659683a3328e8c19a04cec18ef1a31bc1632c2cc0dd588f7bbfac"),
+        (("--k", "2..60", "--format", "json"), "766a9568fea859e8ee6ff4a78cb307f5b47e1dca341368e987e93cb6ea6081ed"),
+        (("--k", "2..60", "--format", "csv"), "3ba74b6fe8569577771ec21dbf90a16a7ec9b8a9cea5c573434565d8fe380644"),
+        (("--k", "418", "--format", "json"), "250cffee07e72d03ee3a3131d879271f735382ca4e8929dd59cb9f3516d45586"),
+    ], ids=["text", "json", "csv", "k418-json"])
+    def test_stdout_is_byte_identical(self, argv, digest, capsys):
+        assert cli.main(["universality", *argv]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 class TestTraceIdentities:
     @pytest.mark.parametrize("k", range(2, K_MAX + 1))
     def test_exact_for_all_levels(self, k):
@@ -182,14 +226,14 @@ class TestOrderDecision:
         order = REFERENCE["finite_orders"][4][0]
         dec = decide_projective_order_from_trace(witnesses(4).traces()[0])
         assert dec == OrderDecision(True, order, 4, 1)
-        a_num = mat_approx(witnesses(4).a)
+        a_num = witnesses(4).numeric()[0]
         assert np.max(np.abs(np.linalg.matrix_power(a_num, order) + np.eye(2))) < 1e-9
 
     def test_k8_finite_order_three(self):
         order = REFERENCE["finite_orders"][8][0]
         dec = decide_projective_order_from_trace(witnesses(8).traces()[0])
         assert dec.finite and dec.projective_order == order
-        a_num = mat_approx(witnesses(8).a)
+        a_num = witnesses(8).numeric()[0]
         assert np.max(np.abs(np.linalg.matrix_power(a_num, order) - np.eye(2))) < 1e-9
 
     @pytest.mark.parametrize("k", [3, 5, 6, 7, 9, 10, 11, 12])
