@@ -263,6 +263,8 @@ def cmd_synth(args) -> int:
         seed=args.seed,
     )
     if args.profile_samples is not None:
+        if config.beam_width:
+            raise DomainError("--beam-width applies to --target searches; a profile expands every state")
         rows = error_profile(config, args.profile_samples)
         header = ["depth", "explored", "distinct", "best_error", "mean_error"]
         table = [[r.depth, r.explored, r.distinct, repr(r.best_error), repr(r.mean_error)] for r in rows]

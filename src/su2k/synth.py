@@ -12,12 +12,20 @@ States are deduplicated on a grid over the quaternion coordinates with the
 sign fixed by the largest one.  The resolution must lie below 1 (the
 coordinates lie in [-1, 1]) and leave a unit coordinate within the int32
 key range, or distinct states would share a key.  Dedup is
-vectorized and exact: keys are sorted by a 64-bit hash, and both repeats
-within a depth and hits in the sorted visited set are confirmed on the full
-key, so a hash collision never merges two states; the first occurrence in
-candidate order is kept.  This makes exhaustive breadth-first enumeration
-feasible to the depths of interest; a beam mode bounds the frontier for
-deeper runs, and a state cap stops either one, flagging the result partial.
+vectorized and exact: a depth's keys are sorted by a 64-bit hash, and both
+repeats within the depth and hits in the visited set are confirmed on the
+full key, so a hash collision never merges two states; the first occurrence
+in candidate order (parent-major, generator-minor) is kept.  The visited set
+is a few runs sorted by hash, merged geometrically, so a depth costs
+O(new log n) rather than a pass over every visited key.  The inverse of the
+move that reached a state returns its parent, which is visited, so when the
+generator set holds that inverse (the default set is closed under inverses)
+the backtrack is never built; `explored` still counts every (state,
+generator) pair of an expanded depth.  A depth's products, keys and hashes
+are built in cache-sized blocks of parents.  This makes exhaustive
+breadth-first enumeration feasible to the depths of interest; a beam mode
+bounds the frontier for deeper runs, and a state cap stops either one,
+flagging the result partial.
 
 For levels whose double-braid image is dense the per-depth best error decays
 with depth; for the finite-image levels the set of distinct reachable gates
@@ -106,7 +114,8 @@ class SynthResult:
         return self.best_words[-1]
 
 
-_DISTANCE_BLOCK = 1 << 15  # frontier rows per block: the overlap temporaries stay ~10 MB
+_DISTANCE_BLOCK = 1 << 12  # frontier rows per block: the overlap temporaries stay in cache
+_EXPAND_BLOCK = 1 << 12  # parents per block of a depth's products, keys and hashes: they stay in cache
 _CHORD_GAP = 1e-8  # below this 1 - |q_U . q_V|, its square root has lost half its digits to cancellation
 _CHORD_ROUNDING = 4 * np.finfo(float).eps  # a chord this small is rounding in its coordinates
 
@@ -202,28 +211,48 @@ def _su2_quaternions(batch: np.ndarray) -> np.ndarray:
     return np.stack([alpha.real, alpha.imag, beta.real, beta.imag], axis=1)
 
 
-def _products(qx: np.ndarray, qy: np.ndarray) -> np.ndarray:
-    """Quaternion coordinates of X Y for every X row and Y row, X-major: row x * len(qy) + y.
+def _signed_cells(coords: tuple[np.ndarray, ...], resolution: float) -> np.ndarray:
+    """The grid cell signed like each gate's largest coordinate by magnitude (the first on ties).
 
-    With X = [[a1, b1], [-b1*, a1*]] and Y likewise, X Y has a = a1 a2 - b1 b2*
-    and b = a1 b2 + b1 a2*: sixteen real products per pair, in a fixed order.
+    Dividing the coordinates by it fixes the sign of q and -q alike.  The
+    largest coordinate of a unit quaternion is at least 1/2 in magnitude, so
+    its sign is never that of a zero.
     """
-    x0, x1, x2, x3 = (qx[:, c, None] for c in range(4))
-    y0, y1, y2, y3 = qy.T
-    out = np.empty((len(qx), len(qy), 4))
-    out[:, :, 0] = x0 * y0 - x1 * y1 - x2 * y2 - x3 * y3
-    out[:, :, 1] = x0 * y1 + x1 * y0 + x2 * y3 - x3 * y2
-    out[:, :, 2] = x0 * y2 - x1 * y3 + x2 * y0 + x3 * y1
-    out[:, :, 3] = x0 * y3 + x1 * y2 - x2 * y1 + x3 * y0
-    return out.reshape(-1, 4)
+    m0, m1, m2, m3 = (np.abs(c) for c in coords)
+    lead = np.where(np.maximum(m2, m3) > np.maximum(m0, m1),
+                    np.where(m3 > m2, coords[3], coords[2]), np.where(m1 > m0, coords[1], coords[0]))
+    return np.copysign(resolution, lead)
 
 
 def _canonical_grid_keys(q: np.ndarray, resolution: float) -> np.ndarray:
     """Grid-rounded quaternion coordinates with the sign fixed by the largest one, one row per gate."""
-    lead = np.take_along_axis(q, np.argmax(np.abs(q), axis=1)[:, None], axis=1)
-    grid = q / resolution
-    np.negative(grid, out=grid, where=lead < 0)
-    return np.rint(grid, out=grid).astype(_KEY_DTYPE)
+    coords = tuple(q.T)
+    cell = _signed_cells(coords, resolution)
+    return np.stack([np.rint(c / cell) for c in coords], axis=1).astype(_KEY_DTYPE)
+
+
+def _products_and_keys(qx: np.ndarray, qy: np.ndarray, resolution: float) -> tuple[np.ndarray, np.ndarray]:
+    """Quaternion coordinates of X Y for every X row and Y row, X-major (row x * len(qy) + y),
+    and their canonical grid keys.
+
+    With X = [[a1, b1], [-b1*, a1*]] and Y likewise, X Y has a = a1 a2 - b1 b2*
+    and b = a1 b2 + b1 a2*: sixteen real products per pair, in a fixed order.
+    Each Y is one pass over the X coordinates as contiguous columns, which
+    yields the product's coordinates as columns for its keys too.
+    """
+    x0, x1, x2, x3 = qx.T.copy()
+    products = np.empty((len(qx), len(qy), 4))
+    keys = np.empty((len(qx), len(qy), 4), dtype=_KEY_DTYPE)
+    for j, (y0, y1, y2, y3) in enumerate(qy):
+        coords = (x0 * y0 - x1 * y1 - x2 * y2 - x3 * y3,
+                  x0 * y1 + x1 * y0 + x2 * y3 - x3 * y2,
+                  x0 * y2 - x1 * y3 + x2 * y0 + x3 * y1,
+                  x0 * y3 + x1 * y2 - x2 * y1 + x3 * y0)
+        cell = _signed_cells(coords, resolution)
+        for c, coord in enumerate(coords):
+            products[:, j, c] = coord
+            keys[:, j, c] = np.rint(coord / cell)
+    return products.reshape(-1, 4), keys.reshape(-1, 4)
 
 
 _KEY_ROW = np.dtype((np.void, 4 * np.dtype(_KEY_DTYPE).itemsize))  # one key row as one element
@@ -245,39 +274,110 @@ def _key_hash(rows: np.ndarray) -> np.ndarray:
     return _mix(_mix(words[:, 0].copy()) ^ words[:, 1])
 
 
-def _run_leads(hashes: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, bool]:
-    """For key rows sorted by hash: the mask of rows that differ from the row before, and whether
-    some such row repeats the hash before it (a collision: equal keys may then not be adjacent)."""
-    lead = np.ones(len(rows), dtype=bool)
-    lead[1:] = rows[1:] != rows[:-1]
-    return lead, bool((hashes[1:] == hashes[:-1])[lead[1:]].any())
+class _Visited:
+    """The visited grid keys: a few runs, each sorted by key hash, with the key rows alongside.
+
+    A depth's new keys are appended as one run, already in hash order, and
+    :meth:`merge` folds each run into the one before it until every run is
+    over twice the size of the next.  So there are O(log n) runs, a depth's
+    lookups cost O(new log n) and each key is copied O(log n) times in all,
+    not once per depth.  A key is visited iff some run holds it; a hash hit
+    names the one row of that run to compare, so membership is decided on
+    the full key.
+    """
+
+    def __init__(self, rows: np.ndarray):
+        self.runs = [(_key_hash(rows), rows)]
+        self.size = len(rows)
+
+    def add_new(self, hashes: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """The mask of the key rows neither visited nor seen earlier in `rows`; adds them as a run.
+
+        Sorting by hash puts equal keys in one run of hashes, whose smallest
+        index is their first occurrence, and each visited run is searched for
+        those hashes.  Both are confirmed on the full key; if a run of equal
+        hashes mixes keys or a visited hash names another key (a collision),
+        the exact sort decides instead.
+        """
+        order = np.argsort(hashes)
+        sorted_hashes = hashes[order]
+        repeats = np.flatnonzero(sorted_hashes[1:] == sorted_hashes[:-1]) + 1
+        collided = bool((rows[order[repeats - 1]] != rows[order[repeats]]).any())
+        lead = np.ones(len(order), dtype=bool)
+        lead[repeats] = False
+        starts = np.flatnonzero(lead)
+        firsts, first_hashes = np.minimum.reduceat(order, starts), sorted_hashes[starts]
+        new = np.ones(len(firsts), dtype=bool)
+        for run_hashes, run_rows in self.runs:
+            if collided:
+                break
+            at = np.minimum(np.searchsorted(run_hashes, first_hashes), len(run_hashes) - 1)
+            hits = np.flatnonzero(run_hashes[at] == first_hashes)
+            collided = not np.array_equal(run_rows[at[hits]], rows[firsts[hits]])
+            new[hits] = False
+        fresh = self._add_new_exact(hashes, rows) if collided else firsts[new]
+        if len(fresh):
+            self.runs.append((hashes[fresh], rows[fresh]))
+            self.size += len(fresh)
+        keep = np.zeros(len(rows), dtype=bool)
+        keep[fresh] = True
+        return keep
+
+    def _add_new_exact(self, hashes: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """The first occurrences of unvisited keys, in hash order, from one stable (hash, key) sort.
+
+        Visited rows precede the candidates, which keep their index order, so
+        each group of equal keys is led by its visited row if it has one and
+        otherwise by its first occurrence.
+        """
+        all_hashes = np.concatenate([run_hashes for run_hashes, _ in self.runs] + [hashes])
+        all_rows = np.concatenate([run_rows for _, run_rows in self.runs] + [rows])
+        words = all_rows.view(np.uint64).reshape(-1, 2)
+        order = np.lexsort((words[:, 1], words[:, 0], all_hashes))
+        sorted_rows = all_rows[order]
+        lead = np.ones(len(order), dtype=bool)
+        lead[1:] = sorted_rows[1:] != sorted_rows[:-1]
+        leads = order[lead]
+        return leads[leads >= self.size] - self.size
+
+    def merge(self) -> None:
+        """Fold the last run into the one before it while that one is at most twice its size."""
+        runs = self.runs
+        while len(runs) > 1 and len(runs[-2][0]) <= 2 * len(runs[-1][0]):
+            (small_hashes, small_rows), (big_hashes, big_rows) = runs.pop(), runs[-1]
+            at = np.searchsorted(big_hashes, small_hashes)
+            runs[-1] = (np.insert(big_hashes, at, small_hashes), np.insert(big_rows, at, small_rows))
 
 
 class _Search:
     """Shared breadth-first engine; expands once, scores any number of targets.
 
-    Every state is a unit quaternion row (Re a, Im a, Re b, Im b).  The
-    visited set is the sorted array of the grid keys' hashes with the keys
-    alongside, so membership is decided on the full key.
+    Every state is a unit quaternion row (Re a, Im a, Re b, Im b), and the
+    visited grid keys are a :class:`_Visited` set of hash-sorted runs.  A
+    state's backtrack, the inverse of the move that reached it, returns its
+    parent, which is visited, so that candidate is never built; `explored`
+    still counts every (state, generator) pair of each expanded depth.
     """
 
     def __init__(self, config: SearchConfig):
         if config.k < 2:
             raise DomainError("synthesis needs the qubit representation (k >= 2)")
         self.config = config
-        gens, _ = double_braid_generators(config.k, config.generators)
+        pieces = config.generators
+        gens, _ = double_braid_generators(config.k, pieces)
         self.gens = _su2_quaternions(gens)
+        # the index of each piece's inverse, or len(pieces) (no generator) if the set lacks it
+        self.inverses = np.array([pieces.index((i, -e)) if (i, -e) in pieces else len(pieces) for i, e in pieces])
         self.frontier = np.array([[1.0, 0.0, 0.0, 0.0]])
         self.trace: list[tuple[np.ndarray, np.ndarray]] = []  # (parents, gen indices)
-        self.visited_rows = _canonical_grid_keys(self.frontier, config.dedup_resolution).view(_KEY_ROW)[:, 0]
-        self.visited_hashes = _key_hash(self.visited_rows)
+        self.visited = _Visited(_canonical_grid_keys(self.frontier, config.dedup_resolution).view(_KEY_ROW)[:, 0])
         self.explored = 1
         self.partial = False
         self.closed = False
 
     @property
     def distinct(self) -> int:
-        return len(self.visited_hashes)
+        return self.visited.size
 
     def expand(self) -> bool:
         """Advance one depth; False, with nothing built, if it could pass the state cap.
@@ -290,65 +390,54 @@ class _Search:
         if self.distinct + len(self.frontier) * n_gens > self.config.max_states:
             self.partial = True
             return False
-        candidates = _products(self.frontier, self.gens)
-        keep = self._first_new(_canonical_grid_keys(candidates, self.config.dedup_resolution))
-        self.explored += len(candidates)
+        self.explored += len(self.frontier) * n_gens
+        backtrack = self.inverses[self.trace[-1][1]] if self.trace else np.full(len(self.frontier), n_gens)
+        moves = np.arange(n_gens) != backtrack[:, None]  # (state, generator) pairs to build
+        candidates, rows, hashes = self._candidates(moves)
+        keep = self.visited.add_new(hashes, rows)
         self.frontier = candidates[keep]
-        self.trace.append((keep // n_gens, keep % n_gens))
+        del candidates, rows, hashes  # merge the visited runs with the depth's arrays released
+        self.visited.merge()
+        moves[moves] = keep  # now the kept pairs
+        pairs = np.flatnonzero(moves)
+        self.trace.append((pairs // n_gens, pairs % n_gens))
         if len(self.frontier) == 0:
             self.closed = True
         return True
 
-    def _first_new(self, keys: np.ndarray) -> np.ndarray:
-        """Indices, ascending, of the keys not visited and not seen earlier in `keys`; marks them visited.
+    def _candidates(self, moves: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Products, grid key rows and key hashes of the frontier's `moves` pairs, parent-major.
 
-        Sorting by hash puts equal keys in one run, whose smallest index is
-        their first occurrence, and one hash hit in the visited set names the
-        one visited key to compare.  Both are confirmed on the full key; if a
-        run mixes keys or a hash is visited more than once (a collision), the
-        exact sort decides instead.
+        The depth's arrays are allocated once and filled in blocks of
+        _EXPAND_BLOCK parents, so that a block's temporaries stay in cache.
         """
+        n = int(np.count_nonzero(moves))
+        products = np.empty((n, 4))
+        keys = np.empty((n, 4), dtype=_KEY_DTYPE)
         rows = keys.view(_KEY_ROW)[:, 0]
-        hashes = _key_hash(rows)
-        order = np.argsort(hashes)
-        lead, mixed = _run_leads(hashes[order], rows[order])
-        firsts = np.minimum.reduceat(order, np.flatnonzero(lead))  # in hash order
-        lo = np.searchsorted(self.visited_hashes, hashes[firsts], side="left")
-        hits = np.searchsorted(self.visited_hashes, hashes[firsts], side="right") - lo
-        if mixed or hits.max(initial=0) > 1:
-            fresh = self._first_new_exact(hashes, rows)
-            lo = np.searchsorted(self.visited_hashes, hashes[fresh])
-        else:
-            at = np.minimum(lo, len(self.visited_rows) - 1)
-            new = (hits == 0) | (self.visited_rows[at] != rows[firsts])
-            fresh, lo = firsts[new], lo[new]
-        self.visited_hashes = np.insert(self.visited_hashes, lo, hashes[fresh])
-        self.visited_rows = np.insert(self.visited_rows, lo, rows[fresh])
-        return np.sort(fresh)
-
-    def _first_new_exact(self, hashes: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """The first occurrences of unvisited keys, in hash order, from one stable (hash, key) sort.
-
-        Visited rows precede the candidates, which keep their index order, so
-        each group of equal keys is led by its visited row if it has one and
-        otherwise by its first occurrence.
-        """
-        n_visited = len(self.visited_hashes)
-        all_hashes = np.concatenate([self.visited_hashes, hashes])
-        all_rows = np.concatenate([self.visited_rows, rows])
-        words = all_rows.view(np.uint64).reshape(-1, 2)
-        order = np.lexsort((words[:, 1], words[:, 0], all_hashes))
-        lead, _ = _run_leads(all_hashes[order], all_rows[order])
-        leads = order[lead]
-        return leads[leads >= n_visited] - n_visited
+        hashes = np.empty(n, dtype=np.uint64)
+        stop = 0
+        for start in range(0, len(self.frontier), _EXPAND_BLOCK):
+            block = moves[start:start + _EXPAND_BLOCK].ravel()
+            begin, stop = stop, stop + int(np.count_nonzero(block))
+            block_products, block_keys = _products_and_keys(self.frontier[start:start + _EXPAND_BLOCK], self.gens,
+                                                            self.config.dedup_resolution)
+            np.compress(block, block_products, axis=0, out=products[begin:stop])
+            np.compress(block, block_keys, axis=0, out=keys[begin:stop])
+            hashes[begin:stop] = _key_hash(rows[begin:stop])
+        return products, rows, hashes
 
     def shrink_to_beam(self, errors: np.ndarray) -> np.ndarray:
         """Keep the beam_width best frontier states (stable order); returns the kept errors."""
         width = self.config.beam_width
         if width <= 0 or len(self.frontier) <= width:
             return errors
-        order = np.argsort(errors, kind="stable")[:width]
-        order.sort()
+        # the errors below the width-th smallest, then the lowest-index ties with it: a stable
+        # argsort's first `width`, in index order, without the sort
+        cut = np.partition(errors, width - 1)[width - 1]
+        keep = errors < cut
+        keep[np.flatnonzero(errors == cut)[:width - np.count_nonzero(keep)]] = True
+        order = np.flatnonzero(keep)
         parents, gens = self.trace[-1]
         self.trace[-1] = (parents[order], gens[order])
         self.frontier = self.frontier[order]
@@ -425,7 +514,7 @@ def synthesize(config: SearchConfig, target: np.ndarray) -> SynthResult:
     result.best_errors.append(best_error)
     result.best_words.append(best_word)
     for depth in range(1, config.max_depth + 1):
-        if not search.expand():
+        if best_error <= config.tolerance or search.closed or not search.expand():
             break
         if len(search.frontier):
             errors = search.frontier_errors(target_q)[:, 0]
@@ -437,8 +526,6 @@ def synthesize(config: SearchConfig, target: np.ndarray) -> SynthResult:
         result.depths.append(depth)
         result.best_errors.append(best_error)
         result.best_words.append(best_word)
-        if best_error <= config.tolerance or search.closed:
-            break
     result.explored = search.explored
     result.distinct = search.distinct
     result.partial = search.partial

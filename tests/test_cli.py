@@ -253,6 +253,19 @@ class TestSynthCommand:
         first_row = out.strip().splitlines()[1].split(",")
         assert first_row[0] == "0" and float(first_row[3]) == 0.0
 
+    def test_identity_target_stops_at_depth_zero(self, tmp_path):
+        # the start state is an exact hit, so no depth is expanded after it
+        identity = tmp_path / "id.json"
+        identity.write_text(json.dumps({"entries": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}))
+        out = run_cli("synth", "--k", "3", "--target", str(identity), "--max-depth", "5").stdout
+        assert out.splitlines() == ["depth,explored,distinct,best_error,best_word", "0,1,1,0.0,"]
+
+    def test_profile_rejects_a_beam_width(self):
+        # a profile expands every state, so a beam width would be ignored without a word
+        assert_usage_error("synth", "--k", "3", "--profile-samples", "3", "--beam-width", "2", "--max-depth", "4")
+        out = run_cli("synth", "--k", "3", "--profile-samples", "3", "--beam-width", "0", "--max-depth", "4").stdout
+        assert [row.split(",")[1] for row in out.splitlines()[1:]] == ["1", "5", "21", "69", "197"]
+
     def test_state_capped_profile_warns(self):
         profile = ("synth", "--k", "3", "--profile-samples", "2")
         capped = run_cli(*profile, "--max-depth", "20", "--max-states", "5000")

@@ -12,10 +12,14 @@ from su2k.errors import DomainError
 from su2k.model import get_model
 from su2k.synth import (
     _DISTANCE_BLOCK,
+    _EXPAND_BLOCK,
+    _KEY_ROW,
     SearchConfig,
-    _products,
+    _canonical_grid_keys,
+    _products_and_keys,
     _Search,
     _su2_quaternions,
+    _Visited,
     double_braid_generators,
     error_profile,
     haar_su2,
@@ -100,6 +104,13 @@ class TestSynthesize:
     def test_identity_target_hits_at_depth_zero(self):
         result = synthesize(SearchConfig(k=5, max_depth=3), np.eye(2, dtype=complex))
         assert result.best_errors[0] == 0
+
+    @pytest.mark.parametrize("phase", [1, 1j, -1])
+    def test_exact_hit_at_depth_zero_expands_nothing(self, phase):
+        # the start state already meets the tolerance, so no depth is built after it
+        result = synthesize(SearchConfig(k=3, max_depth=5), phase * np.eye(2, dtype=complex))
+        assert result.depths == [0] and result.best_words == [""] and result.best_errors == [0]
+        assert (result.explored, result.distinct, result.partial) == (1, 1, False)
 
     def test_phase_shifted_target_same_word(self):
         target = np.diag([1, -1]).astype(complex)
@@ -210,7 +221,8 @@ class TestErrorProfile:
         haar = _su2_quaternions(np.stack([haar_su2(rng) for _ in range(3)]))
         # frontier states themselves and 1e-7 rotations of them take the chord branch
         rotation = np.array([[math.cos(1e-7), math.sin(1e-7), 0.0, 0.0]])
-        near = np.concatenate([search.frontier[[5, -1]], _products(search.frontier[[7, -3]], rotation)])
+        rotated, _ = _products_and_keys(search.frontier[[7, -3]], rotation, 1e-6)
+        near = np.concatenate([search.frontier[[5, -1]], rotated])
         targets = np.concatenate([haar, near, -near])
         full = search.frontier_errors(targets).min(axis=0)
         assert np.array_equal(search.frontier_min_errors(targets), full)
@@ -393,33 +405,48 @@ class TestAgainstReferenceEngine:
 def _counting_exact_path(monkeypatch):
     """Count the batches that take the exact (hash, key) sort."""
     calls = []
-    exact = _Search._first_new_exact
+    exact = _Visited._add_new_exact
 
     def counted(self, hashes, rows):
         calls.append(len(rows))
         return exact(self, hashes, rows)
 
-    monkeypatch.setattr(_Search, "_first_new_exact", counted)
+    monkeypatch.setattr(_Visited, "_add_new_exact", counted)
     return calls
+
+
+def _add_new(visited, keys):
+    """Indices of the int32 key rows that `visited` reports new, as the search hashes them."""
+    rows = np.ascontiguousarray(keys, dtype=np.int32).view(_KEY_ROW)[:, 0]
+    return np.flatnonzero(visited.add_new(synth._key_hash(rows), rows))
+
+
+def _search_with_coarse_hash(monkeypatch, coarse):
+    """A k=3 search, plainly and with the key hash reduced mod `coarse`; the second takes the exact path."""
+    config = SearchConfig(k=3, max_depth=8)
+    target = haar_su2(random.Random(21))
+
+    def run():
+        result = synthesize(config, target)
+        return (result.depths, result.best_errors, result.best_words, result.explored, result.distinct,
+                result.partial, error_profile(config, sample=3), reachable_counts(config))
+
+    plain = run()
+    key_hash = synth._key_hash
+    monkeypatch.setattr(synth, "_key_hash", lambda rows: key_hash(rows) % coarse)
+    exact_batches = _counting_exact_path(monkeypatch)
+    assert run() == plain
+    assert exact_batches
 
 
 class TestExactDedup:
     def test_colliding_hash_gives_the_same_search(self, monkeypatch):
         # with only 7 hash values nearly every pair of keys collides, so equality rests on the full key
-        config = SearchConfig(k=3, max_depth=8)
-        target = haar_su2(random.Random(21))
+        _search_with_coarse_hash(monkeypatch, 7)
 
-        def run():
-            result = synthesize(config, target)
-            return (result.depths, result.best_errors, result.best_words, result.explored, result.distinct,
-                    result.partial, error_profile(config, sample=3), reachable_counts(config))
-
-        plain = run()
-        key_hash = synth._key_hash
-        monkeypatch.setattr(synth, "_key_hash", lambda rows: key_hash(rows) % 7)
-        exact_batches = _counting_exact_path(monkeypatch)
-        assert run() == plain
-        assert exact_batches
+    def test_single_hash_value_gives_the_same_search(self, monkeypatch):
+        # every key shares one hash: every visited run repeats it, and the exact sort decides each depth
+        _search_with_coarse_hash(monkeypatch, 1)
 
     @pytest.mark.parametrize("coarse", [None, 7, 1])
     def test_first_occurrence_wins(self, monkeypatch, coarse):
@@ -428,13 +455,26 @@ class TestExactDedup:
             key_hash = synth._key_hash
             monkeypatch.setattr(synth, "_key_hash", lambda rows: key_hash(rows) % coarse)
         search = _Search(SearchConfig(k=3))
-        visited = search.visited_rows.view(np.int32)  # the identity's key
+        visited = search.visited.runs[0][1].view(np.int32)  # the identity's key
         keys = np.array([[5, 0, 0, 0], [7, 1, 0, 0], [5, 0, 0, 0], visited, [7, 1, 0, 0], [9, 9, 9, 9]],
                         dtype=np.int32)
-        assert search._first_new(keys).tolist() == [0, 1, 5]
-        assert search._first_new(keys).tolist() == []
+        assert _add_new(search.visited, keys).tolist() == [0, 1, 5]
+        assert _add_new(search.visited, keys).tolist() == []
         for row in keys:  # one key alone: nothing to compare within the batch
-            assert search._first_new(row[None]).tolist() == []
+            assert _add_new(search.visited, row[None]).tolist() == []
+        assert search.distinct == 4
+        search.visited.merge()
+        assert len(search.visited.runs) == 1 and _add_new(search.visited, keys).tolist() == []
+        assert search.distinct == 4
+
+    def test_collision_within_a_batch_only(self, monkeypatch):
+        # the batch's keys share a hash that no visited key has, so only the batch's own sort can see it
+        search = _Search(SearchConfig(k=3))
+        identity = search.visited.runs[0][1][0]
+        monkeypatch.setattr(synth, "_key_hash", lambda rows: (rows != identity).astype(np.uint64))
+        keys = np.array([[5, 0, 0, 0], [7, 1, 0, 0], [5, 0, 0, 0], [9, 9, 9, 9], [7, 1, 0, 0]], dtype=np.int32)
+        assert _add_new(search.visited, keys).tolist() == [0, 1, 3]
+        assert _add_new(search.visited, keys).tolist() == []
         assert search.distinct == 4
 
     def test_sign_symmetric_keys_do_not_collide(self, monkeypatch):
@@ -443,3 +483,160 @@ class TestExactDedup:
         for k in (3, 6, 7):
             reachable_counts(SearchConfig(k=k, max_depth=9))
         assert exact_batches == []
+
+
+class TestVisitedRuns:
+    def test_runs_partition_the_visited_keys(self):
+        search = _Search(SearchConfig(k=5, max_depth=12, beam_width=300))
+        for _ in range(12):
+            search.expand()
+            search.shrink_to_beam(np.zeros(len(search.frontier)))
+        runs = search.visited.runs
+        sizes = [len(hashes) for hashes, _ in runs]
+        assert all(big > 2 * small for big, small in zip(sizes, sizes[1:]))  # geometric sizes
+        assert sum(sizes) == search.distinct
+        for hashes, rows in runs:
+            assert np.all(hashes[1:] >= hashes[:-1]) and np.array_equal(hashes, synth._key_hash(rows))
+        every = np.concatenate([rows for _, rows in runs])
+        assert len(np.unique(every)) == len(every)
+
+    def test_lookup_spans_several_runs(self):
+        visited = _Visited(np.array([[1, 0, 0, 0]], dtype=np.int32).view(_KEY_ROW)[:, 0])
+        batches = [np.array([[i, j, 0, 0] for j in range(1, 1 + size)], dtype=np.int32)
+                   for i, size in enumerate((40, 12, 3), start=2)]
+        for batch in batches:
+            assert _add_new(visited, batch).tolist() == list(range(len(batch)))
+            visited.merge()
+        assert [len(h) for h, _ in visited.runs] == [1 + 40, 12, 3]  # (1, 40) folded; 41 > 2 * 12 > 2 * 3
+        mixed = np.concatenate([batches[2][:2], [[99, 1, 0, 0]], batches[0][-1:], [[1, 0, 0, 0]], batches[1][:1],
+                                [[99, 1, 0, 0]]])
+        assert _add_new(visited, mixed).tolist() == [2]
+        assert visited.size == 1 + 40 + 12 + 3 + 1
+
+
+class TestBacktracks:
+    def test_backtracks_are_not_built(self, monkeypatch):
+        built = []
+        candidates = _Search._candidates
+
+        def counted(self, moves):
+            built.append((len(self.frontier), int(moves.sum())))
+            return candidates(self, moves)
+
+        monkeypatch.setattr(_Search, "_candidates", counted)
+        search = _Search(SearchConfig(k=3))
+        explored = [search.explored]
+        for _ in range(5):
+            search.expand()
+            explored.append(search.explored)
+        assert built[0] == (1, 4)
+        assert all(n_built == 3 * n for n, n_built in built[1:])  # each state skips the inverse of its last move
+        assert np.diff(explored).tolist() == [4 * n for n, _ in built]  # explored still counts every pair
+
+    def test_backtracks_a_full_search_keeps_are_duplicates(self):
+        # at k = 6 some gates have two coordinates of equal magnitude, and rounding in the product
+        # can flip which one fixes the key's sign; a search that builds backtracks then keeps a few
+        # as new although each is its grandparent's gate, so skipping them drops only duplicates
+        config = SearchConfig(k=6, max_depth=10)
+        ref = ReferenceSearch(config)
+        inverses = _Search(config).inverses
+        frontiers = [ref.frontier]
+        kept = 0
+        for _ in range(config.max_depth):
+            ref.expand()
+            frontiers.append(ref.frontier)
+            if len(ref.trace) < 2:
+                continue
+            parents, gens = ref.trace[-1]
+            backtracks = np.flatnonzero(gens == inverses[ref.trace[-2][1][parents]])
+            grandparents = frontiers[-3][ref.trace[-2][0][parents[backtracks]]]
+            for state, grandparent in zip(ref.frontier[backtracks], grandparents):
+                assert _reference_distances(state[None], grandparent[None])[0, 0] == 0
+            kept += len(backtracks)
+        assert kept > 0
+        assert reachable_counts(config)[0][-1] < ref.distinct
+
+    @pytest.mark.parametrize("pieces", [((1, 2), (2, 2)), ((1, 2), (1, -2), (2, 2)), ((1, 4), (1, -2), (2, -2))])
+    def test_sets_not_closed_under_inverses(self, monkeypatch, pieces):
+        config = SearchConfig(k=5, max_depth=9, generators=pieces)
+        search = _Search(config)
+        inverses = [pieces.index((i, -e)) if (i, -e) in pieces else len(pieces) for i, e in pieces]
+        assert search.inverses.tolist() == inverses
+        target = haar_su2(random.Random(31))
+        new = synthesize(config, target)
+        ref = _with_engine(monkeypatch, ReferenceSearch, lambda: synthesize(config, target))
+        assert (new.depths, new.best_words) == (ref.depths, ref.best_words)
+        assert (new.explored, new.distinct, new.partial) == (ref.explored, ref.distinct, ref.partial)
+        assert new.best_errors == pytest.approx(ref.best_errors, rel=0, abs=1e-12)
+        assert reachable_counts(config) == _with_engine(monkeypatch, ReferenceSearch,
+                                                        lambda: reachable_counts(config))
+
+
+class TestLevelBlocks:
+    def test_frontier_spanning_several_blocks_matches_the_reference(self):
+        config = SearchConfig(k=5, max_depth=10)
+        search, ref = _Search(config), ReferenceSearch(config)
+        for _ in range(config.max_depth):
+            n = len(search.frontier)
+            search.expand()
+            ref.expand()
+            assert search.trace[-1][0].tolist() == ref.trace[-1][0].tolist()
+            assert search.trace[-1][1].tolist() == ref.trace[-1][1].tolist()
+            assert (search.explored, search.distinct) == (ref.explored, ref.distinct)
+        assert n > 4 * _EXPAND_BLOCK  # the last depth took several blocks
+        ref_q = _reference_quaternions(_reference_project_su2(ref.frontier))
+        gap = np.minimum(np.abs(search.frontier - ref_q).max(axis=1), np.abs(search.frontier + ref_q).max(axis=1))
+        assert gap.max() < 1e-12
+
+    def test_grid_keys_break_magnitude_ties_on_the_first_coordinate(self):
+        h = 0.5
+        q = np.array([[h, -h, h, -h], [-h, h, h, h], [0.0, -0.6, 0.0, 0.8], [0.0, 0.8, -0.6, 0.0],
+                      [-0.6, 0.0, 0.8, 0.0], [0.0, 0.0, -1.0, 0.0]])
+        lead = np.take_along_axis(q, np.argmax(np.abs(q), axis=1)[:, None], axis=1)
+        want = np.rint(np.where(lead < 0, -q, q) / 1e-6).astype(np.int32)
+        assert np.array_equal(_canonical_grid_keys(q, 1e-6), want)
+        assert _canonical_grid_keys(q, 1e-6)[:2].tolist() == [[500000, -500000, 500000, -500000],
+                                                               [500000, -500000, -500000, -500000]]
+
+    def test_products_and_keys_match_row_products(self):
+        rng = np.random.default_rng(5)
+        qx = rng.normal(size=(37, 4))
+        qx /= np.linalg.norm(qx, axis=1)[:, None]
+        gens = _su2_quaternions(double_braid_generators(7)[0])
+        products, keys = _products_and_keys(qx, gens, 1e-6)
+        for row, (x, y) in enumerate((x, y) for x in qx for y in gens):
+            a = complex(x[0], x[1]) * complex(y[0], y[1]) - complex(x[2], x[3]) * complex(y[2], -y[3])
+            b = complex(x[0], x[1]) * complex(y[2], y[3]) + complex(x[2], x[3]) * complex(y[0], -y[1])
+            assert products[row] == pytest.approx([a.real, a.imag, b.real, b.imag], abs=1e-15)
+        assert np.array_equal(keys, _canonical_grid_keys(products, 1e-6))
+
+
+class TestBeamSelection:
+    @pytest.mark.parametrize("width", [1, 3, 5, 7, 9, 11])
+    def test_ties_at_the_cut_keep_the_lowest_indices(self, width):
+        search = _Search(SearchConfig(k=3, beam_width=width))
+        for _ in range(2):
+            search.expand()
+        pattern = [0.3, 0.1, 0.2, 0.1, 0.2, 0.2, 0.0, 0.2, 0.3, 0.1, 0.2, 0.0]
+        errors = np.resize(pattern, len(search.frontier))
+        assert len(errors) > width
+        want = np.sort(np.argsort(errors, kind="stable")[:width])
+        parents, gens = search.trace[-1]
+        frontier = search.frontier
+        kept = search.shrink_to_beam(errors)
+        assert np.array_equal(kept, errors[want])
+        assert np.array_equal(search.frontier, frontier[want])
+        assert np.array_equal(search.trace[-1][0], parents[want]) and np.array_equal(search.trace[-1][1], gens[want])
+
+    def test_random_errors_match_a_stable_sort(self):
+        rng = np.random.default_rng(3)
+        for trial in range(40):
+            n = int(rng.integers(2, 400))
+            width = int(rng.integers(1, n))
+            errors = rng.integers(0, 6, n) / 8.0  # many ties
+            search = _Search(SearchConfig(k=3, beam_width=width))
+            search.frontier = rng.normal(size=(n, 4))
+            search.trace = [(np.arange(n), np.zeros(n, dtype=np.intp))]
+            want = np.sort(np.argsort(errors, kind="stable")[:width])
+            assert np.array_equal(search.shrink_to_beam(errors), errors[want])
+            assert np.array_equal(search.trace[-1][0], want)
