@@ -8,23 +8,24 @@ the root, every consecutive triple (b_{i-1}, a; b_i) admissible.
 Generator sigma_1 acts diagonally by R-symbols; sigma_i for i >= 2 acts on
 the b_{i-1} slot through an F-conjugated R within the block of fixed
 (b_{i-2}, b_i).  The one-qubit case (a = 1/2, n = 3) is also provided in
-closed form: normalized to determinant one as complex matrices (the
-synthesis generators), and as exact matrices over radical sums built from
-the exact F-symbols.  The density certificates do not use the latter; they
-work in a gauge without square roots (:func:`su2k.universality.witnesses`).
+closed form, normalized to determinant one, as complex matrices: the
+synthesis generators.  They are read off the exact construction that the
+density certificates use as well, a gauge without square roots
+(:func:`su2k.universality.qubit_rep_exact`).
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import re
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .cyclotomic import Cyc
+from .cyclotomic import Cyc, sqrt_rational
 from .errors import DomainError, IntegrityError
-from .model import Model, get_model
-from .radicals import RadicalSum
+from .model import MAX_LEVEL, Model, get_model
+from .universality import qubit_rep_exact
 
 if TYPE_CHECKING:
     import numpy as np
@@ -169,55 +170,44 @@ def evaluate_word(model: Model, basis: SplittingBasis, word: BraidWord) -> np.nd
 # -- the one-qubit closed forms ---------------------------------------------------
 
 
-def _require_qubit_level(k: int) -> Model:
+def _require_qubit_level(k: int) -> None:
     if k < 2:
         raise DomainError(f"the three-anyon qubit needs level k >= 2, got {k}")
-    return get_model(k)
-
-
-def qubit_rep_exact(k: int) -> tuple[list[list[RadicalSum]], list[list[RadicalSum]]]:
-    """Exact normalized generator matrices (sigma_1~, F) on the qubit.
-
-    Returns (R_tilde, F) where R_tilde = diag(i q^{-1/2}, -i q^{1/2}) and F is
-    the symmetric involutory recoupling matrix; sigma_2~ = F^{-1} R_tilde F = F R_tilde F.
-    Entries are radical sums over Q(zeta_{4(k+2)}).
-    """
-    model = _require_qubit_level(k)
-    N = model.N
-    ctx = model.radicals
-    quarter = N // 4
-
-    def scalar(c: Cyc) -> RadicalSum:
-        return RadicalSum(ctx, {(): c})
-
-    zero = RadicalSum(ctx)
-    r_tilde = [
-        [scalar(Cyc.root_of_unity(N, quarter - 2)), zero],
-        [zero, scalar(-Cyc.root_of_unity(N, quarter + 2))],
-    ]
-    rows, cols, fm = model.f_matrix_exact(1, 1, 1, 1)
-    if rows != (0, 2) or cols != (0, 2):
-        raise IntegrityError(f"qubit F-matrix at level {k} has channels {rows} x {cols}, not (0, 2)")
-    f = [[RadicalSum.from_terms(ctx, [fm[i][j]]) for j in range(2)] for i in range(2)]
-    return r_tilde, f
+    if k > MAX_LEVEL:
+        raise DomainError(f"level must be at most {MAX_LEVEL} for the qubit generators, got {k}")
 
 
 def normalized_qubit_rep(k: int) -> tuple[np.ndarray, np.ndarray]:
     """Determinant-one qubit generators (sigma_1~, sigma_2~) as complex matrices.
 
-    These equal the braiding generators times the phase -i q^{1/4}.
+    These equal the braiding generators times the phase -i q^{1/4}.  They are
+    read off the exact gauge matrices M = D1 sigma~ D1^-1 of
+    :func:`qubit_rep_exact`, D1 = diag(-d, d*s), s = sqrt([3]): the diagonal
+    is M's, and the unitary sigma~_2 is symmetric, so both its off-diagonal
+    entries are M_01 D1_1 / D1_0 = -M_01 s.  A rational [3] (k = 2, 4) takes
+    its root exactly.
     """
-    from .radicals import mat_approx, mat_mul
+    import numpy as np
 
-    r_tilde, f = qubit_rep_exact(k)
-    s1 = mat_approx(r_tilde)
-    s2 = mat_approx(mat_mul(mat_mul(f, r_tilde), f))
-    return s1, s2
+    _require_qubit_level(k)
+    s1, s2 = qubit_rep_exact(k)
+    N = 4 * (k + 2)
+    three = Cyc.from_exponents(N, {4: 1, 0: 1, -4: 1})  # [3]_q = d^2 - 1
+    rational = three.as_rational()
+    if rational is None:
+        off = 0j + (-s2[0][1]).approx() * math.sqrt(three.approx().real)
+    else:
+        off = 0j + (-s2[0][1] * sqrt_rational(rational)).approx()
+    return (
+        np.array([[0j + entry.approx() for entry in row] for row in s1], dtype=complex),
+        np.array([[0j + s2[0][0].approx(), off], [off, 0j + s2[1][1].approx()]], dtype=complex),
+    )
 
 
 def dense_qubit_generators(k: int) -> tuple[np.ndarray, np.ndarray]:
     """Unnormalized sigma_1, sigma_2 on the three-anyon qubit basis."""
-    model = _require_qubit_level(k)
+    _require_qubit_level(k)
+    model = get_model(k)
     basis = enumerate_basis(k, 1, 3, 1)
     if basis.dim != 2:
         raise DomainError(f"level {k} does not have a two-dimensional three-anyon space")
@@ -236,7 +226,8 @@ def sparse_encoding_rep(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     import numpy as np
 
-    model = _require_qubit_level(k)
+    _require_qubit_level(k)
+    model = get_model(k)
     basis = enumerate_basis(k, 1, 4, 0)
     if basis.dim != 2:
         raise DomainError(f"level {k} does not have a two-dimensional four-anyon vacuum space")

@@ -8,9 +8,10 @@ the quarter powers of q that braiding phases need.
 The recoupling data has an exact and a numeric form:
 
 * exact -- quantum integers as cyclotomic numbers, F-symbols as formal
-  coef*sqrt(radicand) values (:class:`su2k.radicals.Radical`), and, for
-  verification, F-symbols in a vertex gauge where each lies in Q(zeta_N)
-  with no square root, and
+  coef*sqrt(radicand) values (:class:`su2k.radicals.Radical`, a reference
+  form that no computation here multiplies), and, for verification,
+  F-symbols in a vertex gauge where each lies in Q(zeta_N) with no square
+  root, and
 * numeric -- one 6j formula evaluated over tables of [n] and [n]!, in
   float64 or directly in mpmath at a requested precision.
 
@@ -45,9 +46,10 @@ if TYPE_CHECKING:
 
 #: Largest level a Model is built for, checked before any table is allocated.
 #: Every command that builds a model needs at least (k+1)^2 exact S-matrix
-#: entries (model, verify) or k quantum integers of phi(4(k+2)) coefficients
-#: each (the exact qubit matrices behind synth), over 4*10^9 stored integers
-#: at this level, so no run above it can finish.
+#: entries (model, verify), over 4*10^9 stored integers at this level, so no
+#: run above it can finish.  Synth builds no model, but its qubit generators
+#: hold phi(4(k+2)) coefficients per entry over a 4(k+2)-row power table, so
+#: it refuses the same levels.
 MAX_LEVEL = 1 << 16
 
 

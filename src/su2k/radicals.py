@@ -7,10 +7,17 @@ makes cancellation between terms decidable in the common cases: square parts
 fold into the coefficient, factors equal to 1 vanish, and rational factors
 are absorbed exactly through Gauss-sum square roots.
 
-Sums of such terms (as produced by pentagon/hexagon residuals) are held in a
-:class:`RadicalSum`.  A sum whose per-radicand groups all cancel is exactly
-zero; a sum that does not visibly cancel falls back to high-precision numeric
-evaluation on the caller's side.
+Sums of such terms are held in a :class:`RadicalSum`.  A sum whose
+per-radicand groups all cancel is exactly zero; a sum that does not visibly
+cancel falls back to high-precision numeric evaluation on the caller's side.
+
+The package's computations no longer run on these values: the exact axiom
+checks use the square-root-free vertex gauge of :mod:`su2k.model`, and the
+certificates and the synthesis generators the closed-form qubit gauge of
+:mod:`su2k.universality`.  The module stays because
+:meth:`su2k.model.Model.f_symbol` and ``f_matrix_exact`` return its values:
+they are the independent exact form of the F-symbols that the regression
+suite, the tests and the benchmark probes compare against.
 """
 
 from __future__ import annotations
@@ -225,40 +232,3 @@ class RadicalSum:
             for key, coef in sorted(self.groups.items())
         ]
         return "RadicalSum(" + " + ".join(parts) + ")"
-
-
-def mat_mul(a: list[list[RadicalSum]], b: list[list[RadicalSum]]) -> list[list[RadicalSum]]:
-    """Product of small matrices over RadicalSum."""
-    n, m, p = len(a), len(b[0]), len(b)
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            acc = a[i][0] * b[0][j]
-            for t in range(1, p):
-                acc = acc + a[i][t] * b[t][j]
-            row.append(acc)
-        out.append(row)
-    return out
-
-
-def mat_trace(a: list[list[RadicalSum]]) -> RadicalSum:
-    acc = a[0][0]
-    for i in range(1, len(a)):
-        acc = acc + a[i][i]
-    return acc
-
-
-def mat_det2(a: list[list[RadicalSum]]) -> RadicalSum:
-    return a[0][0] * a[1][1] - a[0][1] * a[1][0]
-
-
-def mat_adjugate2(a: list[list[RadicalSum]]) -> list[list[RadicalSum]]:
-    """Inverse of a 2x2 matrix with determinant one."""
-    return [[a[1][1], -a[0][1]], [-a[1][0], a[0][0]]]
-
-
-def mat_approx(a: list[list[RadicalSum]], bits: int = 53):
-    import numpy as np
-
-    return np.array([[entry.approx(bits) for entry in row] for row in a], dtype=complex)

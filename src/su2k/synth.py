@@ -18,11 +18,11 @@ full key, so a hash collision never merges two states; the first occurrence
 in candidate order (parent-major, generator-minor) is kept.  The visited set
 is a few runs sorted by hash, merged geometrically, so a depth costs
 O(new log n) rather than a pass over every visited key.  The inverse of the
-move that reached a state returns its parent, which is visited, so when the
-generator set holds that inverse (the default set is closed under inverses)
-the backtrack is never built; `explored` still counts every (state,
-generator) pair of an expanded depth.  A depth's products, keys and hashes
-are built in cache-sized blocks of parents.  This makes exhaustive
+move that reached a state returns its parent, which is visited, and the
+generator set is closed under inverses, so the backtrack is never built;
+`explored` still counts every (state, generator) pair of an expanded depth.
+A depth's products, keys and hashes are built in cache-sized blocks of
+parents.  This makes exhaustive
 breadth-first enumeration feasible to the depths of interest; a beam mode
 bounds the frontier for deeper runs, and a state cap stops either one,
 flagging the result partial.
@@ -45,16 +45,13 @@ from .braids import BraidWord, normalized_qubit_rep
 from .errors import DomainError
 
 _DOUBLE_BRAID_PIECES = ((1, 2), (1, -2), (2, 2), (2, -2))
+_INVERSE_PIECE = np.array([_DOUBLE_BRAID_PIECES.index((i, -e)) for i, e in _DOUBLE_BRAID_PIECES])
 _KEY_DTYPE = np.int32  # grid-key integers: a unit coordinate over the resolution must fit
 
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Parameters of a double-braid synthesis run.
-
-    The generator set defaults to the four double-braidings s1^{+-2},
-    s2^{+-2}; any replacement must consist of even-exponent pieces.
-    """
+    """Parameters of a double-braid synthesis run over s1^{+-2}, s2^{+-2}."""
 
     k: int
     max_depth: int = 10
@@ -63,7 +60,6 @@ class SearchConfig:
     dedup_resolution: float = 1e-6
     max_states: int = 2_000_000
     seed: int = 20240301
-    generators: tuple[tuple[int, int], ...] = _DOUBLE_BRAID_PIECES
 
     def __post_init__(self):
         if self.max_depth < 1:
@@ -82,13 +78,6 @@ class SearchConfig:
             )
         if self.max_states < 1:
             raise DomainError(f"max_states must be >= 1, got {self.max_states}")
-        if not self.generators:
-            raise DomainError("the generator set cannot be empty")
-        for index, exponent in self.generators:
-            if index not in (1, 2):
-                raise DomainError(f"generator index must be 1 or 2 on the qubit, got {index}")
-            if exponent == 0 or exponent % 2:
-                raise DomainError("synthesis generators must be even-exponent (double-braid) words")
 
 
 @dataclass
@@ -188,17 +177,15 @@ def cmath_exp(phase: float) -> complex:
     return complex(math.cos(phase), math.sin(phase))
 
 
-def double_braid_generators(
-    k: int, pieces: tuple[tuple[int, int], ...] = _DOUBLE_BRAID_PIECES
-) -> tuple[np.ndarray, list[str]]:
-    """Generator matrices for the given word pieces, stacked, with their names."""
+def double_braid_generators(k: int) -> tuple[np.ndarray, list[str]]:
+    """The four double-braiding matrices s1^{+-2}, s2^{+-2}, stacked, with their names."""
     s1, s2 = normalized_qubit_rep(k)
     base = {1: s1, 2: s2}
     mats = []
-    for index, exponent in pieces:
+    for index, exponent in _DOUBLE_BRAID_PIECES:
         gen = base[index] if exponent > 0 else base[index].conj().T
         mats.append(np.linalg.matrix_power(gen, abs(exponent)))
-    return np.stack(mats), [f"s{i}^{e}" for i, e in pieces]
+    return np.stack(mats), [f"s{i}^{e}" for i, e in _DOUBLE_BRAID_PIECES]
 
 
 def _su2_quaternions(batch: np.ndarray) -> np.ndarray:
@@ -363,11 +350,8 @@ class _Search:
         if config.k < 2:
             raise DomainError("synthesis needs the qubit representation (k >= 2)")
         self.config = config
-        pieces = config.generators
-        gens, _ = double_braid_generators(config.k, pieces)
+        gens, _ = double_braid_generators(config.k)
         self.gens = _su2_quaternions(gens)
-        # the index of each piece's inverse, or len(pieces) (no generator) if the set lacks it
-        self.inverses = np.array([pieces.index((i, -e)) if (i, -e) in pieces else len(pieces) for i, e in pieces])
         self.frontier = np.array([[1.0, 0.0, 0.0, 0.0]])
         self.trace: list[tuple[np.ndarray, np.ndarray]] = []  # (parents, gen indices)
         self.visited = _Visited(_canonical_grid_keys(self.frontier, config.dedup_resolution).view(_KEY_ROW)[:, 0])
@@ -391,7 +375,7 @@ class _Search:
             self.partial = True
             return False
         self.explored += len(self.frontier) * n_gens
-        backtrack = self.inverses[self.trace[-1][1]] if self.trace else np.full(len(self.frontier), n_gens)
+        backtrack = _INVERSE_PIECE[self.trace[-1][1]] if self.trace else np.full(len(self.frontier), n_gens)
         moves = np.arange(n_gens) != backtrack[:, None]  # (state, generator) pairs to build
         candidates, rows, hashes = self._candidates(moves)
         keep = self.visited.add_new(hashes, rows)
@@ -448,7 +432,7 @@ class _Search:
         moves: list[tuple[int, int]] = []
         for level in range(depth - 1, -1, -1):
             parents, gens = self.trace[level]
-            piece = self.config.generators[gens[index]]
+            piece = _DOUBLE_BRAID_PIECES[gens[index]]
             if moves and moves[-1][0] == piece[0]:
                 merged = (piece[0], moves[-1][1] + piece[1])
                 if merged[1] == 0:

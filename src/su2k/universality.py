@@ -49,7 +49,7 @@ class WitnessPair:
 
     Entries lie in Q(zeta_N), N = 4(k+2), in the closed-form gauge: each
     matrix is D1 M D1^-1 for the word M in the unitary qubit basis, with
-    D1 = diag(-d, d*s), d = [2]_q and s = sqrt(d^2 - 1) (see :func:`witnesses`).
+    D1 = diag(-d, d*s), d = [2]_q and s = sqrt(d^2 - 1) (see :func:`qubit_rep_exact`).
     """
 
     k: int
@@ -90,6 +90,19 @@ def _adjugate(x: Matrix) -> Matrix:
     return [[x[1][1], -x[0][1]], [-x[1][0], x[0][0]]]
 
 
+def _power(x: Matrix, n: int) -> Matrix:
+    """x^n (n >= 1) of a determinant-one x, as p_n x - p_(n-1) I.
+
+    By Cayley-Hamilton x^2 = t x - I, t = tr x, so p_0 = 0, p_1 = 1 and
+    p_(j+1) = t p_j - p_(j-1): scalar products in place of matrix ones.
+    """
+    t = x[0][0] + x[1][1]
+    prev, cur = Cyc.rational(0, t.order), Cyc.rational(1, t.order)
+    for _ in range(n - 1):
+        prev, cur = cur, t * cur - prev
+    return [[cur * x[0][0] - prev, cur * x[0][1]], [cur * x[1][0], cur * x[1][1] - prev]]
+
+
 def _inverse_d2(N: int) -> Cyc:
     """1/d^2 for d = zeta_N^2 + zeta_N^-2, without a field inversion.
 
@@ -104,21 +117,20 @@ def _inverse_d2(N: int) -> Cyc:
     return Cyc.root_of_unity(N, 4) * inv_1_minus_z * inv_1_minus_z
 
 
-def witnesses(k: int) -> WitnessPair:
-    """Build the witness matrices exactly in the closed-form gauge; determinant one is verified.
+def qubit_rep_exact(k: int) -> tuple[Matrix, Matrix]:
+    """The determinant-one qubit generators (sigma~_1, sigma~_2), exactly, in the closed-form gauge.
 
-    The generators are R~ = diag(zeta_N^(N/4-2), -zeta_N^(N/4+2)) for sigma~_1
-    and F R~ F for sigma~_2, with F = [[-1/d, s/d], [s/d, 1/d]] the unitary
-    recoupling matrix F^{1/2 1/2 1/2}_{1/2} (rows and columns: channels 0, 1),
-    d = [2]_q = zeta_N^2 + zeta_N^-2 and s = sqrt(d^2 - 1).  With
-    D1 = diag(-d, d*s) and D2 = diag(1, -1/s), G = D1 F D2 = [[1, 1],
-    [d^2 - 1, -1]], and G^-1 = G / d^2 (G^2 = d^2 I).  R~ and D2 are
-    diagonal, so D1 sigma~_1^n D1^-1 = R~^n and D1 sigma~_2^n D1^-1 =
-    G R~^n G / d^2: every word is a matrix over Q(zeta_N), conjugate to the
-    unitary one by D1.
+    In the unitary qubit basis sigma~_1 = R~ = diag(zeta_N^(N/4-2),
+    -zeta_N^(N/4+2)) and sigma~_2 = F R~ F, with F = [[-1/d, s/d], [s/d, 1/d]]
+    the recoupling matrix F^{1/2 1/2 1/2}_{1/2} (rows and columns: channels 0,
+    1), N = 4(k+2), d = [2]_q = zeta_N^2 + zeta_N^-2 and s = sqrt(d^2 - 1).
+    With D1 = diag(-d, d*s) and D2 = diag(1, -1/s), G = D1 F D2 = [[1, 1],
+    [d^2 - 1, -1]], and G^-1 = G / d^2 (G^2 = d^2 I).  R~ and D2 are diagonal,
+    so D1 sigma~_1 D1^-1 = R~ and D1 sigma~_2 D1^-1 = G R~ G / d^2, both over
+    Q(zeta_N): those two matrices are returned.
     """
     if k < 2:
-        raise DomainError(f"witness matrices need level k >= 2, got {k}")
+        raise DomainError(f"the three-anyon qubit needs level k >= 2, got {k}")
     N = 4 * (k + 2)
     quarter = N // 4
     d2 = Cyc.from_exponents(N, {4: 1, 0: 2, -4: 1})  # (zeta^2 + zeta^-2)^2
@@ -127,16 +139,21 @@ def witnesses(k: int) -> WitnessPair:
         raise IntegrityError(f"closed-form 1/d^2 is wrong at k={k}")
     zero, one = Cyc.rational(0, N), Cyc.rational(1, N)
     g = [[one, one], [d2 - 1, -one]]
+    r_tilde = [[Cyc.root_of_unity(N, quarter - 2), zero], [zero, -Cyc.root_of_unity(N, quarter + 2)]]
+    sigma2 = [[entry * inv_d2 for entry in row] for row in _mat_mul(_mat_mul(g, r_tilde), g)]
+    return r_tilde, sigma2
 
-    def r_tilde_power(n: int) -> Matrix:  # n even, so the sign of -zeta^(N/4+2) drops
-        return [[Cyc.root_of_unity(N, n * (quarter - 2)), zero], [zero, Cyc.root_of_unity(N, n * (quarter + 2))]]
 
-    def sigma2_power(n: int) -> Matrix:
-        return [[entry * inv_d2 for entry in row] for row in _mat_mul(_mat_mul(g, r_tilde_power(n)), g)]
+def witnesses(k: int) -> WitnessPair:
+    """Build the witness matrices exactly from :func:`qubit_rep_exact`; determinant one is verified.
 
-    r2 = r_tilde_power(2)
-    a = _mat_mul(r2, sigma2_power(4))
-    b = _mat_mul(r2, sigma2_power(6))
+    A = R~^2 sigma~_2^4 and B = R~^2 sigma~_2^6 in the closed-form gauge, so
+    every word, and so W, is conjugate to the unitary one by D1.
+    """
+    s1, s2 = qubit_rep_exact(k)
+    r2 = _mat_mul(s1, s1)
+    a = _mat_mul(r2, _power(s2, 4))
+    b = _mat_mul(r2, _power(s2, 6))
     for name, mat in (("A", a), ("B", b)):
         if mat[0][0] * mat[1][1] - mat[0][1] * mat[1][0] != 1:
             raise IntegrityError(f"det({name}) != 1 at k={k}")

@@ -15,11 +15,12 @@ from su2k.braids import (
     enumerate_basis,
     evaluate_word,
     normalized_qubit_rep,
-    qubit_rep_exact,
     sparse_encoding_rep,
 )
+from su2k.cyclotomic import Cyc
 from su2k.errors import DomainError
 from su2k.model import get_model
+from su2k.radicals import RadicalSum
 from su2k.synth import projective_distance
 
 
@@ -136,12 +137,16 @@ class TestNormalizedRep:
         assert np.max(np.abs(s1 - want)) < 1e-12
 
     def test_sigma2_is_f_conjugate(self):
-        from su2k.radicals import mat_approx, mat_mul
-
+        # the reference: F R~ F multiplied out over radical sums from the exact F-symbols
         for k in (2, 3, 7):
-            r_tilde, f = qubit_rep_exact(k)
+            m = get_model(k)
+            _, _, fm = m.f_matrix_exact(1, 1, 1, 1)
+            f = [[RadicalSum.from_terms(m.radicals, [fm[i][j]]) for j in range(2)] for i in range(2)]
+            r = (Cyc.root_of_unity(m.N, m.N // 4 - 2), -Cyc.root_of_unity(m.N, m.N // 4 + 2))
+            fr = [[f[i][j] * r[j] for j in range(2)] for i in range(2)]
+            same = np.array([[(fr[i][0] * f[0][j] + fr[i][1] * f[1][j]).approx() for j in range(2)]
+                             for i in range(2)])
             _, s2 = normalized_qubit_rep(k)
-            same = mat_approx(mat_mul(mat_mul(f, r_tilde), f))
             assert np.max(np.abs(s2 - same)) == 0
 
     def test_generators_are_bit_identical(self):
@@ -153,6 +158,16 @@ class TestNormalizedRep:
                 assert gen.dtype == np.complex128 and gen.flags.c_contiguous
                 digest.update(gen.tobytes())
         assert digest.hexdigest() == "fc3f6fe18144b353ba2b3842e13f9919d7e5deb63afe686bb7e83afbbadf1b62"
+
+    def test_generators_are_bit_identical_at_higher_levels(self):
+        # the same digest for k = 31..60 and 418, recorded while the generators came from the
+        # radical route (exact F-symbols over radical sums), before the closed-form gauge built them
+        digest = hashlib.sha256()
+        for k in [*range(31, 61), 418]:
+            for gen in normalized_qubit_rep(k):
+                assert gen.dtype == np.complex128 and gen.flags.c_contiguous
+                digest.update(gen.tobytes())
+        assert digest.hexdigest() == "3d32894a0422d1a7f511de245774d896d7d4d251d41e67d36e6650ebc780dc43"
 
     def test_normalization_phase(self):
         # normalized = (-i q^{1/4}) * unnormalized, entrywise

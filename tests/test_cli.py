@@ -297,11 +297,12 @@ class TestTopLevel:
         # a level whose label range does not fit a Python sequence is a usage error, not a crash
         assert_usage_error(*args)
 
-    @pytest.mark.parametrize("command", ["verify", "model"])
+    @pytest.mark.parametrize("command", [("verify",), ("model",), ("synth", "--profile-samples", "2")],
+                             ids=["verify", "model", "synth"])
     def test_unallocatable_level_usage_error(self, command):
-        # fits a Python index but not memory: refused before Model builds any table
-        assert_usage_error(command, "--k", "9223372036854775805")
-        assert_usage_error(command, "--k", str(MAX_LEVEL + 1))
+        # fits a Python index but not memory: refused before any table is built (synth builds no model)
+        assert_usage_error(*command, "--k", "9223372036854775805")
+        assert_usage_error(*command, "--k", str(MAX_LEVEL + 1))
 
     def test_no_command_prints_usage(self):
         proc = subprocess.run(

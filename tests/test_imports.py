@@ -46,6 +46,15 @@ def test_model_dump_never_imports_numpy():
     assert "numpy" not in modules and "su2k.radicals" not in modules
 
 
+def test_synth_loads_no_radicals():
+    modules = loaded_modules("assert cli.main(['synth', '--k', '3', '--profile-samples', '2', '--max-depth', '3']) == 0")
+    # the generators come from the closed-form gauge: no radical layer and no model built
+    assert {m for m in modules if m.startswith("su2k")} == {
+        "su2k", "su2k.cli", "su2k.errors", "su2k.cyclotomic", "su2k.universality",
+        "su2k.model", "su2k.braids", "su2k.synth",
+    }
+
+
 @pytest.mark.parametrize("argv", [["model", "--k", "3"], ["verify", "--k", "2"]], ids=["model", "verify"])
 def test_model_commands_skip_synthesis_and_certificates(argv):
     modules = loaded_modules(f"assert cli.main({argv!r}) == 0")

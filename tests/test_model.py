@@ -458,9 +458,7 @@ class TestUnitarity:
                 for entry in row:
                     assert (entry - entry.conjugate()).is_zero()
             # involutory: F @ F = identity, exactly
-            from su2k.radicals import mat_mul
-
-            sq = mat_mul(f, f)
+            sq = [[f[i][0] * f[0][j] + f[i][1] * f[1][j] for j in range(2)] for i in range(2)]
             assert sq[0][0] == 1 and sq[1][1] == 1
             assert sq[0][1].is_zero() and sq[1][0].is_zero()
 

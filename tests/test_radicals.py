@@ -6,7 +6,7 @@ import pytest
 
 from su2k.cyclotomic import Cyc
 from su2k.model import get_model
-from su2k.radicals import Radical, RadicalSum, mat_adjugate2, mat_det2, mat_mul
+from su2k.radicals import RadicalSum
 
 
 @pytest.fixture(scope="module")
@@ -86,16 +86,3 @@ class TestSums:
         one = RadicalSum(ctx, {(): Cyc.rational(1)})
         assert one == 1
         assert not (one == 2)
-
-
-class TestMatrixHelpers:
-    def test_det_and_adjugate(self, ctx):
-        one = RadicalSum(ctx, {(): Cyc.rational(1)})
-        zero = RadicalSum(ctx)
-        two = RadicalSum(ctx, {(): Cyc.rational(2)})
-        m = [[one, zero], [two, one]]
-        assert mat_det2(m) == 1
-        inv = mat_adjugate2(m)
-        prod = mat_mul(m, inv)
-        assert prod[0][0] == 1 and prod[1][1] == 1
-        assert prod[0][1].is_zero() and prod[1][0].is_zero()

@@ -245,14 +245,6 @@ class TestConfigValidation:
             SearchConfig(k=3, beam_width=-3)
         SearchConfig(k=3, beam_width=0)  # 0 = exhaustive
 
-    def test_generators_must_be_double_braids(self):
-        with pytest.raises(DomainError):
-            SearchConfig(k=3, generators=((1, 1),))
-        with pytest.raises(DomainError):
-            SearchConfig(k=3, generators=((3, 2),))
-        with pytest.raises(DomainError):
-            SearchConfig(k=3, generators=())
-
     def test_grid_must_fit_the_key_integers(self):
         # a unit coordinate over the resolution must fit int32, or distinct states share a key
         with pytest.raises(DomainError):
@@ -265,14 +257,6 @@ class TestConfigValidation:
     def test_grid_must_be_finer_than_a_coordinate(self, resolution):
         with pytest.raises(DomainError):
             SearchConfig(k=3, dedup_resolution=resolution)
-
-    def test_custom_generator_set(self):
-        # quadruple braidings only: still searchable, word pieces match
-        config = SearchConfig(k=3, max_depth=4, generators=((1, 4), (1, -4), (2, 4), (2, -4)))
-        gens, _ = double_braid_generators(3, config.generators)
-        result = synthesize(config, gens[0])
-        assert result.best_errors[1] == 0
-        assert result.best_words[1] == "s1^4"
 
 
 # -- the complex-matrix engine the quaternion search replaced, kept as the reference --
@@ -321,7 +305,7 @@ class ReferenceSearch(_Search):
 
     def __init__(self, config):
         super().__init__(config)
-        self.gens, _ = double_braid_generators(config.k, config.generators)
+        self.gens, _ = double_braid_generators(config.k)
         self.frontier = np.eye(2, dtype=complex)[None]
         self.visited = set(map(bytes, _reference_grid_keys(self.frontier, config.dedup_resolution)))
 
@@ -539,7 +523,7 @@ class TestBacktracks:
         # as new although each is its grandparent's gate, so skipping them drops only duplicates
         config = SearchConfig(k=6, max_depth=10)
         ref = ReferenceSearch(config)
-        inverses = _Search(config).inverses
+        inverses = synth._INVERSE_PIECE
         frontiers = [ref.frontier]
         kept = 0
         for _ in range(config.max_depth):
@@ -555,21 +539,6 @@ class TestBacktracks:
             kept += len(backtracks)
         assert kept > 0
         assert reachable_counts(config)[0][-1] < ref.distinct
-
-    @pytest.mark.parametrize("pieces", [((1, 2), (2, 2)), ((1, 2), (1, -2), (2, 2)), ((1, 4), (1, -2), (2, -2))])
-    def test_sets_not_closed_under_inverses(self, monkeypatch, pieces):
-        config = SearchConfig(k=5, max_depth=9, generators=pieces)
-        search = _Search(config)
-        inverses = [pieces.index((i, -e)) if (i, -e) in pieces else len(pieces) for i, e in pieces]
-        assert search.inverses.tolist() == inverses
-        target = haar_su2(random.Random(31))
-        new = synthesize(config, target)
-        ref = _with_engine(monkeypatch, ReferenceSearch, lambda: synthesize(config, target))
-        assert (new.depths, new.best_words) == (ref.depths, ref.best_words)
-        assert (new.explored, new.distinct, new.partial) == (ref.explored, ref.distinct, ref.partial)
-        assert new.best_errors == pytest.approx(ref.best_errors, rel=0, abs=1e-12)
-        assert reachable_counts(config) == _with_engine(monkeypatch, ReferenceSearch,
-                                                        lambda: reachable_counts(config))
 
 
 class TestLevelBlocks:

@@ -37,3 +37,15 @@ def test_traced_run_matches_plain_cli(tmp_path, args):
     assert traced.stdout == plain.stdout
     spans = json.loads(spans_path.read_text(encoding="utf-8"))
     assert len(spans["name"]) > 0 and len(spans["end"]) == len(spans["name"])
+
+
+def test_traced_certificates_see_the_qubit_builder(tmp_path):
+    # the witnesses call the one exact qubit builder by its module name, where the tracer wraps it
+    spans_path = tmp_path / "spans.json"
+    traced = subprocess.run(
+        [sys.executable, str(TRACER), str(spans_path), "universality", "--k", "3..4"], capture_output=True, text=True
+    )
+    assert traced.returncode == 0, traced.stderr[-400:]
+    spans = json.loads(spans_path.read_text(encoding="utf-8"))
+    builder = spans["names"].index("braids.qubit_rep_exact")
+    assert spans["name"].count(builder) >= 1

@@ -12,14 +12,16 @@ import numpy as np
 import pytest
 
 from su2k import cli
-from su2k.braids import qubit_rep_exact
 from su2k.cyclotomic import Cyc, cos_pi_fraction, euler_phi, min_poly_2cos, minimal_polynomial
 from su2k.errors import DomainError
-from su2k.radicals import mat_adjugate2, mat_det2, mat_mul, mat_trace
+from su2k.model import get_model
+from su2k.radicals import RadicalSum
 from su2k.regression import REFERENCE
 from su2k.universality import (
     KNOWN_COSINE_IDENTITIES,
     OrderDecision,
+    _adjugate,
+    _mat_mul,
     certificate,
     decide_projective_order_from_trace,
     match_known_identity,
@@ -135,9 +137,8 @@ class TestWitnesses:
 
     def test_determinant_one_exact(self):
         pair = witnesses(7)
-        assert mat_det2(pair.a) == 1
-        assert mat_det2(pair.b) == 1
-        assert mat_det2(pair.w) == 1
+        for m in (pair.a, pair.b, pair.w):
+            assert m[0][0] * m[1][1] - m[0][1] * m[1][0] == 1
 
     def test_traces_radical_free_and_real(self):
         for k in (2, 3, 10, 21):
@@ -157,14 +158,19 @@ class TestWitnesses:
 
 def radical_route_traces(k: int) -> tuple[Cyc, Cyc, Cyc]:
     """Traces of A, B, W from the exact radical F-matrix in the unitary basis."""
-    r_tilde, f = qubit_rep_exact(k)
-    r2 = mat_mul(r_tilde, r_tilde)
-    r4 = mat_mul(r2, r2)
-    r6 = mat_mul(r4, r2)
-    a = mat_mul(mat_mul(r2, f), mat_mul(r4, f))
-    b = mat_mul(mat_mul(r2, f), mat_mul(r6, f))
-    w = mat_mul(mat_mul(a, b), mat_mul(mat_adjugate2(a), mat_adjugate2(b)))
-    return tuple(mat_trace(m).cyc_value() for m in (a, b, w))
+    m = get_model(k)
+    _, _, fm = m.f_matrix_exact(1, 1, 1, 1)
+    f = [[RadicalSum.from_terms(m.radicals, [fm[i][j]]) for j in range(2)] for i in range(2)]
+    zero = RadicalSum(m.radicals)
+    r_tilde = [[RadicalSum(m.radicals, {(): Cyc.root_of_unity(m.N, m.N // 4 - 2)}), zero],
+               [zero, RadicalSum(m.radicals, {(): -Cyc.root_of_unity(m.N, m.N // 4 + 2)})]]
+    r2 = _mat_mul(r_tilde, r_tilde)
+    r4 = _mat_mul(r2, r2)
+    r6 = _mat_mul(r4, r2)
+    a = _mat_mul(_mat_mul(r2, f), _mat_mul(r4, f))
+    b = _mat_mul(_mat_mul(r2, f), _mat_mul(r6, f))
+    w = _mat_mul(_mat_mul(a, b), _mat_mul(_adjugate(a), _adjugate(b)))
+    return tuple((x[0][0] + x[1][1]).cyc_value() for x in (a, b, w))
 
 
 class TestGaugeWitnesses:
