@@ -11,7 +11,7 @@ the b_{i-1} slot through an F-conjugated R within the block of fixed
 closed form, normalized to determinant one, as complex matrices: the
 synthesis generators.  They are read off the exact construction that the
 density certificates use as well, a gauge without square roots
-(:func:`su2k.universality.qubit_rep_exact`).
+(:func:`su2k.universality.qubit_rep_exact`), so they load no model layer.
 """
 
 from __future__ import annotations
@@ -23,12 +23,20 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .cyclotomic import Cyc, sqrt_rational
-from .errors import DomainError, IntegrityError
-from .model import MAX_LEVEL, Model, get_model
+from .errors import MAX_LEVEL, DomainError, IntegrityError
 from .universality import qubit_rep_exact
 
 if TYPE_CHECKING:
     import numpy as np
+
+    from .model import Model
+
+
+def get_model(k: int) -> Model:
+    """The model layer, loaded on first use: the qubit closed forms, and so synth, never need it."""
+    from .model import get_model
+
+    return get_model(k)
 
 
 @dataclass(frozen=True)

@@ -312,8 +312,9 @@ def cmd_synth(args) -> int:
     else:
         header = ["depth", "explored", "distinct", "best_error", "best_word"]
         table = [
-            [d, result.explored, result.distinct, repr(e), w]
-            for d, e, w in zip(result.depths, result.best_errors, result.best_words)
+            [d, explored, distinct, repr(e), w]
+            for d, explored, distinct, e, w in zip(result.depths, result.explored_counts, result.distinct_counts,
+                                                   result.best_errors, result.best_words)
         ]
         _write_output(_csv_text(header, table), args.output)
     if result.partial:

@@ -37,20 +37,12 @@ from typing import TYPE_CHECKING
 import mpmath
 
 from .cyclotomic import Cyc, euler_phi
-from .errors import DomainError, IntegrityError
+from .errors import MAX_LEVEL, DomainError, IntegrityError  # MAX_LEVEL lives in .errors: synth reads it too
 
 if TYPE_CHECKING:
     import numpy as np
 
     from .radicals import Radical, RadicalContext
-
-#: Largest level a Model is built for, checked before any table is allocated.
-#: Every command that builds a model needs at least (k+1)^2 exact S-matrix
-#: entries (model, verify), over 4*10^9 stored integers at this level, so no
-#: run above it can finish.  Synth builds no model, but its qubit generators
-#: hold phi(4(k+2)) coefficients per entry over a 4(k+2)-row power table, so
-#: it refuses the same levels.
-MAX_LEVEL = 1 << 16
 
 
 def label_str(twice_j: int) -> str:

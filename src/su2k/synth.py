@@ -16,13 +16,16 @@ vectorized and exact: a depth's keys are sorted by a 64-bit hash, and both
 repeats within the depth and hits in the visited set are confirmed on the
 full key, so a hash collision never merges two states; the first occurrence
 in candidate order (parent-major, generator-minor) is kept.  The visited set
-is a few runs sorted by hash, merged geometrically, so a depth costs
-O(new log n) rather than a pass over every visited key.  The inverse of the
+is a few runs sorted by hash, merged geometrically in linear time, so a
+depth costs O(new log n) rather than a pass over every visited key; a
+depth's run is merged when the next depth is built, so the last one never
+is.  The inverse of the
 move that reached a state returns its parent, which is visited, and the
 generator set is closed under inverses, so the backtrack is never built;
 `explored` still counts every (state, generator) pair of an expanded depth.
 A depth's products, keys and hashes are built in cache-sized blocks of
-parents.  This makes exhaustive
+parents, and the trace keeps 5 bytes per state (an int32 parent and an int8
+generator).  This makes exhaustive
 breadth-first enumeration feasible to the depths of interest; a beam mode
 bounds the frontier for deeper runs, and a state cap stops either one,
 flagging the result partial.
@@ -46,7 +49,11 @@ from .errors import DomainError
 
 _DOUBLE_BRAID_PIECES = ((1, 2), (1, -2), (2, 2), (2, -2))
 _INVERSE_PIECE = np.array([_DOUBLE_BRAID_PIECES.index((i, -e)) for i, e in _DOUBLE_BRAID_PIECES])
+# the pieces that may follow each piece: all but its inverse, which would return to the parent
+_NEXT_PIECES = np.array([[g for g in range(len(_DOUBLE_BRAID_PIECES)) if g != inverse] for inverse in _INVERSE_PIECE],
+                        dtype=np.int8)
 _KEY_DTYPE = np.int32  # grid-key integers: a unit coordinate over the resolution must fit
+_MAX_STATES = np.iinfo(np.int32).max  # the trace stores each state's parent index as an int32
 
 
 @dataclass(frozen=True)
@@ -82,15 +89,15 @@ class SearchConfig:
 
 @dataclass
 class SynthResult:
-    """Per-depth best projective approximations of one target."""
+    """Per-depth best projective approximations of one target, with the search's cumulative counts."""
 
     k: int
     target: np.ndarray
     depths: list[int] = field(default_factory=list)
     best_errors: list[float] = field(default_factory=list)
     best_words: list[str] = field(default_factory=list)
-    explored: int = 0
-    distinct: int = 0
+    explored_counts: list[int] = field(default_factory=list)  # (state, generator) pairs after each depth
+    distinct_counts: list[int] = field(default_factory=list)  # visited states after each depth
     wall_time: float = 0.0
     partial: bool = False
 
@@ -101,6 +108,14 @@ class SynthResult:
     @property
     def best_word(self) -> str:
         return self.best_words[-1]
+
+    @property
+    def explored(self) -> int:
+        return self.explored_counts[-1]
+
+    @property
+    def distinct(self) -> int:
+        return self.distinct_counts[-1]
 
 
 _DISTANCE_BLOCK = 1 << 12  # frontier rows per block: the overlap temporaries stay in cache
@@ -115,10 +130,11 @@ def _overlaps(qu: np.ndarray, qv: np.ndarray) -> np.ndarray:
     A fixed-order element-wise sum, not a BLAS product, so every entry is
     independent of the block shape and of the BLAS thread count.
     """
-    dot = qu[:, 0, None] * qv[:, 0]
+    u, v = qu.T.copy(), qv.T.copy()  # four contiguous columns each
+    dot = u[0, :, None] * v[0]
     for c in range(1, 4):
-        dot += qu[:, c, None] * qv[:, c]
-    return np.abs(dot)
+        dot += u[c, :, None] * v[c]
+    return np.abs(dot, out=dot)
 
 
 def _chords(qu: np.ndarray, qv: np.ndarray) -> np.ndarray:
@@ -219,18 +235,22 @@ def _canonical_grid_keys(q: np.ndarray, resolution: float) -> np.ndarray:
 
 
 def _products_and_keys(qx: np.ndarray, qy: np.ndarray, resolution: float) -> tuple[np.ndarray, np.ndarray]:
-    """Quaternion coordinates of X Y for every X row and Y row, X-major (row x * len(qy) + y),
+    """Quaternion coordinates of X Y for every X row and each of its m Y rows, X-major (row x * m + j),
     and their canonical grid keys.
 
-    With X = [[a1, b1], [-b1*, a1*]] and Y likewise, X Y has a = a1 a2 - b1 b2*
-    and b = a1 b2 + b1 a2*: sixteen real products per pair, in a fixed order.
-    Each Y is one pass over the X coordinates as contiguous columns, which
-    yields the product's coordinates as columns for its keys too.
+    `qy` is (len(qx), m, 4), the Y rows of each X, or (m, 4), the same Y rows
+    for every X.  With X = [[a1, b1], [-b1*, a1*]] and Y likewise, X Y has
+    a = a1 a2 - b1 b2* and b = a1 b2 + b1 a2*: sixteen real products per
+    pair, in a fixed order.  Each j is one pass over the X coordinates as
+    contiguous columns, which yields the product's coordinates as columns
+    for its keys too.
     """
     x0, x1, x2, x3 = qx.T.copy()
-    products = np.empty((len(qx), len(qy), 4))
-    keys = np.empty((len(qx), len(qy), 4), dtype=_KEY_DTYPE)
-    for j, (y0, y1, y2, y3) in enumerate(qy):
+    ys = np.broadcast_to(qy, (len(qx), *qy.shape[-2:]))
+    products = np.empty(ys.shape)
+    keys = np.empty(ys.shape, dtype=_KEY_DTYPE)
+    for j in range(ys.shape[1]):
+        y0, y1, y2, y3 = ys[:, j].T.copy()
         coords = (x0 * y0 - x1 * y1 - x2 * y2 - x3 * y3,
                   x0 * y1 + x1 * y0 + x2 * y3 - x3 * y2,
                   x0 * y2 - x1 * y3 + x2 * y0 + x3 * y1,
@@ -265,12 +285,13 @@ class _Visited:
     """The visited grid keys: a few runs, each sorted by key hash, with the key rows alongside.
 
     A depth's new keys are appended as one run, already in hash order, and
-    :meth:`merge` folds each run into the one before it until every run is
-    over twice the size of the next.  So there are O(log n) runs, a depth's
-    lookups cost O(new log n) and each key is copied O(log n) times in all,
-    not once per depth.  A key is visited iff some run holds it; a hash hit
-    names the one row of that run to compare, so membership is decided on
-    the full key.
+    :meth:`merge`, called before the next depth is built, folds each run into
+    the one before it until every run is over twice the size of the next.
+    So there are O(log n) runs, a depth's lookups cost O(new log n) and each
+    key is copied O(log n) times in all, not once per depth.  A key is
+    visited iff some run holds it; a hash hit names the first row of that
+    run with the hash, and a different key there sends the batch to the
+    exact sort, so membership is decided on the full key.
     """
 
     def __init__(self, rows: np.ndarray):
@@ -328,12 +349,20 @@ class _Visited:
         return leads[leads >= self.size] - self.size
 
     def merge(self) -> None:
-        """Fold the last run into the one before it while that one is at most twice its size."""
+        """Fold the last run into the one before it while that one is at most twice its size.
+
+        The two runs are concatenated and put in order by one stable argsort
+        of their hashes, which finds the two sorted runs and merges them in
+        linear time; the rows follow their hashes.
+        """
         runs = self.runs
         while len(runs) > 1 and len(runs[-2][0]) <= 2 * len(runs[-1][0]):
-            (small_hashes, small_rows), (big_hashes, big_rows) = runs.pop(), runs[-1]
-            at = np.searchsorted(big_hashes, small_hashes)
-            runs[-1] = (np.insert(big_hashes, at, small_hashes), np.insert(big_rows, at, small_rows))
+            (small_hashes, small_rows), (big_hashes, big_rows) = runs.pop(), runs.pop()
+            hashes = np.concatenate([big_hashes, small_hashes])
+            rows = np.concatenate([big_rows, small_rows])
+            del small_hashes, small_rows, big_hashes, big_rows  # only the merged run's arrays stay alive
+            order = np.argsort(hashes, kind="stable")
+            runs.append((hashes[order], rows[order]))
 
 
 class _Search:
@@ -353,7 +382,7 @@ class _Search:
         gens, _ = double_braid_generators(config.k)
         self.gens = _su2_quaternions(gens)
         self.frontier = np.array([[1.0, 0.0, 0.0, 0.0]])
-        self.trace: list[tuple[np.ndarray, np.ndarray]] = []  # (parents, gen indices)
+        self.trace: list[tuple[np.ndarray, np.ndarray]] = []  # (int32 parents, int8 gen indices)
         self.visited = _Visited(_canonical_grid_keys(self.frontier, config.dedup_resolution).view(_KEY_ROW)[:, 0])
         self.explored = 1
         self.partial = False
@@ -366,49 +395,45 @@ class _Search:
     def expand(self) -> bool:
         """Advance one depth; False, with nothing built, if it could pass the state cap.
 
-        Every candidate of the level may be new, so the cap is checked against
-        that bound before the level is allocated.  The run is then flagged
-        partial, and the last depth reported is the last one expanded.
+        Every candidate of the level may be new, so the cap, and the int32
+        range of the trace's parent indices, are checked against that bound
+        before the level is allocated.  The run is then flagged partial, and
+        the last depth reported is the last one expanded.
         """
         n_gens = len(self.gens)
-        if self.distinct + len(self.frontier) * n_gens > self.config.max_states:
+        if self.distinct + len(self.frontier) * n_gens > min(self.config.max_states, _MAX_STATES):
             self.partial = True
             return False
         self.explored += len(self.frontier) * n_gens
-        backtrack = _INVERSE_PIECE[self.trace[-1][1]] if self.trace else np.full(len(self.frontier), n_gens)
-        moves = np.arange(n_gens) != backtrack[:, None]  # (state, generator) pairs to build
+        self.visited.merge()  # the last depth's run, before this depth's arrays are allocated
+        # the generators to apply to each state, ascending: all but its backtrack after depth 1
+        moves = _NEXT_PIECES[self.trace[-1][1]] if self.trace else np.arange(n_gens, dtype=np.int8)[None]
         candidates, rows, hashes = self._candidates(moves)
         keep = self.visited.add_new(hashes, rows)
-        self.frontier = candidates[keep]
-        del candidates, rows, hashes  # merge the visited runs with the depth's arrays released
-        self.visited.merge()
-        moves[moves] = keep  # now the kept pairs
-        pairs = np.flatnonzero(moves)
-        self.trace.append((pairs // n_gens, pairs % n_gens))
+        self.frontier = np.compress(keep, candidates, axis=0)  # candidates[keep], about 4x faster
+        kept = np.flatnonzero(keep)
+        self.trace.append(((kept // moves.shape[1]).astype(np.int32), moves.ravel()[kept]))
         if len(self.frontier) == 0:
             self.closed = True
         return True
 
     def _candidates(self, moves: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Products, grid key rows and key hashes of the frontier's `moves` pairs, parent-major.
+        """Products, grid key rows and key hashes of each frontier state times each of its `moves`
+        generators, parent-major.
 
         The depth's arrays are allocated once and filled in blocks of
         _EXPAND_BLOCK parents, so that a block's temporaries stay in cache.
         """
-        n = int(np.count_nonzero(moves))
-        products = np.empty((n, 4))
-        keys = np.empty((n, 4), dtype=_KEY_DTYPE)
+        products = np.empty((moves.size, 4))
+        keys = np.empty((moves.size, 4), dtype=_KEY_DTYPE)
         rows = keys.view(_KEY_ROW)[:, 0]
-        hashes = np.empty(n, dtype=np.uint64)
-        stop = 0
+        hashes = np.empty(moves.size, dtype=np.uint64)
         for start in range(0, len(self.frontier), _EXPAND_BLOCK):
-            block = moves[start:start + _EXPAND_BLOCK].ravel()
-            begin, stop = stop, stop + int(np.count_nonzero(block))
-            block_products, block_keys = _products_and_keys(self.frontier[start:start + _EXPAND_BLOCK], self.gens,
-                                                            self.config.dedup_resolution)
-            np.compress(block, block_products, axis=0, out=products[begin:stop])
-            np.compress(block, block_keys, axis=0, out=keys[begin:stop])
-            hashes[begin:stop] = _key_hash(rows[begin:stop])
+            stop = start + _EXPAND_BLOCK
+            block = slice(start * moves.shape[1], stop * moves.shape[1])
+            products[block], keys[block] = _products_and_keys(self.frontier[start:stop], self.gens[moves[start:stop]],
+                                                              self.config.dedup_resolution)
+            hashes[block] = _key_hash(rows[block])
         return products, rows, hashes
 
     def shrink_to_beam(self, errors: np.ndarray) -> np.ndarray:
@@ -492,11 +517,17 @@ def synthesize(config: SearchConfig, target: np.ndarray) -> SynthResult:
     start = time.perf_counter()
     search = _Search(config)
     result = SynthResult(config.k, target)
+
+    def record(depth: int) -> None:
+        result.depths.append(depth)
+        result.best_errors.append(best_error)
+        result.best_words.append(best_word)
+        result.explored_counts.append(search.explored)
+        result.distinct_counts.append(search.distinct)
+
     best_error = float(search.frontier_errors(target_q)[0, 0])
     best_word = ""
-    result.depths.append(0)
-    result.best_errors.append(best_error)
-    result.best_words.append(best_word)
+    record(0)
     for depth in range(1, config.max_depth + 1):
         if best_error <= config.tolerance or search.closed or not search.expand():
             break
@@ -507,11 +538,7 @@ def synthesize(config: SearchConfig, target: np.ndarray) -> SynthResult:
             if errors[arg] < best_error - 1e-15:
                 best_error = float(errors[arg])
                 best_word = search.word_of(depth, arg)
-        result.depths.append(depth)
-        result.best_errors.append(best_error)
-        result.best_words.append(best_word)
-    result.explored = search.explored
-    result.distinct = search.distinct
+        record(depth)
     result.partial = search.partial
     result.wall_time = time.perf_counter() - start
     return result

@@ -24,6 +24,7 @@ classical list of minimal vanishing combinations.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -55,13 +56,25 @@ class WitnessPair:
     k: int
     a: Matrix  # rho~(s1^2 s2^4)
     b: Matrix  # rho~(s1^2 s2^6)
-    w: Matrix  # commutator a b a^-1 b^-1
+
+    @functools.cached_property
+    def w(self) -> Matrix:
+        """The commutator a b a^-1 b^-1, built on first use; the certificate needs only its trace."""
+        a, b = self.a, self.b
+        return _mat_mul(_mat_mul(a, b), _mat_mul(_adjugate(a), _adjugate(b)))
 
     def traces(self) -> tuple[Cyc, Cyc, Cyc]:
-        """Exact traces, asserted real; a zero trace is the rational 0 (printed "0; N=1")."""
+        """Exact traces, asserted real; a zero trace is the rational 0 (printed "0; N=1").
+
+        tr W comes from the SL(2) Fricke identity tr[A, B] = tr^2 A + tr^2 B +
+        tr^2 AB - tr A tr B tr AB - 2, which needs only the diagonal of AB.
+        """
+        a, b = self.a, self.b
+        tr_a, tr_b = a[0][0] + a[1][1], b[0][0] + b[1][1]
+        tr_ab = a[0][0] * b[0][0] + a[0][1] * b[1][0] + a[1][0] * b[0][1] + a[1][1] * b[1][1]
+        tr_w = tr_a * tr_a + tr_b * tr_b + tr_ab * tr_ab - tr_a * tr_b * tr_ab - 2
         out = []
-        for name, mat in (("A", self.a), ("B", self.b), ("W", self.w)):
-            value = mat[0][0] + mat[1][1]
+        for name, value in (("A", tr_a), ("B", tr_b), ("W", tr_w)):
             if value.is_zero():
                 value = Cyc.rational(0)
             if not value.is_real():
@@ -148,7 +161,8 @@ def witnesses(k: int) -> WitnessPair:
     """Build the witness matrices exactly from :func:`qubit_rep_exact`; determinant one is verified.
 
     A = R~^2 sigma~_2^4 and B = R~^2 sigma~_2^6 in the closed-form gauge, so
-    every word, and so W, is conjugate to the unitary one by D1.
+    every word, and so W, is conjugate to the unitary one by D1.  Determinant
+    one is what the Fricke identity for tr W rests on.
     """
     s1, s2 = qubit_rep_exact(k)
     r2 = _mat_mul(s1, s1)
@@ -157,8 +171,7 @@ def witnesses(k: int) -> WitnessPair:
     for name, mat in (("A", a), ("B", b)):
         if mat[0][0] * mat[1][1] - mat[0][1] * mat[1][0] != 1:
             raise IntegrityError(f"det({name}) != 1 at k={k}")
-    w = _mat_mul(_mat_mul(a, b), _mat_mul(_adjugate(a), _adjugate(b)))
-    return WitnessPair(k, a, b, w)
+    return WitnessPair(k, a, b)
 
 
 # -- trace identities ---------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import random
 import subprocess
 import sys
 
@@ -259,6 +260,34 @@ class TestSynthCommand:
         identity.write_text(json.dumps({"entries": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}))
         out = run_cli("synth", "--k", "3", "--target", str(identity), "--max-depth", "5").stdout
         assert out.splitlines() == ["depth,explored,distinct,best_error,best_word", "0,1,1,0.0,"]
+
+    def test_target_rows_report_the_counts_after_their_depth(self, target_file):
+        target = ("synth", "--k", "3", "--target", target_file, "--max-depth", "6")
+        rows = [row.split(",") for row in run_cli(*target).stdout.splitlines()[1:]]
+        counts = [(int(row[1]), int(row[2])) for row in rows]
+        assert all(b >= a for earlier, later in zip(counts, counts[1:]) for a, b in zip(earlier, later))
+        # an exhaustive target search expands what the profile expands, depth by depth
+        profile = run_cli("synth", "--k", "3", "--profile-samples", "2", "--max-depth", "6").stdout
+        assert counts == [(int(row.split(",")[1]), int(row.split(",")[2])) for row in profile.splitlines()[1:]]
+        payload = json.loads(run_cli(*target, "--format", "json").stdout)
+        assert counts[-1] == (payload["explored"], payload["distinct"])
+
+    # sha256 of the stdout of the benchmark's synth-search chain at seed 1, recorded before the
+    # visited set's merges became linear and lazy
+    def test_synth_search_stdout_pinned(self, tmp_path):
+        from su2k.synth import haar_su2
+
+        target = tmp_path / "target.json"
+        entries = [[[z.real, z.imag] for z in row] for row in haar_su2(random.Random(1)).tolist()]
+        target.write_text(json.dumps({"schema": "su2k/matrix-v1", "entries": entries}) + "\n")
+        profile = run_cli("synth", "--k", "3", "--profile-samples", "20", "--max-depth", "13", "--seed", "1",
+                          "--format", "json").stdout
+        beam = run_cli("synth", "--k", "5", "--target", str(target), "--beam-width", "10000", "--max-depth", "40",
+                       "--format", "json").stdout
+        assert hashlib.sha256(profile.encode()).hexdigest() == (
+            "462575614d4909be8453f81d208a7e79eeaba62b573d57e2808139c69c9ff540")
+        assert hashlib.sha256(beam.encode()).hexdigest() == (
+            "aa33617c949befe5035b64b8d9721a120c4737c8fadec3a02af15a375c8b047e")
 
     def test_profile_rejects_a_beam_width(self):
         # a profile expands every state, so a beam width would be ignored without a word

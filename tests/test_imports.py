@@ -48,10 +48,10 @@ def test_model_dump_never_imports_numpy():
 
 def test_synth_loads_no_radicals():
     modules = loaded_modules("assert cli.main(['synth', '--k', '3', '--profile-samples', '2', '--max-depth', '3']) == 0")
-    # the generators come from the closed-form gauge: no radical layer and no model built
+    # the generators come from the closed-form gauge: no radical layer and no model layer loaded
     assert {m for m in modules if m.startswith("su2k")} == {
         "su2k", "su2k.cli", "su2k.errors", "su2k.cyclotomic", "su2k.universality",
-        "su2k.model", "su2k.braids", "su2k.synth",
+        "su2k.braids", "su2k.synth",
     }
 
 

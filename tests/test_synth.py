@@ -469,12 +469,24 @@ class TestExactDedup:
         assert exact_batches == []
 
 
+def _runs_from(batches):
+    """A visited set whose runs are the given key batches, each added as new; nothing is merged."""
+    visited = _Visited(np.array([[1, 0, 0, 0]], dtype=np.int32).view(_KEY_ROW)[:, 0])
+    for batch in batches:
+        assert len(_add_new(visited, batch)) == len(batch)
+    return visited
+
+
 class TestVisitedRuns:
     def test_runs_partition_the_visited_keys(self):
         search = _Search(SearchConfig(k=5, max_depth=12, beam_width=300))
         for _ in range(12):
+            before = search.distinct
             search.expand()
             search.shrink_to_beam(np.zeros(len(search.frontier)))
+        # expand merges before it builds a depth, so the last depth's run is still apart
+        assert len(search.visited.runs[-1][0]) == search.distinct - before > 300
+        search.visited.merge()
         runs = search.visited.runs
         sizes = [len(hashes) for hashes, _ in runs]
         assert all(big > 2 * small for big, small in zip(sizes, sizes[1:]))  # geometric sizes
@@ -483,6 +495,65 @@ class TestVisitedRuns:
             assert np.all(hashes[1:] >= hashes[:-1]) and np.array_equal(hashes, synth._key_hash(rows))
         every = np.concatenate([rows for _, rows in runs])
         assert len(np.unique(every)) == len(every)
+
+    @pytest.mark.parametrize("coarse", [None, 7, 1])
+    def test_merge_is_a_stable_sort_of_the_two_runs(self, monkeypatch, coarse):
+        # with a coarse hash equal hashes meet across runs; the merge keeps each row with its hash
+        if coarse:
+            key_hash = synth._key_hash
+            monkeypatch.setattr(synth, "_key_hash", lambda rows: key_hash(rows) % coarse)
+        rng = np.random.default_rng(4)
+        keys = np.unique(rng.integers(-50, 50, size=(300, 4), dtype=np.int32), axis=0)
+        rng.shuffle(keys)
+        half = len(keys) // 2
+        visited = _runs_from([keys[:half], keys[half:]])
+        (big_hashes, big_rows), (small_hashes, small_rows) = visited.runs[1:]
+        hashes = np.concatenate([visited.runs[0][0], big_hashes, small_hashes])
+        rows = np.concatenate([visited.runs[0][1], big_rows, small_rows])
+        visited.merge()
+        assert len(visited.runs) == 1
+        order = np.argsort(hashes, kind="stable")
+        merged_hashes, merged_rows = visited.runs[0]
+        assert np.array_equal(merged_hashes, hashes[order]) and np.array_equal(merged_rows, rows[order])
+        assert np.array_equal(synth._key_hash(merged_rows), merged_hashes)
+        # membership is decided on the full key: every key is known, a fresh one is new exactly once
+        assert _add_new(visited, keys).tolist() == []
+        fresh = np.array([[99, 99, 0, 0], [98, 0, 0, 0], [99, 99, 0, 0]], dtype=np.int32)
+        assert _add_new(visited, np.concatenate([keys[::7], fresh])).tolist() == [len(keys[::7]), len(keys[::7]) + 1]
+        assert visited.size == 1 + len(keys) + 2
+
+    @pytest.mark.parametrize("config", [
+        SearchConfig(k=5, max_depth=30, beam_width=500),
+        SearchConfig(k=3, max_depth=9),
+    ], ids=["k5-beam", "k3-profile"])
+    def test_eager_and_lazy_merges_give_the_same_search(self, monkeypatch, config):
+        targets = _su2_quaternions(np.stack([haar_su2(random.Random(seed)) for seed in (31, 32, 33)]))
+
+        def run():
+            search = _Search(config)
+            states = []
+            for _ in range(config.max_depth):
+                search.expand()
+                if config.beam_width:
+                    search.shrink_to_beam(search.frontier_errors(targets[:1])[:, 0])
+                else:
+                    search.frontier_min_errors(targets)
+                states.append((search.frontier.copy(), search.trace[-1], search.distinct, search.explored))
+            return states
+
+        lazy = run()
+        add_new = _Visited.add_new
+
+        def eager(self, hashes, rows):  # merge right after each depth's run is added
+            keep = add_new(self, hashes, rows)
+            self.merge()
+            return keep
+
+        monkeypatch.setattr(_Visited, "add_new", eager)
+        for (frontier, (parents, gens), distinct, explored), want in zip(run(), lazy, strict=True):
+            assert np.array_equal(frontier, want[0])
+            assert np.array_equal(parents, want[1][0]) and np.array_equal(gens, want[1][1])
+            assert (distinct, explored) == want[2:]
 
     def test_lookup_spans_several_runs(self):
         visited = _Visited(np.array([[1, 0, 0, 0]], dtype=np.int32).view(_KEY_ROW)[:, 0])
@@ -498,13 +569,37 @@ class TestVisitedRuns:
         assert visited.size == 1 + 40 + 12 + 3 + 1
 
 
+class TestCompactTrace:
+    def test_beam_words_at_depth_40_match_the_reference(self, monkeypatch):
+        config = SearchConfig(k=5, max_depth=40, beam_width=100)
+        search = _Search(config)
+        for _ in range(config.max_depth):
+            search.expand()
+            search.shrink_to_beam(search.frontier_errors(np.array([[0.6, 0.0, 0.8, 0.0]]))[:, 0])
+        assert all(parents.dtype == np.int32 and gens.dtype == np.int8 for parents, gens in search.trace)
+        for seed in (41, 42):
+            target = haar_su2(random.Random(seed))
+            new = synthesize(config, target)
+            ref = _with_engine(monkeypatch, ReferenceSearch, lambda: synthesize(config, target))
+            assert new.depths == ref.depths == list(range(41))
+            assert new.best_words == ref.best_words
+
+    def test_a_frontier_past_int32_indices_is_refused_before_it_is_built(self, monkeypatch):
+        # the trace stores parents as int32, so the pre-allocation cap also bounds the states by its range
+        monkeypatch.setattr(synth, "_MAX_STATES", 60)
+        search = _Search(SearchConfig(k=3, max_states=10**9))
+        assert search.expand() and search.expand()  # 1 + 4 + 12 visited, then 17 + 48 > 60
+        assert search.distinct == 17 and not search.partial
+        assert not search.expand() and search.partial and search.distinct == 17
+
+
 class TestBacktracks:
     def test_backtracks_are_not_built(self, monkeypatch):
         built = []
         candidates = _Search._candidates
 
         def counted(self, moves):
-            built.append((len(self.frontier), int(moves.sum())))
+            built.append((len(self.frontier), moves.size))  # one generator index per pair built
             return candidates(self, moves)
 
         monkeypatch.setattr(_Search, "_candidates", counted)
@@ -578,6 +673,11 @@ class TestLevelBlocks:
             b = complex(x[0], x[1]) * complex(y[2], y[3]) + complex(x[2], x[3]) * complex(y[0], -y[1])
             assert products[row] == pytest.approx([a.real, a.imag, b.real, b.imag], abs=1e-15)
         assert np.array_equal(keys, _canonical_grid_keys(products, 1e-6))
+        # each X row with its own Y rows gives the same bits as the shared product's matching rows
+        picks = rng.integers(0, len(gens), size=(len(qx), 3))
+        own_products, own_keys = _products_and_keys(qx, gens[picks], 1e-6)
+        at = (np.arange(len(qx))[:, None] * len(gens) + picks).ravel()
+        assert np.array_equal(own_products, products[at]) and np.array_equal(own_keys, keys[at])
 
 
 class TestBeamSelection:

@@ -145,6 +145,15 @@ class TestWitnesses:
             for tr in witnesses(k).traces():
                 assert tr.is_real()
 
+    @pytest.mark.parametrize("k", [*range(2, 61), 418])
+    def test_fricke_trace_equals_the_built_commutator(self, k):
+        # traces() takes tr W from tr A, tr B and tr AB; the lazily built W must agree exactly
+        pair = witnesses(k)
+        assert "w" not in vars(pair)  # traces alone never build W
+        trace_w = pair.traces()[2]
+        assert "w" not in vars(pair)
+        assert trace_w == pair.w[0][0] + pair.w[1][1]
+
     def test_commutator_shape(self):
         pair = witnesses(5)
         an, bn, wn = pair.numeric()
