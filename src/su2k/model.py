@@ -20,16 +20,18 @@ A[a, b, c] built once per model on first use, one instance enumerator per
 axiom yielding bounded index blocks, and one vectorized evaluator per axiom
 of the signed sums lhs - rhs over zero-extended F/R tensors.  The tensors
 hold float64 or mpmath numbers, or, in exact mode, the gauge table packed
-into Python ints (Kronecker substitution), whose sums are then decided in
-Q(zeta_N).  Topological spins, quantum dimensions and the modular S-matrix
-live here as well; they are validated once per model, the spin condition on
-exponents of zeta_N.
+into Python ints (Kronecker substitution) once per model, whose sums are
+then decided in Q(zeta_N).  The float64 F tensor is the one stored float F
+table; unitarity reads its F-matrices there in every mode.  Topological
+spins, quantum dimensions and the modular S-matrix live here as well; they
+are validated once per model, the spin condition on exponents of zeta_N.
 """
 
 from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -76,8 +78,6 @@ class Model:
         self._qfact_inv: dict[int, Cyc] = {}
         self._f_exact: dict[tuple[int, ...], Radical] = {}
         self._f_gauge: dict[tuple[int, ...], Cyc] | None = None
-        self._f_float: dict[tuple[int, ...], float] = {}
-        self._fmat_float: dict[tuple[int, int, int, int], tuple] = {}
         self._tensors: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._qint_f, self._qfact_f = self._q_tables(math.sin, math.pi)
 
@@ -89,14 +89,17 @@ class Model:
         return RadicalContext({n: self.qint(n) for n in range(1, self.k + 2)})
 
     @functools.cached_property
+    def _triples(self) -> tuple[tuple[int, int, int], ...]:
+        """Every admissible (a, b; c), lexicographic (the order of np.nonzero(_adm)).  Built on first use."""
+        return tuple((a, b, c) for a in self.labels for b in self.labels for c in self.fusion(a, b))
+
+    @functools.cached_property
     def _adm(self) -> np.ndarray:
         """A[a, b, c]: (a, b; c) is admissible.  Built on first use; certificates never read it."""
         import numpy as np
 
         adm = np.zeros((self.k + 1,) * 3, dtype=bool)
-        for a in self.labels:
-            for b in self.labels:
-                adm[a, b, list(self.fusion(a, b))] = True
+        adm[tuple(zip(*self._triples))] = True
         return adm
 
     def _q_tables(self, sin, pi) -> tuple[list, list]:
@@ -189,8 +192,18 @@ class Model:
 
     # -- F-symbols -------------------------------------------------------------------
 
+    @staticmethod
+    def _f_vertices(a: int, b: int, c: int, d: int, m: int, n: int) -> tuple[tuple[int, int, int], ...]:
+        """The four vertices (x, y; w) of F^{abc}_{d;nm}: (ab)m, (mc)d, (bc)n, (an)d."""
+        return (a, b, m), (m, c, d), (b, c, n), (a, n, d)
+
+    @staticmethod
+    def _triangle(x: int, y: int, w: int) -> tuple[int, int, int, int]:
+        """(p, q, r, s) with the triangle coefficient D(x,y,w) = [p]! [q]! [r]! / [s]!."""
+        return (-x + y + w) // 2, (x - y + w) // 2, (x + y - w) // 2, (x + y + w) // 2 + 1
+
     def _f_check(self, a: int, b: int, c: int, d: int, m: int, n: int) -> None:
-        for triple in ((a, b, m), (m, c, d), (b, c, n), (a, n, d)):
+        for triple in self._f_vertices(a, b, c, d, m, n):
             if not self.admissible(*triple):
                 raise DomainError(
                     f"inadmissible F-symbol ({label_str(a)},{label_str(b)},{label_str(c)};"
@@ -199,7 +212,7 @@ class Model:
 
     @staticmethod
     def _z_range(a: int, b: int, c: int, d: int, m: int, n: int) -> tuple[int, int, list[int], list[int]]:
-        lows = [(a + b + m) // 2, (m + c + d) // 2, (b + c + n) // 2, (a + n + d) // 2]
+        lows = [(x + y + w) // 2 for x, y, w in Model._f_vertices(a, b, c, d, m, n)]
         highs = [(a + b + c + d) // 2, (a + m + c + n) // 2, (b + m + d + n) // 2]
         return max(lows), min(highs), lows, highs
 
@@ -230,28 +243,20 @@ class Model:
         zsum, sign = self._zsum_sign(a, b, c, d, m, n)
         coef = zsum * sign
         word: dict[int, int] = {}
-
-        def add_fact(limit: int, step: int) -> None:
-            for t in range(1, limit + 1):
-                word[t] = word.get(t, 0) + step
-
         word[m + 1] = word.get(m + 1, 0) + 1
         word[n + 1] = word.get(n + 1, 0) + 1
-        for (x, y, w) in ((a, b, m), (m, c, d), (b, c, n), (a, n, d)):
-            add_fact((-x + y + w) // 2, 1)
-            add_fact((x - y + w) // 2, 1)
-            add_fact((x + y - w) // 2, 1)
-            add_fact((x + y + w) // 2 + 1, -1)
+        for vertex in self._f_vertices(a, b, c, d, m, n):
+            p, q, r, s = self._triangle(*vertex)
+            for limit, step in ((p, 1), (q, 1), (r, 1), (s, -1)):
+                for t in range(1, limit + 1):
+                    word[t] = word.get(t, 0) + step
         value = self.radicals.term(coef, word)
         self._f_exact[key] = value
         return value
 
     def f_symbol_float(self, a: int, b: int, c: int, d: int, m: int, n: int) -> float:
-        """Double-precision F-symbol (real), for the large verification sweeps."""
-        key = (a, b, c, d, m, n)
-        if key not in self._f_float:
-            self._f_float[key] = self._six_j(key, self._qint_f, self._qfact_f, math.sqrt)
-        return self._f_float[key]
+        """Double-precision F-symbol (real), evaluated on each call; the sweeps read the F tensor."""
+        return self._six_j((a, b, c, d, m, n), self._qint_f, self._qfact_f, math.sqrt)
 
     def _six_j(self, labels: tuple[int, ...], qint, qfact, sqrt):
         """The 6j formula for F over tables of [n] and [n]! and a matching sqrt.
@@ -272,40 +277,35 @@ class Model:
             zsum += -term if z % 2 else term
         sign = -1.0 if ((a + b + c + d) // 2) % 2 else 1.0
         radicand = qint[m + 1] * qint[n + 1]
-        for (x, y, w) in ((a, b, m), (m, c, d), (b, c, n), (a, n, d)):
-            radicand *= (
-                qfact[(-x + y + w) // 2]
-                * qfact[(x - y + w) // 2]
-                * qfact[(x + y - w) // 2]
-                / qfact[(x + y + w) // 2 + 1]
-            )
+        for vertex in self._f_vertices(a, b, c, d, m, n):
+            p, q, r, s = self._triangle(*vertex)
+            radicand *= qfact[p] * qfact[q] * qfact[r] / qfact[s]
         if radicand < 0:
             raise IntegrityError(f"negative F-symbol radicand {radicand} at labels {labels}")
         return sign * zsum * sqrt(radicand)
 
+    def _channels(self, a: int, b: int, c: int, d: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(rows, cols) of F^{abc}_d: the admissible n-channels of b x c and m-channels of a x b."""
+        rows = tuple(n for n in self.fusion(b, c) if self.admissible(a, n, d))
+        cols = tuple(m for m in self.fusion(a, b) if self.admissible(m, c, d))
+        return rows, cols
+
     def f_matrix_exact(self, a: int, b: int, c: int, d: int) -> tuple[tuple[int, ...], tuple[int, ...], list[list[Radical]]]:
         """(rows, cols, entries): rows are admissible n-channels, cols m-channels."""
-        cols = tuple(m for m in self.fusion(a, b) if self.admissible(m, c, d))
-        rows = tuple(n for n in self.fusion(b, c) if self.admissible(a, n, d))
+        rows, cols = self._channels(a, b, c, d)
         entries = [[self.f_symbol(a, b, c, d, m, n) for m in cols] for n in rows]
         return rows, cols, entries
 
     def f_matrix_float(self, a: int, b: int, c: int, d: int):
-        """(rows, cols, numpy array) with zero-extended admissibility filtering."""
+        """(rows, cols, numpy array) like f_matrix_exact, in float64, evaluated on each call."""
         import numpy as np
 
-        key = (a, b, c, d)
-        if key in self._fmat_float:
-            return self._fmat_float[key]
-        cols = tuple(m for m in self.fusion(a, b) if self.admissible(m, c, d))
-        rows = tuple(n for n in self.fusion(b, c) if self.admissible(a, n, d))
+        rows, cols = self._channels(a, b, c, d)
         mat = np.array(
             [[self.f_symbol_float(a, b, c, d, m, n) for m in cols] for n in rows],
             dtype=float,
         ).reshape(len(rows), len(cols))
-        out = (rows, cols, mat)
-        self._fmat_float[key] = out
-        return out
+        return rows, cols, mat
 
     # -- spins, dimensions, S-matrix ------------------------------------------------
 
@@ -345,13 +345,9 @@ class Model:
     @functools.cached_property
     def _validated_tables(self) -> tuple[list[Cyc], list[Cyc], list[list[Cyc]], list[list[complex]]]:
         """(spins, dims, S, S as complex floats), checked as spins_dims_smatrix documents."""
-        for a in self.labels:
-            for b in self.labels:
-                for c in self.fusion(a, b):
-                    if not self._spin_condition_holds(a, b, c):
-                        raise IntegrityError(
-                            f"spin condition fails at ({label_str(a)},{label_str(b)};{label_str(c)})"
-                        )
+        for a, b, c in self._triples:
+            if not self._spin_condition_holds(a, b, c):
+                raise IntegrityError(f"spin condition fails at ({label_str(a)},{label_str(b)};{label_str(c)})")
         spins = [self.spin(a) for a in self.labels]
         dims = [self.dim_exact(a) for a in self.labels]
         # S_ab = sum over c in a x b of theta_c d_c, times conj(theta_a theta_b) (dual(a) = a).
@@ -455,7 +451,7 @@ class Model:
             if mode == "exact":
                 report = VerificationReport(name, "exact", 0)
                 bound = 0.0
-                F, R, R_inv, D, B = self._packed_tensors()
+                F, R, R_inv, D, B = self._packed
 
                 def evaluate(rows):
                     return self._settle(sums(rows, F, R, R_inv, D), B, lambda: gauge(rows, self._vertex_float(), D))
@@ -498,7 +494,7 @@ class Model:
 
         key = max(precision, 53)
         if key not in self._tensors:
-            A, size = self._adm, self.k + 1
+            size = self.k + 1
             with mpmath.workprec(key + 16):
                 if key == 53:
                     f_value, r_value, dtype = self.f_symbol_float, self.r_symbol_complex, float
@@ -518,7 +514,7 @@ class Model:
                 for a, b, c, d, n, m in self._live_f():
                     F[a, b, c, d, n, m] = f_value(a, b, c, d, m, n)
                 R = np.zeros((size,) * 3, dtype=complex if dtype is float else object)
-                for a, b, c in zip(*(axis.tolist() for axis in np.nonzero(A))):
+                for a, b, c in self._triples:
                     R[a, b, c] = r_value(a, b, c)
             self._tensors[key] = F, R
         return self._tensors[key]
@@ -538,15 +534,12 @@ class Model:
         gauge-invariant (Kitaev, arXiv:cond-mat/0506438, App. E), so F''
         satisfies them exactly when F does.  Built once per model.
         """
-        import numpy as np
-
         if self._f_gauge is None:
-            qfact, qfact_inverse = self.qfact, self.qfact_inverse
-            delta = {
-                (x, y, w): qfact((-x + y + w) // 2) * qfact((x - y + w) // 2) * qfact((x + y - w) // 2)
-                * qfact_inverse((x + y + w) // 2 + 1)
-                for x, y, w in zip(*(axis.tolist() for axis in np.nonzero(self._adm)))
-            }
+            qfact = self.qfact
+            delta = {}
+            for vertex in self._triples:
+                p, q, r, s = self._triangle(*vertex)
+                delta[vertex] = qfact(p) * qfact(q) * qfact(r) * self.qfact_inverse(s)
             table = {}
             for a, b, c, d, n, m in self._live_f():
                 zsum, sign = self._zsum_sign(a, b, c, d, m, n)
@@ -559,13 +552,16 @@ class Model:
         import numpy as np
 
         qint, qfact = self._qint_f, self._qfact_f
-        V = np.zeros(self._adm.shape)
-        for x, y, w in zip(*(axis.tolist() for axis in np.nonzero(self._adm))):
-            V[x, y, w] = math.sqrt(
-                qint[w + 1] * qfact[(-x + y + w) // 2] * qfact[(x - y + w) // 2] * qfact[(x + y - w) // 2]
-                / qfact[(x + y + w) // 2 + 1]
-            )
+        V = np.zeros((self.k + 1,) * 3)
+        for x, y, w in self._triples:
+            p, q, r, s = self._triangle(x, y, w)
+            V[x, y, w] = math.sqrt(qint[w + 1] * qfact[p] * qfact[q] * qfact[r] / qfact[s])
         return V
+
+    @functools.cached_property
+    def _packed(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, int]:
+        """The packed gauge table at its least slot width, built once per model for both axioms."""
+        return self._packed_tensors()
 
     def _packed_tensors(self, slot_bits: int | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, int]:
         """The gauge table as packed integers: (F, R, R_inv, D, B).
@@ -611,7 +607,7 @@ class Model:
             F[a, b, c, d, n, m] = sum(c_i << (i * slot_bits) for i, c_i in enumerate(coefficients))
         R = np.zeros((size,) * 3, dtype=object)
         R_inv = np.zeros((size,) * 3, dtype=object)
-        for a, b, c in zip(*(axis.tolist() for axis in np.nonzero(self._adm))):
+        for a, b, c in self._triples:
             sign, exponent = self._r_sign_exponent(a, b, c)
             shift = (exponent + (self.N // 2 if sign % 2 else 0)) % self.N
             R[a, b, c] = 1 << (shift * slot_bits)
@@ -784,34 +780,32 @@ class Model:
         return VerificationReport("fusion-axioms", "exact", checked, failures, 0.0, 0)
 
     def verify_unitarity(self, tol: float = 1e-12) -> VerificationReport:
-        """Every F-matrix is unitary; every R-symbol has unit modulus (exactly)."""
+        """Every F-matrix (a block of the float64 F tensor, in any mode) is unitary; every R-symbol
+        has unit modulus (exactly)."""
         import numpy as np
 
         failures: list[tuple] = []
         checked = 0
         max_residual = 0.0
-        for a in self.labels:
-            for b in self.labels:
-                for c in self.fusion(a, b):
-                    checked += 1
-                    r = self.r_symbol(a, b, c)
-                    if r * r.conjugate() != 1:
-                        failures.append((("r-modulus", a, b, c), 1.0))
-        for a in self.labels:
-            for b in self.labels:
-                for c in self.labels:
-                    for d in self.labels:
-                        rows, cols, mat = self.f_matrix_float(a, b, c, d)
-                        if not rows or not cols:
-                            continue
-                        if len(rows) != len(cols):
-                            failures.append((("f-not-square", a, b, c, d), 1.0))
-                            continue
-                        residual = float(np.max(np.abs(mat @ mat.T.conj() - np.eye(len(rows)))))
-                        checked += 1
-                        max_residual = max(max_residual, residual)
-                        if residual > tol:
-                            failures.append((("f-unitarity", a, b, c, d), residual))
+        for a, b, c in self._triples:
+            checked += 1
+            r = self.r_symbol(a, b, c)
+            if r * r.conjugate() != 1:
+                failures.append((("r-modulus", a, b, c), 1.0))
+        F = self._recoupling_tensors(53)[0]
+        for a, b, c, d in itertools.product(self.labels, repeat=4):
+            rows, cols = self._channels(a, b, c, d)
+            if not rows or not cols:
+                continue
+            if len(rows) != len(cols):
+                failures.append((("f-not-square", a, b, c, d), 1.0))
+                continue
+            mat = F[a, b, c, d][np.ix_(rows, cols)]
+            residual = float(np.max(np.abs(mat @ mat.T.conj() - np.eye(len(rows)))))
+            checked += 1
+            max_residual = max(max_residual, residual)
+            if residual > tol:
+                failures.append((("f-unitarity", a, b, c, d), residual))
         return VerificationReport("unitarity", "float", checked, failures, max_residual, 0)
 
     # -- serialization ---------------------------------------------------------------------

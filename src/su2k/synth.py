@@ -214,24 +214,29 @@ def _su2_quaternions(batch: np.ndarray) -> np.ndarray:
     return np.stack([alpha.real, alpha.imag, beta.real, beta.imag], axis=1)
 
 
-def _signed_cells(coords: tuple[np.ndarray, ...], resolution: float) -> np.ndarray:
-    """The grid cell signed like each gate's largest coordinate by magnitude (the first on ties).
+def _put_grid_keys(coords: tuple[np.ndarray, ...], resolution: float, keys: np.ndarray) -> None:
+    """Write each gate's grid key into its row of `keys`: the coordinates rounded to the grid, negated
+    where the rounded one largest in magnitude (the first on ties) is negative.
 
-    Dividing the coordinates by it fixes the sign of q and -q alike.  The
-    largest coordinate of a unit quaternion is at least 1/2 in magnitude, so
-    its sign is never that of a zero.
+    Read from the integers, the sign fixes q and -q alike and cannot follow
+    float noise between coordinates of equal magnitude.  A unit quaternion's
+    largest coordinate is at least 1/2 in magnitude, so on a grid finer than
+    1 the lead is never 0.
     """
-    m0, m1, m2, m3 = (np.abs(c) for c in coords)
+    rounded = [np.rint(r, out=r) for r in (c / resolution for c in coords)]
+    m0, m1, m2, m3 = (np.abs(r) for r in rounded)
     lead = np.where(np.maximum(m2, m3) > np.maximum(m0, m1),
-                    np.where(m3 > m2, coords[3], coords[2]), np.where(m1 > m0, coords[1], coords[0]))
-    return np.copysign(resolution, lead)
+                    np.where(m3 > m2, rounded[3], rounded[2]), np.where(m1 > m0, rounded[1], rounded[0]))
+    sign = np.copysign(1.0, lead)
+    for c, r in enumerate(rounded):
+        np.multiply(r, sign, out=keys[:, c], casting="unsafe")
 
 
 def _canonical_grid_keys(q: np.ndarray, resolution: float) -> np.ndarray:
-    """Grid-rounded quaternion coordinates with the sign fixed by the largest one, one row per gate."""
-    coords = tuple(q.T)
-    cell = _signed_cells(coords, resolution)
-    return np.stack([np.rint(c / cell) for c in coords], axis=1).astype(_KEY_DTYPE)
+    """The grid key of each quaternion row (see _put_grid_keys), one row per gate."""
+    keys = np.empty((len(q), 4), dtype=_KEY_DTYPE)
+    _put_grid_keys(tuple(q.T), resolution, keys)
+    return keys
 
 
 def _products_and_keys(qx: np.ndarray, qy: np.ndarray, resolution: float) -> tuple[np.ndarray, np.ndarray]:
@@ -255,10 +260,9 @@ def _products_and_keys(qx: np.ndarray, qy: np.ndarray, resolution: float) -> tup
                   x0 * y1 + x1 * y0 + x2 * y3 - x3 * y2,
                   x0 * y2 - x1 * y3 + x2 * y0 + x3 * y1,
                   x0 * y3 + x1 * y2 - x2 * y1 + x3 * y0)
-        cell = _signed_cells(coords, resolution)
         for c, coord in enumerate(coords):
             products[:, j, c] = coord
-            keys[:, j, c] = np.rint(coord / cell)
+        _put_grid_keys(coords, resolution, keys[:, j])
     return products.reshape(-1, 4), keys.reshape(-1, 4)
 
 

@@ -127,6 +127,20 @@ class TestVerifyCommand:
             assert checks[name]["mode"] == "exact"
             assert checks[name]["numeric_fallbacks"] == 0
 
+    # sha256 of the complete stdout, every residual included, recorded before unitarity
+    # read its F-matrices from the verification tensor
+    @pytest.mark.parametrize("args, digest", [
+        (("--k", "2..8"), "ae6e0756f6f3bda50570f4295334bf7c56148d96ff38931c0de685d6c5c372ff"),
+        (("--k", "2..8", "--format", "json"),
+         "41bd9ddeadd4da8c5583bf243ec190926cb137ad7805b525afffa201cb56d4ae"),
+        (("--k", "4..5", "--mode", "exact", "--format", "json"),
+         "1687ab3fa13813fd80e3b3aeb36bcd0086d4ecd55cd01fa29f92fc99c2afa041"),
+        (("--k", "4", "--precision", "128"), "9265e7f65004de9b208ab7684a0bf4b505c03fb2559b684b74cd979d7b007a23"),
+    ], ids=["text", "json", "exact", "mpmath"])
+    def test_stdout_pinned(self, args, digest):
+        out = run_cli("verify", *args).stdout
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
 
 class TestUniversalityCommand:
     def test_csv_sweep(self):

@@ -55,11 +55,14 @@ def test_synth_loads_no_radicals():
     }
 
 
-@pytest.mark.parametrize("argv", [["model", "--k", "3"], ["verify", "--k", "2"]], ids=["model", "verify"])
+@pytest.mark.parametrize("argv", [["model", "--k", "3"], ["verify", "--k", "2"], ["verify", "--k", "4", "--mode", "exact"]],
+                         ids=["model", "verify", "verify-exact"])
 def test_model_commands_skip_synthesis_and_certificates(argv):
     modules = loaded_modules(f"assert cli.main({argv!r}) == 0")
     assert "su2k.model" in modules
     assert not modules & {"su2k.synth", "su2k.universality", "su2k.regression"}
+    # exact sums are settled in Q(zeta_N) in the vertex gauge, without square roots
+    assert "su2k.radicals" not in modules
 
 
 def test_every_export_resolves_to_its_home_module():

@@ -141,6 +141,13 @@ class TestFusion:
             N = get_model(k).fusion_tensor()
             assert set(np.unique(N)) <= {0, 1}
 
+    @pytest.mark.parametrize("k", range(0, 9))
+    def test_triples_are_the_admissible_ones_in_table_order(self, k):
+        m = Model(k)
+        want = [(a, b, c) for a in m.labels for b in m.labels for c in m.labels if m.admissible(a, b, c)]
+        assert list(m._triples) == want
+        assert list(zip(*(axis.tolist() for axis in np.nonzero(m._adm)))) == want
+
 
 class TestQuantumIntegers:
     @pytest.mark.parametrize("k", [0, 1, 2, 3, 5, 8, 12])
@@ -418,6 +425,15 @@ class TestGaugeTable:
             ]
             assert np.array_equal(*got)
 
+    def test_packed_table_is_built_once_per_level(self, monkeypatch):
+        calls = []
+        build = Model._packed_tensors
+        monkeypatch.setattr(Model, "_packed_tensors", lambda self, *args: calls.append(args) or build(self, *args))
+        m = Model(3)
+        for verify in (m.verify_pentagon, m.verify_hexagon, m.verify_pentagon):
+            assert verify("exact").holds
+        assert calls == [()]
+
     def test_undersized_slot_width_raises(self):
         m = Model(3)
         width = m._packed_tensors()[4]
@@ -445,6 +461,20 @@ class TestUnitarity:
     def test_sweep(self, k):
         report = get_model(k).verify_unitarity()
         assert report.holds and report.max_residual < 1e-12
+
+    @pytest.mark.parametrize("mode,precision,tol", [
+        ("float", 53, 1e-9), ("exact", 53, 1e-9), ("float", 128, 1e-20)
+    ])
+    def test_a_doubled_f_entry_is_reported_at_its_quad(self, monkeypatch, mode, precision, tol):
+        # unitarity reads the float64 F tensor whichever route the axiom sweeps take
+        m = corrupted_model(monkeypatch, "float")
+        m.verify_pentagon(mode, tol=tol, precision=precision)
+        report = m.verify_unitarity()
+        rows, cols, mat = m.f_matrix_float(1, 1, 1, 1)
+        assert rows == cols == (0, 2) and mat[0, 0] == 2 * get_model(3).f_symbol_float(1, 1, 1, 1, 0, 0)
+        residual = float(np.max(np.abs(mat @ mat.T - np.eye(2))))
+        assert report.failures == [(("f-unitarity", 1, 1, 1, 1), residual)]
+        assert report.checked == get_model(3).verify_unitarity().checked
 
     def test_qubit_f_involutory_exact(self):
         for k in range(2, 12):

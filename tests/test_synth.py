@@ -184,6 +184,11 @@ class TestDichotomy:
         assert closed
         assert counts[-1] == size
 
+    def test_depth_ten_count_at_a_level_with_coordinate_ties(self):
+        # k = 6 gates have coordinates equal in magnitude; each gate is counted once
+        counts, closed = reachable_counts(SearchConfig(k=6, max_depth=10))
+        assert counts[-1] == 14495 and not closed
+
     @pytest.mark.parametrize("k", [3, 5, 6, 7])
     def test_dense_levels_grow(self, k):
         counts, closed = reachable_counts(SearchConfig(k=k, max_depth=7))
@@ -269,10 +274,9 @@ def _reference_quaternions(batch):
 
 
 def _reference_grid_keys(batch, resolution):
-    v = _reference_quaternions(batch)
+    v = np.round(_reference_quaternions(batch) / resolution)
     lead = np.take_along_axis(v, np.argmax(np.abs(v), axis=1)[:, None], axis=1)[:, 0]
-    v = np.where((lead < 0)[:, None], -v, v)
-    return np.round(v / resolution).astype(np.int32)
+    return np.where((lead < 0)[:, None], -v, v).astype(np.int32)
 
 
 def _reference_project_su2(batch):
@@ -380,7 +384,7 @@ class TestAgainstReferenceEngine:
         for field in ("best_error", "mean_error", "max_error"):
             assert [getattr(r, field) for r in new] == pytest.approx([getattr(r, field) for r in ref], rel=0, abs=1e-12)
 
-    @pytest.mark.parametrize("k, depth", [(4, 40), (3, 8)])
+    @pytest.mark.parametrize("k, depth", [(4, 40), (3, 8), (6, 10)])
     def test_reachable_counts(self, monkeypatch, k, depth):
         config = SearchConfig(k=k, max_depth=depth)
         assert reachable_counts(config) == _with_engine(monkeypatch, ReferenceSearch, lambda: reachable_counts(config))
@@ -612,28 +616,19 @@ class TestBacktracks:
         assert all(n_built == 3 * n for n, n_built in built[1:])  # each state skips the inverse of its last move
         assert np.diff(explored).tolist() == [4 * n for n, _ in built]  # explored still counts every pair
 
-    def test_backtracks_a_full_search_keeps_are_duplicates(self):
+    def test_a_full_search_keeps_no_backtracks(self):
         # at k = 6 some gates have two coordinates of equal magnitude, and rounding in the product
-        # can flip which one fixes the key's sign; a search that builds backtracks then keeps a few
-        # as new although each is its grandparent's gate, so skipping them drops only duplicates
+        # can order them either way; the key's sign is read from the rounded integers, so a search
+        # that builds backtracks finds each at its grandparent's key, and skipping them drops nothing
         config = SearchConfig(k=6, max_depth=10)
         ref = ReferenceSearch(config)
         inverses = synth._INVERSE_PIECE
-        frontiers = [ref.frontier]
-        kept = 0
         for _ in range(config.max_depth):
             ref.expand()
-            frontiers.append(ref.frontier)
-            if len(ref.trace) < 2:
-                continue
-            parents, gens = ref.trace[-1]
-            backtracks = np.flatnonzero(gens == inverses[ref.trace[-2][1][parents]])
-            grandparents = frontiers[-3][ref.trace[-2][0][parents[backtracks]]]
-            for state, grandparent in zip(ref.frontier[backtracks], grandparents):
-                assert _reference_distances(state[None], grandparent[None])[0, 0] == 0
-            kept += len(backtracks)
-        assert kept > 0
-        assert reachable_counts(config)[0][-1] < ref.distinct
+            if len(ref.trace) >= 2:
+                parents, gens = ref.trace[-1]
+                assert not np.any(gens == inverses[ref.trace[-2][1][parents]])
+        assert reachable_counts(config)[0][-1] == ref.distinct
 
 
 class TestLevelBlocks:
@@ -661,6 +656,16 @@ class TestLevelBlocks:
         assert np.array_equal(_canonical_grid_keys(q, 1e-6), want)
         assert _canonical_grid_keys(q, 1e-6)[:2].tolist() == [[500000, -500000, 500000, -500000],
                                                                [500000, -500000, -500000, -500000]]
+
+    def test_a_one_ulp_magnitude_tie_gets_one_key(self):
+        # which of two equal-magnitude coordinates comes out larger is float noise; the key's
+        # sign is read from the rounded integers, so it cannot follow that noise
+        h = 0.5
+        q = np.array([[h, -h, h, h], [h, np.nextafter(-h, -1.0), h, h], [-h, h, -h, -h]])
+        keys = _canonical_grid_keys(q, 1e-6)
+        assert keys.tolist() == [[500000, -500000, 500000, 500000]] * 3
+        _, product_keys = _products_and_keys(q, np.array([[1.0, 0.0, 0.0, 0.0]]), 1e-6)
+        assert np.array_equal(product_keys, keys)
 
     def test_products_and_keys_match_row_products(self):
         rng = np.random.default_rng(5)
