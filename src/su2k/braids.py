@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .cyclotomic import Cyc, sqrt_rational
-from .errors import MAX_LEVEL, DomainError, IntegrityError
+from .errors import DomainError, IntegrityError
 from .universality import qubit_rep_exact
 
 if TYPE_CHECKING:
@@ -178,13 +178,6 @@ def evaluate_word(model: Model, basis: SplittingBasis, word: BraidWord) -> np.nd
 # -- the one-qubit closed forms ---------------------------------------------------
 
 
-def _require_qubit_level(k: int) -> None:
-    if k < 2:
-        raise DomainError(f"the three-anyon qubit needs level k >= 2, got {k}")
-    if k > MAX_LEVEL:
-        raise DomainError(f"level must be at most {MAX_LEVEL} for the qubit generators, got {k}")
-
-
 def normalized_qubit_rep(k: int) -> tuple[np.ndarray, np.ndarray]:
     """Determinant-one qubit generators (sigma_1~, sigma_2~) as complex matrices.
 
@@ -197,7 +190,6 @@ def normalized_qubit_rep(k: int) -> tuple[np.ndarray, np.ndarray]:
     """
     import numpy as np
 
-    _require_qubit_level(k)
     s1, s2 = qubit_rep_exact(k)
     N = 4 * (k + 2)
     three = Cyc.from_exponents(N, {4: 1, 0: 1, -4: 1})  # [3]_q = d^2 - 1
@@ -214,7 +206,6 @@ def normalized_qubit_rep(k: int) -> tuple[np.ndarray, np.ndarray]:
 
 def dense_qubit_generators(k: int) -> tuple[np.ndarray, np.ndarray]:
     """Unnormalized sigma_1, sigma_2 on the three-anyon qubit basis."""
-    _require_qubit_level(k)
     model = get_model(k)
     basis = enumerate_basis(k, 1, 3, 1)
     if basis.dim != 2:
@@ -234,7 +225,6 @@ def sparse_encoding_rep(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     import numpy as np
 
-    _require_qubit_level(k)
     model = get_model(k)
     basis = enumerate_basis(k, 1, 4, 0)
     if basis.dim != 2:

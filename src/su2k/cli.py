@@ -14,7 +14,7 @@ import json
 import os
 import sys
 
-from .errors import DomainError, IntegrityError
+from .errors import MAX_LEVEL, DomainError, IntegrityError
 
 _PRECISION_ENV = "SU2K_PRECISION"
 
@@ -28,9 +28,11 @@ _PRECISION_ENV = "SU2K_PRECISION"
 
 
 def get_model(k: int):
-    from .model import get_model
+    """A new model for each level, not the process-wide cache: verify --k 2..12 frees each level's
+    tables before it builds the next one's."""
+    from .model import Model
 
-    return get_model(k)
+    return Model(k)
 
 
 def certificate(k: int):
@@ -64,8 +66,8 @@ def _parse_k_range(text: str, minimum: int) -> list[int]:
         raise DomainError(f"empty level range {text!r}")
     if lo < minimum:
         raise DomainError(f"level must be >= {minimum} for this command, got {lo}")
-    if hi + 2 > sys.maxsize:  # Model(k) holds range(k + 1), whose length must fit a Python index
-        raise DomainError(f"level must be at most {sys.maxsize - 2}, got {hi}")
+    if hi > MAX_LEVEL:  # refused before any level of a range runs
+        raise DomainError(f"level must be at most {MAX_LEVEL}, got {hi}")
     return list(range(lo, hi + 1))
 
 
@@ -266,35 +268,28 @@ def cmd_synth(args) -> int:
         if config.beam_width:
             raise DomainError("--beam-width applies to --target searches; a profile expands every state")
         rows = error_profile(config, args.profile_samples)
+        payload = {
+            "schema": "su2k/profile-v1",
+            "k": config.k,
+            "samples": args.profile_samples,
+            "seed": config.seed,
+            "rows": [
+                {
+                    "depth": r.depth,
+                    "explored": r.explored,
+                    "distinct": r.distinct,
+                    "best_error": r.best_error,
+                    "mean_error": r.mean_error,
+                    "max_error": r.max_error,
+                }
+                for r in rows
+            ],
+        }
         header = ["depth", "explored", "distinct", "best_error", "mean_error"]
         table = [[r.depth, r.explored, r.distinct, repr(r.best_error), repr(r.mean_error)] for r in rows]
-        if args.format == "json":
-            payload = {
-                "schema": "su2k/profile-v1",
-                "k": config.k,
-                "samples": args.profile_samples,
-                "seed": config.seed,
-                "rows": [
-                    {
-                        "depth": r.depth,
-                        "explored": r.explored,
-                        "distinct": r.distinct,
-                        "best_error": r.best_error,
-                        "mean_error": r.mean_error,
-                        "max_error": r.max_error,
-                    }
-                    for r in rows
-                ],
-            }
-            _write_output(_json_text(payload), args.output)
-        else:
-            _write_output(_csv_text(header, table), args.output)
-        if rows[-1].partial:
-            print(_PARTIAL_WARNING, file=sys.stderr)
-        return 0
-    target = _load_target(args.target)
-    result = synthesize(config, target)
-    if args.format == "json":
+        partial = rows[-1].partial
+    else:
+        result = synthesize(config, _load_target(args.target))
         payload = {
             "schema": "su2k/synth-v1",
             "k": config.k,
@@ -308,16 +303,16 @@ def cmd_synth(args) -> int:
                 for d, e, w in zip(result.depths, result.best_errors, result.best_words)
             ],
         }
-        _write_output(_json_text(payload), args.output)
-    else:
         header = ["depth", "explored", "distinct", "best_error", "best_word"]
         table = [
             [d, explored, distinct, repr(e), w]
             for d, explored, distinct, e, w in zip(result.depths, result.explored_counts, result.distinct_counts,
                                                    result.best_errors, result.best_words)
         ]
-        _write_output(_csv_text(header, table), args.output)
-    if result.partial:
+        partial = result.partial
+    text = _json_text(payload) if args.format == "json" else _csv_text(header, table)
+    _write_output(text, args.output)
+    if partial:
         print(_PARTIAL_WARNING, file=sys.stderr)
     return 0
 

@@ -39,7 +39,7 @@ from typing import TYPE_CHECKING
 import mpmath
 
 from .cyclotomic import Cyc, euler_phi
-from .errors import MAX_LEVEL, DomainError, IntegrityError  # MAX_LEVEL lives in .errors: synth reads it too
+from .errors import MAX_LEVEL, DomainError, IntegrityError  # MAX_LEVEL lives in .errors: universality and the CLI read it too
 
 if TYPE_CHECKING:
     import numpy as np
@@ -256,16 +256,17 @@ class Model:
 
     def f_symbol_float(self, a: int, b: int, c: int, d: int, m: int, n: int) -> float:
         """Double-precision F-symbol (real), evaluated on each call; the sweeps read the F tensor."""
+        self._f_check(a, b, c, d, m, n)
         return self._six_j((a, b, c, d, m, n), self._qint_f, self._qfact_f, math.sqrt)
 
     def _six_j(self, labels: tuple[int, ...], qint, qfact, sqrt):
         """The 6j formula for F over tables of [n] and [n]! and a matching sqrt.
 
         One body serves float64 (math tables) and mpmath (mpf tables); a
-        negative radicand means the tables are wrong and raises.
+        negative radicand means the tables are wrong and raises.  The labels
+        must be admissible: callers check them, or enumerate only live ones.
         """
         a, b, c, d, m, n = labels
-        self._f_check(a, b, c, d, m, n)
         z_lo, z_hi, lows, highs = self._z_range(a, b, c, d, m, n)
         zsum = 0.0
         for z in range(z_lo, z_hi + 1):
@@ -486,9 +487,10 @@ class Model:
     def _recoupling_tensors(self, precision: int) -> tuple[np.ndarray, np.ndarray]:
         """Zero-extended F[a, b, c, d, n, m] and R[a, b, c] at a working precision.
 
-        Up to 53 bits: float64/complex128 arrays of f_symbol_float and
-        r_symbol_complex.  Above: object arrays of mpf/mpc, the same 6j
-        formula and the R phases evaluated in mpmath at precision + 16 bits.
+        Up to 53 bits: float64/complex128 arrays of the 6j formula over the
+        float tables and of r_symbol_complex.  Above: object arrays of
+        mpf/mpc, the same 6j formula and the R phases evaluated in mpmath at
+        precision + 16 bits.
         """
         import numpy as np
 
@@ -497,13 +499,11 @@ class Model:
             size = self.k + 1
             with mpmath.workprec(key + 16):
                 if key == 53:
-                    f_value, r_value, dtype = self.f_symbol_float, self.r_symbol_complex, float
+                    qint, qfact, sqrt, dtype = self._qint_f, self._qfact_f, math.sqrt, float
+                    r_value = self.r_symbol_complex
                 else:
                     qint, qfact = self._q_tables(mpmath.sin, mpmath.pi)
-                    dtype = object
-
-                    def f_value(*labels):
-                        return self._six_j(labels, qint, qfact, mpmath.sqrt)
+                    sqrt, dtype = mpmath.sqrt, object
 
                     def r_value(a, b, c):
                         sign, exponent = self._r_sign_exponent(a, b, c)
@@ -512,7 +512,7 @@ class Model:
 
                 F = np.zeros((size,) * 6, dtype=dtype)
                 for a, b, c, d, n, m in self._live_f():
-                    F[a, b, c, d, n, m] = f_value(a, b, c, d, m, n)
+                    F[a, b, c, d, n, m] = self._six_j((a, b, c, d, m, n), qint, qfact, sqrt)
                 R = np.zeros((size,) * 3, dtype=complex if dtype is float else object)
                 for a, b, c in self._triples:
                     R[a, b, c] = r_value(a, b, c)

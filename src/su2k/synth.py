@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import math
 import random
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -92,13 +91,11 @@ class SynthResult:
     """Per-depth best projective approximations of one target, with the search's cumulative counts."""
 
     k: int
-    target: np.ndarray
     depths: list[int] = field(default_factory=list)
     best_errors: list[float] = field(default_factory=list)
     best_words: list[str] = field(default_factory=list)
     explored_counts: list[int] = field(default_factory=list)  # (state, generator) pairs after each depth
     distinct_counts: list[int] = field(default_factory=list)  # visited states after each depth
-    wall_time: float = 0.0
     partial: bool = False
 
     @property
@@ -380,8 +377,6 @@ class _Search:
     """
 
     def __init__(self, config: SearchConfig):
-        if config.k < 2:
-            raise DomainError("synthesis needs the qubit representation (k >= 2)")
         self.config = config
         gens, _ = double_braid_generators(config.k)
         self.gens = _su2_quaternions(gens)
@@ -395,6 +390,20 @@ class _Search:
     @property
     def distinct(self) -> int:
         return self.visited.size
+
+    def depths(self):
+        """Yield 0, then expand and yield each depth in turn; the one stop rule of every search.
+
+        Expansion stops at max_depth, on closure (a depth with no new state,
+        which is still yielded), or when the next depth could pass the state
+        cap (the run is then partial).  A caller may stop early by leaving
+        the loop; the next depth is built only when asked for.
+        """
+        yield 0
+        for depth in range(1, self.config.max_depth + 1):
+            if self.closed or not self.expand():
+                return
+            yield depth
 
     def expand(self) -> bool:
         """Advance one depth; False, with nothing built, if it could pass the state cap.
@@ -518,33 +527,24 @@ def synthesize(config: SearchConfig, target: np.ndarray) -> SynthResult:
     if not _is_unitary2(target):
         raise DomainError("synthesis target must be a 2x2 unitary")
     target_q = _su2_quaternions(target[None])
-    start = time.perf_counter()
     search = _Search(config)
-    result = SynthResult(config.k, target)
-
-    def record(depth: int) -> None:
+    result = SynthResult(config.k)
+    best_error, best_word = math.inf, ""
+    for depth in search.depths():
+        if len(search.frontier):
+            errors = search.shrink_to_beam(search.frontier_errors(target_q)[:, 0])
+            arg = int(np.argmin(errors))
+            if errors[arg] < best_error - 1e-15:
+                best_error = float(errors[arg])
+                best_word = search.word_of(depth, arg)
         result.depths.append(depth)
         result.best_errors.append(best_error)
         result.best_words.append(best_word)
         result.explored_counts.append(search.explored)
         result.distinct_counts.append(search.distinct)
-
-    best_error = float(search.frontier_errors(target_q)[0, 0])
-    best_word = ""
-    record(0)
-    for depth in range(1, config.max_depth + 1):
-        if best_error <= config.tolerance or search.closed or not search.expand():
+        if best_error <= config.tolerance:
             break
-        if len(search.frontier):
-            errors = search.frontier_errors(target_q)[:, 0]
-            errors = search.shrink_to_beam(errors)
-            arg = int(np.argmin(errors))
-            if errors[arg] < best_error - 1e-15:
-                best_error = float(errors[arg])
-                best_word = search.word_of(depth, arg)
-        record(depth)
     result.partial = search.partial
-    result.wall_time = time.perf_counter() - start
     return result
 
 
@@ -572,17 +572,12 @@ def error_profile(config: SearchConfig, sample: int) -> list[ProfileRow]:
     rng = random.Random(config.seed)
     targets = _su2_quaternions(np.stack([haar_su2(rng) for _ in range(sample)]))
     search = _Search(config)
-    best = search.frontier_min_errors(targets)
-    rows = [ProfileRow(0, search.explored, search.distinct,
-                       float(best.min()), float(best.mean()), float(best.max()))]
-    for depth in range(1, config.max_depth + 1):
-        if not search.expand():
-            break
+    best = np.full(sample, np.inf)
+    rows = []
+    for depth in search.depths():
         best = np.minimum(best, search.frontier_min_errors(targets))
         rows.append(ProfileRow(depth, search.explored, search.distinct,
                                float(best.min()), float(best.mean()), float(best.max())))
-        if search.closed:
-            break
     rows[-1].partial = search.partial
     return rows
 
@@ -594,11 +589,5 @@ def reachable_counts(config: SearchConfig) -> tuple[list[int], bool]:
     depth); a dense one keeps growing through any tested range.
     """
     search = _Search(config)
-    counts = [search.distinct]
-    for _ in range(config.max_depth):
-        if not search.expand():
-            break
-        counts.append(search.distinct)
-        if search.closed:
-            return counts, True
-    return counts, False
+    counts = [search.distinct for _ in search.depths()]
+    return counts, search.closed

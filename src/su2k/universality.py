@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING
 
 from .cyclotomic import Cyc, _power_table, cos_pi_fraction, euler_phi, minimal_polynomial
 from .cyclotomic import min_poly_2cos  # noqa: F401  (unused; bench/tracer.py patches it here)
-from .errors import DomainError, IntegrityError
+from .errors import MAX_LEVEL, DomainError, IntegrityError
 
 if TYPE_CHECKING:
     import numpy as np
@@ -141,9 +141,13 @@ def qubit_rep_exact(k: int) -> tuple[Matrix, Matrix]:
     [d^2 - 1, -1]], and G^-1 = G / d^2 (G^2 = d^2 I).  R~ and D2 are diagonal,
     so D1 sigma~_1 D1^-1 = R~ and D1 sigma~_2 D1^-1 = G R~ G / d^2, both over
     Q(zeta_N): those two matrices are returned.
+
+    This is the one check of the qubit level domain, 2 <= k <= MAX_LEVEL,
+    for the certificates and the synthesis generators alike: below 2 the
+    three-anyon qubit does not exist, and above MAX_LEVEL no run could finish.
     """
-    if k < 2:
-        raise DomainError(f"the three-anyon qubit needs level k >= 2, got {k}")
+    if not 2 <= k <= MAX_LEVEL:
+        raise DomainError(f"the three-anyon qubit is built for levels 2 <= k <= {MAX_LEVEL}, got {k}")
     N = 4 * (k + 2)
     quarter = N // 4
     d2 = Cyc.from_exponents(N, {4: 1, 0: 2, -4: 1})  # (zeta^2 + zeta^-2)^2
@@ -418,8 +422,7 @@ class RationalitySurvey:
 
 
 def rationality_survey(k: int) -> RationalitySurvey:
-    if k < 2:
-        raise DomainError(f"survey needs k >= 2, got {k}")
+    trace_a = witnesses(k).traces()[0]  # first: it refuses a level outside the qubit domain
     u = cos_pi_fraction(2, k + 2)
     v = cos_pi_fraction(4, k + 2)
     cos_first = u.as_rational()
@@ -432,7 +435,6 @@ def rationality_survey(k: int) -> RationalitySurvey:
         if len(poly) == 3:
             r, p, _ = poly
             pair_relation = (2 * p, Fraction(1), -2 * r - 1)
-    trace_a = witnesses(k).traces()[0]
     cos_theta = (trace_a / 2).as_rational()
     return RationalitySurvey(k, cos_first, cos_second, pair_relation, cos_theta)
 
@@ -496,7 +498,7 @@ class Certificate:
 
 
 def certificate(k: int) -> Certificate:
-    """Decide the density certificate at level k (k >= 2).
+    """Decide the density certificate at level k (2 <= k <= MAX_LEVEL).
 
     The verdict is "dense" iff both witness matrices have infinite projective
     order and their commutator differs from the identity (exact trace test).

@@ -90,6 +90,19 @@ class TestVerifyCommand:
         run_cli("verify", "--k", "5..3", expect=2)
         run_cli("verify", "--k", "-1", expect=2)
 
+    def test_each_level_builds_its_own_model(self):
+        # the shared per-level cache stays empty, so a range holds one level's tables at a time
+        code = (
+            "import contextlib, io\n"
+            "from su2k import cli, model\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert cli.main(['verify', '--k', '2..3']) == 0\n"
+            "print(model.get_model.cache_info().currsize)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr[-400:]
+        assert proc.stdout == "0\n"
+
     def test_precision_env_var(self):
         import os, subprocess, sys
 
@@ -340,12 +353,18 @@ class TestTopLevel:
         # a level whose label range does not fit a Python sequence is a usage error, not a crash
         assert_usage_error(*args)
 
-    @pytest.mark.parametrize("command", [("verify",), ("model",), ("synth", "--profile-samples", "2")],
-                             ids=["verify", "model", "synth"])
-    def test_unallocatable_level_usage_error(self, command):
-        # fits a Python index but not memory: refused before any table is built (synth builds no model)
-        assert_usage_error(*command, "--k", "9223372036854775805")
-        assert_usage_error(*command, "--k", str(MAX_LEVEL + 1))
+    @pytest.mark.parametrize("command, lo", [
+        (("verify",), ""),
+        (("model",), ""),
+        (("synth", "--profile-samples", "2"), ""),
+        (("universality",), ""),
+        (("universality",), "3.."),
+    ], ids=["verify", "model", "synth", "universality", "universality-range"])
+    def test_unallocatable_level_usage_error(self, command, lo):
+        # fits a Python index but not memory: refused before any table is built (synth and
+        # universality build no model), and a range before its first level runs
+        assert_usage_error(*command, "--k", lo + "9223372036854775805")
+        assert_usage_error(*command, "--k", lo + str(MAX_LEVEL + 1))
 
     def test_no_command_prints_usage(self):
         proc = subprocess.run(

@@ -184,6 +184,11 @@ class TestDichotomy:
         assert closed
         assert counts[-1] == size
 
+    @pytest.mark.parametrize("depth, closed", [(2, False), (3, True)])
+    def test_closure_at_the_last_allowed_depth(self, depth, closed):
+        # k = 2 finds no new gate at depth 3: a run that max_depth stops there still reports closure
+        assert reachable_counts(SearchConfig(k=2, max_depth=depth)) == ([1, 3, 4, 4][:depth + 1], closed)
+
     def test_depth_ten_count_at_a_level_with_coordinate_ties(self):
         # k = 6 gates have coordinates equal in magnitude; each gate is counted once
         counts, closed = reachable_counts(SearchConfig(k=6, max_depth=10))

@@ -13,7 +13,7 @@ import pytest
 
 from su2k import cli
 from su2k.cyclotomic import Cyc, cos_pi_fraction, euler_phi, min_poly_2cos, minimal_polynomial
-from su2k.errors import DomainError
+from su2k.errors import MAX_LEVEL, DomainError
 from su2k.model import get_model
 from su2k.radicals import RadicalSum
 from su2k.regression import REFERENCE
@@ -428,6 +428,12 @@ class TestCertificates:
             assert cert.verdict == "dense"
             assert cert.reason is None
             assert cert.commutator_nontrivial
+
+    @pytest.mark.parametrize("k", [1, MAX_LEVEL + 1])
+    def test_levels_outside_the_qubit_domain_rejected(self, k):
+        for build in (certificate, rationality_survey):
+            with pytest.raises(DomainError, match=f"2 <= k <= {MAX_LEVEL}"):
+                build(k)
 
     def test_k2_not_certified(self):
         cert = certificate(2)
