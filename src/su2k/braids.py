@@ -16,7 +16,6 @@ density certificates use as well, a gauge without square roots
 
 from __future__ import annotations
 
-import functools
 import math
 import re
 from dataclasses import dataclass
@@ -119,20 +118,19 @@ class BraidWord:
         return max((i for i, _ in self.moves), default=0)
 
 
-@functools.lru_cache(maxsize=None)
-def _generator_matrix_cached(k: int, anyon: int, n: int, total: int, i: int) -> np.ndarray:
+def braid_generator_matrix(model: Model, basis: SplittingBasis, i: int) -> np.ndarray:
+    """The unitary representing sigma_i on the given splitting-tree basis, from the given model."""
     import numpy as np
 
-    model = get_model(k)
-    basis = enumerate_basis(k, anyon, n, total)
+    if model.k != basis.k:
+        raise DomainError("basis was enumerated at a different level")
+    n, a = basis.n, basis.anyon
     if not 1 <= i <= n - 1:
         raise DomainError(f"generator index {i} out of range for {n} strands")
-    dim = basis.dim
-    U = np.zeros((dim, dim), dtype=complex)
-    a = anyon
+    U = np.zeros((basis.dim, basis.dim), dtype=complex)
     if i == 1:
         for idx, state in enumerate(basis.states):
-            channel = state[0] if n >= 3 else total
+            channel = state[0] if n >= 3 else basis.total
             U[idx, idx] = model.r_symbol_complex(a, a, channel)
         return U
     block_cache: dict[tuple[int, int], tuple[dict[int, int], np.ndarray]] = {}
@@ -152,13 +150,6 @@ def _generator_matrix_cached(k: int, anyon: int, n: int, total: int, i: int) -> 
     return U
 
 
-def braid_generator_matrix(model: Model, basis: SplittingBasis, i: int) -> np.ndarray:
-    """The unitary representing sigma_i on the given splitting-tree basis."""
-    if model.k != basis.k:
-        raise DomainError("basis was enumerated at a different level")
-    return _generator_matrix_cached(basis.k, basis.anyon, basis.n, basis.total, i).copy()
-
-
 def evaluate_word(model: Model, basis: SplittingBasis, word: BraidWord) -> np.ndarray:
     """Ordered product of generator powers; the empty word gives the identity."""
     import numpy as np
@@ -169,7 +160,7 @@ def evaluate_word(model: Model, basis: SplittingBasis, word: BraidWord) -> np.nd
         )
     out = np.eye(basis.dim, dtype=complex)
     for index, exponent in word.moves:
-        gen = _generator_matrix_cached(basis.k, basis.anyon, basis.n, basis.total, index)
+        gen = braid_generator_matrix(model, basis, index)
         base = gen if exponent > 0 else gen.conj().T
         out = out @ np.linalg.matrix_power(base, abs(exponent))
     return out

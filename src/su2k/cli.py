@@ -14,7 +14,7 @@ import json
 import os
 import sys
 
-from .errors import MAX_LEVEL, DomainError, IntegrityError
+from .errors import MAX_LEVEL, DomainError, IntegrityError, require_f_table
 
 _PRECISION_ENV = "SU2K_PRECISION"
 
@@ -141,9 +141,9 @@ def cmd_model(args) -> int:
 
 def cmd_verify(args) -> int:
     ks = _parse_k_range(args.k, minimum=0)
+    require_f_table(ks[-1])  # before the first level of a range runs
     precision = _precision(args.precision)
     mode = args.mode
-    all_pass = True
     results = []
     for k in ks:
         model = get_model(k)
@@ -158,9 +158,7 @@ def cmd_verify(args) -> int:
             integrity = "holds"
         except IntegrityError as exc:
             integrity = f"FAILS ({exc})"
-            all_pass = False
         ok = all(r.holds for r in reports) and integrity == "holds"
-        all_pass = all_pass and ok
         results.append((k, reports, integrity, ok))
     if args.format == "json":
         payload = [
@@ -192,7 +190,7 @@ def cmd_verify(args) -> int:
                 lines.append(f"  {r.summary()}")
             lines.append(f"  spins/dims/S-matrix integrity: {integrity}")
         _write_output("\n".join(lines) + "\n", args.output)
-    return 0 if all_pass else 1
+    return 0 if all(ok for *_, ok in results) else 1
 
 
 # -- universality --------------------------------------------------------------------

@@ -39,7 +39,7 @@ from typing import TYPE_CHECKING
 import mpmath
 
 from .cyclotomic import Cyc, euler_phi
-from .errors import MAX_LEVEL, DomainError, IntegrityError  # MAX_LEVEL lives in .errors: universality and the CLI read it too
+from .errors import MAX_LEVEL, DomainError, IntegrityError, require_f_table  # MAX_LEVEL lives in .errors: universality and the CLI read it too
 
 if TYPE_CHECKING:
     import numpy as np
@@ -445,6 +445,7 @@ class Model:
         """
         import numpy as np
 
+        require_f_table(self.k)
         mode = self._pick_mode(mode)
         if not (math.isfinite(tol) and tol > 0):
             raise DomainError(f"tolerance must be a positive finite number, got {tol}")
@@ -784,6 +785,7 @@ class Model:
         has unit modulus (exactly)."""
         import numpy as np
 
+        require_f_table(self.k)
         failures: list[tuple] = []
         checked = 0
         max_residual = 0.0

@@ -116,6 +116,7 @@ class SynthResult:
 
 
 _DISTANCE_BLOCK = 1 << 12  # frontier rows per block: the overlap temporaries stay in cache
+_DISTANCE_CELLS = 20 * _DISTANCE_BLOCK  # frontier x target cells per block: fewer rows for many targets
 _EXPAND_BLOCK = 1 << 12  # parents per block of a depth's products, keys and hashes: they stay in cache
 _CHORD_GAP = 1e-8  # below this 1 - |q_U . q_V|, its square root has lost half its digits to cancellation
 _CHORD_ROUNDING = 4 * np.finfo(float).eps  # a chord this small is rounding in its coordinates
@@ -470,24 +471,23 @@ class _Search:
         moves: list[tuple[int, int]] = []
         for level in range(depth - 1, -1, -1):
             parents, gens = self.trace[level]
-            piece = _DOUBLE_BRAID_PIECES[gens[index]]
-            if moves and moves[-1][0] == piece[0]:
-                merged = (piece[0], moves[-1][1] + piece[1])
-                if merged[1] == 0:
-                    moves.pop()
-                else:
-                    moves[-1] = merged
-            else:
-                moves.append(piece)
+            i, e = _DOUBLE_BRAID_PIECES[gens[index]]
+            if moves and moves[-1][0] == i:  # never a backtrack, so the exponent never cancels
+                e += moves.pop()[1]
+            moves.append((i, e))
             index = parents[index]
-        return str(BraidWord(tuple(reversed(moves)))) if moves else ""
+        return str(BraidWord(tuple(reversed(moves))))  # the empty word prints as ""
+
+    def _scoring_blocks(self, n_targets: int):
+        """Frontier slices of up to _DISTANCE_BLOCK rows and _DISTANCE_CELLS cells (one row at least)."""
+        rows = max(1, min(_DISTANCE_BLOCK, _DISTANCE_CELLS // n_targets))
+        return (slice(start, start + rows) for start in range(0, len(self.frontier), rows))
 
     def frontier_errors(self, targets: np.ndarray) -> np.ndarray:
         """Projective distances frontier x quaternion targets, vectorized over blocks of frontier rows."""
         out = np.empty((len(self.frontier), len(targets)))
-        for start in range(0, len(self.frontier), _DISTANCE_BLOCK):
-            stop = start + _DISTANCE_BLOCK
-            out[start:stop] = _distances(self.frontier[start:stop], targets)
+        for block in self._scoring_blocks(len(targets)):
+            out[block] = _distances(self.frontier[block], targets)
         return out
 
     def frontier_min_errors(self, targets: np.ndarray) -> np.ndarray:
@@ -500,8 +500,8 @@ class _Search:
         """
         top = np.full(len(targets), -np.inf)
         chord = np.full(len(targets), np.inf)
-        for start in range(0, len(self.frontier), _DISTANCE_BLOCK):
-            block = self.frontier[start:start + _DISTANCE_BLOCK]
+        for part in self._scoring_blocks(len(targets)):
+            block = self.frontier[part]
             overlaps = _overlaps(targets, block)  # one row per target: the reductions run along rows
             block_top = overlaps.max(axis=1)
             near = np.flatnonzero(1.0 - np.minimum(block_top, 1.0) < _CHORD_GAP)

@@ -452,9 +452,22 @@ class Certificate:
     trace_w: Cyc
     order_a: OrderDecision
     order_b: OrderDecision
-    commutator_nontrivial: bool
-    verdict: str  # "dense" or "not-certified"
-    reason: str | None
+
+    @property
+    def commutator_nontrivial(self) -> bool:
+        return self.trace_w != 2  # exact: W is similar to an SU(2) matrix, so it is I iff tr W = 2
+
+    @property
+    def reason(self) -> str | None:  # None when the level is dense
+        reasons = [f"{name} finite projective order {order.projective_order}"
+                   for name, order in (("A", self.order_a), ("B", self.order_b)) if order.finite]
+        if not self.commutator_nontrivial:
+            reasons.append("commutator trivial (trace exactly 2)")
+        return "; ".join(reasons) or None
+
+    @property
+    def verdict(self) -> str:  # "dense" or "not-certified"
+        return "not-certified" if self.reason else "dense"
 
     def json_payload(self) -> dict:
         def trace_json(tr: Cyc) -> dict:
@@ -503,25 +516,8 @@ def certificate(k: int) -> Certificate:
     The verdict is "dense" iff both witness matrices have infinite projective
     order and their commutator differs from the identity (exact trace test).
     """
-    pair = witnesses(k)
-    trace_a, trace_b, trace_w = pair.traces()
+    trace_a, trace_b, trace_w = witnesses(k).traces()
     for which, tr in (("A", trace_a), ("B", trace_b), ("W", trace_w)):
         trace_cosine_identity(which, k, tr)
-    order_a = decide_projective_order_from_trace(trace_a)
-    order_b = decide_projective_order_from_trace(trace_b)
-    commutator_nontrivial = trace_w != 2
-    reasons = []
-    if order_a.finite:
-        reasons.append(f"A finite projective order {order_a.projective_order}")
-    if order_b.finite:
-        reasons.append(f"B finite projective order {order_b.projective_order}")
-    if not commutator_nontrivial:
-        reasons.append("commutator trivial (trace exactly 2)")
-    if reasons:
-        return Certificate(
-            k, trace_a, trace_b, trace_w, order_a, order_b, commutator_nontrivial,
-            "not-certified", "; ".join(reasons),
-        )
-    return Certificate(
-        k, trace_a, trace_b, trace_w, order_a, order_b, True, "dense", None
-    )
+    order_a, order_b = (decide_projective_order_from_trace(tr) for tr in (trace_a, trace_b))
+    return Certificate(k, trace_a, trace_b, trace_w, order_a, order_b)

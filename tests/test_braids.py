@@ -19,7 +19,7 @@ from su2k.braids import (
 )
 from su2k.cyclotomic import Cyc
 from su2k.errors import DomainError
-from su2k.model import get_model
+from su2k.model import Model, get_model
 from su2k.radicals import RadicalSum
 from su2k.synth import projective_distance
 
@@ -81,6 +81,14 @@ class TestGeneratorMatrices:
         assert np.max(np.abs(s1 - np.diag([-q ** -0.75, q ** 0.25]))) < 1e-12
         want2 = (q ** 0.25 / (1 + q)) * np.array([[q, rad], [rad, -1 / q]])
         assert np.max(np.abs(s2 - want2)) < 1e-12
+
+    def test_generators_use_the_model_they_are_given(self, monkeypatch):
+        # not the process-wide model of the basis level: a patched R-symbol shows in sigma_1
+        m = Model(3)
+        monkeypatch.setattr(m, "r_symbol_complex", lambda a, b, c: 7.0)
+        basis = enumerate_basis(3, 1, 3, 1)
+        assert np.array_equal(braid_generator_matrix(m, basis, 1), 7 * np.eye(2))
+        assert np.array_equal(evaluate_word(m, basis, BraidWord.parse("s1^2")), 49 * np.eye(2))
 
     def test_index_out_of_range(self):
         m = get_model(2)

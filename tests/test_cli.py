@@ -5,9 +5,11 @@ import json
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
+from su2k.errors import MAX_VERIFY_LEVEL
 from su2k.model import MAX_LEVEL
 from su2k.regression import REFERENCE
 
@@ -26,6 +28,7 @@ def assert_usage_error(*args, env=None):
     assert proc.stdout == ""
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr[-400:]
+    return proc
 
 
 class TestModelCommand:
@@ -89,6 +92,15 @@ class TestVerifyCommand:
     def test_bad_range_usage_error(self):
         run_cli("verify", "--k", "5..3", expect=2)
         run_cli("verify", "--k", "-1", expect=2)
+
+    @pytest.mark.parametrize("k", ["60", "2..60", str(MAX_VERIFY_LEVEL + 1)])
+    def test_level_over_the_f_table_bound_usage_error(self, k):
+        # refused before the first level runs, not a NumPy allocation traceback
+        start = time.perf_counter()
+        stderr = assert_usage_error("verify", "--k", k).stderr
+        assert time.perf_counter() - start < 1.0
+        top = int(k.split("..")[-1])
+        assert f"{8 * (top + 1) ** 6} bytes" in stderr
 
     def test_each_level_builds_its_own_model(self):
         # the shared per-level cache stays empty, so a range holds one level's tables at a time

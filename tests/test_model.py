@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from su2k.cyclotomic import Cyc
-from su2k.errors import DomainError, IntegrityError
+from su2k.errors import MAX_VERIFY_LEVEL, DomainError, IntegrityError
 import su2k.model as model_module
 from su2k.model import MAX_FAILURES, MAX_LEVEL, Model, get_model, label_str, parse_label
 from su2k.radicals import RadicalSum
@@ -100,6 +100,25 @@ class TestLevelBound:
         finally:
             tracemalloc.stop()
         assert peak < 64_000  # the error message, not an O(k) table
+
+    @pytest.mark.parametrize("verify", [
+        lambda m: m.verify_unitarity(),
+        lambda m: m.verify_pentagon("float"),
+        lambda m: m.verify_pentagon("exact"),
+        lambda m: m.verify_hexagon("float"),
+    ], ids=["unitarity", "pentagon-float", "pentagon-exact", "hexagon-float"])
+    def test_verification_above_the_f_table_bound_allocates_nothing(self, verify):
+        # (k+1)^6 doubles: 1.95 GB at k = 24, 2.47 GB at k = 25; refused before the table
+        assert 8 * (MAX_VERIFY_LEVEL + 1) ** 6 <= 2 << 30 < 8 * (MAX_VERIFY_LEVEL + 2) ** 6
+        m = Model(MAX_VERIFY_LEVEL + 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match=f"levels above {MAX_VERIFY_LEVEL}"):
+                verify(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64_000
 
     def test_radical_context_is_lazy(self):
         # neither the checks of `model` nor exact verification build the radical context

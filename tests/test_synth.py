@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -237,6 +238,35 @@ class TestErrorProfile:
         full = search.frontier_errors(targets).min(axis=0)
         assert np.array_equal(search.frontier_min_errors(targets), full)
         assert np.all(full[3:] < 1e-7) and np.all(full[5:7] > 0)
+
+    def test_scoring_blocks_shrink_with_the_target_count(self, monkeypatch):
+        # any cell budget gives the same errors, chord branch included
+        search = _Search(SearchConfig(k=3, max_depth=10))
+        for _ in range(5):
+            search.expand()
+        rng = random.Random(5)
+        haar = _su2_quaternions(np.stack([haar_su2(rng) for _ in range(5)]))
+        targets = np.concatenate([haar, search.frontier[[3, -2]]])
+        full, least = search.frontier_errors(targets), search.frontier_min_errors(targets)
+        for cells, rows in ((1, 1), (20, 2)):
+            monkeypatch.setattr(synth, "_DISTANCE_CELLS", cells)
+            assert {part.stop - part.start for part in search._scoring_blocks(len(targets))} == {rows}
+            assert np.array_equal(search.frontier_errors(targets), full)
+            assert np.array_equal(search.frontier_min_errors(targets), least)
+
+    def test_profile_scoring_memory_does_not_grow_with_the_sample(self):
+        search = _Search(SearchConfig(k=3, max_depth=10))
+        while len(search.frontier) <= _DISTANCE_BLOCK:
+            search.expand()
+        rng = random.Random(2)
+        targets = _su2_quaternions(np.stack([haar_su2(rng) for _ in range(1000)]))
+        tracemalloc.start()
+        try:
+            search.frontier_min_errors(targets)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6  # a full 4,096-row block would hold 33 MB per temporary
 
 
 class TestConfigValidation:

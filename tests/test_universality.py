@@ -2,6 +2,7 @@
 rational cosine sums."""
 
 import cmath
+import dataclasses
 import hashlib
 import math
 import subprocess
@@ -19,6 +20,7 @@ from su2k.radicals import RadicalSum
 from su2k.regression import REFERENCE
 from su2k.universality import (
     KNOWN_COSINE_IDENTITIES,
+    Certificate,
     OrderDecision,
     _adjugate,
     _mat_mul,
@@ -443,6 +445,17 @@ class TestCertificates:
     def test_reason_strings(self):
         assert certificate(4).reason == "A finite projective order 2; B finite projective order 3"
         assert "3" in certificate(8).reason
+
+    def test_verdict_is_derived_from_the_exact_data(self):
+        # six stored fields; the commutator test, the reason and the verdict follow from them
+        assert [f.name for f in dataclasses.fields(Certificate)] == [
+            "k", "trace_a", "trace_b", "trace_w", "order_a", "order_b"]
+        two = Cyc.from_exponents(1, {0: 2})
+        trivial = dataclasses.replace(certificate(5), trace_w=two)
+        assert not trivial.commutator_nontrivial
+        assert (trivial.verdict, trivial.reason) == ("not-certified", "commutator trivial (trace exactly 2)")
+        assert dataclasses.replace(certificate(4), trace_w=two).reason == (
+            "A finite projective order 2; B finite projective order 3; commutator trivial (trace exactly 2)")
 
     def test_json_payload(self):
         payload = certificate(3).json_payload()
