@@ -19,12 +19,13 @@ Pentagon and hexagon verification is one engine: an admissibility table
 A[a, b, c] built once per model on first use, one instance enumerator per
 axiom yielding bounded index blocks, and one vectorized evaluator per axiom
 of the signed sums lhs - rhs over zero-extended F/R tensors.  The tensors
-hold float64 or mpmath numbers, or, in exact mode, the gauge table packed
-into Python ints (Kronecker substitution) once per model, whose sums are
-then decided in Q(zeta_N).  The float64 F tensor is the one stored float F
-table; unitarity reads its F-matrices there in every mode.  Topological
-spins, quantum dimensions and the modular S-matrix live here as well; they
-are validated once per model, the spin condition on exponents of zeta_N.
+hold float64 or mpmath numbers, or, in exact mode, the gauge table as
+Python ints evaluated at x = 2^B (Kronecker substitution) once per model,
+whose sums are decided in Q(zeta_N) by one remainder modulo Phi_N(2^B).
+The float64 F tensor is the one stored float F table; unitarity reads its
+F-matrices there in every mode.  Topological spins, quantum dimensions and
+the modular S-matrix live here as well; they are validated once per model,
+the spin condition on exponents of zeta_N.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from typing import TYPE_CHECKING
 
 import mpmath
 
-from .cyclotomic import Cyc, euler_phi
+from .cyclotomic import Cyc, cyclotomic_polynomial, euler_phi
 from .errors import MAX_LEVEL, DomainError, IntegrityError, require_f_table  # MAX_LEVEL lives in .errors: universality and the CLI read it too
 
 if TYPE_CHECKING:
@@ -436,12 +437,12 @@ class Model:
         One evaluator per axiom gives the signed sum lhs - rhs of each
         identity of a row over the tensors of a route.  The float routes
         report its magnitude.  The exact route evaluates the same expression
-        over the packed gauge table (:meth:`_packed_tensors`) and settles
-        each sum in Q(zeta_N) (:meth:`_settle`): 0 for a sum proved zero, and
-        for any other sum its magnitude in the unitary gauge.  An identity
-        fails when its residual exceeds tol (0 in exact mode); the first
-        MAX_FAILURES failures in row order are kept, tagged when a row carries
-        several identities.
+        over the gauge table at x = 2^B (:attr:`_packed`) and settles each
+        sum by its residue mod Phi_N(2^B) (:meth:`_settle`): 0 for a sum
+        proved zero, and for any other sum its magnitude in the unitary
+        gauge.  An identity fails when its residual exceeds tol (0 in exact
+        mode); the first MAX_FAILURES failures in row order are kept, tagged
+        when a row carries several identities.
         """
         import numpy as np
 
@@ -453,10 +454,10 @@ class Model:
             if mode == "exact":
                 report = VerificationReport(name, "exact", 0)
                 bound = 0.0
-                F, R, R_inv, D, B = self._packed
+                F, R, R_inv, D, B, P = self._packed
 
                 def evaluate(rows):
-                    return self._settle(sums(rows, F, R, R_inv, D), B, lambda: gauge(rows, self._vertex_float(), D))
+                    return self._settle(sums(rows, F, R, R_inv, D), B, P, lambda: gauge(rows, self._vertex_float(), D))
             else:
                 report = VerificationReport(name, "float" if precision <= 53 else f"float{precision}", 0)
                 bound = tol
@@ -560,32 +561,34 @@ class Model:
         return V
 
     @functools.cached_property
-    def _packed(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, int]:
-        """The packed gauge table at its least slot width, built once per model for both axioms."""
-        return self._packed_tensors()
+    def _packed(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, int, int]:
+        """The gauge table at x = 2^B and the modulus that decides its sums: (F, R, R_inv, D, B, P).
 
-    def _packed_tensors(self, slot_bits: int | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, int]:
-        """The gauge table as packed integers: (F, R, R_inv, D, B).
+        Built once per model for both axioms.  D is the common denominator of
+        the table.  F[a, b, c, d, n, m] is f(2^B) for the integer polynomial
+        f = D*F'' in the power basis, and 0 where inadmissible.  An R-symbol
+        is a root of unity +-zeta^e = zeta^t with 0 <= t < N, stored as
+        2^(tB); R_inv holds the conjugates.  Evaluation at 2^B is a ring map
+        Z[x] -> Z (Kronecker substitution), so every pentagon or hexagon sum
+        over these tensors is s(2^B), with s the same sum taken in Z[x],
+        unreduced.
 
-        D is the common denominator of the table and B the slot width in
-        bits.  F[a, b, c, d, n, m] packs the power-basis coefficients c_i of
-        the integer polynomial D*F'' into one int, sum c_i 2^(iB), and is 0
-        where inadmissible.  A product of packed values is the packed
-        product polynomial (Kronecker substitution), not yet reduced modulo
-        Phi_N.  An R-symbol is a root of unity +-zeta^e = zeta^s with
-        0 <= s < N, packed as 2^(sB), so multiplying by it shifts a
-        polynomial by s slots; R_inv packs the conjugates.
-
-        Width bound.  Let H be the largest |c_i| over the table and phi the
-        degree of Phi_N.  A pentagon sum lhs*D - sum_x rhs_x has at most
-        k+2 terms: each rhs_x is a triple product, whose coefficients are
-        at most phi^2 H^3, and lhs*D is at most phi H^2 D.  A hexagon sum
-        has at most k+2 terms, each at most phi H^2 or H D.  So every
-        coefficient of every sum is at most (k+2) phi^2 H^3 D.  B is the
-        least multiple of 8 with 2^(B-1) above that bound; then the signed
-        base-2^B digits of a packed sum are exactly its coefficients, and a
-        sum that packs to 0 is the zero polynomial.  A given slot_bits is
-        checked against the same bound (IntegrityError if it cannot hold it).
+        P = Phi_N(2^B) decides it.  s - r is a multiple of Phi_N in Z[x], with
+        r = s mod Phi_N the sum's power-basis value, so s(2^B) = r(2^B)
+        (mod P).  Let H be the largest |coefficient| of a table entry and phi
+        the degree of Phi_N.  A sum has at most k+2 terms; each is a triple
+        product (coefficients at most phi^2 H^3), lhs*D (phi H^2 D), R F R D
+        (H D) or F F R (phi H^2), so the coefficients of s are at most
+        S = (k+2) phi^2 H^3 D, and its degree is below 3 phi + 2N.  With C
+        the largest column sum of |zeta^j mod Phi_N| over j < 3 phi + 2N,
+        every |r_i| <= S C.  With c the largest |coefficient| of Phi_N, B is
+        the least integer with 2^(B-1) > S C + c.  Then M = max |r_i| has
+        2M + c < 2^B, and with G = (2^(phi B) - 1) / (2^B - 1),
+        |r(2^B)| <= M G while P >= 2^(phi B) - c G, so 2 |r(2^B)| < P because
+        (2M + c) G <= 2^(phi B) - 1.  Hence the residue of s(2^B) in
+        (-P/2, P/2] is r(2^B) itself: it is 0 iff r = 0, since base-2^B digits
+        below 2^(B-1) in magnitude are unique, and otherwise its balanced
+        base-2^B digits are r's coefficients.
         """
         import numpy as np
 
@@ -593,66 +596,50 @@ class Model:
         D = math.lcm(*(value.den for value in table.values()))
         numerators = {labels: [c * (D // value.den) for c in value.num] for labels, value in table.items()}
         H = max(abs(c) for coefficients in numerators.values() for c in coefficients)
-        phi = euler_phi(self.N)
-        bound = (self.k + 2) * phi * phi * H ** 3 * D
-        if slot_bits is None:
-            slot_bits = -(-(bound.bit_length() + 1) // 8) * 8
-        if slot_bits % 8 or bound >= 1 << (slot_bits - 1):
-            raise IntegrityError(
-                f"slot width {slot_bits} bits cannot hold packed coefficients up to {bound} "
-                f"(needs a multiple of 8 with 2^(B-1) > bound)"
-            )
+        phi, modulus = euler_phi(self.N), cyclotomic_polynomial(self.N)
+        powers = [Cyc.root_of_unity(self.N, j).num for j in range(3 * phi + 2 * self.N)]
+        C = max(sum(abs(row[i]) for row in powers) for i in range(phi))
+        B = ((self.k + 2) * phi * phi * H ** 3 * D * C + max(map(abs, modulus))).bit_length() + 1
         size = self.k + 1
         F = np.zeros((size,) * 6, dtype=object)
         for (a, b, c, d, m, n), coefficients in numerators.items():
-            F[a, b, c, d, n, m] = sum(c_i << (i * slot_bits) for i, c_i in enumerate(coefficients))
+            F[a, b, c, d, n, m] = sum(c_i << (i * B) for i, c_i in enumerate(coefficients))
         R = np.zeros((size,) * 3, dtype=object)
         R_inv = np.zeros((size,) * 3, dtype=object)
         for a, b, c in self._triples:
             sign, exponent = self._r_sign_exponent(a, b, c)
             shift = (exponent + (self.N // 2 if sign % 2 else 0)) % self.N
-            R[a, b, c] = 1 << (shift * slot_bits)
-            R_inv[a, b, c] = 1 << ((-shift % self.N) * slot_bits)
-        return F, R, R_inv, D, slot_bits
+            R[a, b, c] = 1 << (shift * B)
+            R_inv[a, b, c] = 1 << ((-shift % self.N) * B)
+        P = sum(c_i << (i * B) for i, c_i in enumerate(modulus))
+        return F, R, R_inv, D, B, P
 
-    def _settle(self, sums: np.ndarray, slot_bits: int, gauge) -> np.ndarray:
-        """Exact residuals of packed sums, one per identity.
+    def _settle(self, sums: np.ndarray, B: int, P: int, gauge) -> np.ndarray:
+        """Exact residuals of sums over the table at 2^B, one per identity (see :attr:`_packed`).
 
-        A sum that packs to 0 is zero.  Any other sum is unpacked into its
-        signed base-2^B digits, the coefficients of a polynomial in zeta_N,
-        and reduced modulo Phi_N, which decides it: a zero reduction has
-        residual 0, and a nonzero value x has residual |x| / g with g the
-        row's factor from ``gauge()`` (the table's denominator power times
-        the vertex-factor ratio), the magnitude of the sum in the unitary gauge.
+        A sum whose residue mod P is 0 is zero.  Any other residue, taken in
+        (-P/2, P/2], is split into its phi balanced base-2^B digits, the
+        coefficients of the sum's value x in the power basis; its residual is
+        |x| / g with g the row's factor from ``gauge()`` (the table's
+        denominator power times the vertex-factor ratio), the magnitude of
+        the sum in the unitary gauge.
         """
         import numpy as np
 
         res = np.zeros(sums.shape)
-        packed = np.flatnonzero(sums != 0)
-        if not len(packed):
-            return res
-        values = sums.flat[packed].tolist()
-        # |value| >= 2^(B*degree - 1), so this leaves a spare slot above the top digit
-        slots = max(abs(v).bit_length() for v in values) // slot_bits + 1
-        width, half = slot_bits // 8, 1 << (slot_bits - 1)
-        bias = half * ((1 << (slots * slot_bits)) - 1) // ((1 << slot_bits) - 1)  # half in every slot
-        data = b"".join((v + bias).to_bytes(slots * width, "little") for v in values)
-        fold = _reduction_matrix(self.N, slots)
-        # int64 holds every digit and every reduced coefficient, or Python ints are used
-        dtype = np.int64 if width < 8 and half * int(np.abs(fold).sum(axis=0).max()) < 1 << 63 else object
-        raw = np.frombuffer(data, np.uint8).reshape(-1, width)
-        digits = np.zeros(len(raw), dtype)
-        for j in reversed(range(width)):
-            digits <<= 8
-            digits |= raw[:, j].astype(dtype)
-        digits -= half
-        reduced = digits.reshape(len(values), slots) @ fold.astype(dtype)
-        nonzero = np.flatnonzero(reduced.any(axis=1))
+        residues = sums % P
+        nonzero = np.flatnonzero(residues)
         if len(nonzero):
             factor = np.broadcast_to(np.asarray(gauge())[:, None], sums.shape).flat
-            for i, coefficients in zip(packed[nonzero].tolist(), reduced[nonzero].tolist()):
-                value = Cyc(self.N, tuple(int(c) for c in coefficients), 1)
-                res.flat[i] = abs(value.approx()) / factor[i]
+            half, mask = 1 << (B - 1), (1 << B) - 1
+            for i in nonzero.tolist():
+                value = residues.flat[i]
+                value = value - P if 2 * value > P else value
+                digits = []
+                for _ in range(euler_phi(self.N)):
+                    digits.append(((value + half) & mask) - half)
+                    value = (value - digits[-1]) >> B
+                res.flat[i] = abs(Cyc(self.N, tuple(digits), 1).approx()) / factor[i]
         return res
 
     # -- instance enumerators and evaluators ------------------------------------------------
@@ -838,14 +825,6 @@ class Model:
 
 #: counterexamples kept per verification report
 MAX_FAILURES = 20
-
-
-@functools.lru_cache(maxsize=None)
-def _reduction_matrix(order: int, slots: int) -> np.ndarray:
-    """Row j: the power-basis coefficients of zeta_order^j, so digits @ matrix reduces mod Phi_order."""
-    import numpy as np
-
-    return np.array([Cyc.root_of_unity(order, j % order).num for j in range(slots)], dtype=np.int64)
 
 
 @dataclass

@@ -53,6 +53,7 @@ _NEXT_PIECES = np.array([[g for g in range(len(_DOUBLE_BRAID_PIECES)) if g != in
                         dtype=np.int8)
 _KEY_DTYPE = np.int32  # grid-key integers: a unit coordinate over the resolution must fit
 _MAX_STATES = np.iinfo(np.int32).max  # the trace stores each state's parent index as an int32
+MAX_PROFILE_SAMPLES = 1 << 22  # about 460 B of peak memory per profile target: 1.9 GB, within 2 GiB
 
 
 @dataclass(frozen=True)
@@ -565,10 +566,11 @@ def error_profile(config: SearchConfig, sample: int) -> list[ProfileRow]:
     One shared exhaustive expansion serves every target; the table reports
     the minimum / mean / maximum over targets of each target's best error so
     far.  Deterministic for a fixed seed.  If the state cap stops the run,
-    the last row is flagged partial.
+    the last row is flagged partial.  A sample above MAX_PROFILE_SAMPLES is
+    refused before any target is drawn.
     """
-    if sample < 1:
-        raise DomainError("need at least one sample target")
+    if not 1 <= sample <= MAX_PROFILE_SAMPLES:
+        raise DomainError(f"need between 1 and {MAX_PROFILE_SAMPLES} sample targets, got {sample}")
     rng = random.Random(config.seed)
     targets = _su2_quaternions(np.stack([haar_su2(rng) for _ in range(sample)]))
     search = _Search(config)

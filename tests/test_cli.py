@@ -12,6 +12,7 @@ import pytest
 from su2k.errors import MAX_VERIFY_LEVEL
 from su2k.model import MAX_LEVEL
 from su2k.regression import REFERENCE
+from su2k.synth import MAX_PROFILE_SAMPLES
 
 
 def run_cli(*args, expect=0, env=None):
@@ -241,6 +242,14 @@ class TestSynthCommand:
     ])
     def test_non_positive_search_limits(self, flag, value):
         assert_usage_error("synth", "--k", "3", "--profile-samples", "2", "--max-depth", "3", flag, value)
+
+    def test_profile_sample_over_the_cap_usage_error(self):
+        # refused before the targets are drawn, not killed for memory millions of samples later
+        start = time.perf_counter()
+        stderr = assert_usage_error("synth", "--k", "3", "--profile-samples", str(MAX_PROFILE_SAMPLES + 1),
+                                    "--max-depth", "1").stderr
+        assert time.perf_counter() - start < 1.0
+        assert str(MAX_PROFILE_SAMPLES) in stderr
 
     @pytest.mark.parametrize("grid", ["inf", "1", "5", "1e300"])
     def test_coarse_grid(self, grid):

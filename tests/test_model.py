@@ -1,6 +1,8 @@
 """Anyon-model data: fusion, quantum integers, R/F symbols, axiom sweeps."""
 
 import cmath
+import functools
+import hashlib
 import math
 import subprocess
 import sys
@@ -10,8 +12,9 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from su2k.cyclotomic import Cyc
+from su2k.cyclotomic import Cyc, euler_phi
 from su2k.errors import MAX_VERIFY_LEVEL, DomainError, IntegrityError
 import su2k.model as model_module
 from su2k.model import MAX_FAILURES, MAX_LEVEL, Model, get_model, label_str, parse_label
@@ -433,46 +436,73 @@ class TestGaugeTable:
             assert exact.holds and exact.mode == "exact" and exact.max_residual == 0.0
             assert exact.checked == numeric.checked
 
-    def test_wide_slots_settle_alike(self, monkeypatch):
-        # 64-bit slots unpack through Python ints instead of int64: same decisions, same residuals
-        m = corrupted_model(monkeypatch, "exact")
-        for rows in m._pentagon_rows():
-            got = [
-                m._settle(m._pentagon_sums(rows, F, R, R_inv, D), B,
-                          lambda: m._pentagon_gauge(rows, m._vertex_float(), D))
-                for F, R, R_inv, D, B in (m._packed_tensors(), m._packed_tensors(64))
-            ]
-            assert np.array_equal(*got)
+    # sha256 over the uncapped exact failures (key and repr of each residual) and the max residual,
+    # pentagon then hexagon, with one gauge entry doubled; recorded while exact sums were still
+    # unpacked digit by digit and reduced by a matrix
+    @pytest.mark.parametrize("k,bad,counts,digest", [
+        (3, (1, 1, 1, 1, 0, 0), (28, 6), "26283b703d9bd8bf27612ea4612253ef08dceffb05f1f82360d0b273f3a99b2f"),
+        (4, (1, 1, 1, 1, 2, 2), (66, 6), "8f9179a0d62e7ee5d12db0d97b83c35d144dfcdc48c2e062bccabb4cd3258ff8"),
+        (5, (2, 2, 2, 2, 2, 2), (154, 10), "c767958b3548a84bddc59970fa84c70269ec192a4d7a236fa0cd23eac1a125bc"),
+    ])
+    def test_exact_failures_are_pinned(self, monkeypatch, k, bad, counts, digest):
+        monkeypatch.setattr(model_module, "MAX_FAILURES", 10 ** 6)
+        m = Model(k)
+        table = m._gauge_table()
+        table[bad] = table[bad] * 2
+        sha = hashlib.sha256()
+        for verify, count in zip((m.verify_pentagon, m.verify_hexagon), counts):
+            report = verify("exact")
+            assert len(report.failures) == count
+            sha.update(repr([(key, repr(residual)) for key, residual in report.failures]).encode())
+            sha.update(repr(report.max_residual).encode())
+        assert sha.hexdigest() == digest
+
+    @pytest.mark.parametrize("k", [3, 5, 8])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_a_residue_settles_to_its_power_basis_value(self, k, data):
+        # any integer congruent to r(2^B) mod P with |r_i| < 2^(B-2) settles to |r|, and r != 0 is never 0
+        m = get_model(k)
+        B, P = m._packed[4:]
+        digit = st.integers(-(1 << (B - 2)) + 1, (1 << (B - 2)) - 1)
+        r = data.draw(st.lists(digit, min_size=euler_phi(m.N), max_size=euler_phi(m.N)))
+        q = data.draw(st.integers(-(1 << 300), 1 << 300))
+        value = sum(r_i << (i * B) for i, r_i in enumerate(r)) + q * P
+        residual = m._settle(np.array([[value]], dtype=object), B, P, lambda: np.ones(1))[0, 0]
+        assert residual == abs(Cyc(m.N, tuple(r), 1).approx())
+        assert (residual == 0) == (not any(r))
+
+    @pytest.mark.parametrize("k", [3, 5, 8])
+    def test_multiples_of_the_cyclotomic_polynomial_settle_to_zero(self, k):
+        # 2^(jB) P is x^j Phi_N(x) at x = 2^B, zero in Q(zeta_N) for every shift j a sum can reach
+        m = get_model(k)
+        B, P = m._packed[4:]
+        sums = np.array([[P << (j * B)] for j in range(3 * m.N)], dtype=object)
+        assert not m._settle(sums, B, P, lambda: np.ones(len(sums))).any()
 
     def test_packed_table_is_built_once_per_level(self, monkeypatch):
         calls = []
-        build = Model._packed_tensors
-        monkeypatch.setattr(Model, "_packed_tensors", lambda self, *args: calls.append(args) or build(self, *args))
+        build = Model._packed.func
+        counted = functools.cached_property(lambda self: calls.append(self.k) or build(self))
+        counted.__set_name__(Model, "_packed")
+        monkeypatch.setattr(Model, "_packed", counted)
         m = Model(3)
         for verify in (m.verify_pentagon, m.verify_hexagon, m.verify_pentagon):
             assert verify("exact").holds
-        assert calls == [()]
+        assert calls == [3]
 
-    def test_undersized_slot_width_raises(self):
-        m = Model(3)
-        width = m._packed_tensors()[4]
-        for bad in (width - 8, width + 1):
-            with pytest.raises(IntegrityError):
-                m._packed_tensors(bad)
-
-    def test_undersized_slot_width_raises_under_optimize(self):
+    def test_corrupted_entry_fails_alike_under_optimize(self):
         code = (
-            "from su2k.errors import IntegrityError\n"
-            "from su2k.model import Model\n"
-            "m = Model(3)\n"
-            "try:\n"
-            "    m._packed_tensors(m._packed_tensors()[4] - 8)\n"
-            "except IntegrityError:\n"
-            "    print('raised')\n"
+            "import su2k.model as model_module\n"
+            "model_module.MAX_FAILURES = 1000\n"
+            "m = model_module.Model(3)\n"
+            "table = m._gauge_table()\n"
+            "table[1, 1, 1, 1, 0, 0] = table[1, 1, 1, 1, 0, 0] * 2\n"
+            "print(len(m.verify_pentagon('exact').failures), len(m.verify_hexagon('exact').failures))\n"
         )
         proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr[-400:]
-        assert proc.stdout.strip() == "raised"
+        assert proc.stdout.split() == ["28", "6"]
 
 
 class TestUnitarity:

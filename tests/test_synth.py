@@ -15,6 +15,7 @@ from su2k.synth import (
     _DISTANCE_BLOCK,
     _EXPAND_BLOCK,
     _KEY_ROW,
+    MAX_PROFILE_SAMPLES,
     SearchConfig,
     _canonical_grid_keys,
     _products_and_keys,
@@ -223,6 +224,18 @@ class TestErrorProfile:
     def test_sample_validation(self):
         with pytest.raises(DomainError):
             error_profile(SearchConfig(k=3, max_depth=3), sample=0)
+
+    def test_sample_over_the_cap_draws_no_target(self, monkeypatch):
+        assert MAX_PROFILE_SAMPLES == 1 << 22
+
+        def no_draw(rng):
+            raise AssertionError("a target was drawn")
+
+        monkeypatch.setattr(synth, "haar_su2", no_draw)
+        with pytest.raises(DomainError, match=str(MAX_PROFILE_SAMPLES)):
+            error_profile(SearchConfig(k=3, max_depth=1), sample=MAX_PROFILE_SAMPLES + 1)
+        with pytest.raises(AssertionError, match="a target was drawn"):
+            error_profile(SearchConfig(k=3, max_depth=1), sample=1)
 
     def test_blockwise_minimum_equals_full_matrix(self):
         search = _Search(SearchConfig(k=3, max_depth=10))
