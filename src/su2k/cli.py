@@ -14,6 +14,9 @@ import json
 import os
 import sys
 
+# The CLI multiplies matrices of at most (k+1)x(k+1), so a BLAS thread pool costs start-up time and never pays off.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .errors import MAX_LEVEL, DomainError, IntegrityError, require_f_table
 
 _PRECISION_ENV = "SU2K_PRECISION"

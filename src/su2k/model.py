@@ -63,6 +63,42 @@ def parse_label(text: str) -> int:
     return 2 * int(text)
 
 
+@functools.lru_cache(maxsize=None)
+def _gaussian_binomial(n: int, r: int) -> tuple[int, ...]:
+    """Coefficients, constant first, of the Gaussian binomial (n choose r)_y, for 0 <= r <= n.
+
+    It is (n)!_y / ((r)!_y (n-r)!_y) with (n)!_y = prod_{i <= n} (1 + y + ... + y^(i-1)),
+    built by the rule (n choose r) = (n-1 choose r-1) + y^r (n-1 choose r),
+    so its coefficients are nonnegative integers.
+    """
+    if r == 0 or r == n:
+        return (1,)
+    out = [0] * (r * (n - r) + 1)
+    for i, c in enumerate(_gaussian_binomial(n - 1, r - 1)):
+        out[i] += c
+    for i, c in enumerate(_gaussian_binomial(n - 1, r)):
+        out[i + r] += c
+    return tuple(out)
+
+
+@functools.lru_cache(maxsize=None)
+def _q_multinomial(parts: tuple[int, ...]) -> tuple[int, ...]:
+    """Coefficients of the Gaussian multinomial (p_1 + ... + p_r)!_y / prod (p_i)!_y.
+
+    It is the product over i of (p_1 + ... + p_i choose p_i)_y.
+    """
+    out, total = (1,), 0
+    for p in parts:
+        total += p
+        binomial = _gaussian_binomial(total, p)
+        product = [0] * (len(out) + len(binomial) - 1)
+        for i, u in enumerate(out):
+            for j, v in enumerate(binomial):
+                product[i + j] += u * v
+        out = tuple(product)
+    return out
+
+
 class Model:
     """All static data of the anyon model at a fixed level."""
 
@@ -218,16 +254,41 @@ class Model:
         return max(lows), min(highs), lows, highs
 
     def _zsum_sign(self, a: int, b: int, c: int, d: int, m: int, n: int) -> tuple[Cyc, int]:
-        """The alternating z-sum of the 6j formula, exact, and the sign (-1)^((a+b+c+d)/2)."""
+        """The alternating z-sum of the 6j formula, exact, and the sign (-1)^((a+b+c+d)/2).
+
+        The sum runs over z in [max lows, min highs] of
+        (-1)^z [z+1]! / prod_t [z - t]! prod_u [u - z]!, with t over the four
+        vertex sums `lows` and u over the three `highs` (:meth:`_z_range`).
+        It is evaluated as a sum of Gaussian multinomials, with no field
+        inverse and one reduction mod Phi_N:
+
+        * The seven parts p = z - t and u - z sum to z, because
+          sum(highs) = sum(lows) = a + b + c + d + m + n (each label lies on
+          two vertices and in two highs).
+        * With x = zeta_N^2 = q^(1/2) and y = x^2, [n] = x^(-(n-1)) (n)_y with
+          (n)_y = 1 + y + ... + y^(n-1), so [n]! = x^(-n(n-1)/2) (n)!_y.
+        * Hence each term is (-1)^z [z+1] x^(-(z(z-1) - sum p(p-1))/2) M(y),
+          where M = (z)!_y / prod (p)!_y is the Gaussian multinomial of the
+          parts, a product of Gaussian binomials with nonnegative integer
+          coefficients (:func:`_q_multinomial`).  With [z+1] = x^(-z) (z+1)_y,
+          (z+1)_y M is the multinomial of the eight parts (p, 1), and the
+          exponent of x is -sum_{i<j} p_i p_j over those eight parts.
+
+        These are identities of rational functions in x.  Their denominators,
+        the [p]! with p <= k+1, are nonzero at zeta_N, so they hold there.
+        The z-sum is collected as integer coefficients of zeta_N^e, e mod N,
+        and reduced once by :meth:`Cyc._from_terms`.
+        """
         z_lo, z_hi, lows, highs = self._z_range(a, b, c, d, m, n)
-        zsum = Cyc.rational(0)
+        coefficients = [0] * self.N
         for z in range(z_lo, z_hi + 1):
-            term = self.qfact(z + 1)
-            for t in lows:
-                term = term * self.qfact_inverse(z - t)
-            for u in highs:
-                term = term * self.qfact_inverse(u - z)
-            zsum = zsum + (-term if z % 2 else term)
+            # sorted, since the multinomial is symmetric in its parts and the sorted tuple is its cache key
+            parts = tuple(sorted([z - t for t in lows] + [u - z for u in highs] + [1]))
+            shift = -sum(p * q for p, q in itertools.combinations(parts, 2))
+            sign = -1 if z % 2 else 1
+            for power, coefficient in enumerate(_q_multinomial(parts)):
+                coefficients[(2 * shift + 4 * power) % self.N] += sign * coefficient
+        zsum = Cyc._from_terms(self.N, ((e, c) for e, c in enumerate(coefficients) if c), 1)
         return zsum, -1 if ((a + b + c + d) // 2) % 2 else 1
 
     def f_symbol(self, a: int, b: int, c: int, d: int, m: int, n: int) -> Radical:
@@ -538,14 +599,17 @@ class Model:
         """
         if self._f_gauge is None:
             qfact = self.qfact
-            delta = {}
-            for vertex in self._triples:
-                p, q, r, s = self._triangle(*vertex)
-                delta[vertex] = qfact(p) * qfact(q) * qfact(r) * self.qfact_inverse(s)
-            table = {}
+            delta, weighted = {}, {}  # D(x,y,w) and [w+1] D(x,y,w)
+            for x, y, w in self._triples:
+                p, q, r, s = self._triangle(x, y, w)
+                delta[x, y, w] = qfact(p) * qfact(q) * qfact(r) * self.qfact_inverse(s)
+                weighted[x, y, w] = self.qint(w + 1) * delta[x, y, w]
+            table, outer = {}, {}  # outer: [m+1] D(abm) D(mcd), shared by every n
             for a, b, c, d, n, m in self._live_f():
+                if (a, b, c, d, m) not in outer:
+                    outer[a, b, c, d, m] = weighted[a, b, m] * delta[m, c, d]
                 zsum, sign = self._zsum_sign(a, b, c, d, m, n)
-                table[a, b, c, d, m, n] = zsum * sign * self.qint(m + 1) * delta[a, b, m] * delta[m, c, d]
+                table[a, b, c, d, m, n] = zsum * sign * outer[a, b, c, d, m]
             self._f_gauge = table
         return self._f_gauge
 

@@ -317,7 +317,10 @@ class _Visited:
         lead = np.ones(len(order), dtype=bool)
         lead[repeats] = False
         starts = np.flatnonzero(lead)
-        firsts, first_hashes = np.minimum.reduceat(order, starts), sorted_hashes[starts]
+        firsts, first_hashes = order[starts], sorted_hashes[starts]
+        # argsort is not stable, so a group with repeats takes its smallest index; the repeat at
+        # sorted position repeats[j] lies in group repeats[j] - j - 1
+        np.minimum.at(firsts, repeats - np.arange(1, len(repeats) + 1), order[repeats])
         new = np.ones(len(firsts), dtype=bool)
         for run_hashes, run_rows in self.runs:
             if collided:

@@ -6,6 +6,7 @@ test process itself has long since imported everything.
 """
 
 import json
+import os
 import subprocess
 import sys
 
@@ -23,6 +24,23 @@ def loaded_modules(body: str) -> set[str]:
     proc = subprocess.run([sys.executable, "-c", PROBE.format(body=body)], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr[-400:]
     return set(json.loads(proc.stderr))
+
+
+@pytest.mark.parametrize("preset,want", [(None, "1"), ("2", "2")], ids=["unset", "preset"])
+def test_cli_runs_openblas_single_threaded_unless_set(preset, want):
+    # OpenBLAS reads the variable when NumPy loads it, so the CLI must set it before anything imports NumPy
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    code = (
+        "import os, sys\n"
+        "assert 'numpy' not in sys.modules\n"
+        "import su2k.cli\n"
+        "print(os.environ.get('OPENBLAS_NUM_THREADS'), 'numpy' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr[-400:]
+    assert proc.stdout.split() == [want, "False"]
 
 
 def test_parser_loads_no_layer():

@@ -38,6 +38,20 @@ def corrupted_model(monkeypatch, mode: str) -> Model:
     return m
 
 
+def racah_zsum(model: Model, *labels) -> Cyc:
+    """The 6j z-sum term by term in Q(zeta_N): (-1)^z [z+1]! / prod_t [z-t]! prod_u [u-z]!."""
+    z_lo, z_hi, lows, highs = Model._z_range(*labels)
+    total = Cyc.rational(0)
+    for z in range(z_lo, z_hi + 1):
+        term = model.qfact(z + 1)
+        for t in lows:
+            term = term * model.qfact_inverse(z - t)
+        for u in highs:
+            term = term * model.qfact_inverse(u - z)
+        total = total + (-term if z % 2 else term)
+    return total
+
+
 def reference_pentagon_instances(model: Model) -> set[tuple[int, ...]]:
     """Pentagon rows (a,b,c,d,e,m,n,y,z) from nested fusion() loops over both trees."""
     rows = set()
@@ -413,6 +427,41 @@ class TestPentagonHexagon:
                 m.verify_pentagon(mode, tol=tol)
             with pytest.raises(DomainError):
                 m.verify_hexagon(mode, tol=tol)
+
+
+class TestZSum:
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_multinomial_sum_equals_the_racah_sum(self, k):
+        m = Model(k)
+        for a, b, c, d, n, mm in m._live_f():
+            zsum, sign = m._zsum_sign(a, b, c, d, mm, n)
+            assert zsum == racah_zsum(m, a, b, c, d, mm, n), (a, b, c, d, mm, n)
+            assert sign == (-1) ** ((a + b + c + d) // 2)
+
+    def test_gaussian_binomial_is_symmetric_and_counts_subsets(self):
+        for n in range(16):
+            for r in range(n + 1):
+                coefficients = model_module._gaussian_binomial(n, r)
+                assert len(coefficients) == r * (n - r) + 1
+                assert coefficients == coefficients[::-1]
+                assert sum(coefficients) == math.comb(n, r)
+
+    def test_a_corrupted_multinomial_changes_one_gauge_entry(self, monkeypatch):
+        # raising one coefficient of one term moves its z-sum by a root of unity, never by zero
+        clean = Model(3)._gauge_table()
+        multinomial, calls = model_module._q_multinomial, []
+
+        def corrupted(parts):
+            coefficients = list(multinomial(parts))
+            if not calls:
+                coefficients[-1] += 1
+            calls.append(parts)
+            return tuple(coefficients)
+
+        monkeypatch.setattr(model_module, "_q_multinomial", corrupted)
+        bad = Model(3)._gauge_table()
+        assert bad.keys() == clean.keys() and len(calls) > 1
+        assert sum(bad[key] != clean[key] for key in clean) == 1
 
 
 class TestGaugeTable:
