@@ -30,8 +30,6 @@ _HOME = {
     "enumerate_basis": "braids",
     "evaluate_word": "braids",
     "get_model": "model",
-    "min_poly_2cos": "cyclotomic",
-    "minimal_polynomial": "cyclotomic",
     "synthesize": "synth",
     "witnesses": "universality",
 }

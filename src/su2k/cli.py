@@ -238,7 +238,7 @@ def _load_target(path: str):
         )
     except OSError as exc:
         raise DomainError(f"cannot read target file {path!r}: {exc.strerror}")
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
         raise DomainError(f"target file {path!r} is not a matrix JSON: {exc}")
     if matrix.shape != (2, 2):
         raise DomainError(f"target must be 2x2, got shape {matrix.shape}")

@@ -53,16 +53,6 @@ def label_str(twice_j: int) -> str:
     return str(twice_j // 2) if twice_j % 2 == 0 else f"{twice_j}/2"
 
 
-def parse_label(text: str) -> int:
-    """Inverse of :func:`label_str`."""
-    if "/" in text:
-        num, den = text.split("/")
-        if den.strip() != "2":
-            raise DomainError(f"not a half-integer label: {text!r}")
-        return int(num)
-    return 2 * int(text)
-
-
 @functools.lru_cache(maxsize=None)
 def _gaussian_binomial(n: int, r: int) -> tuple[int, ...]:
     """Coefficients, constant first, of the Gaussian binomial (n choose r)_y, for 0 <= r <= n.
@@ -413,7 +403,8 @@ class Model:
                 raise IntegrityError(f"spin condition fails at ({label_str(a)},{label_str(b)};{label_str(c)})")
         spins = [self.spin(a) for a in self.labels]
         dims = [self.dim_exact(a) for a in self.labels]
-        # S_ab = sum over c in a x b of theta_c d_c, times conj(theta_a theta_b) (dual(a) = a).
+        # S_ab = sum over c in a x b of theta_c d_c, times conj(theta_a theta_b) (dual(a) = a),
+        # which is zeta^-(a(a+2) + b(b+2)) by the exponent rule of spin().
         # a x b is lo, lo + 2, ..., hi, so the sum is a difference of the parity prefix sums
         # upto[c] = theta_c d_c + upto[c - 2]; S is symmetric, so each pair is built once.
         upto: list[Cyc] = []
@@ -428,7 +419,7 @@ class Model:
                 channels = self.fusion(a, b)
                 lo, hi = channels[0], channels[-1]
                 acc = upto[hi] - upto[lo - 2] if lo >= 2 else upto[hi]
-                entry = acc * (spins[a] * spins[b]).conjugate()
+                entry = acc * Cyc.root_of_unity(self.N, -(a * (a + 2) + b * (b + 2)))
                 smatrix[a][b] = smatrix[b][a] = entry
                 s_float[a][b] = s_float[b][a] = entry.approx()
         self._check_dims_and_s([d.approx().real for d in dims], s_float)
@@ -502,8 +493,8 @@ class Model:
         sum by its residue mod Phi_N(2^B) (:meth:`_settle`): 0 for a sum
         proved zero, and for any other sum its magnitude in the unitary
         gauge.  An identity fails when its residual exceeds tol (0 in exact
-        mode); the first MAX_FAILURES failures in row order are kept, tagged
-        when a row carries several identities.
+        mode); failures are recorded in row order, tagged when a row carries
+        several identities.
         """
         import numpy as np
 
@@ -532,10 +523,11 @@ class Model:
                 res = evaluate(rows)
                 report.checked += res.size
                 report.max_residual = max(report.max_residual, res.max())
-                for i in np.flatnonzero(res > bound)[:MAX_FAILURES - len(report.failures)]:
+                for i in np.flatnonzero(res > bound):
                     row, j = divmod(int(i), res.shape[1])
                     key = tuple(rows[row].tolist())
-                    report.failures.append(((tags[j], *key) if tags else key, float(res.flat[i])))
+                    if not report.record((tags[j], *key) if tags else key, float(res.flat[i])):
+                        break
         report.max_residual = float(report.max_residual)
         return report
 
@@ -811,25 +803,22 @@ class Model:
         import numpy as np
 
         N = self.fusion_tensor()
-        failures: list[tuple] = []
-        checked = 0
         size = self.k + 1
+        report = VerificationReport("fusion-axioms", "exact", size * size + size ** 4)
         for a in range(size):
             for b in range(size):
-                checked += 1
                 if not np.array_equal(N[a, b], N[b, a]):
-                    failures.append((("commutativity", a, b), 1.0))
+                    report.record(("commutativity", a, b))
                 # duality: every label is self-dual
                 if N[a, b, 0] != (1 if a == b else 0):
-                    failures.append((("vacuum-pairing", a, b), 1.0))
+                    report.record(("vacuum-pairing", a, b))
                 if N[0, a, b] != (1 if a == b else 0):
-                    failures.append((("unit", a, b), 1.0))
+                    report.record(("unit", a, b))
         assoc_lhs = np.einsum("abp,pcd->abcd", N, N)
         assoc_rhs = np.einsum("aqd,bcq->abcd", N, N)
-        checked += size ** 4
         if not np.array_equal(assoc_lhs, assoc_rhs):
-            failures.append((("associativity",), 1.0))
-        return VerificationReport("fusion-axioms", "exact", checked, failures, 0.0, 0)
+            report.record(("associativity",))
+        return report
 
     def verify_unitarity(self, tol: float = 1e-12) -> VerificationReport:
         """Every F-matrix (a block of the float64 F tensor, in any mode) is unitary; every R-symbol
@@ -837,29 +826,27 @@ class Model:
         import numpy as np
 
         require_f_table(self.k)
-        failures: list[tuple] = []
-        checked = 0
-        max_residual = 0.0
+        report = VerificationReport("unitarity", "float", 0)
         for a, b, c in self._triples:
-            checked += 1
+            report.checked += 1
             r = self.r_symbol(a, b, c)
             if r * r.conjugate() != 1:
-                failures.append((("r-modulus", a, b, c), 1.0))
+                report.record(("r-modulus", a, b, c))
         F = self._recoupling_tensors(53)[0]
         for a, b, c, d in itertools.product(self.labels, repeat=4):
             rows, cols = self._channels(a, b, c, d)
             if not rows or not cols:
                 continue
             if len(rows) != len(cols):
-                failures.append((("f-not-square", a, b, c, d), 1.0))
+                report.record(("f-not-square", a, b, c, d))
                 continue
             mat = F[a, b, c, d][np.ix_(rows, cols)]
             residual = float(np.max(np.abs(mat @ mat.T.conj() - np.eye(len(rows)))))
-            checked += 1
-            max_residual = max(max_residual, residual)
+            report.checked += 1
+            report.max_residual = max(report.max_residual, residual)
             if residual > tol:
-                failures.append((("f-unitarity", a, b, c, d), residual))
-        return VerificationReport("unitarity", "float", checked, failures, max_residual, 0)
+                report.record(("f-unitarity", a, b, c, d), residual)
+        return report
 
     # -- serialization ---------------------------------------------------------------------
 
@@ -901,6 +888,15 @@ class VerificationReport:
     failures: list[tuple] = field(default_factory=list)
     max_residual: float = 0.0
     numeric_fallbacks: int = 0  # always 0 (every exact sum is decided exactly); kept in the verify JSON
+
+    def record(self, instance: tuple, residual: float = 1.0) -> bool:
+        """Keep a failing instance if fewer than MAX_FAILURES are kept; return whether one more fits.
+
+        Callers record failures in instance order, so the kept ones are the first.
+        """
+        if len(self.failures) < MAX_FAILURES:
+            self.failures.append((instance, residual))
+        return len(self.failures) < MAX_FAILURES
 
     @property
     def holds(self) -> bool:

@@ -53,6 +53,13 @@ REFERENCE = {
     },
     # projective orders of the witnesses (A, B) where both are finite
     "finite_orders": {4: (2, 3), 8: (3, 2)},
+    # levels 3 <= k <= 30 where each RationalitySurvey field is rational
+    "rational_levels": {
+        "cos_first": frozenset({4}),
+        "cos_second": frozenset({4, 6, 10}),
+        "pair_relation": frozenset({3, 8}),
+        "cos_theta": frozenset({4, 8}),
+    },
     # levels k >= 3 whose double-braiding image is not certified dense
     "non_dense": frozenset({4, 8}),
     # qubit R pair diag(R^{11}_0, R^{11}_1) = diag(-q^(-3/4), q^(1/4)), q = e^{2 pi i/(k+2)}
@@ -156,19 +163,11 @@ def _check_special_values() -> str:
     return "half-trace special values at k=3,4,5,6,8,10"
 
 def _check_rationality_sets() -> str:
-    first, second, pair, theta = set(), set(), set(), set()
-    for k in range(3, 31):
-        s = rationality_survey(k)
-        if s.cos_first is not None:
-            first.add(k)
-        if s.cos_second is not None:
-            second.add(k)
-        if s.pair_relation is not None:
-            pair.add(k)
-        if s.cos_theta is not None:
-            theta.add(k)
-    _require(first == {4} and second == {4, 6, 10} and pair == {3, 8} and theta == {4, 8})
-    return "rationality exactly at k=4 | k=4,6,10 | k=3,8 | k=4,8"
+    surveys = [rationality_survey(k) for k in range(3, 31)]
+    want = REFERENCE["rational_levels"]
+    for name, levels in want.items():
+        _require({s.k for s in surveys if getattr(s, name) is not None} == levels, name)
+    return "rationality exactly at " + " | ".join("k=" + ",".join(map(str, sorted(levels))) for levels in want.values())
 
 def _check_cosine_list() -> str:
     for name, terms, value in KNOWN_COSINE_IDENTITIES:

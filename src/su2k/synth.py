@@ -182,14 +182,12 @@ def haar_su2(rng: random.Random) -> np.ndarray:
     theta = math.asin(math.sqrt(rng.random()))
     return np.array(
         [
-            [cmath_exp(alpha) * math.cos(theta), cmath_exp(beta) * math.sin(theta)],
-            [-cmath_exp(-beta) * math.sin(theta), cmath_exp(-alpha) * math.cos(theta)],
+            [complex(math.cos(alpha), math.sin(alpha)) * math.cos(theta),
+             complex(math.cos(beta), math.sin(beta)) * math.sin(theta)],
+            [-complex(math.cos(-beta), math.sin(-beta)) * math.sin(theta),
+             complex(math.cos(-alpha), math.sin(-alpha)) * math.cos(theta)],
         ]
     )
-
-
-def cmath_exp(phase: float) -> complex:
-    return complex(math.cos(phase), math.sin(phase))
 
 
 def double_braid_generators(k: int) -> tuple[np.ndarray, list[str]]:

@@ -181,34 +181,8 @@ def witnesses(k: int) -> WitnessPair:
 # -- trace identities ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TraceIdentity:
-    """An exact linear identity between cos(2*pi*m/(k+2)) terms and the half-trace.
-
-    sum_m coeff[m] * cos(2*pi*m/(k+2)) + theta_coeff * (trace/2) = rhs
-    """
-
-    k: int
-    which: str
-    cos_coeffs: tuple[tuple[int, Fraction], ...]
-    theta_coeff: Fraction
-    rhs: Fraction
-
-    def residual(self, trace: Cyc) -> Cyc:
-        total = Cyc.rational(-self.rhs)
-        for m, coeff in self.cos_coeffs:
-            total = total + cos_pi_fraction(2 * m, self.k + 2) * coeff
-        return total + trace * Fraction(self.theta_coeff, 2)
-
-    def text(self) -> str:
-        def signed(x: Fraction) -> str:
-            return f"+{x}" if x >= 0 else str(x)
-
-        parts = [f"{signed(c)}*cos(2pi*{m}/{self.k + 2})" for m, c in self.cos_coeffs]
-        parts.append(f"{signed(self.theta_coeff)}*cos(theta)")
-        return " ".join(parts) + f" = {self.rhs}"
-
-
+# which -> (((m, coeff), ...), theta_coeff, rhs) for the exact linear identity
+# sum_m coeff * cos(2*pi*m/(k+2)) + theta_coeff * (trace/2) = rhs
 _IDENTITY_TABLE = {
     "A": (((1, Fraction(-1)), (2, Fraction(1))), Fraction(1), Fraction(-1)),
     "B": (((1, Fraction(2)), (2, Fraction(-1)), (3, Fraction(1))), Fraction(-1), Fraction(1)),
@@ -216,8 +190,8 @@ _IDENTITY_TABLE = {
 }
 
 
-def trace_cosine_identity(which: str, k: int, trace: Cyc) -> TraceIdentity:
-    """The identity for matrix `which` in {A, B, W}, verified exactly.
+def trace_cosine_identity(which: str, k: int, trace: Cyc) -> None:
+    """Check the identity for matrix `which` in {A, B, W} exactly at level k.
 
     Raises IntegrityError if the trace does not satisfy it (that would mean
     the matrix construction and the recoupling data disagree).
@@ -225,10 +199,11 @@ def trace_cosine_identity(which: str, k: int, trace: Cyc) -> TraceIdentity:
     if which not in _IDENTITY_TABLE:
         raise DomainError(f"no trace identity named {which!r}")
     cos_coeffs, theta_coeff, rhs = _IDENTITY_TABLE[which]
-    identity = TraceIdentity(k, which, cos_coeffs, theta_coeff, rhs)
-    if not identity.residual(trace).is_zero():
+    residual = trace * Fraction(theta_coeff, 2) - rhs
+    for m, coeff in cos_coeffs:
+        residual = residual + cos_pi_fraction(2 * m, k + 2) * coeff
+    if not residual.is_zero():
         raise IntegrityError(f"trace identity for {which} fails exactly at k={k}")
-    return identity
 
 
 # -- projective order decision ----------------------------------------------------------

@@ -91,8 +91,7 @@ def test_criterion_4_trace_identities_exact():
         for k in range(2, 31):
             trace_a, trace_b, trace_w = witnesses(k).traces()
             for which, trace in (("A", trace_a), ("B", trace_b), ("W", trace_w)):
-                identity = trace_cosine_identity(which, k, trace)
-                assert identity.residual(trace).is_zero(), (k, which)
+                trace_cosine_identity(which, k, trace)  # raises IntegrityError unless exact
 
 
 def test_criterion_5_special_values():

@@ -288,10 +288,16 @@ class TestSynthCommand:
         bad.write_text('{"entries": [[[%s, 0], [0, 0]], [[0, 0], [1, 0]]]}' % entry)
         assert_usage_error("synth", "--k", "3", "--target", str(bad), "--max-depth", "3")
 
-    def test_malformed_target_exit_2(self, tmp_path):
+    @pytest.mark.parametrize("text", [
+        '{"entries": [[1, 2]]}',
+        '{"entries": [[[1%s, 0], [0, 0]], [[0, 0], [1, 0]]]}' % ("0" * 400),
+        "[" * 100_000,
+        '{"entries": ' + "[" * 100_000,
+    ], ids=["shape", "huge-int", "deep-nesting", "deep-entries"])
+    def test_malformed_target_exit_2(self, tmp_path, text):
         bad = tmp_path / "bad.json"
-        bad.write_text("{\"entries\": [[1, 2]]}")
-        run_cli("synth", "--k", "3", "--target", str(bad), expect=2)
+        bad.write_text(text)
+        assert_usage_error("synth", "--k", "3", "--target", str(bad))
 
     def test_identity_target_immediate_hit(self, tmp_path):
         identity = tmp_path / "id.json"

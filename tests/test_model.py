@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 from su2k.cyclotomic import Cyc, euler_phi
 from su2k.errors import MAX_VERIFY_LEVEL, DomainError, IntegrityError
 import su2k.model as model_module
-from su2k.model import MAX_FAILURES, MAX_LEVEL, Model, get_model, label_str, parse_label
+from su2k.model import MAX_FAILURES, MAX_LEVEL, Model, get_model, label_str
 from su2k.radicals import RadicalSum
 
 
@@ -97,10 +97,6 @@ class TestLabels:
     def test_label_strings(self):
         assert [label_str(a) for a in range(4)] == ["0", "1/2", "1", "3/2"]
 
-    def test_parse_roundtrip(self):
-        for a in range(8):
-            assert parse_label(label_str(a)) == a
-
     def test_invalid_label_rejected(self):
         with pytest.raises(DomainError):
             get_model(2).check_label(3)
@@ -171,6 +167,15 @@ class TestFusion:
         for k in range(0, 31):
             report = get_model(k).verify_fusion_axioms()
             assert report.holds, (k, report.failures[:3])
+
+    def test_a_broken_fusion_tensor_keeps_the_first_failures(self, monkeypatch):
+        # an all-ones tensor breaks the vacuum pairing and the unit law 30 times each at k=5
+        m = Model(5)
+        monkeypatch.setattr(m, "fusion_tensor", lambda: np.ones((6, 6, 6), dtype=int))
+        capped = m.verify_fusion_axioms()
+        monkeypatch.setattr(model_module, "MAX_FAILURES", 1000)
+        every = m.verify_fusion_axioms().failures
+        assert len(every) == 60 and capped.failures == every[:MAX_FAILURES] and not capped.holds
 
     def test_multiplicity_free(self):
         for k in (2, 5, 9):
@@ -573,6 +578,18 @@ class TestUnitarity:
         residual = float(np.max(np.abs(mat @ mat.T - np.eye(2))))
         assert report.failures == [(("f-unitarity", 1, 1, 1, 1), residual)]
         assert report.checked == get_model(3).verify_unitarity().checked
+
+    def test_a_doubled_f_tensor_keeps_the_first_failures(self, monkeypatch):
+        # every F-matrix of the k=3 tensor doubled: 96 blocks fail, and only the first MAX_FAILURES are kept
+        m = Model(3)
+        six_j = m._six_j
+        monkeypatch.setattr(m, "_six_j", lambda labels, *tables: six_j(labels, *tables) * 2)
+        capped = m.verify_unitarity()
+        m._tensors.clear()
+        monkeypatch.setattr(model_module, "MAX_FAILURES", 1000)
+        every = m.verify_unitarity().failures
+        assert len(every) == 96 and len(capped.failures) == MAX_FAILURES == 20
+        assert capped.failures == every[:MAX_FAILURES] and not capped.holds
 
     def test_qubit_f_involutory_exact(self):
         for k in range(2, 12):

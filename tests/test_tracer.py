@@ -3,6 +3,7 @@
 ``bench/tracer.py SPANS ARGS...`` must leave stdout and the exit status of
 ``su2k ARGS...`` untouched and record at least one span.  A renamed or deleted
 function that the tracer patches fails here instead of in a traced benchmark run.
+Each kernel probe of ``bench/probes.py KIND K`` must likewise print one JSON object.
 """
 
 import json
@@ -13,6 +14,7 @@ from pathlib import Path
 import pytest
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+PROBES = TRACER.with_name("probes.py")
 
 
 @pytest.mark.parametrize(
@@ -49,3 +51,11 @@ def test_traced_certificates_see_the_qubit_builder(tmp_path):
     spans = json.loads(spans_path.read_text(encoding="utf-8"))
     builder = spans["names"].index("braids.qubit_rep_exact")
     assert spans["name"].count(builder) >= 1
+
+
+@pytest.mark.parametrize("kind", ["cyclotomic", "f-table-exact", "f-table-float"])
+def test_probe_prints_one_json_object(kind):
+    # the probes read Model.f_matrix_exact coefficients, qint, labels, N and f_matrix_float
+    proc = subprocess.run([sys.executable, str(PROBES), kind, "4"], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr[-400:]
+    assert isinstance(json.loads(proc.stdout), dict)

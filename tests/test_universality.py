@@ -14,7 +14,7 @@ import pytest
 
 from su2k import cli
 from su2k.cyclotomic import Cyc, cos_pi_fraction, euler_phi, min_poly_2cos, minimal_polynomial
-from su2k.errors import MAX_LEVEL, DomainError
+from su2k.errors import MAX_LEVEL, DomainError, IntegrityError
 from su2k.model import get_model
 from su2k.radicals import RadicalSum
 from su2k.regression import REFERENCE
@@ -184,8 +184,46 @@ def radical_route_traces(k: int) -> tuple[Cyc, Cyc, Cyc]:
     return tuple((x[0][0] + x[1][1]).cyc_value() for x in (a, b, w))
 
 
+def gauge_route_traces(k: int) -> tuple[Cyc, tuple[Cyc, Cyc, Cyc]]:
+    """det and det^4 tr A, det^6 tr B, det^20 tr W from the vertex-gauge F''(1,1,1,1; m, n in {0, 2}).
+
+    F''[m][n] = sign zsum [m+1] D(1,1,m) D(m,1,1) is X F Y for diagonal X and
+    Y (see Model._gauge_table), so sigma~_2 = F''^-1 R~ F'' and sigma~_1 = R~
+    are the unitary pair conjugated by one diagonal matrix, and every word
+    keeps its trace.  The traces therefore check the z-sums and signs, not
+    the diagonal factors.  Each D is a ratio of quantum factorials; scaling
+    the block by both rows' denominators leaves sigma~_2 unchanged, and
+    det * sigma~_2 = adj(F'') R~ F'', so no field inverse is taken.  det is
+    det F'' of the scaled block.
+    """
+    m = get_model(k)
+    num, den = {}, {}
+    for c in (0, 2):
+        num[c], den[c] = m.qint(c + 1), Cyc.rational(1, m.N)
+        for vertex in ((1, 1, c), (c, 1, 1)):
+            p, q, r, s = m._triangle(*vertex)
+            num[c] = num[c] * m.qfact(p) * m.qfact(q) * m.qfact(r)
+            den[c] = den[c] * m.qfact(s)
+    f = [[None, None], [None, None]]
+    for i, row in enumerate((0, 2)):
+        for j, col in enumerate((0, 2)):
+            zsum, sign = m._zsum_sign(1, 1, 1, 1, row, col)
+            f[i][j] = zsum * sign * num[row] * den[2 - row]
+    det = f[0][0] * f[1][1] - f[0][1] * f[1][0]
+    # diag(R^{11}_0, R^{11}_2) scaled by zeta^(N/4 + 1) to determinant one
+    scale = Cyc.root_of_unity(m.N, m.N // 4 + 1)
+    zero = Cyc.rational(0, m.N)
+    r_tilde = [[m.r_symbol(1, 1, 0) * scale, zero], [zero, m.r_symbol(1, 1, 2) * scale]]
+    s = _mat_mul(_mat_mul(_adjugate(f), r_tilde), f)  # det * sigma~_2
+    r2, s2 = _mat_mul(r_tilde, r_tilde), _mat_mul(s, s)
+    s4 = _mat_mul(s2, s2)
+    a, b = _mat_mul(r2, s4), _mat_mul(r2, _mat_mul(s4, s2))
+    w = _mat_mul(_mat_mul(a, b), _mat_mul(_adjugate(a), _adjugate(b)))
+    return det, tuple(x[0][0] + x[1][1] for x in (a, b, w))
+
+
 class TestGaugeWitnesses:
-    """The closed-form gauge against the radical route and the recorded CLI output."""
+    """The closed-form gauge against the radical route, the gauge-table route and the recorded CLI output."""
 
     @pytest.mark.parametrize("k", [*range(2, K_MAX + 1), 418])
     def test_traces_equal_the_radical_route(self, k):
@@ -193,6 +231,17 @@ class TestGaugeWitnesses:
         want = radical_route_traces(k)
         for g, w in zip(got, want):
             assert g == w and g.exact_str() == w.exact_str(), k
+
+    @pytest.mark.parametrize("k", [*range(2, K_MAX + 1), 418])
+    def test_traces_equal_the_gauge_table_route(self, k):
+        det, scaled = gauge_route_traces(k)
+        assert not det.is_zero()
+        det2 = det * det
+        det4 = det2 * det2
+        det6 = det4 * det2
+        det20 = det4 * det4 * det6 * det6
+        for got, power, want in zip(witnesses(k).traces(), (det4, det6, det20), scaled):
+            assert got * power == want, k
 
     def test_zero_trace_is_the_rational_zero(self):
         # k=2: tr A = tr B = 0; k=4: tr A = tr W = 0; k=8: tr B = 0
@@ -218,13 +267,9 @@ class TestTraceIdentities:
     def test_exact_for_all_levels(self, k):
         ta, tb, tw = witnesses(k).traces()
         for which, tr in (("A", ta), ("B", tb), ("W", tw)):
-            identity = trace_cosine_identity(which, k, tr)
-            assert identity.residual(tr).is_zero()
-
-    def test_text_rendering(self):
-        ta = witnesses(3).traces()[0]
-        identity = trace_cosine_identity("A", 3, ta)
-        assert "cos" in identity.text() and "= -1" in identity.text()
+            trace_cosine_identity(which, k, tr)
+            with pytest.raises(IntegrityError):
+                trace_cosine_identity(which, k, tr + Fraction(1, 1000))
 
     def test_unknown_name_rejected(self):
         with pytest.raises(DomainError):
@@ -385,21 +430,9 @@ class TestRationalCosineSums:
 
 class TestRationalitySurvey:
     def test_known_sets(self):
-        first, second, pair, theta = set(), set(), set(), set()
-        for k in range(3, K_MAX + 1):
-            s = rationality_survey(k)
-            if s.cos_first is not None:
-                first.add(k)
-            if s.cos_second is not None:
-                second.add(k)
-            if s.pair_relation is not None:
-                pair.add(k)
-            if s.cos_theta is not None:
-                theta.add(k)
-        assert first == {4}
-        assert second == {4, 6, 10}
-        assert pair == {3, 8}
-        assert theta == {4, 8}
+        surveys = [rationality_survey(k) for k in range(3, K_MAX + 1)]
+        for name, levels in REFERENCE["rational_levels"].items():
+            assert {s.k for s in surveys if getattr(s, name) is not None} == levels, name
 
     def test_displayed_values(self):
         assert rationality_survey(4).cos_first == Fraction(1, 2)
