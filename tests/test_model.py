@@ -585,7 +585,6 @@ class TestUnitarity:
         six_j = m._six_j
         monkeypatch.setattr(m, "_six_j", lambda labels, *tables: six_j(labels, *tables) * 2)
         capped = m.verify_unitarity()
-        m._tensors.clear()
         monkeypatch.setattr(model_module, "MAX_FAILURES", 1000)
         every = m.verify_unitarity().failures
         assert len(every) == 96 and len(capped.failures) == MAX_FAILURES == 20
