@@ -17,7 +17,7 @@ import sys
 # The CLI multiplies matrices of at most (k+1)x(k+1), so a BLAS thread pool costs start-up time and never pays off.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .errors import MAX_LEVEL, DomainError, IntegrityError, require_f_table
+from .errors import MAX_LEVEL, MAX_PRECISION, DomainError, IntegrityError, require_f_table
 
 _PRECISION_ENV = "SU2K_PRECISION"
 
@@ -75,7 +75,7 @@ def _parse_k_range(text: str, minimum: int) -> list[int]:
 
 
 def _precision(flag: int | None) -> int:
-    """Bits for the float route: --precision, else $SU2K_PRECISION, else 53."""
+    """Bits for the float route: --precision, else $SU2K_PRECISION, else 53; at most MAX_PRECISION."""
     if flag is None:
         text = os.environ.get(_PRECISION_ENV, "53")
         try:
@@ -84,6 +84,8 @@ def _precision(flag: int | None) -> int:
             raise DomainError(f"${_PRECISION_ENV} must be an integer number of bits, got {text!r}")
     if flag < 1:
         raise DomainError(f"precision must be a positive number of bits, got {flag}")
+    if flag > MAX_PRECISION:
+        raise DomainError(f"precision must be at most {MAX_PRECISION} bits, got {flag}")
     return flag
 
 
@@ -344,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--k", required=True, help="level or range, e.g. 2..12")
     p_verify.add_argument("--tol", type=float, default=1e-9)
     p_verify.add_argument("--precision", type=int, default=None,
-                          help=f"float precision in bits (default: ${_PRECISION_ENV} or 53)")
+                          help=f"float precision in bits, at most {MAX_PRECISION} (default: ${_PRECISION_ENV} or 53)")
     p_verify.add_argument("--mode", default="auto", choices=["auto", "exact", "float"])
     p_verify.add_argument("--format", default="text", choices=["text", "json"])
     p_verify.add_argument("--output", default=None)

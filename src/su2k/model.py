@@ -523,10 +523,12 @@ class Model:
                 res = evaluate(rows)
                 report.checked += res.size
                 report.max_residual = max(report.max_residual, res.max())
-                for i in np.flatnonzero(res > bound):
+                failing = np.flatnonzero(res > bound)
+                for n, i in enumerate(failing, start=1):
                     row, j = divmod(int(i), res.shape[1])
                     key = tuple(rows[row].tolist())
                     if not report.record((tags[j], *key) if tags else key, float(res.flat[i])):
+                        report.failed += len(failing) - n  # the block's later failures are counted, not kept
                         break
         report.max_residual = float(report.max_residual)
         return report
@@ -885,15 +887,18 @@ class VerificationReport:
     name: str
     mode: str
     checked: int
-    failures: list[tuple] = field(default_factory=list)
+    failures: list[tuple] = field(default_factory=list)  # the first MAX_FAILURES failing instances
+    failed: int = 0  # every failing instance, kept or not
     max_residual: float = 0.0
     numeric_fallbacks: int = 0  # always 0 (every exact sum is decided exactly); kept in the verify JSON
 
     def record(self, instance: tuple, residual: float = 1.0) -> bool:
-        """Keep a failing instance if fewer than MAX_FAILURES are kept; return whether one more fits.
+        """Count a failing instance and keep it if fewer than MAX_FAILURES are kept; return whether
+        one more fits.
 
         Callers record failures in instance order, so the kept ones are the first.
         """
+        self.failed += 1
         if len(self.failures) < MAX_FAILURES:
             self.failures.append((instance, residual))
         return len(self.failures) < MAX_FAILURES
@@ -903,7 +908,7 @@ class VerificationReport:
         return not self.failures
 
     def summary(self) -> str:
-        status = "holds" if self.holds else f"FAILS ({len(self.failures)} counterexamples, first: {self.failures[0]})"
+        status = "holds" if self.holds else f"FAILS ({self.failed} counterexamples, first: {self.failures[0]})"
         extra = f", max residual {self.max_residual:.3e}" if self.mode.startswith("float") else ""
         return f"{self.name} [{self.mode}] over {self.checked} instances: {status}{extra}"
 

@@ -23,9 +23,13 @@ is.  The inverse of the
 move that reached a state returns its parent, which is visited, and the
 generator set is closed under inverses, so the backtrack is never built;
 `explored` still counts every (state, generator) pair of an expanded depth.
-A depth's products, keys and hashes are built in cache-sized blocks of
-parents, and the trace keeps 5 bytes per state (an int32 parent and an int8
-generator).  This makes exhaustive
+A depth is built in two passes over cache-sized blocks.  The key pass keeps
+only each candidate's grid key and hash (24 bytes); dedup then picks the
+survivors, and the survivor pass rebuilds just their products from the
+trace with the same fixed-order expressions, so the frontier is bit for bit
+what a single pass would keep, without a product row for every candidate.
+Each state costs 32 bytes while on the frontier, 24 in the visited set and
+5 in the trace (an int32 parent and an int8 generator).  This makes exhaustive
 breadth-first enumeration feasible to the depths of interest; a beam mode
 bounds the frontier for deeper runs, and a state cap stops either one,
 flagging the result partial.
@@ -236,31 +240,36 @@ def _canonical_grid_keys(q: np.ndarray, resolution: float) -> np.ndarray:
     return keys
 
 
-def _products_and_keys(qx: np.ndarray, qy: np.ndarray, resolution: float) -> tuple[np.ndarray, np.ndarray]:
-    """Quaternion coordinates of X Y for every X row and each of its m Y rows, X-major (row x * m + j),
-    and their canonical grid keys.
+def _product_coords(x, y) -> tuple[np.ndarray, ...]:
+    """The coordinates of X Y from the coordinate columns of X and of Y (four arrays each).
+
+    With X = [[a1, b1], [-b1*, a1*]] and Y likewise, X Y has
+    a = a1 a2 - b1 b2* and b = a1 b2 + b1 a2*: sixteen real products per
+    pair, in a fixed order and element-wise, so a product's bits do not
+    depend on which other rows it is built with.
+    """
+    x0, x1, x2, x3 = x
+    y0, y1, y2, y3 = y
+    return (x0 * y0 - x1 * y1 - x2 * y2 - x3 * y3,
+            x0 * y1 + x1 * y0 + x2 * y3 - x3 * y2,
+            x0 * y2 - x1 * y3 + x2 * y0 + x3 * y1,
+            x0 * y3 + x1 * y2 - x2 * y1 + x3 * y0)
+
+
+def _product_keys(qx: np.ndarray, qy: np.ndarray, resolution: float) -> np.ndarray:
+    """Canonical grid keys of X Y for every X row and each of its m Y rows, X-major (row x * m + j);
+    the products themselves are not kept.
 
     `qy` is (len(qx), m, 4), the Y rows of each X, or (m, 4), the same Y rows
-    for every X.  With X = [[a1, b1], [-b1*, a1*]] and Y likewise, X Y has
-    a = a1 a2 - b1 b2* and b = a1 b2 + b1 a2*: sixteen real products per
-    pair, in a fixed order.  Each j is one pass over the X coordinates as
-    contiguous columns, which yields the product's coordinates as columns
-    for its keys too.
+    for every X.  Each j is one pass over the X coordinates as contiguous
+    columns, which yields the product's coordinates as columns for its keys.
     """
-    x0, x1, x2, x3 = qx.T.copy()
+    x = qx.T.copy()
     ys = np.broadcast_to(qy, (len(qx), *qy.shape[-2:]))
-    products = np.empty(ys.shape)
     keys = np.empty(ys.shape, dtype=_KEY_DTYPE)
     for j in range(ys.shape[1]):
-        y0, y1, y2, y3 = ys[:, j].T.copy()
-        coords = (x0 * y0 - x1 * y1 - x2 * y2 - x3 * y3,
-                  x0 * y1 + x1 * y0 + x2 * y3 - x3 * y2,
-                  x0 * y2 - x1 * y3 + x2 * y0 + x3 * y1,
-                  x0 * y3 + x1 * y2 - x2 * y1 + x3 * y0)
-        for c, coord in enumerate(coords):
-            products[:, j, c] = coord
-        _put_grid_keys(coords, resolution, keys[:, j])
-    return products.reshape(-1, 4), keys.reshape(-1, 4)
+        _put_grid_keys(_product_coords(x, ys[:, j].T.copy()), resolution, keys[:, j])
+    return keys.reshape(-1, 4)
 
 
 _KEY_ROW = np.dtype((np.void, 4 * np.dtype(_KEY_DTYPE).itemsize))  # one key row as one element
@@ -314,20 +323,27 @@ class _Visited:
         collided = bool((rows[order[repeats - 1]] != rows[order[repeats]]).any())
         lead = np.ones(len(order), dtype=bool)
         lead[repeats] = False
-        starts = np.flatnonzero(lead)
-        firsts, first_hashes = order[starts], sorted_hashes[starts]
+        first_hashes = sorted_hashes[lead]
+        del sorted_hashes
+        firsts = order[lead]
+        del lead
         # argsort is not stable, so a group with repeats takes its smallest index; the repeat at
         # sorted position repeats[j] lies in group repeats[j] - j - 1
         np.minimum.at(firsts, repeats - np.arange(1, len(repeats) + 1), order[repeats])
+        del order, repeats  # each temporary goes as soon as it is used: they set the depth's peak
         new = np.ones(len(firsts), dtype=bool)
         for run_hashes, run_rows in self.runs:
             if collided:
                 break
-            at = np.minimum(np.searchsorted(run_hashes, first_hashes), len(run_hashes) - 1)
+            at = np.searchsorted(run_hashes, first_hashes)
+            np.minimum(at, len(run_hashes) - 1, out=at)
             hits = np.flatnonzero(run_hashes[at] == first_hashes)
             collided = not np.array_equal(run_rows[at[hits]], rows[firsts[hits]])
             new[hits] = False
+            del at, hits
+        del first_hashes
         fresh = self._add_new_exact(hashes, rows) if collided else firsts[new]
+        del firsts, new
         if len(fresh):
             self.runs.append((hashes[fresh], rows[fresh]))
             self.size += len(fresh)
@@ -424,33 +440,50 @@ class _Search:
         self.visited.merge()  # the last depth's run, before this depth's arrays are allocated
         # the generators to apply to each state, ascending: all but its backtrack after depth 1
         moves = _NEXT_PIECES[self.trace[-1][1]] if self.trace else np.arange(n_gens, dtype=np.int8)[None]
-        candidates, rows, hashes = self._candidates(moves)
-        keep = self.visited.add_new(hashes, rows)
-        self.frontier = np.compress(keep, candidates, axis=0)  # candidates[keep], about 4x faster
-        kept = np.flatnonzero(keep)
+        rows, hashes = self._candidates(moves)
+        kept = np.flatnonzero(self.visited.add_new(hashes, rows))
+        del rows, hashes  # the depth's keys go before its survivors are built; the visited run copied the new ones
         self.trace.append(((kept // moves.shape[1]).astype(np.int32), moves.ravel()[kept]))
+        del kept
+        self.frontier = self._survivors(*self.trace[-1])
         if len(self.frontier) == 0:
             self.closed = True
         return True
 
-    def _candidates(self, moves: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Products, grid key rows and key hashes of each frontier state times each of its `moves`
-        generators, parent-major.
+    def _candidates(self, moves: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Grid key rows and key hashes of each frontier state times each of its `moves` generators,
+        parent-major; the products themselves are not kept.
 
         The depth's arrays are allocated once and filled in blocks of
         _EXPAND_BLOCK parents, so that a block's temporaries stay in cache.
         """
-        products = np.empty((moves.size, 4))
         keys = np.empty((moves.size, 4), dtype=_KEY_DTYPE)
         rows = keys.view(_KEY_ROW)[:, 0]
         hashes = np.empty(moves.size, dtype=np.uint64)
         for start in range(0, len(self.frontier), _EXPAND_BLOCK):
             stop = start + _EXPAND_BLOCK
             block = slice(start * moves.shape[1], stop * moves.shape[1])
-            products[block], keys[block] = _products_and_keys(self.frontier[start:stop], self.gens[moves[start:stop]],
-                                                              self.config.dedup_resolution)
+            keys[block] = _product_keys(self.frontier[start:stop], self.gens.take(moves[start:stop], axis=0),
+                                        self.config.dedup_resolution)
             hashes[block] = _key_hash(rows[block])
-        return products, rows, hashes
+        return rows, hashes
+
+    def _survivors(self, parents: np.ndarray, gens: np.ndarray) -> np.ndarray:
+        """The next frontier: each kept candidate's product, rebuilt from its parent row and generator.
+
+        The products are the key pass's fixed-order expressions on the same
+        rows, so they are bit for bit the ones its keys were read from; only
+        the survivors are built, in blocks of _EXPAND_BLOCK.
+        """
+        frontier = np.empty((len(parents), 4))
+        for start in range(0, len(parents), _EXPAND_BLOCK):
+            block = slice(start, start + _EXPAND_BLOCK)
+            # take gathers rows several times faster than fancy indexing
+            coords = _product_coords(self.frontier.take(parents[block], axis=0).T,
+                                     self.gens.take(gens[block], axis=0).T)
+            for c, coord in enumerate(coords):
+                frontier[block, c] = coord
+        return frontier
 
     def shrink_to_beam(self, errors: np.ndarray) -> np.ndarray:
         """Keep the beam_width best frontier states (stable order); returns the kept errors."""

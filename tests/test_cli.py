@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import random
 import subprocess
 import sys
@@ -9,7 +10,7 @@ import time
 
 import pytest
 
-from su2k.errors import MAX_VERIFY_LEVEL
+from su2k.errors import MAX_PRECISION, MAX_VERIFY_LEVEL
 from su2k.model import MAX_LEVEL
 from su2k.regression import REFERENCE
 from su2k.synth import MAX_PROFILE_SAMPLES
@@ -137,6 +138,18 @@ class TestVerifyCommand:
     @pytest.mark.parametrize("bits", ["0", "-8"])
     def test_non_positive_precision(self, bits):
         assert_usage_error("verify", "--k", "2", "--precision", bits)
+
+    @pytest.mark.parametrize("bits", [str(MAX_PRECISION + 1), "1000000"])
+    @pytest.mark.parametrize("source", ["flag", "env"])
+    def test_precision_over_the_bound_usage_error(self, bits, source):
+        # refused before any table is built: a million bits would run for hours
+        args, env = ("--precision", bits), None
+        if source == "env":
+            args, env = (), dict(os.environ, SU2K_PRECISION=bits)
+        start = time.perf_counter()
+        stderr = assert_usage_error("verify", "--k", "4", *args, env=env).stderr
+        assert time.perf_counter() - start < 1.0
+        assert f"at most {MAX_PRECISION} bits, got {bits}" in stderr
 
     @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-9"])
     def test_bad_tolerance(self, tol):

@@ -585,10 +585,19 @@ class TestUnitarity:
         six_j = m._six_j
         monkeypatch.setattr(m, "_six_j", lambda labels, *tables: six_j(labels, *tables) * 2)
         capped = m.verify_unitarity()
+        capped_sweeps = [m.verify_pentagon("float"), m.verify_hexagon("float")]
         monkeypatch.setattr(model_module, "MAX_FAILURES", 1000)
         every = m.verify_unitarity().failures
         assert len(every) == 96 and len(capped.failures) == MAX_FAILURES == 20
         assert capped.failures == every[:MAX_FAILURES] and not capped.holds
+        # the summary counts every failing instance, not the kept ones
+        assert capped.failed == 96
+        assert capped.summary().startswith("unitarity [float] over 116 instances: FAILS (96 counterexamples, ")
+        # the sweeps count a block's failures past the cap without keeping them
+        for capped_sweep, sweep in zip(capped_sweeps, [m.verify_pentagon("float"), m.verify_hexagon("float")]):
+            assert capped_sweep.failed == sweep.failed == len(sweep.failures) > MAX_FAILURES
+            assert capped_sweep.failures == sweep.failures[:MAX_FAILURES]
+            assert f"FAILS ({sweep.failed} counterexamples, " in capped_sweep.summary()
 
     def test_qubit_f_involutory_exact(self):
         for k in range(2, 12):

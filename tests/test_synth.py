@@ -18,7 +18,8 @@ from su2k.synth import (
     MAX_PROFILE_SAMPLES,
     SearchConfig,
     _canonical_grid_keys,
-    _products_and_keys,
+    _product_coords,
+    _product_keys,
     _Search,
     _su2_quaternions,
     _Visited,
@@ -245,7 +246,7 @@ class TestErrorProfile:
         haar = _su2_quaternions(np.stack([haar_su2(rng) for _ in range(3)]))
         # frontier states themselves and 1e-7 rotations of them take the chord branch
         rotation = np.array([[math.cos(1e-7), math.sin(1e-7), 0.0, 0.0]])
-        rotated, _ = _products_and_keys(search.frontier[[7, -3]], rotation, 1e-6)
+        rotated = _products(search.frontier[[7, -3]], rotation)
         near = np.concatenate([search.frontier[[5, -1]], rotated])
         targets = np.concatenate([haar, near, -near])
         full = search.frontier_errors(targets).min(axis=0)
@@ -350,6 +351,37 @@ def _matrices(q):
     """SU(2) matrices [[a, b], [-b*, a*]] from quaternion rows (exact)."""
     a, b = q[:, 0] + 1j * q[:, 1], q[:, 2] + 1j * q[:, 3]
     return np.stack([np.stack([a, b], axis=1), np.stack([-np.conj(b), np.conj(a)], axis=1)], axis=1)
+
+
+def _products(qx, qy):
+    """Quaternion rows of X Y for every X row and each of its Y rows, X-major, all in one pass.
+
+    `qy` is (len(qx), m, 4) or (m, 4), as for `_product_keys`.
+    """
+    ys = np.broadcast_to(qy, (len(qx), *qy.shape[-2:]))
+    return np.stack(_product_coords(qx.T[:, :, None], ys.transpose(2, 0, 1)), axis=-1).reshape(-1, 4)
+
+
+class OnePassSearch(_Search):
+    """The search with each depth built whole: every candidate's product, its keys read from those
+    products, and the frontier compressed from them by the keep mask."""
+
+    def expand(self):
+        n_gens = len(self.gens)
+        if self.distinct + len(self.frontier) * n_gens > min(self.config.max_states, synth._MAX_STATES):
+            self.partial = True
+            return False
+        self.explored += len(self.frontier) * n_gens
+        self.visited.merge()
+        moves = synth._NEXT_PIECES[self.trace[-1][1]] if self.trace else np.arange(n_gens, dtype=np.int8)[None]
+        candidates = _products(self.frontier, self.gens[moves])
+        rows = _canonical_grid_keys(candidates, self.config.dedup_resolution).view(_KEY_ROW)[:, 0]
+        keep = self.visited.add_new(synth._key_hash(rows), rows)
+        self.frontier = candidates[keep]
+        kept = np.flatnonzero(keep)
+        self.trace.append(((kept // moves.shape[1]).astype(np.int32), moves.ravel()[kept]))
+        self.closed = len(self.frontier) == 0
+        return True
 
 
 class ReferenceSearch(_Search):
@@ -679,6 +711,46 @@ class TestBacktracks:
         assert reachable_counts(config)[0][-1] == ref.distinct
 
 
+class TestSurvivorPass:
+    @pytest.mark.parametrize("config", [
+        SearchConfig(k=3, max_depth=9),
+        SearchConfig(k=5, max_depth=20, beam_width=300),
+        SearchConfig(k=3, max_depth=20, max_states=5000),
+    ], ids=["k3-exhaustive", "k5-beam", "k3-state-cap"])
+    def test_every_depth_matches_the_one_pass_kernel(self, config):
+        # the frontier is rebuilt from the trace after dedup; it must be the products the keys came from
+        target = np.array([[0.6, 0.0, 0.8, 0.0]])
+        search, ref = _Search(config), OnePassSearch(config)
+        for _ in range(config.max_depth):
+            expanded = search.expand()
+            assert expanded == ref.expand()
+            if not expanded:
+                break
+            assert np.array_equal(search.frontier, ref.frontier)
+            (parents, gens), (ref_parents, ref_gens) = search.trace[-1], ref.trace[-1]
+            assert parents.dtype == ref_parents.dtype and gens.dtype == ref_gens.dtype
+            assert np.array_equal(parents, ref_parents) and np.array_equal(gens, ref_gens)
+            assert (search.explored, search.distinct, search.closed) == (ref.explored, ref.distinct, ref.closed)
+            if config.beam_width:
+                for s in (search, ref):
+                    s.shrink_to_beam(s.frontier_errors(target)[:, 0])
+                assert np.array_equal(search.frontier, ref.frontier)
+        assert search.partial == ref.partial == (config.max_states == 5000)
+        if not (config.beam_width or search.partial):
+            assert len(search.frontier) > _EXPAND_BLOCK  # the last depth was rebuilt in several blocks
+
+    def test_profile_memory_holds_only_the_survivors(self):
+        # tracemalloc's peak is deterministic: 16.9 MB while every candidate's product was kept
+        # through dedup, 9.4 MB with the products of the survivors alone built after it
+        tracemalloc.start()
+        try:
+            error_profile(SearchConfig(k=3, max_depth=11, seed=7), 20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12e6
+
+
 class TestLevelBlocks:
     def test_frontier_spanning_several_blocks_matches_the_reference(self):
         config = SearchConfig(k=5, max_depth=10)
@@ -712,15 +784,14 @@ class TestLevelBlocks:
         q = np.array([[h, -h, h, h], [h, np.nextafter(-h, -1.0), h, h], [-h, h, -h, -h]])
         keys = _canonical_grid_keys(q, 1e-6)
         assert keys.tolist() == [[500000, -500000, 500000, 500000]] * 3
-        _, product_keys = _products_and_keys(q, np.array([[1.0, 0.0, 0.0, 0.0]]), 1e-6)
-        assert np.array_equal(product_keys, keys)
+        assert np.array_equal(_product_keys(q, np.array([[1.0, 0.0, 0.0, 0.0]]), 1e-6), keys)
 
     def test_products_and_keys_match_row_products(self):
         rng = np.random.default_rng(5)
         qx = rng.normal(size=(37, 4))
         qx /= np.linalg.norm(qx, axis=1)[:, None]
         gens = _su2_quaternions(double_braid_generators(7)[0])
-        products, keys = _products_and_keys(qx, gens, 1e-6)
+        products, keys = _products(qx, gens), _product_keys(qx, gens, 1e-6)
         for row, (x, y) in enumerate((x, y) for x in qx for y in gens):
             a = complex(x[0], x[1]) * complex(y[0], y[1]) - complex(x[2], x[3]) * complex(y[2], -y[3])
             b = complex(x[0], x[1]) * complex(y[2], y[3]) + complex(x[2], x[3]) * complex(y[0], -y[1])
@@ -728,7 +799,7 @@ class TestLevelBlocks:
         assert np.array_equal(keys, _canonical_grid_keys(products, 1e-6))
         # each X row with its own Y rows gives the same bits as the shared product's matching rows
         picks = rng.integers(0, len(gens), size=(len(qx), 3))
-        own_products, own_keys = _products_and_keys(qx, gens[picks], 1e-6)
+        own_products, own_keys = _products(qx, gens[picks]), _product_keys(qx, gens[picks], 1e-6)
         at = (np.arange(len(qx))[:, None] * len(gens) + picks).ravel()
         assert np.array_equal(own_products, products[at]) and np.array_equal(own_keys, keys[at])
 
