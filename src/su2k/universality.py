@@ -10,12 +10,13 @@ determinants and "W = I" do not change under conjugation, and the braid
 group's image is unchanged up to that change of basis (Freedman, Larsen and
 Wang, CMP 228 (2002)).  Each trace is an exact cyclotomic number, and the
 question "is the rotation angle a rational multiple of pi?" is decided
-exactly by the conductor: a trace t in Q(zeta_N) is 2cos of a rational
-multiple of 2*pi iff t = zeta_M^a + zeta_M^-a for some 0 <= a <= M/2,
-M = lcm(N, 12) (Washington, Introduction to Cyclotomic Fields, GTM 83,
-ch. 3; Niven's theorem for rational t).  Two non-commuting infinite-order
-special unitaries generate a dense subgroup of SU(2), which yields the
-verdict.
+exactly in the trace's own field: a rational trace is looked up in Niven's
+five values, and an irrational t = 2cos(2*pi*j/m) in Q(zeta_N) has m | N,
+because the conductor of Q(t) divides N and N is even (Washington,
+Introduction to Cyclotomic Fields, GTM 83, ch. 3).  So t is 2cos of a
+rational multiple of 2*pi iff t = zeta_N^a + zeta_N^-a for one 0 < a < N/2.
+Two non-commuting infinite-order special unitaries generate a dense
+subgroup of SU(2), which yields the verdict.
 
 The module also decides exact rationality of rational-coefficient sums of
 cosines of rational angles, and matches small instances against the
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .cyclotomic import Cyc, _power_table, cos_pi_fraction, euler_phi, minimal_polynomial
+from .cyclotomic import Cyc, cos_pi_fraction, euler_phi, minimal_polynomial
 from .cyclotomic import min_poly_2cos  # noqa: F401  (unused; bench/tracer.py patches it here)
 from .errors import MAX_LEVEL, DomainError, IntegrityError
 
@@ -193,15 +194,17 @@ _IDENTITY_TABLE = {
 def trace_cosine_identity(which: str, k: int, trace: Cyc) -> None:
     """Check the identity for matrix `which` in {A, B, W} exactly at level k.
 
-    Raises IntegrityError if the trace does not satisfy it (that would mean
-    the matrix construction and the recoupling data disagree).
+    Each cosine is built in the trace's field Q(zeta_N), N = 4(k+2), as
+    cos(2*pi*m/(k+2)) = (zeta_N^4m + zeta_N^-4m) / 2.  Raises IntegrityError
+    if the trace does not satisfy the identity (that would mean the matrix
+    construction and the recoupling data disagree).
     """
     if which not in _IDENTITY_TABLE:
         raise DomainError(f"no trace identity named {which!r}")
     cos_coeffs, theta_coeff, rhs = _IDENTITY_TABLE[which]
     residual = trace * Fraction(theta_coeff, 2) - rhs
     for m, coeff in cos_coeffs:
-        residual = residual + cos_pi_fraction(2 * m, k + 2) * coeff
+        residual = residual + Cyc.from_exponents(4 * (k + 2), {4 * m: coeff / 2, -4 * m: coeff / 2})
     if not residual.is_zero():
         raise IntegrityError(f"trace identity for {which} fails exactly at k={k}")
 
@@ -219,62 +222,56 @@ class OrderDecision:
     angle_numerator: int | None = None  # theta = 2*pi*j/m with j = numerator
 
 
+#: Niven's theorem: each rational 2cos(2*pi*j/m), gcd(j, m) = 1 and 0 <= j <= m/2, as value -> (m, j)
+_NIVEN = {2: (1, 0), 1: (6, 1), 0: (4, 1), -1: (3, 1), -2: (2, 1)}
+
+
 def decide_projective_order_from_trace(trace: Cyc) -> OrderDecision:
     """Decide whether e^{i*theta} with 2cos(theta) = trace is a root of unity.
 
-    Exact rule: with M = lcm(trace.order, 12), e^{i*theta} has finite order
-    iff trace = zeta_M^a + zeta_M^-a in Q(zeta_M) for some 0 <= a <= M/2.
-    Then, with g = gcd(a, M), the eigenvalue order is m = M/g and the angle
-    numerator is j = a/g (theta = 2*pi*j/m, gcd(j, m) = 1); the projective
-    order is m, or m/2 for even m.
+    Exact rule, in the trace's own field.  A rational trace has finite order
+    iff it is in _NIVEN, which gives theta = 2*pi*j/m.  Otherwise, with n
+    the stored order, doubled if odd (the same field, the same phi), the
+    order is finite iff trace = zeta_n^a + zeta_n^-a for some 0 < a < n/2;
+    then m = n/g and j = a/g, g = gcd(a, n).  The projective order is m, or
+    m/2 for even m.
 
-    Proof that the lookup is complete.  Suppose trace = 2cos(2*pi*j/m) with
-    gcd(j, m) = 1; it suffices to show m | M, for then zeta_m^j = zeta_M^a.
-    - Irrational trace: Q(trace) is the real subfield of Q(zeta_m), whose
-      conductor is m if m != 2 (mod 4) and m/2 otherwise.  A subfield of
-      Q(zeta_M) has conductor dividing M (Washington, Introduction to
-      Cyclotomic Fields, GTM 83, ch. 3), so m | M, or m/2 | M with m/2
-      odd, and then m | M as well because M is even (4 | M).
-    - Rational trace: by Niven's theorem m is 1, 2, 3, 4 or 6, each of
-      which divides 12 and so M.
-    - Uniqueness: a -> 2cos(2*pi*a/M) is injective on [0, M/2], so at most
+    Proof that the rule is complete.  Let trace = 2cos(2*pi*j/m) with
+    gcd(j, m) = 1 and 0 <= j <= m/2.
+    - Rational: by Niven's theorem m is 1, 2, 3, 4 or 6, where the trace is
+      2, -2, -1, 0 or 1; each value fixes (m, j).
+    - Irrational: 0 < j < m/2, and Q(trace) is the real subfield K of
+      Q(zeta_m), fixed by {1, -1} in (Z/m)^*.  For m != 2 (mod 4), were K in
+      Q(zeta_f) for a proper divisor f of m, the phi(m)/phi(f) >= 2 classes
+      b = 1 (mod f) would lie in {1, -1}, so f <= 2 and phi(m) = 2, and the
+      trace would be rational: K has conductor m.  For m = 2 (mod 4),
+      Q(zeta_m) = Q(zeta_(m/2)), and K has the odd conductor m/2.  A
+      subfield of Q(zeta_n) has conductor dividing n (Washington,
+      Introduction to Cyclotomic Fields, GTM 83, ch. 3), so m | n, or
+      m/2 | n with m/2 odd, and then m | n since n is even.  So
+      zeta_m^j = zeta_n^a with a = j*n/m.
+    - Integrality: each candidate lies in Z[zeta_n], whose power basis is an
+      integral basis (Phi_n is monic over Z), so it has integer coordinates;
+      a trace with a denominator other than 1 matches none.
+    - Uniqueness: 2cos(2*pi*a/n) strictly decreases on [0, n/2], so at most
       one a matches, and j/m is determined.
-    - Integrality: every candidate zeta_M^a + zeta_M^-a lies in Z[zeta_M],
-      and the power basis is an integral basis of Z[zeta_M] (Phi_M is monic
-      with integer coefficients), so each candidate has integer coordinates.
-      The canonical form of the lifted trace has a denominator other than 1
-      iff some coordinate is not an integer; then no candidate matches and
-      the order is infinite.  Otherwise its numerators are compared with the
-      integer coordinates of each candidate.
     """
-    order = math.lcm(trace.order, 12)
-    lifted = trace.lift(order)
-    if lifted.den != 1:
-        return OrderDecision(False)
-    a = next((a for a in range(order // 2 + 1) if _two_cos_coords(order, a) == lifted.num), None)
-    if a is None:
-        return OrderDecision(False)
-    g = math.gcd(a, order)
-    m = order // g
-    return OrderDecision(
-        True,
-        projective_order=m if m % 2 else m // 2,
-        eigenvalue_order=m,
-        angle_numerator=a // g,
-    )
-
-
-def _two_cos_coords(order: int, a: int) -> tuple[int, ...]:
-    """Integer power-basis coordinates of zeta_order^a + zeta_order^-a.
-
-    The two terms are added separately, so a = 0 and a = order/2 give 2 and -2.
-    """
-    coords = [0] * euler_phi(order)
-    table = _power_table(order)
-    for e in (a, -a % order):
-        for i, c in table[e]:
-            coords[i] += c
-    return tuple(coords)
+    value = trace.as_rational()
+    if value is not None:
+        if value not in _NIVEN:
+            return OrderDecision(False)
+        m, j = _NIVEN[value]
+    else:
+        n = trace.order * (1 + trace.order % 2)
+        lifted = trace.lift(n)
+        if lifted.den != 1:
+            return OrderDecision(False)
+        a = next((a for a in range(1, n // 2) if Cyc.from_exponents(n, {a: 1, -a: 1}).num == lifted.num), None)
+        if a is None:
+            return OrderDecision(False)
+        g = math.gcd(a, n)
+        m, j = n // g, a // g
+    return OrderDecision(True, projective_order=m if m % 2 else m // 2, eigenvalue_order=m, angle_numerator=j)
 
 
 # -- rational sums of cosines -------------------------------------------------------------

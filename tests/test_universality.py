@@ -12,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from su2k import cli
+from su2k import cli, cyclotomic
 from su2k.cyclotomic import Cyc, cos_pi_fraction, euler_phi, min_poly_2cos, minimal_polynomial
 from su2k.errors import MAX_LEVEL, DomainError, IntegrityError
 from su2k.model import get_model
@@ -250,13 +250,15 @@ class TestGaugeWitnesses:
             for i in zeros:
                 assert traces[i].exact_str() == "0; N=1", (k, i)
 
-    # sha256 of the stdout recorded before the witnesses moved to the closed-form gauge
+    # sha256 of the stdout recorded before the witnesses moved to the closed-form gauge, and for
+    # k = 999 before the angle decision moved into the trace's own field
     @pytest.mark.parametrize("argv, digest", [
         (("--k", "2..60"), "d63bfabc807659683a3328e8c19a04cec18ef1a31bc1632c2cc0dd588f7bbfac"),
         (("--k", "2..60", "--format", "json"), "766a9568fea859e8ee6ff4a78cb307f5b47e1dca341368e987e93cb6ea6081ed"),
         (("--k", "2..60", "--format", "csv"), "3ba74b6fe8569577771ec21dbf90a16a7ec9b8a9cea5c573434565d8fe380644"),
         (("--k", "418", "--format", "json"), "250cffee07e72d03ee3a3131d879271f735382ca4e8929dd59cb9f3516d45586"),
-    ], ids=["text", "json", "csv", "k418-json"])
+        (("--k", "999", "--format", "json"), "e170654969bd4ccff820469e4eb5bd3383f4eaf8f256a9769e3524d4f014a07d"),
+    ], ids=["text", "json", "csv", "k418-json", "k999-json"])
     def test_stdout_is_byte_identical(self, argv, digest, capsys):
         assert cli.main(["universality", *argv]) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
@@ -329,6 +331,19 @@ class TestOrderDecision:
         assert decide_projective_order_from_trace(Cyc.rational(2, order)) == OrderDecision(True, 1, 1, 0)
         assert decide_projective_order_from_trace(Cyc.rational(-2, order)) == OrderDecision(True, 1, 2, 1)
 
+    @pytest.mark.parametrize("order", [1, 5, 12, 28, 60])
+    def test_other_rational_traces(self, order):
+        # Niven's 0, +1 and -1, at orders with and without the factors 4 and 3
+        assert decide_projective_order_from_trace(Cyc.rational(0, order)) == OrderDecision(True, 2, 4, 1)
+        assert decide_projective_order_from_trace(Cyc.rational(1, order)) == OrderDecision(True, 3, 6, 1)
+        assert decide_projective_order_from_trace(Cyc.rational(-1, order)) == OrderDecision(True, 3, 3, 1)
+
+    @pytest.mark.parametrize("n, a", [(5, 2), (7, 3), (9, 4)])
+    def test_odd_order_trace_with_angle_twice_the_order(self, n, a):
+        # -(zeta_n^a + zeta_n^-a) = 2cos(2*pi/2n) for odd n: m = 2n = 2 (mod 4) does not divide n
+        trace = -(Cyc.root_of_unity(n, a) + Cyc.root_of_unity(n, -a))
+        assert decide_projective_order_from_trace(trace) == OrderDecision(True, n, 2 * n, 1)
+
     def test_reference_agrees_on_witnesses(self):
         for k in range(2, 41):
             for tr in witnesses(k).traces():
@@ -339,7 +354,7 @@ class TestOrderDecision:
         (15, 15), (15, 60), (35, 35), (35, 140), (35, 245),
     ])
     def test_reference_agrees_on_rational_angles(self, m, order):
-        # orders with and without the factors 4 and 3; the rule lifts each to lcm(order, 12)
+        # odd and even orders, with and without the factors 4 and 3; odd ones are decided at 2*order
         for j in range(0, m, 12 if order > 200 else 1):
             trace = two_cos(m, j, order)
             dec = decide_projective_order_from_trace(trace)
@@ -369,6 +384,34 @@ class TestOrderDecision:
                 assert heuristic == exact.projective_order
             else:
                 assert heuristic is None
+
+
+class TestFieldConfinement:
+    """Each decision reads the power table of its trace's own field only."""
+
+    @staticmethod
+    def requested_orders(monkeypatch, run) -> set[int]:
+        orders = set()
+        table = cyclotomic._power_table
+
+        def recording(order):
+            orders.add(order)
+            return table(order)
+
+        monkeypatch.setattr(cyclotomic, "_power_table", recording)
+        run()
+        return orders
+
+    @pytest.mark.parametrize("k", [5, 26, 418])
+    def test_certificate_reads_only_its_level_field(self, k, monkeypatch):
+        assert self.requested_orders(monkeypatch, lambda: certificate(k)) == {4 * (k + 2)}
+
+    def test_odd_order_trace_reads_twice_its_order(self, monkeypatch):
+        def decide():
+            trace = Cyc.root_of_unity(7) + Cyc.root_of_unity(7, -1)
+            assert decide_projective_order_from_trace(trace) == OrderDecision(True, 7, 7, 1)
+
+        assert self.requested_orders(monkeypatch, decide) == {7, 14}
 
 
 class TestRationalCosineSums:
