@@ -9,17 +9,20 @@ candidate, and the projective distance to a target reads off the overlap
 expressions, so results do not depend on BLAS or on block sizes.
 
 States are deduplicated on a grid over the quaternion coordinates with the
-sign fixed by the largest one.  The resolution must lie below 1 (the
-coordinates lie in [-1, 1]) and leave a unit coordinate within the int32
-key range, or distinct states would share a key.  Dedup is
-vectorized and exact: a depth's keys are sorted by a 64-bit hash, and both
-repeats within the depth and hits in the visited set are confirmed on the
-full key, so a hash collision never merges two states; the first occurrence
-in candidate order (parent-major, generator-minor) is kept.  The visited set
-is a few runs sorted by hash, merged geometrically in linear time, so a
-depth costs O(new log n) rather than a pass over every visited key; a
-depth's run is merged when the next depth is built, so the last one never
-is.  The inverse of the
+sign fixed by the first nonzero rounded one.  The resolution must lie below
+1 (the coordinates lie in [-1, 1]) and leave a unit coordinate within the
+int32 key range, or distinct states would share a key.  Dedup is vectorized
+and exact.  A depth is grouped by one value sort of 64-bit words, each a key
+hash's top bits over the candidate's index, so a group's first word is its
+first occurrence in candidate order (parent-major, generator-minor), which
+is the one kept; a group holding more than one key is sorted again among its
+own members.  Repeats within the depth and hits in the visited set are
+confirmed on the full key, so a hash collision never merges two states.
+The visited set is a few runs sorted by hash, merged geometrically in linear
+time, and a bit per bucket of hash prefixes: only a key whose bucket is
+marked is searched for in the runs, so most new keys cost no binary search.
+A depth's run is merged when the next depth is built, and the last depth's
+new keys are counted but not stored.  The inverse of the
 move that reached a state returns its parent, which is visited, and the
 generator set is closed under inverses, so the backtrack is never built;
 `explored` still counts every (state, generator) pair of an expanded depth.
@@ -217,18 +220,21 @@ def _su2_quaternions(batch: np.ndarray) -> np.ndarray:
 
 def _put_grid_keys(coords: tuple[np.ndarray, ...], resolution: float, keys: np.ndarray) -> None:
     """Write each gate's grid key into its row of `keys`: the coordinates rounded to the grid, negated
-    where the rounded one largest in magnitude (the first on ties) is negative.
+    where the first nonzero rounded one is negative.
 
-    Read from the integers, the sign fixes q and -q alike and cannot follow
-    float noise between coordinates of equal magnitude.  A unit quaternion's
-    largest coordinate is at least 1/2 in magnitude, so on a grid finer than
-    1 the lead is never 0.
+    Rounding is odd (rint(-x) = -rint(x)), so q and -q round to opposite
+    integer rows and get one key; read from the integers, the sign cannot
+    follow float noise in a coordinate that rounds to 0.  A unit
+    quaternion's largest coordinate is at least 1/2 in magnitude, so on a
+    grid finer than 1 some rounded coordinate is nonzero.  Any rule that
+    picks one of each pair {v, -v} gives the same key equality; this one
+    needs no magnitudes.
     """
     rounded = [np.rint(r, out=r) for r in (c / resolution for c in coords)]
-    m0, m1, m2, m3 = (np.abs(r) for r in rounded)
-    lead = np.where(np.maximum(m2, m3) > np.maximum(m0, m1),
-                    np.where(m3 > m2, rounded[3], rounded[2]), np.where(m1 > m0, rounded[1], rounded[0]))
-    sign = np.copysign(1.0, lead)
+    lead = rounded[3].copy()
+    for r in rounded[2::-1]:
+        np.copyto(lead, r, where=r != 0)  # -0.0 != 0 is False, so a signed zero is passed over
+    sign = np.copysign(1.0, lead, out=lead)
     for c, r in enumerate(rounded):
         np.multiply(r, sign, out=keys[:, c], casting="unsafe")
 
@@ -291,65 +297,132 @@ def _key_hash(rows: np.ndarray) -> np.ndarray:
     return _mix(_mix(words[:, 0].copy()) ^ words[:, 1])
 
 
+_PREFILTER_BITS = 24  # top hash bits that pick a prefilter bucket: 2 MB of bits, 6% set at 1M keys
+
+
+def _prefilter_slots(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The byte and the bit within it of each 64-bit word's prefilter bucket, its top _PREFILTER_BITS."""
+    buckets = words >> np.uint64(64 - _PREFILTER_BITS)
+    bits = np.bitwise_and(buckets, np.uint64(7), out=np.empty(len(buckets), dtype=np.uint8), casting="unsafe")
+    buckets >>= np.uint64(3)
+    return buckets.view(np.intp), bits
+
+
 class _Visited:
-    """The visited grid keys: a few runs, each sorted by key hash, with the key rows alongside.
+    """The visited grid keys: a few runs, each sorted by key hash, with the key rows alongside, and a
+    prefilter of one bit per bucket of hashes.
 
     A depth's new keys are appended as one run, already in hash order, and
     :meth:`merge`, called before the next depth is built, folds each run into
     the one before it until every run is over twice the size of the next.
-    So there are O(log n) runs, a depth's lookups cost O(new log n) and each
-    key is copied O(log n) times in all, not once per depth.  A key is
-    visited iff some run holds it; a hash hit names the first row of that
-    run with the hash, and a different key there sends the batch to the
-    exact sort, so membership is decided on the full key.
+    So there are O(log n) runs and each key is copied O(log n) times in all,
+    not once per depth.  Storing a run sets the prefilter bit of each of its
+    hashes' top _PREFILTER_BITS; a key whose bit is clear is not visited, so
+    only the rest are searched for in the runs.  A key is visited iff some
+    run holds it; a hash hit names the first row of that run with the hash,
+    and a different key there sends the batch to the exact sort, so
+    membership is decided on the full key.  With `stores` cleared, a batch's
+    new keys are counted in `size` but kept in no run: the last depth of a
+    search, which no later depth looks up.
     """
 
     def __init__(self, rows: np.ndarray):
-        self.runs = [(_key_hash(rows), rows)]
+        self.runs: list[tuple[np.ndarray, np.ndarray]] = []
+        self.prefilter = np.zeros(1 << (_PREFILTER_BITS - 3), dtype=np.uint8)
         self.size = len(rows)
+        self.stores = True
+        self._store(_key_hash(rows), rows)
+
+    def _store(self, hashes: np.ndarray, rows: np.ndarray) -> None:
+        """Append keys, in hash order, as a run, and mark their prefilter bits."""
+        self.runs.append((hashes, rows))
+        slots, bits = _prefilter_slots(hashes)
+        np.bitwise_or.at(self.prefilter, slots, np.left_shift(np.uint8(1), bits))
+
+    def _marked(self, words: np.ndarray) -> np.ndarray:
+        """The positions of the 64-bit words whose top _PREFILTER_BITS name a marked prefilter bucket."""
+        slots, bits = _prefilter_slots(words)
+        marked = self.prefilter[slots]
+        del slots
+        marked >>= bits
+        marked &= np.uint8(1)
+        return np.flatnonzero(marked.view(bool))
 
     def add_new(self, hashes: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """The mask of the key rows neither visited nor seen earlier in `rows`; adds them as a run.
 
-        Sorting by hash puts equal keys in one run of hashes, whose smallest
-        index is their first occurrence, and each visited run is searched for
-        those hashes.  Both are confirmed on the full key; if a run of equal
-        hashes mixes keys or a visited hash names another key (a collision),
-        the exact sort decides instead.
+        One value sort groups the batch: each word is a hash's top bits over
+        the candidate's index, so equal keys share a group, led by their
+        first occurrence.  A group whose members are not all one key (their
+        hashes share the top bits, or all 64) is sorted again by (hash, key)
+        among its own members.  The group leads, in hash order, are checked
+        against the prefilter, and those in a marked bucket are searched for
+        in each run; a visited hash that names another key (a collision)
+        sends the batch to the exact sort instead.
         """
-        order = np.argsort(hashes)
-        sorted_hashes = hashes[order]
-        repeats = np.flatnonzero(sorted_hashes[1:] == sorted_hashes[:-1]) + 1
-        collided = bool((rows[order[repeats - 1]] != rows[order[repeats]]).any())
-        lead = np.ones(len(order), dtype=bool)
+        n = len(rows)
+        low = np.uint64((1 << max(n - 1, 1).bit_length()) - 1)  # the index bits
+        words = np.arange(n, dtype=np.uint64)
+        words |= hashes & ~low
+        words.sort()
+        repeats = np.flatnonzero((words[1:] ^ words[:-1]) <= low) + 1  # same top bits as the word before
+        lead = np.ones(n, dtype=bool)
         lead[repeats] = False
-        first_hashes = sorted_hashes[lead]
-        del sorted_hashes
-        firsts = order[lead]
-        del lead
-        # argsort is not stable, so a group with repeats takes its smallest index; the repeat at
-        # sorted position repeats[j] lies in group repeats[j] - j - 1
-        np.minimum.at(firsts, repeats - np.arange(1, len(repeats) + 1), order[repeats])
-        del order, repeats  # each temporary goes as soon as it is used: they set the depth's peak
+        mixed = repeats[rows[(words[repeats - 1] & low).view(np.intp)] != rows[(words[repeats] & low).view(np.intp)]]
+        del repeats  # each temporary goes as soon as it is used: they set the depth's peak
+        if len(mixed):
+            self._sort_mixed_groups(words, lead, mixed, low, hashes, rows)
+        firsts = words[lead]
+        del words, lead
+        maybe = self._marked(firsts)
+        firsts &= low
+        firsts = firsts.view(np.intp)
         new = np.ones(len(firsts), dtype=bool)
-        for run_hashes, run_rows in self.runs:
-            if collided:
-                break
-            at = np.searchsorted(run_hashes, first_hashes)
-            np.minimum(at, len(run_hashes) - 1, out=at)
-            hits = np.flatnonzero(run_hashes[at] == first_hashes)
-            collided = not np.array_equal(run_rows[at[hits]], rows[firsts[hits]])
-            new[hits] = False
-            del at, hits
-        del first_hashes
+        collided = False
+        if len(maybe):
+            queries = hashes[firsts[maybe]]
+            for run_hashes, run_rows in self.runs:
+                at = np.searchsorted(run_hashes, queries)
+                np.minimum(at, len(run_hashes) - 1, out=at)
+                hits = np.flatnonzero(run_hashes[at] == queries)
+                if not np.array_equal(run_rows[at[hits]], rows[firsts[maybe[hits]]]):
+                    collided = True
+                    break
+                new[maybe[hits]] = False
+            del queries
+        del maybe
         fresh = self._add_new_exact(hashes, rows) if collided else firsts[new]
         del firsts, new
-        if len(fresh):
-            self.runs.append((hashes[fresh], rows[fresh]))
-            self.size += len(fresh)
-        keep = np.zeros(len(rows), dtype=bool)
+        self.size += len(fresh)
+        if self.stores and len(fresh):
+            self._store(hashes[fresh], rows[fresh])
+        keep = np.zeros(n, dtype=bool)
         keep[fresh] = True
         return keep
+
+    @staticmethod
+    def _sort_mixed_groups(words: np.ndarray, lead: np.ndarray, mixed: np.ndarray, low: np.uint64,
+                           hashes: np.ndarray, rows: np.ndarray) -> None:
+        """Re-sort by (hash, key), in place, each group of the sorted `words` that holds a position in `mixed`.
+
+        A group's words share their top bits and are contiguous, in index
+        order, so one stable sort of the indices of all such groups by (full
+        hash, key) keeps equal keys in index order and, the top bits being
+        the hash's, keeps each group in its own positions; a member leads iff
+        its key differs from the one before it.
+        """
+        tops = np.unique(words[mixed] & ~low)
+        starts = np.searchsorted(words, tops)
+        sizes = np.searchsorted(words, tops | low, "right") - starts
+        # every position of every such group: the group's start plus each member's rank within it
+        members = np.arange(sizes.sum()) + np.repeat(starts - np.cumsum(sizes) + sizes, sizes)
+        member_words = words[members]
+        indices = (member_words & low).view(np.intp)
+        keys = rows[indices].view(np.uint64).reshape(-1, 2)
+        order = np.lexsort((keys[:, 1], keys[:, 0], hashes[indices]))
+        words[members] = (member_words & ~low) | (member_words & low)[order]
+        member_rows = rows[indices[order]]
+        lead[members[1:]] = member_rows[1:] != member_rows[:-1]
 
     def _add_new_exact(self, hashes: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """The first occurrences of unvisited keys, in hash order, from one stable (hash, key) sort.
@@ -366,7 +439,8 @@ class _Visited:
         lead = np.ones(len(order), dtype=bool)
         lead[1:] = sorted_rows[1:] != sorted_rows[:-1]
         leads = order[lead]
-        return leads[leads >= self.size] - self.size
+        stored = len(all_rows) - len(rows)
+        return leads[leads >= stored] - stored
 
     def merge(self) -> None:
         """Fold the last run into the one before it while that one is at most twice its size.
@@ -405,6 +479,7 @@ class _Search:
         self.explored = 1
         self.partial = False
         self.closed = False
+        self.last_depth = False  # set by depths(): expand() then builds the search's last depth
 
     @property
     def distinct(self) -> int:
@@ -416,10 +491,13 @@ class _Search:
         Expansion stops at max_depth, on closure (a depth with no new state,
         which is still yielded), or when the next depth could pass the state
         cap (the run is then partial).  A caller may stop early by leaving
-        the loop; the next depth is built only when asked for.
+        the loop; the next depth is built only when asked for.  No depth
+        after max_depth looks up that one's keys, so the visited set counts
+        them without storing them.
         """
         yield 0
         for depth in range(1, self.config.max_depth + 1):
+            self.last_depth = depth == self.config.max_depth
             if self.closed or not self.expand():
                 return
             yield depth
@@ -441,6 +519,7 @@ class _Search:
         # the generators to apply to each state, ascending: all but its backtrack after depth 1
         moves = _NEXT_PIECES[self.trace[-1][1]] if self.trace else np.arange(n_gens, dtype=np.int8)[None]
         rows, hashes = self._candidates(moves)
+        self.visited.stores = not self.last_depth
         kept = np.flatnonzero(self.visited.add_new(hashes, rows))
         del rows, hashes  # the depth's keys go before its survivors are built; the visited run copied the new ones
         self.trace.append(((kept // moves.shape[1]).astype(np.int32), moves.ravel()[kept]))

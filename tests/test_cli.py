@@ -339,22 +339,27 @@ class TestSynthCommand:
         payload = json.loads(run_cli(*target, "--format", "json").stdout)
         assert counts[-1] == (payload["explored"], payload["distinct"])
 
-    # sha256 of the stdout of the benchmark's synth-search chain at seed 1, recorded before the
-    # visited set's merges became linear and lazy
+    # sha256 of the stdout of the benchmark's synth-search chain: seed 1 recorded before the visited
+    # set's merges became linear and lazy, seed 7 before dedup became a value sort with a prefilter
     def test_synth_search_stdout_pinned(self, tmp_path):
         from su2k.synth import haar_su2
 
-        target = tmp_path / "target.json"
-        entries = [[[z.real, z.imag] for z in row] for row in haar_su2(random.Random(1)).tolist()]
-        target.write_text(json.dumps({"schema": "su2k/matrix-v1", "entries": entries}) + "\n")
-        profile = run_cli("synth", "--k", "3", "--profile-samples", "20", "--max-depth", "13", "--seed", "1",
-                          "--format", "json").stdout
-        beam = run_cli("synth", "--k", "5", "--target", str(target), "--beam-width", "10000", "--max-depth", "40",
-                       "--format", "json").stdout
-        assert hashlib.sha256(profile.encode()).hexdigest() == (
-            "462575614d4909be8453f81d208a7e79eeaba62b573d57e2808139c69c9ff540")
-        assert hashlib.sha256(beam.encode()).hexdigest() == (
-            "aa33617c949befe5035b64b8d9721a120c4737c8fadec3a02af15a375c8b047e")
+        pins = {
+            1: ("462575614d4909be8453f81d208a7e79eeaba62b573d57e2808139c69c9ff540",
+                "aa33617c949befe5035b64b8d9721a120c4737c8fadec3a02af15a375c8b047e"),
+            7: ("32711a201cce14a523e0e79e46ae5715fa6b3f9664f4e15ac668b360466497c4",
+                "71798d340ea70fe3dcbecea0273d6043a1cf97a6743213253674f140b0bb96e5"),
+        }
+        for seed, (profile_digest, beam_digest) in pins.items():
+            target = tmp_path / f"target{seed}.json"
+            entries = [[[z.real, z.imag] for z in row] for row in haar_su2(random.Random(seed)).tolist()]
+            target.write_text(json.dumps({"schema": "su2k/matrix-v1", "entries": entries}) + "\n")
+            profile = run_cli("synth", "--k", "3", "--profile-samples", "20", "--max-depth", "13", "--seed", str(seed),
+                              "--format", "json").stdout
+            beam = run_cli("synth", "--k", "5", "--target", str(target), "--beam-width", "10000", "--max-depth", "40",
+                           "--format", "json").stdout
+            assert hashlib.sha256(profile.encode()).hexdigest() == profile_digest
+            assert hashlib.sha256(beam.encode()).hexdigest() == beam_digest
 
     def test_profile_rejects_a_beam_width(self):
         # a profile expands every state, so a beam width would be ignored without a word

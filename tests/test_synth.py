@@ -6,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from su2k import synth
 from su2k.braids import BraidWord, enumerate_basis, evaluate_word
@@ -552,6 +553,51 @@ class TestExactDedup:
             reachable_counts(SearchConfig(k=k, max_depth=9))
         assert exact_batches == []
 
+    def test_top_bit_collisions_are_resolved_within_their_group(self, monkeypatch):
+        # a 32-bit hash gives many words the same top bits while the full hashes differ: each such
+        # group is sorted among its own members, and the batch never takes the exact sort
+        config = SearchConfig(k=3, max_depth=9)
+        target = haar_su2(random.Random(22))
+
+        def run():
+            result = synthesize(config, target)
+            return (result.best_errors, result.best_words, result.explored, result.distinct,
+                    error_profile(config, sample=3), reachable_counts(config))
+
+        plain = run()
+        key_hash = synth._key_hash
+        monkeypatch.setattr(synth, "_key_hash", lambda rows: key_hash(rows) & np.uint64(0xFFFFFFFF))
+        exact_batches = _counting_exact_path(monkeypatch)
+        groups = []
+        sort_groups = _Visited._sort_mixed_groups
+
+        def counted(words, lead, mixed, low, hashes, rows):
+            groups.append(len(mixed))
+            return sort_groups(words, lead, mixed, low, hashes, rows)
+
+        monkeypatch.setattr(_Visited, "_sort_mixed_groups", staticmethod(counted))
+        assert run() == plain
+        assert exact_batches == [] and sum(groups) > 100
+        search = _Search(config)
+        for _ in range(config.max_depth):
+            search.expand()
+        for hashes, rows in search.visited.runs:
+            assert np.all(hashes[1:] >= hashes[:-1]) and np.array_equal(hashes, synth._key_hash(rows))
+
+    @pytest.mark.parametrize("config, target", [
+        (SearchConfig(k=3, max_depth=11, seed=7), None),
+        (SearchConfig(k=5, max_depth=40, beam_width=10_000), 1),
+    ], ids=["k3-profile", "k5-beam"])
+    def test_benchmark_sized_runs_never_take_the_exact_sort(self, monkeypatch, config, target):
+        # with the full hash a collision of the top bits is resolved within its group, never by
+        # sending the whole batch to the exact sort
+        exact_batches = _counting_exact_path(monkeypatch)
+        if target is None:
+            error_profile(config, 20)
+        else:
+            synthesize(config, haar_su2(random.Random(target)))
+        assert exact_batches == []
+
 
 def _runs_from(batches):
     """A visited set whose runs are the given key batches, each added as new; nothing is merged."""
@@ -638,6 +684,13 @@ class TestVisitedRuns:
             assert np.array_equal(frontier, want[0])
             assert np.array_equal(parents, want[1][0]) and np.array_equal(gens, want[1][1])
             assert (distinct, explored) == want[2:]
+
+    def test_the_last_depth_is_counted_not_stored(self):
+        # no depth after max_depth looks up that one's keys: they count as distinct but form no run
+        search = _Search(SearchConfig(k=3, max_depth=6))
+        counts = [search.distinct for _ in search.depths()]
+        assert counts == [1, 5, 17, 49, 137, 375, 1019]
+        assert sum(len(hashes) for hashes, _ in search.visited.runs) == counts[-2]
 
     def test_lookup_spans_several_runs(self):
         visited = _Visited(np.array([[1, 0, 0, 0]], dtype=np.int32).view(_KEY_ROW)[:, 0])
@@ -768,14 +821,18 @@ class TestLevelBlocks:
         assert gap.max() < 1e-12
 
     def test_grid_keys_break_magnitude_ties_on_the_first_coordinate(self):
+        # the sign comes from the first nonzero rounded coordinate, whatever the magnitudes; a
+        # coordinate that rounds to a signed zero is passed over
         h = 0.5
         q = np.array([[h, -h, h, -h], [-h, h, h, h], [0.0, -0.6, 0.0, 0.8], [0.0, 0.8, -0.6, 0.0],
-                      [-0.6, 0.0, 0.8, 0.0], [0.0, 0.0, -1.0, 0.0]])
-        lead = np.take_along_axis(q, np.argmax(np.abs(q), axis=1)[:, None], axis=1)
+                      [-0.6, 0.0, 0.8, 0.0], [0.0, 0.0, -1.0, 0.0], [-0.0, -0.6, 0.0, 0.8], [-1e-9, 0.6, 0.0, -0.8]])
+        lead = np.take_along_axis(q, np.argmax(np.rint(q / 1e-6) != 0, axis=1)[:, None], axis=1)
         want = np.rint(np.where(lead < 0, -q, q) / 1e-6).astype(np.int32)
         assert np.array_equal(_canonical_grid_keys(q, 1e-6), want)
-        assert _canonical_grid_keys(q, 1e-6)[:2].tolist() == [[500000, -500000, 500000, -500000],
-                                                               [500000, -500000, -500000, -500000]]
+        assert _canonical_grid_keys(q, 1e-6).tolist() == [
+            [500000, -500000, 500000, -500000], [500000, -500000, -500000, -500000], [0, 600000, 0, -800000],
+            [0, 800000, -600000, 0], [600000, 0, -800000, 0], [0, 0, 1000000, 0], [0, 600000, 0, -800000],
+            [0, 600000, 0, -800000]]
 
     def test_a_one_ulp_magnitude_tie_gets_one_key(self):
         # which of two equal-magnitude coordinates comes out larger is float noise; the key's
@@ -785,6 +842,23 @@ class TestLevelBlocks:
         keys = _canonical_grid_keys(q, 1e-6)
         assert keys.tolist() == [[500000, -500000, 500000, 500000]] * 3
         assert np.array_equal(_product_keys(q, np.array([[1.0, 0.0, 0.0, 0.0]]), 1e-6), keys)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(
+        # integer rows on a grid of 1/4: zeros, signed zeros and coordinates tied in magnitude
+        st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, -2.0, 3.0]), min_size=4, max_size=4)
+        .map(lambda v: np.array(v) / 4),
+        st.lists(st.floats(-1, 1), min_size=4, max_size=4).map(np.array)
+        .filter(lambda v: np.linalg.norm(v) > 0.1).map(lambda v: v / np.linalg.norm(v)),
+    ), min_size=1, max_size=10), st.sampled_from([0.25, 1e-6]))
+    def test_first_nonzero_sign_keys_equal_as_the_largest_coordinate_keys(self, rows, resolution):
+        # both rules pick one of each pair {v, -v} of rounded rows, so they make the same keys equal
+        q = np.stack(rows)
+        q = np.concatenate([q, -q, q[::-1]])
+        new = _canonical_grid_keys(q, resolution)
+        ref = _reference_grid_keys(_matrices(q), resolution)
+        assert np.array_equal((new[:, None] == new[None]).all(axis=2), (ref[:, None] == ref[None]).all(axis=2))
+        assert np.all((new == ref).all(axis=1) | (new == -ref).all(axis=1))
 
     def test_products_and_keys_match_row_products(self):
         rng = np.random.default_rng(5)
