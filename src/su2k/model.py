@@ -89,6 +89,9 @@ def _q_multinomial(parts: tuple[int, ...]) -> tuple[int, ...]:
     return out
 
 
+_UNITARITY_TOL = 1e-12  # the largest |F F^dag - I| entry that verify_unitarity accepts
+
+
 class Model:
     """All static data of the anyon model at a fixed level."""
 
@@ -104,7 +107,6 @@ class Model:
         self._qfact: dict[int, Cyc] = {}
         self._qfact_inv: dict[int, Cyc] = {}
         self._f_exact: dict[tuple[int, ...], Radical] = {}
-        self._f_gauge: dict[tuple[int, ...], Cyc] | None = None
         self._tensors: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._qint_f, self._qfact_f = self._q_tables(math.sin, math.pi)
 
@@ -465,7 +467,7 @@ class Model:
         """Check F^{mcd}_{e;zn} F^{abz}_{e;ym} = sum_x F^{abc}_{n;xm} F^{axd}_{e;yn} F^{bcd}_{y;zx}.
 
         mode "exact" decides each instance exactly in the vertex gauge (see
-        :meth:`_gauge_table`); mode "float" reports the maximum residual.
+        :attr:`_gauge_table`); mode "float" reports the maximum residual.
         "auto" picks exact for k <= 3.  tol must be positive and finite.
         """
         return self._verify("pentagon", mode, tol, precision, self._pentagon_rows(),
@@ -578,6 +580,7 @@ class Model:
 
     # -- the exact route: F in the vertex gauge, packed -----------------------------------
 
+    @functools.cached_property
     def _gauge_table(self) -> dict[tuple[int, ...], Cyc]:
         """Every admissible F in the vertex gauge, keyed like f_symbol (a, b, c, d, m, n).
 
@@ -589,23 +592,21 @@ class Model:
         with no square root.  The R-symbols do not change, since v is
         symmetric, and the pentagon and hexagon identities are
         gauge-invariant (Kitaev, arXiv:cond-mat/0506438, App. E), so F''
-        satisfies them exactly when F does.  Built once per model.
+        satisfies them exactly when F does.  Built on first use.
         """
-        if self._f_gauge is None:
-            qfact = self.qfact
-            delta, weighted = {}, {}  # D(x,y,w) and [w+1] D(x,y,w)
-            for x, y, w in self._triples:
-                p, q, r, s = self._triangle(x, y, w)
-                delta[x, y, w] = qfact(p) * qfact(q) * qfact(r) * self.qfact_inverse(s)
-                weighted[x, y, w] = self.qint(w + 1) * delta[x, y, w]
-            table, outer = {}, {}  # outer: [m+1] D(abm) D(mcd), shared by every n
-            for a, b, c, d, n, m in self._live_f():
-                if (a, b, c, d, m) not in outer:
-                    outer[a, b, c, d, m] = weighted[a, b, m] * delta[m, c, d]
-                zsum, sign = self._zsum_sign(a, b, c, d, m, n)
-                table[a, b, c, d, m, n] = zsum * sign * outer[a, b, c, d, m]
-            self._f_gauge = table
-        return self._f_gauge
+        qfact = self.qfact
+        delta, weighted = {}, {}  # D(x,y,w) and [w+1] D(x,y,w)
+        for x, y, w in self._triples:
+            p, q, r, s = self._triangle(x, y, w)
+            delta[x, y, w] = qfact(p) * qfact(q) * qfact(r) * self.qfact_inverse(s)
+            weighted[x, y, w] = self.qint(w + 1) * delta[x, y, w]
+        table, outer = {}, {}  # outer: [m+1] D(abm) D(mcd), shared by every n
+        for a, b, c, d, n, m in self._live_f():
+            if (a, b, c, d, m) not in outer:
+                outer[a, b, c, d, m] = weighted[a, b, m] * delta[m, c, d]
+            zsum, sign = self._zsum_sign(a, b, c, d, m, n)
+            table[a, b, c, d, m, n] = zsum * sign * outer[a, b, c, d, m]
+        return table
 
     def _vertex_float(self) -> np.ndarray:
         """The gauge's vertex factors v(x, y, w) = sqrt([w+1] D(x,y,w)) in float64, 0 where inadmissible."""
@@ -650,7 +651,7 @@ class Model:
         """
         import numpy as np
 
-        table = self._gauge_table()
+        table = self._gauge_table
         D = math.lcm(*(value.den for value in table.values()))
         numerators = {labels: [c * (D // value.den) for c in value.num] for labels, value in table.items()}
         H = max(abs(c) for coefficients in numerators.values() for c in coefficients)
@@ -822,9 +823,9 @@ class Model:
             report.record(("associativity",))
         return report
 
-    def verify_unitarity(self, tol: float = 1e-12) -> VerificationReport:
-        """Every F-matrix (a block of the float64 F tensor, in any mode) is unitary; every R-symbol
-        has unit modulus (exactly)."""
+    def verify_unitarity(self) -> VerificationReport:
+        """Every F-matrix (a block of the float64 F tensor, in any mode) is unitary within
+        _UNITARITY_TOL; every R-symbol has unit modulus (exactly)."""
         import numpy as np
 
         require_f_table(self.k)
@@ -846,7 +847,7 @@ class Model:
             residual = float(np.max(np.abs(mat @ mat.T.conj() - np.eye(len(rows)))))
             report.checked += 1
             report.max_residual = max(report.max_residual, residual)
-            if residual > tol:
+            if residual > _UNITARITY_TOL:
                 report.record(("f-unitarity", a, b, c, d), residual)
         return report
 

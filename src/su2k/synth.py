@@ -21,16 +21,17 @@ confirmed on the full key, so a hash collision never merges two states.
 The visited set is a few runs sorted by hash, merged geometrically in linear
 time, and a bit per bucket of hash prefixes: only a key whose bucket is
 marked is searched for in the runs, so most new keys cost no binary search.
-A depth's run is merged when the next depth is built, and the last depth's
-new keys are counted but not stored.  The inverse of the
-move that reached a state returns its parent, which is visited, and the
-generator set is closed under inverses, so the backtrack is never built;
-`explored` still counts every (state, generator) pair of an expanded depth.
-A depth is built in two passes over cache-sized blocks.  The key pass keeps
-only each candidate's grid key and hash (24 bytes); dedup then picks the
-survivors, and the survivor pass rebuilds just their products from the
-trace with the same fixed-order expressions, so the frontier is bit for bit
-what a single pass would keep, without a product row for every candidate.
+A depth's run is merged when the next depth is built; the last depth is
+expanded with storing off, so its new keys are counted but form no run.
+The inverse of the move that reached a state returns its parent, which is
+visited, and the generator set is closed under inverses, so the backtrack
+is never built; `explored` still counts every (state, generator) pair of an
+expanded depth.  A depth is built in two passes over cache-sized blocks,
+both through one product kernel on (parent, generator) pairs.  The key pass
+runs it on every candidate and keeps only the grid key and hash (24 bytes);
+dedup then picks the survivors, and the survivor pass runs it again on just
+their pairs from the trace, so each survivor's product is the one its key
+was read from, without a product row for every candidate.
 Each state costs 32 bytes while on the frontier, 24 in the visited set and
 5 in the trace (an int32 parent and an int8 generator).  This makes exhaustive
 breadth-first enumeration feasible to the depths of interest; a beam mode
@@ -197,15 +198,15 @@ def haar_su2(rng: random.Random) -> np.ndarray:
     )
 
 
-def double_braid_generators(k: int) -> tuple[np.ndarray, list[str]]:
-    """The four double-braiding matrices s1^{+-2}, s2^{+-2}, stacked, with their names."""
+def double_braid_generators(k: int) -> np.ndarray:
+    """The four double-braiding matrices s1^{+-2}, s2^{+-2}, stacked."""
     s1, s2 = normalized_qubit_rep(k)
     base = {1: s1, 2: s2}
     mats = []
     for index, exponent in _DOUBLE_BRAID_PIECES:
         gen = base[index] if exponent > 0 else base[index].conj().T
         mats.append(np.linalg.matrix_power(gen, abs(exponent)))
-    return np.stack(mats), [f"s{i}^{e}" for i, e in _DOUBLE_BRAID_PIECES]
+    return np.stack(mats)
 
 
 def _su2_quaternions(batch: np.ndarray) -> np.ndarray:
@@ -262,22 +263,6 @@ def _product_coords(x, y) -> tuple[np.ndarray, ...]:
             x0 * y3 + x1 * y2 - x2 * y1 + x3 * y0)
 
 
-def _product_keys(qx: np.ndarray, qy: np.ndarray, resolution: float) -> np.ndarray:
-    """Canonical grid keys of X Y for every X row and each of its m Y rows, X-major (row x * m + j);
-    the products themselves are not kept.
-
-    `qy` is (len(qx), m, 4), the Y rows of each X, or (m, 4), the same Y rows
-    for every X.  Each j is one pass over the X coordinates as contiguous
-    columns, which yields the product's coordinates as columns for its keys.
-    """
-    x = qx.T.copy()
-    ys = np.broadcast_to(qy, (len(qx), *qy.shape[-2:]))
-    keys = np.empty(ys.shape, dtype=_KEY_DTYPE)
-    for j in range(ys.shape[1]):
-        _put_grid_keys(_product_coords(x, ys[:, j].T.copy()), resolution, keys[:, j])
-    return keys.reshape(-1, 4)
-
-
 _KEY_ROW = np.dtype((np.void, 4 * np.dtype(_KEY_DTYPE).itemsize))  # one key row as one element
 
 
@@ -321,16 +306,15 @@ class _Visited:
     only the rest are searched for in the runs.  A key is visited iff some
     run holds it; a hash hit names the first row of that run with the hash,
     and a different key there sends the batch to the exact sort, so
-    membership is decided on the full key.  With `stores` cleared, a batch's
-    new keys are counted in `size` but kept in no run: the last depth of a
-    search, which no later depth looks up.
+    membership is decided on the full key.  A batch added with `store` off
+    has its new keys counted in `size` but kept in no run: the last depth of
+    a search, which no later depth looks up.
     """
 
     def __init__(self, rows: np.ndarray):
         self.runs: list[tuple[np.ndarray, np.ndarray]] = []
         self.prefilter = np.zeros(1 << (_PREFILTER_BITS - 3), dtype=np.uint8)
         self.size = len(rows)
-        self.stores = True
         self._store(_key_hash(rows), rows)
 
     def _store(self, hashes: np.ndarray, rows: np.ndarray) -> None:
@@ -348,8 +332,9 @@ class _Visited:
         marked &= np.uint8(1)
         return np.flatnonzero(marked.view(bool))
 
-    def add_new(self, hashes: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """The mask of the key rows neither visited nor seen earlier in `rows`; adds them as a run.
+    def add_new(self, hashes: np.ndarray, rows: np.ndarray, store: bool = True) -> np.ndarray:
+        """The mask of the key rows neither visited nor seen earlier in `rows`; counts them, and adds
+        them as a run if `store`.
 
         One value sort groups the batch: each word is a hash's top bits over
         the candidate's index, so equal keys share a group, led by their
@@ -394,7 +379,7 @@ class _Visited:
         fresh = self._add_new_exact(hashes, rows) if collided else firsts[new]
         del firsts, new
         self.size += len(fresh)
-        if self.stores and len(fresh):
+        if store and len(fresh):
             self._store(hashes[fresh], rows[fresh])
         keep = np.zeros(n, dtype=bool)
         keep[fresh] = True
@@ -471,15 +456,13 @@ class _Search:
 
     def __init__(self, config: SearchConfig):
         self.config = config
-        gens, _ = double_braid_generators(config.k)
-        self.gens = _su2_quaternions(gens)
+        self.gens = _su2_quaternions(double_braid_generators(config.k))
         self.frontier = np.array([[1.0, 0.0, 0.0, 0.0]])
         self.trace: list[tuple[np.ndarray, np.ndarray]] = []  # (int32 parents, int8 gen indices)
         self.visited = _Visited(_canonical_grid_keys(self.frontier, config.dedup_resolution).view(_KEY_ROW)[:, 0])
         self.explored = 1
         self.partial = False
         self.closed = False
-        self.last_depth = False  # set by depths(): expand() then builds the search's last depth
 
     @property
     def distinct(self) -> int:
@@ -492,18 +475,18 @@ class _Search:
         which is still yielded), or when the next depth could pass the state
         cap (the run is then partial).  A caller may stop early by leaving
         the loop; the next depth is built only when asked for.  No depth
-        after max_depth looks up that one's keys, so the visited set counts
-        them without storing them.
+        after max_depth looks up that one's keys, so it is expanded without
+        storing them.
         """
         yield 0
         for depth in range(1, self.config.max_depth + 1):
-            self.last_depth = depth == self.config.max_depth
-            if self.closed or not self.expand():
+            if self.closed or not self.expand(store=depth < self.config.max_depth):
                 return
             yield depth
 
-    def expand(self) -> bool:
-        """Advance one depth; False, with nothing built, if it could pass the state cap.
+    def expand(self, store: bool = True) -> bool:
+        """Advance one depth; False, with nothing built, if it could pass the state cap.  With `store`
+        off, the depth's new keys are counted as distinct but not kept for later lookups.
 
         Every candidate of the level may be new, so the cap, and the int32
         range of the trace's parent indices, are checked against that bound
@@ -519,8 +502,7 @@ class _Search:
         # the generators to apply to each state, ascending: all but its backtrack after depth 1
         moves = _NEXT_PIECES[self.trace[-1][1]] if self.trace else np.arange(n_gens, dtype=np.int8)[None]
         rows, hashes = self._candidates(moves)
-        self.visited.stores = not self.last_depth
-        kept = np.flatnonzero(self.visited.add_new(hashes, rows))
+        kept = np.flatnonzero(self.visited.add_new(hashes, rows, store))
         del rows, hashes  # the depth's keys go before its survivors are built; the visited run copied the new ones
         self.trace.append(((kept // moves.shape[1]).astype(np.int32), moves.ravel()[kept]))
         del kept
@@ -529,6 +511,15 @@ class _Search:
             self.closed = True
         return True
 
+    def _products(self, parents: np.ndarray, gens: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The coordinates of each frontier row `parents[i]` times generator `gens[i]`, as four columns.
+
+        Both passes of a depth build their products here, so a survivor's
+        product is bit for bit the one its key was read from.
+        """
+        # take gathers rows several times faster than fancy indexing
+        return _product_coords(self.frontier.take(parents, axis=0).T, self.gens.take(gens, axis=0).T)
+
     def _candidates(self, moves: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Grid key rows and key hashes of each frontier state times each of its `moves` generators,
         parent-major; the products themselves are not kept.
@@ -536,31 +527,25 @@ class _Search:
         The depth's arrays are allocated once and filled in blocks of
         _EXPAND_BLOCK parents, so that a block's temporaries stay in cache.
         """
+        width = moves.shape[1]
         keys = np.empty((moves.size, 4), dtype=_KEY_DTYPE)
         rows = keys.view(_KEY_ROW)[:, 0]
         hashes = np.empty(moves.size, dtype=np.uint64)
         for start in range(0, len(self.frontier), _EXPAND_BLOCK):
-            stop = start + _EXPAND_BLOCK
-            block = slice(start * moves.shape[1], stop * moves.shape[1])
-            keys[block] = _product_keys(self.frontier[start:stop], self.gens.take(moves[start:stop], axis=0),
-                                        self.config.dedup_resolution)
+            stop = min(start + _EXPAND_BLOCK, len(self.frontier))
+            block = slice(start * width, stop * width)
+            products = self._products(np.repeat(np.arange(start, stop), width), moves[start:stop].ravel())
+            _put_grid_keys(products, self.config.dedup_resolution, keys[block])
             hashes[block] = _key_hash(rows[block])
         return rows, hashes
 
     def _survivors(self, parents: np.ndarray, gens: np.ndarray) -> np.ndarray:
-        """The next frontier: each kept candidate's product, rebuilt from its parent row and generator.
-
-        The products are the key pass's fixed-order expressions on the same
-        rows, so they are bit for bit the ones its keys were read from; only
-        the survivors are built, in blocks of _EXPAND_BLOCK.
-        """
+        """The next frontier: the product of each kept candidate's parent row and generator, in
+        blocks of _EXPAND_BLOCK."""
         frontier = np.empty((len(parents), 4))
         for start in range(0, len(parents), _EXPAND_BLOCK):
             block = slice(start, start + _EXPAND_BLOCK)
-            # take gathers rows several times faster than fancy indexing
-            coords = _product_coords(self.frontier.take(parents[block], axis=0).T,
-                                     self.gens.take(gens[block], axis=0).T)
-            for c, coord in enumerate(coords):
+            for c, coord in enumerate(self._products(parents[block], gens[block])):
                 frontier[block, c] = coord
         return frontier
 

@@ -30,7 +30,7 @@ def corrupted_model(monkeypatch, mode: str) -> Model:
     bad = (1, 1, 1, 1, 0, 0)
     m = Model(3)
     if mode == "exact":
-        table = m._gauge_table()
+        table = m._gauge_table
         table[bad] = table[bad] * 2
     else:
         six_j = m._six_j
@@ -453,7 +453,7 @@ class TestZSum:
 
     def test_a_corrupted_multinomial_changes_one_gauge_entry(self, monkeypatch):
         # raising one coefficient of one term moves its z-sum by a root of unity, never by zero
-        clean = Model(3)._gauge_table()
+        clean = Model(3)._gauge_table
         multinomial, calls = model_module._q_multinomial, []
 
         def corrupted(parts):
@@ -464,7 +464,7 @@ class TestZSum:
             return tuple(coefficients)
 
         monkeypatch.setattr(model_module, "_q_multinomial", corrupted)
-        bad = Model(3)._gauge_table()
+        bad = Model(3)._gauge_table
         assert bad.keys() == clean.keys() and len(calls) > 1
         assert sum(bad[key] != clean[key] for key in clean) == 1
 
@@ -473,7 +473,7 @@ class TestGaugeTable:
     @pytest.mark.parametrize("k", range(2, 8))
     def test_gauge_entries_are_unitary_f_times_vertex_factors(self, k):
         m = get_model(k)
-        table, V = m._gauge_table(), m._vertex_float()
+        table, V = m._gauge_table, m._vertex_float()
         live = np.count_nonzero(np.einsum("abm,mcd,bcn,and->abcdnm", *(m._adm,) * 4))
         assert len(table) == live
         for (a, b, c, d, mm, n), value in table.items():
@@ -501,7 +501,7 @@ class TestGaugeTable:
     def test_exact_failures_are_pinned(self, monkeypatch, k, bad, counts, digest):
         monkeypatch.setattr(model_module, "MAX_FAILURES", 10 ** 6)
         m = Model(k)
-        table = m._gauge_table()
+        table = m._gauge_table
         table[bad] = table[bad] * 2
         sha = hashlib.sha256()
         for verify, count in zip((m.verify_pentagon, m.verify_hexagon), counts):
@@ -550,7 +550,7 @@ class TestGaugeTable:
             "import su2k.model as model_module\n"
             "model_module.MAX_FAILURES = 1000\n"
             "m = model_module.Model(3)\n"
-            "table = m._gauge_table()\n"
+            "table = m._gauge_table\n"
             "table[1, 1, 1, 1, 0, 0] = table[1, 1, 1, 1, 0, 0] * 2\n"
             "print(len(m.verify_pentagon('exact').failures), len(m.verify_hexagon('exact').failures))\n"
         )

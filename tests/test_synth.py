@@ -20,7 +20,6 @@ from su2k.synth import (
     SearchConfig,
     _canonical_grid_keys,
     _product_coords,
-    _product_keys,
     _Search,
     _su2_quaternions,
     _Visited,
@@ -93,7 +92,7 @@ class TestHaarSampling:
 
 class TestSynthesize:
     def test_generator_target_hits_at_depth_one(self):
-        gens, _ = double_braid_generators(3)
+        gens = double_braid_generators(3)
         result = synthesize(SearchConfig(k=3, max_depth=5), gens[0])
         assert result.best_errors[1] == 0
         assert result.best_words[1] == "s1^2"
@@ -354,10 +353,22 @@ def _matrices(q):
     return np.stack([np.stack([a, b], axis=1), np.stack([-np.conj(b), np.conj(a)], axis=1)], axis=1)
 
 
+def _kernel_search(frontier, gens):
+    """A search whose product kernel reads the given frontier and generator quaternion rows."""
+    search = _Search(SearchConfig(k=3))
+    search.frontier, search.gens = frontier, gens
+    return search
+
+
+def _key_rows_as_ints(rows):
+    """The (n, 4) int32 grid keys behind a column of key rows."""
+    return rows.view(np.int32).reshape(-1, 4)
+
+
 def _products(qx, qy):
     """Quaternion rows of X Y for every X row and each of its Y rows, X-major, all in one pass.
 
-    `qy` is (len(qx), m, 4) or (m, 4), as for `_product_keys`.
+    `qy` is (len(qx), m, 4), the Y rows of each X, or (m, 4), the same Y rows for every X.
     """
     ys = np.broadcast_to(qy, (len(qx), *qy.shape[-2:]))
     return np.stack(_product_coords(qx.T[:, :, None], ys.transpose(2, 0, 1)), axis=-1).reshape(-1, 4)
@@ -367,7 +378,7 @@ class OnePassSearch(_Search):
     """The search with each depth built whole: every candidate's product, its keys read from those
     products, and the frontier compressed from them by the keep mask."""
 
-    def expand(self):
+    def expand(self, store=True):
         n_gens = len(self.gens)
         if self.distinct + len(self.frontier) * n_gens > min(self.config.max_states, synth._MAX_STATES):
             self.partial = True
@@ -377,7 +388,7 @@ class OnePassSearch(_Search):
         moves = synth._NEXT_PIECES[self.trace[-1][1]] if self.trace else np.arange(n_gens, dtype=np.int8)[None]
         candidates = _products(self.frontier, self.gens[moves])
         rows = _canonical_grid_keys(candidates, self.config.dedup_resolution).view(_KEY_ROW)[:, 0]
-        keep = self.visited.add_new(synth._key_hash(rows), rows)
+        keep = self.visited.add_new(synth._key_hash(rows), rows, store)
         self.frontier = candidates[keep]
         kept = np.flatnonzero(keep)
         self.trace.append(((kept // moves.shape[1]).astype(np.int32), moves.ravel()[kept]))
@@ -386,11 +397,14 @@ class OnePassSearch(_Search):
 
 
 class ReferenceSearch(_Search):
-    """Complex 2x2 frontier, einsum products, and a bytes set of grid keys deduplicated row by row."""
+    """Complex 2x2 frontier, einsum products, and a bytes set of grid keys deduplicated row by row.
+
+    The set keeps every key, the last depth's too, so `store` changes nothing here.
+    """
 
     def __init__(self, config):
         super().__init__(config)
-        self.gens, _ = double_braid_generators(config.k)
+        self.gens = double_braid_generators(config.k)
         self.frontier = np.eye(2, dtype=complex)[None]
         self.visited = set(map(bytes, _reference_grid_keys(self.frontier, config.dedup_resolution)))
 
@@ -398,7 +412,7 @@ class ReferenceSearch(_Search):
     def distinct(self):
         return len(self.visited)
 
-    def expand(self):
+    def expand(self, store=True):
         n = len(self.frontier)
         n_gens = len(self.gens)
         if len(self.visited) + n * n_gens > self.config.max_states:
@@ -674,8 +688,8 @@ class TestVisitedRuns:
         lazy = run()
         add_new = _Visited.add_new
 
-        def eager(self, hashes, rows):  # merge right after each depth's run is added
-            keep = add_new(self, hashes, rows)
+        def eager(self, hashes, rows, store=True):  # merge right after each depth's run is added
+            keep = add_new(self, hashes, rows, store)
             self.merge()
             return keep
 
@@ -841,7 +855,9 @@ class TestLevelBlocks:
         q = np.array([[h, -h, h, h], [h, np.nextafter(-h, -1.0), h, h], [-h, h, -h, -h]])
         keys = _canonical_grid_keys(q, 1e-6)
         assert keys.tolist() == [[500000, -500000, 500000, 500000]] * 3
-        assert np.array_equal(_product_keys(q, np.array([[1.0, 0.0, 0.0, 0.0]]), 1e-6), keys)
+        # the key pass, each row times the identity, reads the same keys
+        rows, _ = _kernel_search(q, np.array([[1.0, 0.0, 0.0, 0.0]]))._candidates(np.zeros((3, 1), dtype=np.int8))
+        assert np.array_equal(_key_rows_as_ints(rows), keys)
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.one_of(
@@ -864,18 +880,25 @@ class TestLevelBlocks:
         rng = np.random.default_rng(5)
         qx = rng.normal(size=(37, 4))
         qx /= np.linalg.norm(qx, axis=1)[:, None]
-        gens = _su2_quaternions(double_braid_generators(7)[0])
-        products, keys = _products(qx, gens), _product_keys(qx, gens, 1e-6)
+        gens = _su2_quaternions(double_braid_generators(7))
+        search = _kernel_search(qx, gens)
+        moves = np.tile(np.arange(len(gens), dtype=np.int8), (len(qx), 1))
+        parents = np.repeat(np.arange(len(qx)), len(gens))
+        products = np.stack(search._products(parents, moves.ravel()), axis=1)
+        keys = _key_rows_as_ints(search._candidates(moves)[0])
         for row, (x, y) in enumerate((x, y) for x in qx for y in gens):
             a = complex(x[0], x[1]) * complex(y[0], y[1]) - complex(x[2], x[3]) * complex(y[2], -y[3])
             b = complex(x[0], x[1]) * complex(y[2], y[3]) + complex(x[2], x[3]) * complex(y[0], -y[1])
             assert products[row] == pytest.approx([a.real, a.imag, b.real, b.imag], abs=1e-15)
+        assert np.array_equal(products, _products(qx, gens))  # the one-pass expression's bits
         assert np.array_equal(keys, _canonical_grid_keys(products, 1e-6))
-        # each X row with its own Y rows gives the same bits as the shared product's matching rows
+        # each X row with its own Y rows gives the same bits as the shared product's matching rows,
+        # and so does any subset of the pairs in any order, as the survivor pass takes them
         picks = rng.integers(0, len(gens), size=(len(qx), 3))
-        own_products, own_keys = _products(qx, gens[picks]), _product_keys(qx, gens[picks], 1e-6)
         at = (np.arange(len(qx))[:, None] * len(gens) + picks).ravel()
-        assert np.array_equal(own_products, products[at]) and np.array_equal(own_keys, keys[at])
+        assert np.array_equal(_key_rows_as_ints(search._candidates(picks.astype(np.int8))[0]), keys[at])
+        at = rng.permutation(at)
+        assert np.array_equal(np.stack(search._products(parents[at], moves.ravel()[at]), axis=1), products[at])
 
 
 class TestBeamSelection:
