@@ -232,10 +232,10 @@ def _load_target(path: str):
     try:
         with open(path, "r", encoding="utf-8") as handle:
             payload = json.load(handle)
-        entries = payload["entries"]
-        matrix = np.array(
-            [[complex(re, im) for re, im in row] for row in entries], dtype=complex
-        )
+        pairs = [[(re, im) for re, im in row] for row in payload["entries"]]
+        if any(type(part) not in (int, float) for row in pairs for pair in row for part in pair):
+            raise TypeError("a matrix entry is not a JSON number")  # complex() would take true as 1
+        matrix = np.array([[complex(re, im) for re, im in row] for row in pairs], dtype=complex)
     except OSError as exc:
         raise DomainError(f"cannot read target file {path!r}: {exc.strerror}")
     except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:

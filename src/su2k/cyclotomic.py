@@ -20,9 +20,10 @@ term, in the same order, so the results are bit-identical to it.
 
 Inversion multiplies the phi - 1 nontrivial Galois conjugates and divides by
 the rational norm, so it too runs on integers, but it is the one costly field
-operation.  Hot callers do not invert inside their loops: they invert a fixed
-set of values once (quantum factorials, radical symbols) and invert roots of
-unity with :meth:`Cyc.conjugate`.
+operation.  Hot callers do not invert inside their loops: they invert the
+quantum factorials once per model and invert roots of unity with
+:meth:`Cyc.conjugate`.  Only the reference F-symbol route
+(:mod:`su2k.radicals`) inverts anything else, its radical symbols, once each.
 
 The module also provides the supporting number theory: Euler phi, cyclotomic
 polynomials, exact square roots of squarefree integers via Gauss sums, and
@@ -304,8 +305,9 @@ class Cyc:
         With y the product of the images of x under every automorphism but
         the identity, x * y is the norm N(x), a nonzero rational, so
         1/x = y / N(x).  This is the one costly field operation (phi - 1
-        products).  Hot callers avoid it: they invert a fixed set of values
-        once, and invert roots of unity with :meth:`conjugate`.
+        products).  Hot callers avoid it: they invert the quantum factorials
+        once per model, and invert roots of unity with :meth:`conjugate`;
+        the reference F-symbol route inverts its radical symbols once each.
         """
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")

@@ -381,7 +381,7 @@ class Model:
         cross-check, or S-matrix unitarity up to scale fails.  The checks run
         once per model; every call returns fresh lists of the same values.
         """
-        spins, dims, smatrix, _ = self._validated_tables
+        spins, dims, smatrix, _, _ = self._validated_tables
         return list(spins), list(dims), [list(row) for row in smatrix]
 
     def _spin_condition_holds(self, a: int, b: int, c: int) -> bool:
@@ -398,8 +398,8 @@ class Model:
         return (lhs - rhs) % self.N == 0
 
     @functools.cached_property
-    def _validated_tables(self) -> tuple[list[Cyc], list[Cyc], list[list[Cyc]], list[list[complex]]]:
-        """(spins, dims, S, S as complex floats), checked as spins_dims_smatrix documents."""
+    def _validated_tables(self) -> tuple[list[Cyc], list[Cyc], list[list[Cyc]], list[list[complex]], list[float]]:
+        """(spins, dims, S, S as complex floats, dims as floats), checked as spins_dims_smatrix documents."""
         for a, b, c in self._triples:
             if not self._spin_condition_holds(a, b, c):
                 raise IntegrityError(f"spin condition fails at ({label_str(a)},{label_str(b)};{label_str(c)})")
@@ -424,8 +424,9 @@ class Model:
                 entry = acc * Cyc.root_of_unity(self.N, -(a * (a + 2) + b * (b + 2)))
                 smatrix[a][b] = smatrix[b][a] = entry
                 s_float[a][b] = s_float[b][a] = entry.approx()
-        self._check_dims_and_s([d.approx().real for d in dims], s_float)
-        return spins, dims, smatrix, s_float
+        dim_float = [d.approx().real for d in dims]
+        self._check_dims_and_s(dim_float, s_float)
+        return spins, dims, smatrix, s_float, dim_float
 
     def _check_dims_and_s(self, dims: list[float], s_float: list[list[complex]]) -> None:
         """Numeric cross-checks of the quantum dimensions and the S-matrix; raise IntegrityError.
@@ -854,7 +855,7 @@ class Model:
     # -- serialization ---------------------------------------------------------------------
 
     def json_payload(self) -> dict:
-        spins, dims, smatrix = self.spins_dims_smatrix()
+        spins, dims, smatrix, s_float, dim_float = self._validated_tables
         fusion = [[list(self.fusion(a, b)) for b in self.labels] for a in self.labels]
         return {
             "schema": "su2k/model-v1",
@@ -864,7 +865,7 @@ class Model:
             "fusion": fusion,
             "dims": {
                 "exact": [d.exact_str() for d in dims],
-                "float": [d.approx().real for d in dims],
+                "float": list(dim_float),
             },
             "spins": {
                 "exact": [s.exact_str() for s in spins],
@@ -872,7 +873,7 @@ class Model:
             },
             "S": {
                 "exact": [[entry.exact_str() for entry in row] for row in smatrix],
-                "float": [[[z.real, z.imag] for z in row] for row in self._validated_tables[3]],
+                "float": [[[z.real, z.imag] for z in row] for row in s_float],
             },
         }
 

@@ -15,9 +15,10 @@ int32 key range, or distinct states would share a key.  Dedup is vectorized
 and exact.  A depth is grouped by one value sort of 64-bit words, each a key
 hash's top bits over the candidate's index, so a group's first word is its
 first occurrence in candidate order (parent-major, generator-minor), which
-is the one kept; a group holding more than one key is sorted again among its
-own members.  Repeats within the depth and hits in the visited set are
-confirmed on the full key, so a hash collision never merges two states.
+is the one kept.  Where hashes alike in their top bits cover more than one
+key, or a visited hash names another key, the candidates concerned and the
+visited keys under their hashes are decided by one stable sort on the full
+key, so a hash collision never merges two states.
 The visited set is a few runs sorted by hash, merged geometrically in linear
 time, and a bit per bucket of hash prefixes: only a key whose bucket is
 marked is searched for in the runs, so most new keys cost no binary search.
@@ -293,22 +294,30 @@ def _prefilter_slots(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return buckets.view(np.intp), bits
 
 
+def _within(values: np.ndarray, lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
+    """The positions of the sorted `values` in any of the ascending, disjoint intervals [lows, highs]."""
+    starts = np.searchsorted(values, lows)
+    sizes = np.searchsorted(values, highs, "right") - starts
+    # each interval's start plus each position's rank within it
+    return np.arange(sizes.sum()) + np.repeat(starts - np.cumsum(sizes) + sizes, sizes)
+
+
 class _Visited:
     """The visited grid keys: a few runs, each sorted by key hash, with the key rows alongside, and a
     prefilter of one bit per bucket of hashes.
 
-    A depth's new keys are appended as one run, already in hash order, and
-    :meth:`merge`, called before the next depth is built, folds each run into
-    the one before it until every run is over twice the size of the next.
-    So there are O(log n) runs and each key is copied O(log n) times in all,
-    not once per depth.  Storing a run sets the prefilter bit of each of its
-    hashes' top _PREFILTER_BITS; a key whose bit is clear is not visited, so
-    only the rest are searched for in the runs.  A key is visited iff some
-    run holds it; a hash hit names the first row of that run with the hash,
-    and a different key there sends the batch to the exact sort, so
-    membership is decided on the full key.  A batch added with `store` off
-    has its new keys counted in `size` but kept in no run: the last depth of
-    a search, which no later depth looks up.
+    A depth's new keys are appended as a run in hash order (those decided
+    by :meth:`_decide` as one more run, before it), and :meth:`merge`,
+    called before the next depth is built, folds each run into the one
+    before it until every run is over twice the size of the next.  So there
+    are O(log n) runs and each key is copied O(log n) times in all, not once
+    per depth.  Storing a run sets the prefilter bit of each of its hashes'
+    top _PREFILTER_BITS; a key whose bit is clear is not visited, so only
+    the rest are searched for in the runs.  A key is visited iff some run
+    holds it; a hash hit names the first row of that run with the hash, and
+    a different key there leaves the candidate to :meth:`_decide`.  A batch
+    added with `store` off has its new keys counted in `size` but kept in
+    no run: the last depth of a search, which no later depth looks up.
     """
 
     def __init__(self, rows: np.ndarray):
@@ -334,16 +343,15 @@ class _Visited:
 
     def add_new(self, hashes: np.ndarray, rows: np.ndarray, store: bool = True) -> np.ndarray:
         """The mask of the key rows neither visited nor seen earlier in `rows`; counts them, and adds
-        them as a run if `store`.
+        them as runs if `store`.
 
         One value sort groups the batch: each word is a hash's top bits over
         the candidate's index, so equal keys share a group, led by their
-        first occurrence.  A group whose members are not all one key (their
-        hashes share the top bits, or all 64) is sorted again by (hash, key)
-        among its own members.  The group leads, in hash order, are checked
-        against the prefilter, and those in a marked bucket are searched for
-        in each run; a visited hash that names another key (a collision)
-        sends the batch to the exact sort instead.
+        first occurrence.  The leads of one-key groups, in hash order, are
+        checked against the prefilter, and those in a marked bucket are
+        searched for in each run.  A candidate is undecided if its group
+        holds more than one key, or if it leads a group whose hash a run
+        stores under another key; :meth:`_decide` settles those.
         """
         n = len(rows)
         low = np.uint64((1 << max(n - 1, 1).bit_length()) - 1)  # the index bits
@@ -355,77 +363,61 @@ class _Visited:
         lead[repeats] = False
         mixed = repeats[rows[(words[repeats - 1] & low).view(np.intp)] != rows[(words[repeats] & low).view(np.intp)]]
         del repeats  # each temporary goes as soon as it is used: they set the depth's peak
-        if len(mixed):
-            self._sort_mixed_groups(words, lead, mixed, low, hashes, rows)
+        undecided = []  # np.unique stays off the path with none: NumPy 2 imports numpy.ma (1 MB) on first use
+        if len(mixed):  # every member of a group that holds more than one key
+            tops = np.unique(words[mixed] & ~low)
+            members = _within(words, tops, tops | low)
+            lead[members] = False
+            undecided.append((words[members] & low).view(np.intp))
         firsts = words[lead]
         del words, lead
         maybe = self._marked(firsts)
         firsts &= low
         firsts = firsts.view(np.intp)
         new = np.ones(len(firsts), dtype=bool)
-        collided = False
         if len(maybe):
             queries = hashes[firsts[maybe]]
             for run_hashes, run_rows in self.runs:
                 at = np.searchsorted(run_hashes, queries)
                 np.minimum(at, len(run_hashes) - 1, out=at)
                 hits = np.flatnonzero(run_hashes[at] == queries)
-                if not np.array_equal(run_rows[at[hits]], rows[firsts[maybe[hits]]]):
-                    collided = True
-                    break
                 new[maybe[hits]] = False
+                other = hits[run_rows[at[hits]] != rows[firsts[maybe[hits]]]]  # the run's first row under the hash
+                if len(other):
+                    undecided.append(firsts[maybe[other]])
             del queries
         del maybe
-        fresh = self._add_new_exact(hashes, rows) if collided else firsts[new]
+        # the decided new keys are a run of their own, before the rest, which merge folds into them
+        fresh = [self._decide(np.unique(np.concatenate(undecided)), hashes, rows)] if undecided else []
+        fresh.append(firsts[new])
         del firsts, new
-        self.size += len(fresh)
-        if store and len(fresh):
-            self._store(hashes[fresh], rows[fresh])
         keep = np.zeros(n, dtype=bool)
-        keep[fresh] = True
+        for run in fresh:
+            self.size += len(run)
+            if store and len(run):
+                self._store(hashes[run], rows[run])
+            keep[run] = True
         return keep
 
-    @staticmethod
-    def _sort_mixed_groups(words: np.ndarray, lead: np.ndarray, mixed: np.ndarray, low: np.uint64,
-                           hashes: np.ndarray, rows: np.ndarray) -> None:
-        """Re-sort by (hash, key), in place, each group of the sorted `words` that holds a position in `mixed`.
+    def _decide(self, candidates: np.ndarray, hashes: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """The `candidates` (ascending indices) whose keys are neither visited nor held by an earlier
+        candidate, in hash order.
 
-        A group's words share their top bits and are contiguous, in index
-        order, so one stable sort of the indices of all such groups by (full
-        hash, key) keeps equal keys in index order and, the top bits being
-        the hash's, keeps each group in its own positions; a member leads iff
-        its key differs from the one before it.
-        """
-        tops = np.unique(words[mixed] & ~low)
-        starts = np.searchsorted(words, tops)
-        sizes = np.searchsorted(words, tops | low, "right") - starts
-        # every position of every such group: the group's start plus each member's rank within it
-        members = np.arange(sizes.sum()) + np.repeat(starts - np.cumsum(sizes) + sizes, sizes)
-        member_words = words[members]
-        indices = (member_words & low).view(np.intp)
-        keys = rows[indices].view(np.uint64).reshape(-1, 2)
-        order = np.lexsort((keys[:, 1], keys[:, 0], hashes[indices]))
-        words[members] = (member_words & ~low) | (member_words & low)[order]
-        member_rows = rows[indices[order]]
-        lead[members[1:]] = member_rows[1:] != member_rows[:-1]
-
-    def _add_new_exact(self, hashes: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """The first occurrences of unvisited keys, in hash order, from one stable (hash, key) sort.
-
-        Visited rows precede the candidates, which keep their index order, so
-        each group of equal keys is led by its visited row if it has one and
+        Equal keys hash equal, so a candidate's key, if visited, is among the
+        stored rows under its hash.  Those rows precede the candidates, which
+        keep their index order, in one stable sort on the full key, so each
+        group of equal keys is led by its visited row if it has one and
         otherwise by its first occurrence.
         """
-        all_hashes = np.concatenate([run_hashes for run_hashes, _ in self.runs] + [hashes])
-        all_rows = np.concatenate([run_rows for _, run_rows in self.runs] + [rows])
-        words = all_rows.view(np.uint64).reshape(-1, 2)
-        order = np.lexsort((words[:, 1], words[:, 0], all_hashes))
-        sorted_rows = all_rows[order]
-        lead = np.ones(len(order), dtype=bool)
-        lead[1:] = sorted_rows[1:] != sorted_rows[:-1]
-        leads = order[lead]
-        stored = len(all_rows) - len(rows)
-        return leads[leads >= stored] - stored
+        queries = np.unique(hashes[candidates])
+        stored = [run_rows[_within(run_hashes, queries, queries)] for run_hashes, run_rows in self.runs]
+        every = np.concatenate(stored + [rows[candidates]])
+        order = np.lexsort(every.view(np.uint64).reshape(-1, 2).T)  # any order of the keys will do
+        ordered = every[order]
+        lead = np.concatenate(([True], ordered[1:] != ordered[:-1]))
+        leads = order[lead] - (len(every) - len(candidates))  # a candidate's place among them; stored rows < 0
+        fresh = candidates[leads[leads >= 0]]
+        return fresh[np.argsort(hashes[fresh], kind="stable")]
 
     def merge(self) -> None:
         """Fold the last run into the one before it while that one is at most twice its size.
@@ -471,12 +463,12 @@ class _Search:
     def depths(self):
         """Yield 0, then expand and yield each depth in turn; the one stop rule of every search.
 
-        Expansion stops at max_depth, on closure (a depth with no new state,
-        which is still yielded), or when the next depth could pass the state
-        cap (the run is then partial).  A caller may stop early by leaving
-        the loop; the next depth is built only when asked for.  No depth
-        after max_depth looks up that one's keys, so it is expanded without
-        storing them.
+        Expansion stops at max_depth, after a depth with no new state (which
+        is still yielded; see :func:`synthesize`), or when the next depth
+        could pass the state cap (the run is then partial).  A caller may
+        stop early by leaving the loop; the next depth is built only when
+        asked for.  No depth after max_depth looks up that one's keys, so it
+        is expanded without storing them.
         """
         yield 0
         for depth in range(1, self.config.max_depth + 1):
@@ -619,8 +611,9 @@ def synthesize(config: SearchConfig, target: np.ndarray) -> SynthResult:
 
     Deterministic given the configuration.  The per-depth best error is
     non-increasing; the search stops early on an exact hit (within the
-    configured tolerance), on group closure, or at the state cap (the result
-    is then flagged partial).
+    configured tolerance), after a depth with no new state (group closure,
+    or in a beam its kept states having no unvisited child), or at the state
+    cap (the result is then flagged partial).
     """
     target = np.asarray(target, dtype=complex)
     if not _is_unitary2(target):

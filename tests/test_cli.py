@@ -306,7 +306,8 @@ class TestSynthCommand:
         '{"entries": [[[1%s, 0], [0, 0]], [[0, 0], [1, 0]]]}' % ("0" * 400),
         "[" * 100_000,
         '{"entries": ' + "[" * 100_000,
-    ], ids=["shape", "huge-int", "deep-nesting", "deep-entries"])
+        '{"entries": [[[true, false], [0, 0]], [[0, 0], [true, 0]]]}',
+    ], ids=["shape", "huge-int", "deep-nesting", "deep-entries", "booleans"])
     def test_malformed_target_exit_2(self, tmp_path, text):
         bad = tmp_path / "bad.json"
         bad.write_text(text)

@@ -485,16 +485,16 @@ class TestAgainstReferenceEngine:
         assert reachable_counts(config) == _with_engine(monkeypatch, ReferenceSearch, lambda: reachable_counts(config))
 
 
-def _counting_exact_path(monkeypatch):
-    """Count the batches that take the exact (hash, key) sort."""
+def _counting_decisions(monkeypatch):
+    """Count the candidates of each batch left undecided by the hashes, which the full-key sort decides."""
     calls = []
-    exact = _Visited._add_new_exact
+    decide = _Visited._decide
 
-    def counted(self, hashes, rows):
-        calls.append(len(rows))
-        return exact(self, hashes, rows)
+    def counted(self, candidates, hashes, rows):
+        calls.append(len(candidates))
+        return decide(self, candidates, hashes, rows)
 
-    monkeypatch.setattr(_Visited, "_add_new_exact", counted)
+    monkeypatch.setattr(_Visited, "_decide", counted)
     return calls
 
 
@@ -505,7 +505,7 @@ def _add_new(visited, keys):
 
 
 def _search_with_coarse_hash(monkeypatch, coarse):
-    """A k=3 search, plainly and with the key hash reduced mod `coarse`; the second takes the exact path."""
+    """A k=3 search, plainly and with the key hash reduced mod `coarse`; the second sorts on full keys."""
     config = SearchConfig(k=3, max_depth=8)
     target = haar_su2(random.Random(21))
 
@@ -517,9 +517,9 @@ def _search_with_coarse_hash(monkeypatch, coarse):
     plain = run()
     key_hash = synth._key_hash
     monkeypatch.setattr(synth, "_key_hash", lambda rows: key_hash(rows) % coarse)
-    exact_batches = _counting_exact_path(monkeypatch)
+    decided = _counting_decisions(monkeypatch)
     assert run() == plain
-    assert exact_batches
+    assert decided
 
 
 class TestExactDedup:
@@ -528,7 +528,7 @@ class TestExactDedup:
         _search_with_coarse_hash(monkeypatch, 7)
 
     def test_single_hash_value_gives_the_same_search(self, monkeypatch):
-        # every key shares one hash: every visited run repeats it, and the exact sort decides each depth
+        # every key shares one hash: every visited run repeats it, and the full-key sort decides each depth
         _search_with_coarse_hash(monkeypatch, 1)
 
     @pytest.mark.parametrize("coarse", [None, 7, 1])
@@ -562,14 +562,14 @@ class TestExactDedup:
 
     def test_sign_symmetric_keys_do_not_collide(self, monkeypatch):
         # keys equal up to the signs of two coordinates are common on the grid; the hash keeps them apart
-        exact_batches = _counting_exact_path(monkeypatch)
+        decided = _counting_decisions(monkeypatch)
         for k in (3, 6, 7):
             reachable_counts(SearchConfig(k=k, max_depth=9))
-        assert exact_batches == []
+        assert decided == []
 
     def test_top_bit_collisions_are_resolved_within_their_group(self, monkeypatch):
-        # a 32-bit hash gives many words the same top bits while the full hashes differ: each such
-        # group is sorted among its own members, and the batch never takes the exact sort
+        # a 32-bit hash gives many words the same top bits while the full hashes differ: only the
+        # members of such groups, and the visited keys under their hashes, go to the full-key sort
         config = SearchConfig(k=3, max_depth=9)
         target = haar_su2(random.Random(22))
 
@@ -581,36 +581,56 @@ class TestExactDedup:
         plain = run()
         key_hash = synth._key_hash
         monkeypatch.setattr(synth, "_key_hash", lambda rows: key_hash(rows) & np.uint64(0xFFFFFFFF))
-        exact_batches = _counting_exact_path(monkeypatch)
-        groups = []
-        sort_groups = _Visited._sort_mixed_groups
-
-        def counted(words, lead, mixed, low, hashes, rows):
-            groups.append(len(mixed))
-            return sort_groups(words, lead, mixed, low, hashes, rows)
-
-        monkeypatch.setattr(_Visited, "_sort_mixed_groups", staticmethod(counted))
+        decided = _counting_decisions(monkeypatch)
         assert run() == plain
-        assert exact_batches == [] and sum(groups) > 100
+        assert sum(decided) > 100
         search = _Search(config)
         for _ in range(config.max_depth):
             search.expand()
         for hashes, rows in search.visited.runs:
             assert np.all(hashes[1:] >= hashes[:-1]) and np.array_equal(hashes, synth._key_hash(rows))
 
+    def test_a_forced_visited_collision_decides_only_its_candidate(self, monkeypatch):
+        # one depth-13 candidate of the k=3 profile takes the hash of a stored key that no candidate
+        # shares: the full-key sort sees that candidate and the one stored row under its hash
+        search = _Search(SearchConfig(k=3, max_depth=13))
+        for _ in range(12):
+            search.expand()
+        search.visited.merge()
+        rows, hashes = search._candidates(synth._NEXT_PIECES[search.trace[-1][1]])
+        plain = search.visited.add_new(hashes, rows, store=False)  # the last depth: no run is stored
+        assert len(rows) == 755_100 and sum(len(h) for h, _ in search.visited.runs) == 399_387
+        once, counts = np.unique(hashes, return_counts=True)
+        chosen = np.flatnonzero(plain & np.isin(hashes, once[counts == 1]))[0]  # new, and its key's only copy
+        stored = np.concatenate([h for h, _ in search.visited.runs])
+        stored = stored[~np.isin(stored >> np.uint64(32), hashes >> np.uint64(32))][0]  # top bits no candidate has
+        forced = hashes.copy()
+        forced[chosen] = stored
+        decided = _counting_decisions(monkeypatch)
+        seen = []  # the positions each `_within` call returns: the batch's mixed groups, then each run's rows
+        within = synth._within
+
+        def counted(*args):
+            seen.append(within(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(synth, "_within", counted)
+        assert np.array_equal(search.visited.add_new(forced, rows, store=False), plain)
+        assert decided == [1] and sum(map(len, seen)) == 1
+
     @pytest.mark.parametrize("config, target", [
         (SearchConfig(k=3, max_depth=11, seed=7), None),
         (SearchConfig(k=5, max_depth=40, beam_width=10_000), 1),
     ], ids=["k3-profile", "k5-beam"])
     def test_benchmark_sized_runs_never_take_the_exact_sort(self, monkeypatch, config, target):
-        # with the full hash a collision of the top bits is resolved within its group, never by
-        # sending the whole batch to the exact sort
-        exact_batches = _counting_exact_path(monkeypatch)
+        # with the full hash no two keys of these runs share a group's top bits or a visited hash,
+        # so every candidate is decided by the hashes alone
+        decided = _counting_decisions(monkeypatch)
         if target is None:
             error_profile(config, 20)
         else:
             synthesize(config, haar_su2(random.Random(target)))
-        assert exact_batches == []
+        assert decided == []
 
 
 def _runs_from(batches):
