@@ -16,7 +16,8 @@ The numeric embedding reads zeta^e for 0 <= e < phi from a table cached per
 (order, precision), each entry ``expjpi(2e/N)`` at the working precision, and
 adds c/den * zeta^e over the nonzero numerators with c/den reduced by their
 gcd.  That is the arithmetic of a fresh ``Fraction`` and ``expjpi`` per
-term, in the same order, so the results are bit-identical to it.
+term, in the same order, so the results are bit-identical to it; the sum
+calls the libmp functions behind mpmath's operators on raw tuples.
 
 Inversion multiplies the phi - 1 nontrivial Galois conjugates and divides by
 the rational norm, so it too runs on integers, but it is the one costly field
@@ -37,6 +38,7 @@ import math
 from fractions import Fraction
 
 import mpmath
+from mpmath.libmp import fzero, from_int, mpc_add, mpc_div_mpf, mpc_mul_mpf, mpc_pos, mpf_pos, round_nearest
 
 from .errors import IntegrityError
 
@@ -121,21 +123,25 @@ def _power_table(order: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     """zeta^j mod Phi_order for 0 <= j < max(order, 2*phi-1).
 
     Row j lists the nonzero (index, coefficient) pairs of zeta^j in the power
-    basis.  Phi_order is monic with integer coefficients, so every entry is an
-    integer, and the rows are sparse for the orders the models use.
+    basis, by ascending index.  Phi_order is monic with integer coefficients,
+    so every entry is an integer, and the rows are sparse for the orders the
+    models use.  Each row is zeta times the one before, built from that row's
+    pairs and the nonzero coefficients of Phi, so no row costs phi steps.
     """
     phi = euler_phi(order)
-    tail = cyclotomic_polynomial(order)[:-1]
     # x^phi = -(c_0 + c_1 x + ... + c_{phi-1} x^{phi-1})  (Phi is monic)
-    dense = [0] * phi
+    tail = [(i, c) for i, c in enumerate(cyclotomic_polynomial(order)[:-1]) if c]
     rows: list[tuple[tuple[int, int], ...]] = [((j, 1),) for j in range(phi)]
-    dense[phi - 1] = 1
     for _ in range(phi, max(order, 2 * phi - 1)):
-        lead = dense[-1]
-        dense = [0] + dense[:-1]
-        if lead:
-            dense = [s - lead * t for s, t in zip(dense, tail)]
-        rows.append(tuple((i, c) for i, c in enumerate(dense) if c))
+        row = rows[-1]
+        if row and row[-1][0] == phi - 1:  # zeta * zeta^(phi-1) reduces by Phi
+            lead = row[-1][1]
+            shifted = {i + 1: c for i, c in row[:-1]}
+            for i, t in tail:
+                shifted[i] = shifted.get(i, 0) - lead * t
+            rows.append(tuple(sorted((i, c) for i, c in shifted.items() if c)))
+        else:
+            rows.append(tuple((i + 1, c) for i, c in row))
     return tuple(rows)
 
 
@@ -379,15 +385,23 @@ class Cyc:
         return self._approx_mp(bits)
 
     def _approx_mp(self, bits: int) -> mpmath.mpc:
+        """The sum of zeta^e * mpf(c/g) / (den/g) at working precision bits + 16, rounding to nearest.
+
+        It calls the libmp functions that mpmath's operators call, in the
+        same order, on raw tuples, so the bits are those of the mpc
+        arithmetic without its object layer.
+        """
         powers = _zeta_powers(self.order, bits)
         den = self.den
-        with mpmath.workprec(bits + 16):
-            total = mpmath.mpc(0)
-            for e, c in enumerate(self.num):
-                if c:
-                    g = math.gcd(c, den)  # c/den in lowest terms, as a Fraction would hold it
-                    total += powers[e] * mpmath.mpf(c // g) / (den // g)
-            return +total
+        prec = bits + 16
+        total = (fzero, fzero)
+        for e, c in enumerate(self.num):
+            if c:
+                g = math.gcd(c, den)  # c/den in lowest terms, as a Fraction would hold it
+                term = mpc_mul_mpf(powers[e], mpf_pos(from_int(c // g), prec, round_nearest), prec, round_nearest)
+                term = mpc_div_mpf(term, from_int(den // g), prec, round_nearest)
+                total = mpc_add(total, term, prec, round_nearest)
+        return mpmath.mp.make_mpc(mpc_pos(total, prec, round_nearest))
 
     # -- formatting ----------------------------------------------------------
 
@@ -407,10 +421,11 @@ class Cyc:
 
 
 @functools.lru_cache(maxsize=None)
-def _zeta_powers(order: int, bits: int) -> tuple[mpmath.mpc, ...]:
-    """zeta_order^e = expjpi(2e/order) for 0 <= e < phi(order), at working precision bits + 16."""
+def _zeta_powers(order: int, bits: int) -> tuple[tuple, ...]:
+    """zeta_order^e = expjpi(2e/order) for 0 <= e < phi(order), at working precision bits + 16, as
+    libmp (real, imaginary) tuples."""
     with mpmath.workprec(bits + 16):
-        return tuple(mpmath.expjpi(mpmath.mpf(2 * e) / order) for e in range(euler_phi(order)))
+        return tuple(mpmath.expjpi(mpmath.mpf(2 * e) / order)._mpc_ for e in range(euler_phi(order)))
 
 
 def _ratio_str(c: int, den: int) -> str:

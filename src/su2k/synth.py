@@ -23,16 +23,19 @@ The visited set is a few runs sorted by hash, merged geometrically in linear
 time, and a bit per bucket of hash prefixes: only a key whose bucket is
 marked is searched for in the runs, so most new keys cost no binary search.
 A depth's run is merged when the next depth is built; the last depth is
-expanded with storing off, so its new keys are counted but form no run.
+expanded with storing off, so its new keys are counted but form no run, and
+the set is released before the last frontier is built.
 The inverse of the move that reached a state returns its parent, which is
 visited, and the generator set is closed under inverses, so the backtrack
 is never built; `explored` still counts every (state, generator) pair of an
-expanded depth.  A depth is built in two passes over cache-sized blocks,
-both through one product kernel on (parent, generator) pairs.  The key pass
-runs it on every candidate and keeps only the grid key and hash (24 bytes);
-dedup then picks the survivors, and the survivor pass runs it again on just
-their pairs from the trace, so each survivor's product is the one its key
-was read from, without a product row for every candidate.
+expanded depth.  A depth is built through one product kernel on (parent,
+generator) pairs, in cache-sized blocks.  The key pass runs it on every
+candidate and keeps only the 64-bit key hash (8 bytes).  Dedup rebuilds a
+key row from its pair where it reads one: a group or a visited hash to
+confirm on the full key, and the keys a depth stores.  The survivor pass
+runs the kernel on the survivors' pairs from the trace, so each survivor's
+product, and every rebuilt key, is bit for bit the one its hash was taken
+from, without a product or key row for every candidate.
 Each state costs 32 bytes while on the frontier, 24 in the visited set and
 5 in the trace (an int32 parent and an int8 generator).  This makes exhaustive
 breadth-first enumeration feasible to the depths of interest; a beam mode
@@ -315,9 +318,12 @@ class _Visited:
     top _PREFILTER_BITS; a key whose bit is clear is not visited, so only
     the rest are searched for in the runs.  A key is visited iff some run
     holds it; a hash hit names the first row of that run with the hash, and
-    a different key there leaves the candidate to :meth:`_decide`.  A batch
-    added with `store` off has its new keys counted in `size` but kept in
-    no run: the last depth of a search, which no later depth looks up.
+    a different key there leaves the candidate to :meth:`_decide`.  Each
+    key costs 24 bytes here; a batch brings only its 8-byte hashes, and its
+    key rows are read where they are compared or stored.  A batch added
+    with `store` off has its new keys counted in `size`, and then the runs
+    and the prefilter are released: it is the last depth of a search, and
+    nothing is looked up after it.
     """
 
     def __init__(self, rows: np.ndarray):
@@ -333,27 +339,36 @@ class _Visited:
         np.bitwise_or.at(self.prefilter, slots, np.left_shift(np.uint8(1), bits))
 
     def _marked(self, words: np.ndarray) -> np.ndarray:
-        """The positions of the 64-bit words whose top _PREFILTER_BITS name a marked prefilter bucket."""
-        slots, bits = _prefilter_slots(words)
-        marked = self.prefilter[slots]
-        del slots
-        marked >>= bits
+        """The positions of the 64-bit words whose top _PREFILTER_BITS name a marked prefilter bucket.
+
+        The words are read in blocks of _EXPAND_BLOCK, so the bucket indices
+        (8 bytes a word) are never held for a whole depth's batch at once.
+        """
+        marked = np.empty(len(words), dtype=np.uint8)
+        for start in range(0, len(words), _EXPAND_BLOCK):
+            block = slice(start, start + _EXPAND_BLOCK)
+            slots, bits = _prefilter_slots(words[block])
+            np.right_shift(self.prefilter[slots], bits, out=marked[block])
         marked &= np.uint8(1)
         return np.flatnonzero(marked.view(bool))
 
-    def add_new(self, hashes: np.ndarray, rows: np.ndarray, store: bool = True) -> np.ndarray:
-        """The mask of the key rows neither visited nor seen earlier in `rows`; counts them, and adds
-        them as runs if `store`.
+    def add_new(self, hashes: np.ndarray, rows, store: bool = True) -> np.ndarray:
+        """The mask of the candidates whose keys are neither visited nor seen earlier in the batch;
+        counts them, and adds them as runs if `store`.  With `store` off the runs and the prefilter
+        are released, since no later batch is looked up, and `size` alone goes on counting.
 
-        One value sort groups the batch: each word is a hash's top bits over
-        the candidate's index, so equal keys share a group, led by their
-        first occurrence.  The leads of one-key groups, in hash order, are
-        checked against the prefilter, and those in a marked bucket are
-        searched for in each run.  A candidate is undecided if its group
-        holds more than one key, or if it leads a group whose hash a run
-        stores under another key; :meth:`_decide` settles those.
+        `hashes` holds each candidate's key hash and `rows[index]` gives the
+        key rows of an index array: an array of rows, or a view that rebuilds
+        them, so rows are read only where they are compared or stored.  One
+        value sort groups the batch: each word is a hash's top bits over the
+        candidate's index, so equal keys share a group, led by their first
+        occurrence.  The leads of one-key groups, in hash order, are checked
+        against the prefilter, and those in a marked bucket are searched for
+        in each run.  A candidate is undecided if its group holds more than
+        one key, or if it leads a group whose hash a run stores under another
+        key; :meth:`_decide` settles those.
         """
-        n = len(rows)
+        n = len(hashes)
         low = np.uint64((1 << max(n - 1, 1).bit_length()) - 1)  # the index bits
         words = np.arange(n, dtype=np.uint64)
         words |= hashes & ~low
@@ -375,7 +390,7 @@ class _Visited:
         firsts &= low
         firsts = firsts.view(np.intp)
         new = np.ones(len(firsts), dtype=bool)
-        if len(maybe):
+        if len(maybe):  # then some run holds a hash
             queries = hashes[firsts[maybe]]
             for run_hashes, run_rows in self.runs:
                 at = np.searchsorted(run_hashes, queries)
@@ -385,10 +400,12 @@ class _Visited:
                 other = hits[run_rows[at[hits]] != rows[firsts[maybe[hits]]]]  # the run's first row under the hash
                 if len(other):
                     undecided.append(firsts[maybe[other]])
-            del queries
+            del queries, run_hashes, run_rows, at, hits, other  # no name keeps a run alive past a release
         del maybe
         # the decided new keys are a run of their own, before the rest, which merge folds into them
         fresh = [self._decide(np.unique(np.concatenate(undecided)), hashes, rows)] if undecided else []
+        if not store:  # nothing is looked up after this batch
+            self.runs, self.prefilter = [], None
         fresh.append(firsts[new])
         del firsts, new
         keep = np.zeros(n, dtype=bool)
@@ -399,7 +416,7 @@ class _Visited:
             keep[run] = True
         return keep
 
-    def _decide(self, candidates: np.ndarray, hashes: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    def _decide(self, candidates: np.ndarray, hashes: np.ndarray, rows) -> np.ndarray:
         """The `candidates` (ascending indices) whose keys are neither visited nor held by an earlier
         candidate, in hash order.
 
@@ -434,6 +451,17 @@ class _Visited:
             del small_hashes, small_rows, big_hashes, big_rows  # only the merged run's arrays stay alive
             order = np.argsort(hashes, kind="stable")
             runs.append((hashes[order], rows[order]))
+
+
+class _CandidateKeys:
+    """The key rows of a depth's candidates, as :meth:`_Visited.add_new` reads them: `rows[index]`
+    rebuilds the rows of an array of candidate indices from their (parent, generator) pairs."""
+
+    def __init__(self, search: _Search, moves: np.ndarray):
+        self.search, self.moves = search, moves
+
+    def __getitem__(self, index: np.ndarray) -> np.ndarray:
+        return self.search._key_rows(index // self.moves.shape[1], self.moves.ravel()[index])
 
 
 class _Search:
@@ -493,9 +521,9 @@ class _Search:
         self.visited.merge()  # the last depth's run, before this depth's arrays are allocated
         # the generators to apply to each state, ascending: all but its backtrack after depth 1
         moves = _NEXT_PIECES[self.trace[-1][1]] if self.trace else np.arange(n_gens, dtype=np.int8)[None]
-        rows, hashes = self._candidates(moves)
-        kept = np.flatnonzero(self.visited.add_new(hashes, rows, store))
-        del rows, hashes  # the depth's keys go before its survivors are built; the visited run copied the new ones
+        hashes = self._candidates(moves)
+        kept = np.flatnonzero(self.visited.add_new(hashes, _CandidateKeys(self, moves), store))
+        del hashes  # before the survivors are built
         self.trace.append(((kept // moves.shape[1]).astype(np.int32), moves.ravel()[kept]))
         del kept
         self.frontier = self._survivors(*self.trace[-1])
@@ -506,30 +534,41 @@ class _Search:
     def _products(self, parents: np.ndarray, gens: np.ndarray) -> tuple[np.ndarray, ...]:
         """The coordinates of each frontier row `parents[i]` times generator `gens[i]`, as four columns.
 
-        Both passes of a depth build their products here, so a survivor's
-        product is bit for bit the one its key was read from.
+        The key pass, the rebuilt key rows and the survivor pass all build
+        their products here, so a rebuilt key and a survivor's product are
+        bit for bit those the candidate's hash was taken from.
         """
         # take gathers rows several times faster than fancy indexing
         return _product_coords(self.frontier.take(parents, axis=0).T, self.gens.take(gens, axis=0).T)
 
-    def _candidates(self, moves: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Grid key rows and key hashes of each frontier state times each of its `moves` generators,
-        parent-major; the products themselves are not kept.
+    def _candidates(self, moves: np.ndarray) -> np.ndarray:
+        """The key hash of each frontier state times each of its `moves` generators, parent-major;
+        neither the products nor the key rows are kept.
 
-        The depth's arrays are allocated once and filled in blocks of
-        _EXPAND_BLOCK parents, so that a block's temporaries stay in cache.
+        The candidates are built in blocks of _EXPAND_BLOCK parents, whose
+        keys go to one block-sized buffer, so a block's temporaries stay in
+        cache.  :class:`_CandidateKeys` rebuilds the rows that dedup reads.
         """
         width = moves.shape[1]
-        keys = np.empty((moves.size, 4), dtype=_KEY_DTYPE)
-        rows = keys.view(_KEY_ROW)[:, 0]
         hashes = np.empty(moves.size, dtype=np.uint64)
+        keys = np.empty((min(len(self.frontier), _EXPAND_BLOCK) * width, 4), dtype=_KEY_DTYPE)
+        rows = keys.view(_KEY_ROW)[:, 0]
         for start in range(0, len(self.frontier), _EXPAND_BLOCK):
             stop = min(start + _EXPAND_BLOCK, len(self.frontier))
-            block = slice(start * width, stop * width)
+            size = (stop - start) * width
             products = self._products(np.repeat(np.arange(start, stop), width), moves[start:stop].ravel())
-            _put_grid_keys(products, self.config.dedup_resolution, keys[block])
-            hashes[block] = _key_hash(rows[block])
-        return rows, hashes
+            _put_grid_keys(products, self.config.dedup_resolution, keys[:size])
+            hashes[start * width:stop * width] = _key_hash(rows[:size])
+        return hashes
+
+    def _key_rows(self, parents: np.ndarray, gens: np.ndarray) -> np.ndarray:
+        """The grid key row of each frontier row `parents[i]` times generator `gens[i]`, in blocks of
+        _EXPAND_BLOCK pairs: bit for bit the key :meth:`_candidates` hashed for that pair."""
+        keys = np.empty((len(parents), 4), dtype=_KEY_DTYPE)
+        for start in range(0, len(parents), _EXPAND_BLOCK):
+            block = slice(start, start + _EXPAND_BLOCK)
+            _put_grid_keys(self._products(parents[block], gens[block]), self.config.dedup_resolution, keys[block])
+        return keys.view(_KEY_ROW)[:, 0]
 
     def _survivors(self, parents: np.ndarray, gens: np.ndarray) -> np.ndarray:
         """The next frontier: the product of each kept candidate's parent row and generator, in

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from su2k.cyclotomic import (
     Cyc,
     _int_poly_div_exact,
+    _power_table,
     cos_pi_fraction,
     cyclotomic_polynomial,
     euler_phi,
@@ -354,6 +355,27 @@ def ref_approx(x: Cyc, bits: int):
     return complex(total.real, total.imag) if bits <= 53 else total
 
 
+def mpc_route_approx(x: Cyc, bits: int) -> mpmath.mpc:
+    """Cyc._approx_mp through mpmath's mpc and mpf operators over the cached powers."""
+    with mpmath.workprec(bits + 16):
+        powers = [mpmath.expjpi(mpmath.mpf(2 * e) / x.order) for e in range(len(x.num))]
+        total = mpmath.mpc(0)
+        for e, c in enumerate(x.num):
+            if c:
+                g = math.gcd(c, x.den)
+                total += powers[e] * mpmath.mpf(c // g) / (x.den // g)
+        return +total
+
+
+@st.composite
+def wide_cyc_values(draw):
+    """Sparse numerators of both signs, small and wide, over a denominator of up to 70 bits."""
+    order = draw(st.sampled_from([24, 28, 128]))
+    coefficient = st.one_of(st.just(0), st.integers(-9, 9), st.integers(-10**30, 10**30))
+    num = draw(st.lists(coefficient, min_size=euler_phi(order), max_size=euler_phi(order)))
+    return Cyc._make(order, num, draw(st.integers(1, 10**21)))
+
+
 def ref_exact_str(x: Cyc) -> str:
     """exact_str as first written, over the Fraction coefficients."""
     coeffs = x.coeffs
@@ -382,6 +404,14 @@ class TestCachedEmbedding:
             if bits > 53:
                 assert repr(x.approx(bits)) == repr(want)
 
+    @settings(max_examples=60, deadline=None)
+    @given(wide_cyc_values(), st.sampled_from([53, 64, 120]))
+    def test_libmp_sum_has_the_bits_of_the_mpc_operators(self, x, bits):
+        want = mpc_route_approx(x, max(bits, 64))
+        assert x._approx_mp(max(bits, 64))._mpc_ == want._mpc_
+        got = x.approx(bits)
+        assert got == (complex(want.real, want.imag) if bits <= 53 else want)
+
     @pytest.mark.parametrize("order", [1, 4, 8, 24, 28, 128, 1680])
     def test_exact_str_matches_the_fraction_rendering(self, order):
         rng = random.Random(order)
@@ -391,7 +421,27 @@ class TestCachedEmbedding:
             assert x.exact_str() == ref_exact_str(x)
 
 
+def ref_power_table(order: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """zeta^j mod Phi_order, each row reduced from a dense phi-length remainder."""
+    phi = euler_phi(order)
+    tail = cyclotomic_polynomial(order)[:-1]
+    dense = [0] * phi
+    dense[phi - 1] = 1
+    rows = [((j, 1),) for j in range(phi)]
+    for _ in range(phi, max(order, 2 * phi - 1)):
+        lead = dense[-1]
+        dense = [0] + dense[:-1]
+        if lead:
+            dense = [s - lead * t for s, t in zip(dense, tail)]
+        rows.append(tuple((i, c) for i, c in enumerate(dense) if c))
+    return tuple(rows)
+
+
 class TestNumberTheory:
+    @pytest.mark.parametrize("order", [1, 2, 24, 128, 1000, 8008])
+    def test_sparse_power_table_matches_the_dense_build(self, order):
+        assert _power_table(order) == ref_power_table(order)
+
     def test_cyclotomic_polynomials_multiply_to_x_n_minus_one(self):
         for n in range(1, 241):
             product = [1]

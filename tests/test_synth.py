@@ -1,5 +1,6 @@
 """Double-braid synthesis: metric, search, profiles, closure dichotomy."""
 
+import copy
 import math
 import random
 import tracemalloc
@@ -18,6 +19,7 @@ from su2k.synth import (
     _KEY_ROW,
     MAX_PROFILE_SAMPLES,
     SearchConfig,
+    _CandidateKeys,
     _canonical_grid_keys,
     _product_coords,
     _Search,
@@ -597,9 +599,11 @@ class TestExactDedup:
         for _ in range(12):
             search.expand()
         search.visited.merge()
-        rows, hashes = search._candidates(synth._NEXT_PIECES[search.trace[-1][1]])
-        plain = search.visited.add_new(hashes, rows, store=False)  # the last depth: no run is stored
-        assert len(rows) == 755_100 and sum(len(h) for h, _ in search.visited.runs) == 399_387
+        moves = synth._NEXT_PIECES[search.trace[-1][1]]
+        hashes, rows = search._candidates(moves), _CandidateKeys(search, moves)
+        # the last depth releases the set it looks up in, so the plain answer comes from a copy
+        plain = copy.deepcopy(search.visited).add_new(hashes, rows, store=False)
+        assert len(hashes) == 755_100 and sum(len(h) for h, _ in search.visited.runs) == 399_387
         once, counts = np.unique(hashes, return_counts=True)
         chosen = np.flatnonzero(plain & np.isin(hashes, once[counts == 1]))[0]  # new, and its key's only copy
         stored = np.concatenate([h for h, _ in search.visited.runs])
@@ -617,6 +621,7 @@ class TestExactDedup:
         monkeypatch.setattr(synth, "_within", counted)
         assert np.array_equal(search.visited.add_new(forced, rows, store=False), plain)
         assert decided == [1] and sum(map(len, seen)) == 1
+        assert search.visited.runs == [] and search.visited.prefilter is None
 
     @pytest.mark.parametrize("config, target", [
         (SearchConfig(k=3, max_depth=11, seed=7), None),
@@ -720,11 +725,23 @@ class TestVisitedRuns:
             assert (distinct, explored) == want[2:]
 
     def test_the_last_depth_is_counted_not_stored(self):
-        # no depth after max_depth looks up that one's keys: they count as distinct but form no run
+        # no depth after max_depth looks up that one's keys: they count as distinct, and the runs
+        # and prefilter are released before the last frontier is built
         search = _Search(SearchConfig(k=3, max_depth=6))
-        counts = [search.distinct for _ in search.depths()]
+        counts, stored = [], []
+        for _ in search.depths():
+            counts.append(search.distinct)
+            stored.append(sum(len(hashes) for hashes, _ in search.visited.runs))
         assert counts == [1, 5, 17, 49, 137, 375, 1019]
-        assert sum(len(hashes) for hashes, _ in search.visited.runs) == counts[-2]
+        assert stored == counts[:-1] + [0]
+        assert search.visited.runs == [] and search.visited.prefilter is None
+        assert len(search.frontier) == counts[-1] - counts[-2]
+        # a batch added with storing off still counts its new keys, each once
+        visited = _runs_from([np.array([[2, 1, 0, 0], [3, 1, 0, 0]], dtype=np.int32)])
+        keys = np.array([[3, 1, 0, 0], [4, 1, 0, 0], [5, 1, 0, 0], [4, 1, 0, 0]], dtype=np.int32)
+        rows = keys.view(_KEY_ROW)[:, 0]
+        assert np.flatnonzero(visited.add_new(synth._key_hash(rows), rows, store=False)).tolist() == [1, 2]
+        assert visited.size == 1 + 2 + 2 and visited.runs == [] and visited.prefilter is None
 
     def test_lookup_spans_several_runs(self):
         visited = _Visited(np.array([[1, 0, 0, 0]], dtype=np.int32).view(_KEY_ROW)[:, 0])
@@ -838,6 +855,42 @@ class TestSurvivorPass:
         assert peak < 12e6
 
 
+class TestKeyPass:
+    @pytest.mark.parametrize("config, depth", [
+        (SearchConfig(k=3, max_depth=9), 9),
+        (SearchConfig(k=5, max_depth=20, beam_width=10_000), 20),
+    ], ids=["k3-exhaustive", "k5-beam"])
+    def test_rows_rebuild_every_key_of_a_depth(self, config, depth):
+        # the key pass keeps one 64-bit hash per candidate; the row view rebuilds each key, in any
+        # order, bit for bit as the one-pass products key it
+        target = np.array([[0.6, 0.0, 0.8, 0.0]])
+        search = _Search(config)
+        for _ in range(depth - 1):
+            search.expand()
+            search.shrink_to_beam(search.frontier_errors(target)[:, 0])
+        moves = synth._NEXT_PIECES[search.trace[-1][1]]
+        hashes = search._candidates(moves)
+        assert hashes.dtype == np.uint64 and hashes.shape == (moves.size,) and moves.size > 3 * _EXPAND_BLOCK
+        want = _canonical_grid_keys(_products(search.frontier, search.gens[moves]), config.dedup_resolution)
+        rows = _CandidateKeys(search, moves)
+        assert np.array_equal(_key_rows_as_ints(rows[np.arange(moves.size)]), want)
+        assert np.array_equal(hashes, synth._key_hash(want.view(_KEY_ROW)[:, 0]))
+        shuffled = np.random.default_rng(depth).permutation(moves.size)
+        assert np.array_equal(_key_rows_as_ints(rows[shuffled]), want[shuffled])
+
+    def test_profile_memory_budget(self):
+        # tracemalloc's peak is deterministic: 21.4 MB with a 16-byte key row and an 8-byte hash per
+        # candidate through dedup, 17.0 MB with the hash alone and the visited set released before
+        # the last frontier is built
+        tracemalloc.start()
+        try:
+            error_profile(SearchConfig(k=3, max_depth=12), 20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 19.6e6
+
+
 class TestLevelBlocks:
     def test_frontier_spanning_several_blocks_matches_the_reference(self):
         config = SearchConfig(k=5, max_depth=10)
@@ -875,9 +928,11 @@ class TestLevelBlocks:
         q = np.array([[h, -h, h, h], [h, np.nextafter(-h, -1.0), h, h], [-h, h, -h, -h]])
         keys = _canonical_grid_keys(q, 1e-6)
         assert keys.tolist() == [[500000, -500000, 500000, 500000]] * 3
-        # the key pass, each row times the identity, reads the same keys
-        rows, _ = _kernel_search(q, np.array([[1.0, 0.0, 0.0, 0.0]]))._candidates(np.zeros((3, 1), dtype=np.int8))
+        # the key pass, each row times the identity, hashes the same keys, and its rows rebuild them
+        search, moves = _kernel_search(q, np.array([[1.0, 0.0, 0.0, 0.0]])), np.zeros((3, 1), dtype=np.int8)
+        rows = _CandidateKeys(search, moves)[np.arange(3)]
         assert np.array_equal(_key_rows_as_ints(rows), keys)
+        assert np.array_equal(search._candidates(moves), synth._key_hash(rows))
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.one_of(
@@ -905,7 +960,9 @@ class TestLevelBlocks:
         moves = np.tile(np.arange(len(gens), dtype=np.int8), (len(qx), 1))
         parents = np.repeat(np.arange(len(qx)), len(gens))
         products = np.stack(search._products(parents, moves.ravel()), axis=1)
-        keys = _key_rows_as_ints(search._candidates(moves)[0])
+        rows = _CandidateKeys(search, moves)[np.arange(moves.size)]
+        assert np.array_equal(search._candidates(moves), synth._key_hash(rows))
+        keys = _key_rows_as_ints(rows)
         for row, (x, y) in enumerate((x, y) for x in qx for y in gens):
             a = complex(x[0], x[1]) * complex(y[0], y[1]) - complex(x[2], x[3]) * complex(y[2], -y[3])
             b = complex(x[0], x[1]) * complex(y[2], y[3]) + complex(x[2], x[3]) * complex(y[0], -y[1])
@@ -916,7 +973,9 @@ class TestLevelBlocks:
         # and so does any subset of the pairs in any order, as the survivor pass takes them
         picks = rng.integers(0, len(gens), size=(len(qx), 3))
         at = (np.arange(len(qx))[:, None] * len(gens) + picks).ravel()
-        assert np.array_equal(_key_rows_as_ints(search._candidates(picks.astype(np.int8))[0]), keys[at])
+        picked = picks.astype(np.int8)
+        assert np.array_equal(search._candidates(picked), synth._key_hash(keys[at].copy().view(_KEY_ROW)[:, 0]))
+        assert np.array_equal(_key_rows_as_ints(_CandidateKeys(search, picked)[np.arange(picked.size)]), keys[at])
         at = rng.permutation(at)
         assert np.array_equal(np.stack(search._products(parents[at], moves.ravel()[at]), axis=1), products[at])
 
