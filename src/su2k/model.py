@@ -825,8 +825,9 @@ class Model:
         return report
 
     def verify_unitarity(self) -> VerificationReport:
-        """Every F-matrix (a block of the float64 F tensor, in any mode) is unitary within
-        _UNITARITY_TOL; every R-symbol has unit modulus (exactly)."""
+        """Every F-matrix is unitary within _UNITARITY_TOL: a block of the float64 F tensor, in any mode,
+        whose rows and columns are the n and m of one (a, b, c, d) group of :meth:`_live_f`.  Every
+        R-symbol has unit modulus (exactly)."""
         import numpy as np
 
         require_f_table(self.k)
@@ -837,10 +838,8 @@ class Model:
             if r * r.conjugate() != 1:
                 report.record(("r-modulus", a, b, c))
         F = self._recoupling_tensors(53)[0]
-        for a, b, c, d in itertools.product(self.labels, repeat=4):
-            rows, cols = self._channels(a, b, c, d)
-            if not rows or not cols:
-                continue
+        for (a, b, c, d), group in itertools.groupby(self._live_f(), key=lambda labels: labels[:4]):
+            rows, cols = (sorted(set(channels)) for channels in zip(*(labels[4:] for labels in group)))
             if len(rows) != len(cols):
                 report.record(("f-not-square", a, b, c, d))
                 continue

@@ -1,23 +1,23 @@
-"""Formal square-root values over a cyclotomic coefficient field.
+"""The reference form of the unitary F-symbols: formal square roots over a cyclotomic field.
 
-An F-symbol is an exact value of the form coef * sqrt(radicand) where the
-radicand is a product of quantum integers.  Tracking the radicand as a
-*factored word* over the quantum-integer alphabet keeps products exact and
-makes cancellation between terms decidable in the common cases: square parts
-fold into the coefficient, factors equal to 1 vanish, and rational factors
-are absorbed exactly through Gauss-sum square roots.
+:meth:`su2k.model.Model.f_symbol` and ``f_matrix_exact`` return each
+unitary F-symbol as an exact value coef * sqrt(radicand), whose radicand is
+a product of quantum integers.  Tracking the radicand as a *factored word*
+over the quantum-integer alphabet keeps products exact: square parts fold
+into the coefficient, factors equal to 1 vanish, and rational factors are
+absorbed exactly through Gauss-sum square roots.
 
-Sums of such terms are held in a :class:`RadicalSum`.  A sum whose
-per-radicand groups all cancel is exactly zero; a sum that does not visibly
-cancel falls back to high-precision numeric evaluation on the caller's side.
+A :class:`RadicalSum` holds such terms grouped by radicand.  Its zero test
+is sound: a sum is zero when every group cancels, and terms under distinct
+radicands are never set against each other.  ``approx`` evaluates a sum in
+float64 or in mpmath at a requested precision.
 
-The package's computations no longer run on these values: the exact axiom
-checks use the square-root-free vertex gauge of :mod:`su2k.model`, and the
-certificates and the synthesis generators the closed-form qubit gauge of
-:mod:`su2k.universality`.  The module stays because
-:meth:`su2k.model.Model.f_symbol` and ``f_matrix_exact`` return its values:
-they are the independent exact form of the F-symbols that the regression
-suite, the tests and the benchmark probes compare against.
+No computation of the package runs on these values.  The exact axiom
+sweeps decide every sum on the square-root-free vertex-gauge table of
+:mod:`su2k.model`, and the certificates and the synthesis generators use
+the closed-form qubit gauge of :mod:`su2k.universality`.  These values are
+the independent exact form of the F-symbols that the regression suite, the
+tests and the benchmark probes compare against.
 """
 
 from __future__ import annotations

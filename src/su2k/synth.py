@@ -29,13 +29,14 @@ The inverse of the move that reached a state returns its parent, which is
 visited, and the generator set is closed under inverses, so the backtrack
 is never built; `explored` still counts every (state, generator) pair of an
 expanded depth.  A depth is built through one product kernel on (parent,
-generator) pairs, in cache-sized blocks.  The key pass runs it on every
-candidate and keeps only the 64-bit key hash (8 bytes).  Dedup rebuilds a
-key row from its pair where it reads one: a group or a visited hash to
-confirm on the full key, and the keys a depth stores.  The survivor pass
-runs the kernel on the survivors' pairs from the trace, so each survivor's
-product, and every rebuilt key, is bit for bit the one its hash was taken
-from, without a product or key row for every candidate.
+generator) pairs, in cache-sized blocks, and one builder turns pairs into
+key rows.  The key pass builds every candidate's row and keeps only the
+64-bit key hash (8 bytes).  Dedup rebuilds a key row from its pair with
+the same builder where it reads one: a group or a visited hash to confirm
+on the full key, and the keys a depth stores.  The survivor pass runs the
+kernel on the survivors' pairs from the trace.  So every key row and every
+survivor's product comes from one function, without a product or key row
+kept for every candidate.
 Each state costs 32 bytes while on the frontier, 24 in the visited set and
 5 in the trace (an int32 parent and an int8 generator).  This makes exhaustive
 breadth-first enumeration feasible to the depths of interest; a beam mode
@@ -534,9 +535,8 @@ class _Search:
     def _products(self, parents: np.ndarray, gens: np.ndarray) -> tuple[np.ndarray, ...]:
         """The coordinates of each frontier row `parents[i]` times generator `gens[i]`, as four columns.
 
-        The key pass, the rebuilt key rows and the survivor pass all build
-        their products here, so a rebuilt key and a survivor's product are
-        bit for bit those the candidate's hash was taken from.
+        Every key row (:meth:`_key_rows`) and the survivor pass build their
+        products here, so a survivor's product is the one its key was taken from.
         """
         # take gathers rows several times faster than fancy indexing
         return _product_coords(self.frontier.take(parents, axis=0).T, self.gens.take(gens, axis=0).T)
@@ -545,25 +545,21 @@ class _Search:
         """The key hash of each frontier state times each of its `moves` generators, parent-major;
         neither the products nor the key rows are kept.
 
-        The candidates are built in blocks of _EXPAND_BLOCK parents, whose
-        keys go to one block-sized buffer, so a block's temporaries stay in
+        The rows are built by :meth:`_key_rows`, the one builder of every key
+        row, for blocks of _EXPAND_BLOCK parents, so a block's rows stay in
         cache.  :class:`_CandidateKeys` rebuilds the rows that dedup reads.
         """
         width = moves.shape[1]
         hashes = np.empty(moves.size, dtype=np.uint64)
-        keys = np.empty((min(len(self.frontier), _EXPAND_BLOCK) * width, 4), dtype=_KEY_DTYPE)
-        rows = keys.view(_KEY_ROW)[:, 0]
         for start in range(0, len(self.frontier), _EXPAND_BLOCK):
             stop = min(start + _EXPAND_BLOCK, len(self.frontier))
-            size = (stop - start) * width
-            products = self._products(np.repeat(np.arange(start, stop), width), moves[start:stop].ravel())
-            _put_grid_keys(products, self.config.dedup_resolution, keys[:size])
-            hashes[start * width:stop * width] = _key_hash(rows[:size])
+            rows = self._key_rows(np.repeat(np.arange(start, stop), width), moves[start:stop].ravel())
+            hashes[start * width:stop * width] = _key_hash(rows)
         return hashes
 
     def _key_rows(self, parents: np.ndarray, gens: np.ndarray) -> np.ndarray:
         """The grid key row of each frontier row `parents[i]` times generator `gens[i]`, in blocks of
-        _EXPAND_BLOCK pairs: bit for bit the key :meth:`_candidates` hashed for that pair."""
+        _EXPAND_BLOCK pairs: the key pass hashes these rows, and dedup rebuilds them here."""
         keys = np.empty((len(parents), 4), dtype=_KEY_DTYPE)
         for start in range(0, len(parents), _EXPAND_BLOCK):
             block = slice(start, start + _EXPAND_BLOCK)

@@ -579,6 +579,18 @@ class TestUnitarity:
         assert report.failures == [(("f-unitarity", 1, 1, 1, 1), residual)]
         assert report.checked == get_model(3).verify_unitarity().checked
 
+    def test_the_blocks_are_the_groups_of_the_live_f_labels(self, monkeypatch):
+        # unitarity reads its blocks from _live_f: without the labels of F^{111}_1 that block,
+        # and the doubled entry in it, are not checked
+        m = corrupted_model(monkeypatch, "float")
+        full = m.verify_unitarity()
+        assert full.failures == [(("f-unitarity", 1, 1, 1, 1), full.max_residual)]
+        live_f = m._live_f
+        monkeypatch.setattr(m, "_live_f", lambda: (labels for labels in live_f() if labels[:4] != (1, 1, 1, 1)))
+        report = m.verify_unitarity()
+        assert report.checked == full.checked - 1
+        assert report.holds and report.failures == []
+
     def test_a_doubled_f_tensor_keeps_the_first_failures(self, monkeypatch):
         # every F-matrix of the k=3 tensor doubled: 96 blocks fail, and only the first MAX_FAILURES are kept
         m = Model(3)

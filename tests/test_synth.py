@@ -878,6 +878,27 @@ class TestKeyPass:
         shuffled = np.random.default_rng(depth).permutation(moves.size)
         assert np.array_equal(_key_rows_as_ints(rows[shuffled]), want[shuffled])
 
+    def test_the_key_pass_hashes_the_rows_of_the_one_builder(self, monkeypatch):
+        # the key pass makes no key row of its own: a builder that perturbs every row it returns
+        # changes every hash the key pass takes, across several blocks of parents
+        search = _Search(SearchConfig(k=3, max_depth=9))
+        for _ in range(8):
+            search.expand()
+        moves = synth._NEXT_PIECES[search.trace[-1][1]]
+        parents, gens = np.repeat(np.arange(len(search.frontier)), moves.shape[1]), moves.ravel()
+        key_rows = _Search._key_rows
+
+        def perturbed(self, parents, gens):
+            rows = key_rows(self, parents, gens).copy()
+            _key_rows_as_ints(rows)[:, 0] += 1
+            return rows
+
+        monkeypatch.setattr(_Search, "_key_rows", perturbed)
+        hashes = search._candidates(moves)
+        assert len(search.frontier) > _EXPAND_BLOCK
+        assert np.array_equal(hashes, synth._key_hash(perturbed(search, parents, gens)))
+        assert not np.any(hashes == synth._key_hash(key_rows(search, parents, gens)))
+
     def test_profile_memory_budget(self):
         # tracemalloc's peak is deterministic: 21.4 MB with a 16-byte key row and an 8-byte hash per
         # candidate through dedup, 17.0 MB with the hash alone and the visited set released before
