@@ -12,12 +12,14 @@ Q(zeta_lcm) first.  The rational coefficients are available as
 ``Cyc.coeffs``; :meth:`Cyc.exact_str` prints the same lowest-terms ratios
 straight from the integers.
 
-The numeric embedding reads zeta^e for 0 <= e < phi from a table cached per
-(order, precision), each entry ``expjpi(2e/N)`` at the working precision, and
-adds c/den * zeta^e over the nonzero numerators with c/den reduced by their
-gcd.  That is the arithmetic of a fresh ``Fraction`` and ``expjpi`` per
-term, in the same order, so the results are bit-identical to it; the sum
-calls the libmp functions behind mpmath's operators on raw tuples.
+The numeric embedding reads zeta^e from a table cached per (order,
+precision), each entry ``expjpi(2e/N)`` at the working precision and computed
+the first time a numerator needs it.  It adds c/den * zeta^e over the nonzero
+numerators with c/den reduced by their gcd.  That is the arithmetic of a
+fresh ``Fraction`` and ``expjpi`` per term, in the same order, so the results
+are bit-identical to it; the sum calls the libmp functions behind mpmath's
+operators on raw tuples.  mpmath is imported by the first embedding, so exact
+arithmetic alone never loads it.
 
 Inversion multiplies the phi - 1 nontrivial Galois conjugates and divides by
 the rational norm, so it too runs on integers, but it is the one costly field
@@ -36,11 +38,12 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-
-import mpmath
-from mpmath.libmp import fzero, from_int, mpc_add, mpc_div_mpf, mpc_mul_mpf, mpc_pos, mpf_pos, round_nearest
+from typing import TYPE_CHECKING
 
 from .errors import IntegrityError
+
+if TYPE_CHECKING:
+    import mpmath
 
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization {p: exponent} of n >= 1 by trial division."""
@@ -391,6 +394,9 @@ class Cyc:
         same order, on raw tuples, so the bits are those of the mpc
         arithmetic without its object layer.
         """
+        import mpmath
+        from mpmath.libmp import fzero, from_int, mpc_add, mpc_div_mpf, mpc_mul_mpf, mpc_pos, mpf_pos, round_nearest
+
         powers = _zeta_powers(self.order, bits)
         den = self.den
         prec = bits + 16
@@ -420,12 +426,26 @@ class Cyc:
         return f"Cyc({self.exact_str()!r})"
 
 
+class _ZetaPowers(dict):
+    """zeta_order^e = expjpi(2e/order) at working precision bits + 16, as a libmp (real, imaginary)
+    tuple, computed on the first lookup of each e."""
+
+    def __init__(self, order: int, bits: int):
+        super().__init__()
+        self.order, self.bits = order, bits
+
+    def __missing__(self, e: int) -> tuple:
+        import mpmath
+
+        with mpmath.workprec(self.bits + 16):
+            value = self[e] = mpmath.expjpi(mpmath.mpf(2 * e) / self.order)._mpc_
+        return value
+
+
 @functools.lru_cache(maxsize=None)
-def _zeta_powers(order: int, bits: int) -> tuple[tuple, ...]:
-    """zeta_order^e = expjpi(2e/order) for 0 <= e < phi(order), at working precision bits + 16, as
-    libmp (real, imaginary) tuples."""
-    with mpmath.workprec(bits + 16):
-        return tuple(mpmath.expjpi(mpmath.mpf(2 * e) / order)._mpc_ for e in range(euler_phi(order)))
+def _zeta_powers(order: int, bits: int) -> _ZetaPowers:
+    """The powers of zeta_order at working precision bits + 16, each computed on first use."""
+    return _ZetaPowers(order, bits)
 
 
 def _ratio_str(c: int, den: int) -> str:

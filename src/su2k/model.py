@@ -23,21 +23,24 @@ hold float64 or mpmath numbers, or, in exact mode, the gauge table as
 Python ints evaluated at x = 2^B (Kronecker substitution) once per model,
 whose sums are decided in Q(zeta_N) by one remainder modulo Phi_N(2^B).
 The float64 F tensor is the one stored float F table; unitarity reads its
-F-matrices there in every mode.  Topological spins, quantum dimensions and
-the modular S-matrix live here as well; they are validated once per model,
-the spin condition on exponents of zeta_N.
+F-matrices there in every mode.  mpmath is imported only above 53 bits.
+
+Topological spins, quantum dimensions and the modular S-matrix live here as
+well.  They are validated once per model, exactly: the spin condition on
+exponents of zeta_N, and the S entries, the dimensions, Perron-Frobenius and
+S S = D^2 I as identities between short sums of roots of unity in Q(zeta_N).
+Their floats are computed only for output, once per distinct value.
 """
 
 from __future__ import annotations
 
 import cmath
+import contextlib
 import functools
 import itertools
 import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
-
-import mpmath
 
 from .cyclotomic import Cyc, cyclotomic_polynomial, euler_phi
 from .errors import MAX_LEVEL, DomainError, IntegrityError, require_f_table  # MAX_LEVEL lives in .errors: universality and the CLI read it too
@@ -90,6 +93,16 @@ def _q_multinomial(parts: tuple[int, ...]) -> tuple[int, ...]:
 
 
 _UNITARITY_TOL = 1e-12  # the largest |F F^dag - I| entry that verify_unitarity accepts
+
+
+def _workprec(bits: int):
+    """mpmath's working precision bits + 16 above 53 bits; at 53 bits or fewer, which run in
+    float64, a no-op that loads no mpmath."""
+    if bits <= 53:
+        return contextlib.nullcontext()
+    import mpmath
+
+    return mpmath.workprec(bits + 16)
 
 
 class Model:
@@ -377,11 +390,13 @@ class Model:
     def spins_dims_smatrix(self) -> tuple[list[Cyc], list[Cyc], list[list[Cyc]]]:
         """Validated spin table, dimension table, and S-matrix.
 
-        Raises IntegrityError if the spin condition, the Perron-Frobenius
-        cross-check, or S-matrix unitarity up to scale fails.  The checks run
-        once per model; every call returns fresh lists of the same values.
+        Raises IntegrityError if the spin condition, S_ab = [(a+1)(b+1)]_q,
+        d_b = S_0b, the Perron-Frobenius identity or S S = D^2 I fails.  Each
+        is decided exactly in Q(zeta_N) (:meth:`_check_dims_and_s`).  The
+        checks run once per model; every call returns fresh lists of the same
+        values.
         """
-        spins, dims, smatrix, _, _ = self._validated_tables
+        spins, dims, smatrix = self._validated_tables
         return list(spins), list(dims), [list(row) for row in smatrix]
 
     def _spin_condition_holds(self, a: int, b: int, c: int) -> bool:
@@ -398,8 +413,8 @@ class Model:
         return (lhs - rhs) % self.N == 0
 
     @functools.cached_property
-    def _validated_tables(self) -> tuple[list[Cyc], list[Cyc], list[list[Cyc]], list[list[complex]], list[float]]:
-        """(spins, dims, S, S as complex floats, dims as floats), checked as spins_dims_smatrix documents."""
+    def _validated_tables(self) -> tuple[list[Cyc], list[Cyc], list[list[Cyc]]]:
+        """(spins, dims, S), checked as spins_dims_smatrix documents."""
         for a, b, c in self._triples:
             if not self._spin_condition_holds(a, b, c):
                 raise IntegrityError(f"spin condition fails at ({label_str(a)},{label_str(b)};{label_str(c)})")
@@ -415,51 +430,96 @@ class Model:
             upto.append(twisted + upto[c - 2] if c >= 2 else twisted)
         size = self.k + 1
         smatrix: list[list[Cyc]] = [[None] * size for _ in range(size)]
-        s_float: list[list[complex]] = [[None] * size for _ in range(size)]
         for a in self.labels:
             for b in range(a, size):
                 channels = self.fusion(a, b)
                 lo, hi = channels[0], channels[-1]
                 acc = upto[hi] - upto[lo - 2] if lo >= 2 else upto[hi]
-                entry = acc * Cyc.root_of_unity(self.N, -(a * (a + 2) + b * (b + 2)))
-                smatrix[a][b] = smatrix[b][a] = entry
-                s_float[a][b] = s_float[b][a] = entry.approx()
-        dim_float = [d.approx().real for d in dims]
-        self._check_dims_and_s(dim_float, s_float)
-        return spins, dims, smatrix, s_float, dim_float
+                smatrix[a][b] = smatrix[b][a] = acc * Cyc.root_of_unity(self.N, -(a * (a + 2) + b * (b + 2)))
+        self._check_dims_and_s(dims, smatrix)
+        return spins, dims, smatrix
 
-    def _check_dims_and_s(self, dims: list[float], s_float: list[list[complex]]) -> None:
-        """Numeric cross-checks of the quantum dimensions and the S-matrix; raise IntegrityError.
+    def _check_dims_and_s(self, dims: list[Cyc], smatrix: list[list[Cyc]]) -> None:
+        """Exact checks of the quantum dimensions and the S-matrix in Q(zeta_N); raise IntegrityError.
 
-        Perron-Frobenius: every d_a is positive and sum_{c in a x b} d_c = d_a d_b,
-        so d is a positive eigenvector of each fusion matrix (N_a)_bc = N_ab^c
-        with eigenvalue d_a.  A nonnegative matrix with a positive eigenvector
-        has that eigenvalue as its spectral radius, so d_a is the
-        Perron-Frobenius eigenvalue of N_a.  S: S S^dagger = D^2 I with
-        D^2 = sum_c d_c^2, i.e. S / D is unitary (and so invertible).  Both hold
-        to a relative 1e-10.
+        With zeta = zeta_N, u = zeta^2 - zeta^-2 (nonzero, as N >= 8) and
+        E(j) = zeta^{2j} + zeta^{-2j}, the quantum integer is
+        [n] = (zeta^{2n} - zeta^{-2n}) / u, so u^2 [m][n] = E(m+n) - E(m-n).
+        Each check multiplies an identity by u or u^2, which makes one side a
+        short sum of roots of unity, and compares canonical forms: no check
+        has a tolerance.
+
+        * Perron-Frobenius: u^2 sum_{c in a x b} d_c = E(a+b+2) - E(b-a), which
+          is u^2 [a+1][b+1].  For the rule c = lo, lo+2, ..., hi with
+          lo = b-a and hi = min(a+b, 2k-a-b), u^2 [c+1] = E(c+2) - E(c)
+          telescopes to E(hi+2) - E(lo), and E(hi+2) = E(a+b+2) since
+          zeta^N = 1 with N = 4k+8.  The sums are differences of parity
+          prefix sums of u^2 d_c.
+        * S: u S_ab = zeta^{2m} - zeta^{-2m} with m = (a+1)(b+1), that is
+          S_ab = [m], decided once per distinct value and exponent, and
+          d_b = S_0b = [b+1].  So every d_b is positive, since
+          [n] = sin(n pi/(k+2)) / sin(pi/(k+2)) for 0 < n < k+2, and by the
+          first check d is a positive eigenvector of each fusion matrix
+          (N_a)_bc = N_ab^c with eigenvalue d_a.  A nonnegative matrix with a
+          positive eigenvector has that eigenvalue as its spectral radius, so
+          d_a is the Perron-Frobenius eigenvalue of N_a.
+        * Unitarity up to scale: S = ([(a+1)(b+1)]) is real and symmetric, so
+          S S^dagger = S S, and u^2 (S S)_ac = G(a+c+2) - G(a-c) with
+          G(t) = sum_{j=1}^{k+1} E(jt), while u^2 D^2 = u^2 sum_c [c+1]^2 =
+          G(2) - G(0).  So S S = D^2 I says G(a+c+2) = G(c-a) for a != c and
+          G(2a+2) = G(2), decided once per t; the second check has tied S and
+          d to these closed forms.
         """
-        for a in self.labels:
-            if not dims[a] > 0:
-                raise IntegrityError(f"non-positive quantum dimension at {label_str(a)}")
-        for a in self.labels:
-            for b in range(a, self.k + 1):  # both sides are symmetric in a and b
-                total = sum(dims[c] for c in self.fusion(a, b))
-                product = dims[a] * dims[b]
-                if not abs(total - product) <= 1e-10 * product:
+        N, size = self.N, self.k + 1
+
+        def roots(*terms: tuple[int, int]) -> Cyc:
+            """The sum of c * zeta^e over (e, c) pairs."""
+            return Cyc._from_terms(N, terms, 1)
+
+        E = functools.cache(lambda j: roots((2 * j, 1), (-2 * j, 1)))
+        u2 = roots((4, 1), (0, -2), (-4, 1))
+        zero = Cyc.rational(0, N)
+        prefix = {-2: zero, -1: zero}  # u^2 (d_c + d_{c-2} + ...)
+        for c in self.labels:
+            prefix[c] = prefix[c - 2] + u2 * dims[c]
+        # the identity with one side per end of a x b, each built once: a pair costs one comparison
+        upper = functools.cache(lambda hi, j: prefix[hi] - E(j))
+        lower = functools.cache(lambda lo, j: prefix[lo - 2] - E(j))
+        for b in self.labels:
+            for a in range(b + 1):
+                channels = self.fusion(a, b)
+                lo, hi = channels[0], channels[-1]
+                if channels == tuple(range(lo, hi + 1, 2)):
+                    holds = upper(hi, a + b + 2) == lower(lo, b - a)
+                else:  # not one step-2 run, so no prefix difference is its sum
+                    holds = sum((prefix[c] - prefix[c - 2] for c in channels), zero) == E(a + b + 2) - E(b - a)
+                if not holds:
                     raise IntegrityError(
-                        f"dimension mismatch at ({label_str(a)},{label_str(b)}): sum of d_c over the "
-                        f"fusion channels is {total}, d_a d_b = {product} (Perron-Frobenius)"
+                        f"dimension mismatch at ({label_str(a)},{label_str(b)}): the sum of d_c over the "
+                        f"fusion channels is not d_a d_b (Perron-Frobenius)"
                     )
-        scale = sum(d * d for d in dims)
-        conj = [[z.conjugate() for z in row] for row in s_float]
-        for a in self.labels:
-            for b in range(a, self.k + 1):
-                gram = sum(x * y for x, y in zip(s_float[a], conj[b]))
-                if not abs(gram - (scale if a == b else 0)) <= 1e-10 * scale:
+        u = roots((2, 1), (-2, -1))
+        quantum = functools.cache(lambda e: roots((e, 1), (-e, -1)))
+        scaled: dict[tuple, Cyc] = {}  # u * S_ab per distinct value
+        for a, row in enumerate(smatrix):
+            for b, entry in enumerate(row):
+                key = (entry.order, entry.num, entry.den)
+                if key not in scaled:
+                    scaled[key] = entry * u
+                if scaled[key] != quantum(2 * (a + 1) * (b + 1) % N):
                     raise IntegrityError(
-                        f"S-matrix is not unitary up to scale: (S S^dagger)[{label_str(a)},{label_str(b)}]"
-                        f" = {gram}, expected {scale if a == b else 0}"
+                        f"S-matrix entry at ({label_str(a)},{label_str(b)}) is not [{(a + 1) * (b + 1)}]_q"
+                    )
+        for b in self.labels:
+            if dims[b] != smatrix[0][b]:
+                raise IntegrityError(f"dimension mismatch at {label_str(b)}: d is not S[0,{label_str(b)}]")
+        G = functools.cache(lambda t: roots(*((s * 2 * j * t, 1) for j in range(1, size + 1) for s in (1, -1))))
+        for a in self.labels:
+            for c in range(a, size):
+                if G(a + c + 2) != G(2 if a == c else c - a):
+                    raise IntegrityError(
+                        f"S-matrix is not unitary up to scale: (S S)[{label_str(a)},{label_str(c)}]"
+                        f" is not {'D^2' if a == c else 0}"
                     )
 
     # -- pentagon / hexagon verification -----------------------------------------------
@@ -505,7 +565,7 @@ class Model:
         mode = self._pick_mode(mode)
         if not (math.isfinite(tol) and tol > 0):
             raise DomainError(f"tolerance must be a positive finite number, got {tol}")
-        with mpmath.workprec(precision + 16):
+        with _workprec(precision):
             if mode == "exact":
                 report = VerificationReport(name, "exact", 0)
                 bound = 0.0
@@ -557,11 +617,13 @@ class Model:
         key = max(precision, 53)
         if key not in self._tensors:
             size = self.k + 1
-            with mpmath.workprec(key + 16):
+            with _workprec(key):
                 if key == 53:
                     qint, qfact, sqrt, dtype = self._qint_f, self._qfact_f, math.sqrt, float
                     r_value = self.r_symbol_complex
                 else:
+                    import mpmath
+
                     qint, qfact = self._q_tables(mpmath.sin, mpmath.pi)
                     sqrt, dtype = mpmath.sqrt, object
 
@@ -854,8 +916,17 @@ class Model:
     # -- serialization ---------------------------------------------------------------------
 
     def json_payload(self) -> dict:
-        spins, dims, smatrix, s_float, dim_float = self._validated_tables
+        spins, dims, smatrix = self._validated_tables
         fusion = [[list(self.fusion(a, b)) for b in self.labels] for a in self.labels]
+        forms: dict[tuple, tuple[str, complex]] = {}  # the S entries repeat a few values (33 of 961 at k = 30)
+
+        def form(x: Cyc) -> tuple[str, complex]:
+            """x.exact_str() and x.approx(), computed once per distinct value."""
+            key = (x.order, x.num, x.den)
+            if key not in forms:
+                forms[key] = x.exact_str(), x.approx()
+            return forms[key]
+
         return {
             "schema": "su2k/model-v1",
             "k": self.k,
@@ -863,16 +934,16 @@ class Model:
             "labels": [label_str(a) for a in self.labels],
             "fusion": fusion,
             "dims": {
-                "exact": [d.exact_str() for d in dims],
-                "float": list(dim_float),
+                "exact": [form(d)[0] for d in dims],
+                "float": [form(d)[1].real for d in dims],
             },
             "spins": {
                 "exact": [s.exact_str() for s in spins],
                 "float": [[z.real, z.imag] for z in (s.approx() for s in spins)],
             },
             "S": {
-                "exact": [[entry.exact_str() for entry in row] for row in smatrix],
-                "float": [[[z.real, z.imag] for z in row] for row in s_float],
+                "exact": [[form(entry)[0] for entry in row] for row in smatrix],
+                "float": [[[z.real, z.imag] for z in (form(entry)[1] for entry in row)] for row in smatrix],
             },
         }
 

@@ -207,6 +207,12 @@ class TestUniversalityCommand:
     def test_below_minimum_usage_error(self):
         run_cli("universality", "--k", "1", expect=2)
 
+    def test_stdout_pinned(self):
+        # sha256 of the complete stdout, every float included, recorded before the powers of zeta
+        # were computed on first use
+        out = run_cli("universality", "--k", "3..30", "--format", "json").stdout
+        assert hashlib.sha256(out.encode()).hexdigest() == "0b3e2dce4282b583e37a47f8f95dbda8dc3ab756cc3b0e3c4f945f8b4cebcfec"
+
     def test_exact_fields_pinned(self):
         # every exact trace string, order decision and verdict for k=2..30, as first recorded
         payload = json.loads(run_cli("universality", "--k", "2..30", "--format", "json").stdout)

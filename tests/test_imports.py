@@ -5,6 +5,7 @@ building the parser imports no computation layer at all.  Every check runs in a 
 test process itself has long since imported everything.
 """
 
+import hashlib
 import json
 import os
 import subprocess
@@ -20,10 +21,15 @@ PROBE = (
 )
 
 
-def loaded_modules(body: str) -> set[str]:
+def probe(body: str) -> tuple[set[str], str]:
+    """The modules loaded after running body in a fresh interpreter, and its stdout."""
     proc = subprocess.run([sys.executable, "-c", PROBE.format(body=body)], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr[-400:]
-    return set(json.loads(proc.stderr))
+    return set(json.loads(proc.stderr)), proc.stdout
+
+
+def loaded_modules(body: str) -> set[str]:
+    return probe(body)[0]
 
 
 @pytest.mark.parametrize("preset,want", [(None, "1"), ("2", "2")], ids=["unset", "preset"])
@@ -81,6 +87,20 @@ def test_model_commands_skip_synthesis_and_certificates(argv):
     assert not modules & {"su2k.synth", "su2k.universality", "su2k.regression"}
     # exact sums are settled in Q(zeta_N) in the vertex gauge, without square roots
     assert "su2k.radicals" not in modules
+
+
+@pytest.mark.parametrize("argv", [["verify", "--k", "4..5", "--mode", "exact"], ["verify", "--k", "2..4"]],
+                         ids=["exact", "float"])
+def test_verify_at_53_bits_loads_no_mpmath(argv):
+    # the model invariants are decided in Q(zeta_N), and float64 needs no working precision
+    assert "mpmath" not in loaded_modules(f"assert cli.main({argv!r}) == 0")
+
+
+def test_verify_above_53_bits_loads_mpmath():
+    # sha256 of the stdout, recorded before mpmath was imported on first use
+    modules, out = probe("assert cli.main(['verify', '--k', '4', '--precision', '64']) == 0")
+    assert "mpmath" in modules
+    assert hashlib.sha256(out.encode()).hexdigest() == "a3a278bf9e4c2f5e7e5bb16644c84265655d1e75e11f62235c3a708099749236"
 
 
 def test_every_export_resolves_to_its_home_module():

@@ -644,6 +644,38 @@ def reference_smatrix(model: Model) -> list[list[Cyc]]:
     return smatrix
 
 
+# One wrong table each, at k = 5 (N = 28), and the start of the IntegrityError it raises: the code
+# runs with the model as m and ends in the call that validates.
+BROKEN_TABLES = {
+    "doubled-dim": (
+        "m.dim_exact = lambda a, f=m.dim_exact: f(a) * 2 if a == 2 else f(a)\nm.spins_dims_smatrix()",
+        "dimension mismatch at (1/2,1/2)",
+    ),
+    "doubled-s-entry": (
+        "_, d, s = m.spins_dims_smatrix()\ns[1][3] = s[1][3] * 2\nm._check_dims_and_s(d, s)",
+        "S-matrix entry at (1/2,3/2) is not [8]_q",
+    ),
+    "sign-flipped-s-row": (
+        "_, d, s = m.spins_dims_smatrix()\ns[2] = [-e for e in s[2]]\nm._check_dims_and_s(d, s)",
+        "S-matrix entry at (1,0) is not [3]_q",
+    ),
+    # theta_1 times zeta_N changes every S entry with 1 in a x b
+    "theta-times-zeta": (
+        "m.spin = lambda a, f=m.spin: f(a) * Cyc.root_of_unity(m.N) if a == 2 else f(a)\nm.spins_dims_smatrix()",
+        "S-matrix entry at (0,1) is not [3]_q",
+    ),
+    "dropped-channel": (
+        "m.fusion = lambda a, b, f=m.fusion: f(a, b)[:-1] if (a, b) == (2, 2) else f(a, b)\nm.spins_dims_smatrix()",
+        "dimension mismatch at (1,1)",
+    ),
+    # 1 x 1 = 0, 1, 2 without its middle channel is no longer one step-2 run
+    "dropped-middle-channel": (
+        "m.fusion = lambda a, b, f=m.fusion: (0, 4) if (a, b) == (2, 2) else f(a, b)\nm.spins_dims_smatrix()",
+        "dimension mismatch at (1,1)",
+    ),
+}
+
+
 class TestSpinsDimsSMatrix:
     @pytest.mark.parametrize("k", range(0, 31))
     def test_smatrix_equals_the_fusion_loop(self, k):
@@ -654,7 +686,9 @@ class TestSpinsDimsSMatrix:
         assert [[(e.order, e.num, e.den) for e in row] for row in got] == [
             [(e.order, e.num, e.den) for e in row] for row in want
         ]
-        assert m._validated_tables[3] == [[e.approx() for e in row] for row in want]
+        assert m.json_payload()["S"]["float"] == [
+            [[z.real, z.imag] for z in (e.approx() for e in row)] for row in want
+        ]
 
     def test_trivial_spin(self):
         spins, _, _ = get_model(4).spins_dims_smatrix()
@@ -755,34 +789,36 @@ class TestSpinsDimsSMatrix:
         with pytest.raises(IntegrityError, match=r"dimension mismatch at \(1/2,1/2\)"):
             m.spins_dims_smatrix()
 
-    def test_perturbed_s_entry_fails_the_gram_check(self):
+    def test_perturbed_s_entry_fails_the_exact_check(self):
+        # a relative change far below float64 resolution is caught: no check has a tolerance
         m = Model(5)
-        _, dims, _ = m.spins_dims_smatrix()
-        dims_float = [d.approx().real for d in dims]
-        s_float = [list(row) for row in m._validated_tables[3]]
-        m._check_dims_and_s(dims_float, s_float)
-        s_float[1][3] *= 1 + 1e-7
-        with pytest.raises(IntegrityError, match=r"not unitary up to scale: \(S S\^dagger\)\[0,1/2\]"):
-            m._check_dims_and_s(dims_float, s_float)
+        _, dims, smatrix = m.spins_dims_smatrix()
+        m._check_dims_and_s(dims, smatrix)
+        smatrix[1][3] = smatrix[1][3] * (1 + Fraction(1, 10 ** 30))
+        with pytest.raises(IntegrityError, match=r"S-matrix entry at \(1/2,3/2\) is not \[8\]_q"):
+            m._check_dims_and_s(dims, smatrix)
 
-    def test_numeric_checks_hold_under_optimize(self):
-        # a doubled dimension, then theta_1 times zeta_N, which changes every S entry with 1 in a x b
+    @pytest.mark.parametrize("name", list(BROKEN_TABLES))
+    def test_broken_tables_fail_the_exact_checks(self, name):
+        code, message = BROKEN_TABLES[name]
+        with pytest.raises(IntegrityError) as excinfo:
+            exec(code, {"m": Model(5), "Cyc": Cyc})
+        assert str(excinfo.value).split(":")[0] == message
+
+    def test_exact_checks_hold_under_optimize(self):
         code = (
             "from su2k.cyclotomic import Cyc\n"
             "from su2k.errors import IntegrityError\n"
             "from su2k.model import Model\n"
-            "for name, scale in (('dim_exact', 2), ('spin', Cyc.root_of_unity(28))):\n"
-            "    m = Model(5)\n"
-            "    original = getattr(m, name)\n"
-            "    setattr(m, name, lambda a, f=original, s=scale: f(a) * s if a == 2 else f(a))\n"
+            f"for code, _ in {list(BROKEN_TABLES.values())!r}:\n"
             "    try:\n"
-            "        m.spins_dims_smatrix()\n"
+            "        exec(code, {'m': Model(5), 'Cyc': Cyc})\n"
             "    except IntegrityError as exc:\n"
             "        print(str(exc).split(':')[0])\n"
         )
         proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr[-400:]
-        assert proc.stdout.splitlines() == ["dimension mismatch at (1/2,1/2)", "S-matrix is not unitary up to scale"]
+        assert proc.stdout.splitlines() == [message for _, message in BROKEN_TABLES.values()]
 
     def test_s_matrix_floats_are_the_exact_entries_embedded(self):
         m = Model(5)
