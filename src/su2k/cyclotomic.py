@@ -12,14 +12,19 @@ Q(zeta_lcm) first.  The rational coefficients are available as
 ``Cyc.coeffs``; :meth:`Cyc.exact_str` prints the same lowest-terms ratios
 straight from the integers.
 
-The numeric embedding reads zeta^e from a table cached per (order,
-precision), each entry ``expjpi(2e/N)`` at the working precision and computed
-the first time a numerator needs it.  It adds c/den * zeta^e over the nonzero
-numerators with c/den reduced by their gcd.  That is the arithmetic of a
-fresh ``Fraction`` and ``expjpi`` per term, in the same order, so the results
-are bit-identical to it; the sum calls the libmp functions behind mpmath's
-operators on raw tuples.  mpmath is imported by the first embedding, so exact
-arithmetic alone never loads it.
+The numeric embedding at 53 bits or fewer is a Python complex whose real
+and imaginary parts are each the double nearest the exact component, ties to
+even, computed on integers alone.  A component that is zero in Q(zeta_N) is
++0.0 and a rational one is converted from its Fraction; any other is the
+numerators summed against fixed-point powers of zeta (Taylor cos and sin over
+Machin's pi, each power within one unit of the last place, cached per (order,
+precision) and computed on first use), at a precision doubled until both ends
+of the error interval round to the same double (Ziv's strategy).  Above 53
+bits the embedding is an mpmath.mpc: it adds c/den * zeta^e over the nonzero
+numerators, with c/den reduced by their gcd and zeta^e = ``expjpi(2e/N)`` from
+a table cached per (order, precision), through the libmp functions behind
+mpmath's operators, so its bits are those of a fresh ``Fraction`` and
+``expjpi`` per term.  Only that route imports mpmath.
 
 Inversion multiplies the phi - 1 nontrivial Galois conjugates and divides by
 the rational norm, so it too runs on integers, but it is the one costly field
@@ -375,17 +380,56 @@ class Cyc:
     def approx(self, bits: int = 53):
         """Numeric embedding at zeta = e^{2*pi*i/order}.
 
-        Returns a Python complex for bits <= 53, else an mpmath.mpc computed
-        at the requested binary precision.  Relative error is within a few
-        ulps of the working precision.  Non-finite results raise.
+        For bits <= 53 it returns a Python complex whose real and imaginary
+        parts are each the double nearest the exact component, ties to even.
+        A component that is exactly zero in Q(zeta_N) is +0.0, and a rational
+        one is converted from its Fraction.  Any other component is
+        irrational, so it is never a dyadic midpoint between two doubles, and
+        the doubling loop of :meth:`_nearest` ends.  Above 53 bits it returns
+        an mpmath.mpc computed at the requested binary precision, with
+        relative error within a few ulps of it.  A result out of float range
+        raises ArithmeticError.
         """
-        if bits <= 53:
-            z = self._approx_mp(64)
-            out = complex(z.real, z.imag)
-            if not (math.isfinite(out.real) and math.isfinite(out.imag)):
-                raise ArithmeticError("non-finite numeric embedding")
-            return out
-        return self._approx_mp(bits)
+        if bits > 53:
+            return self._approx_mp(bits)
+        conj = self.conjugate()
+        try:
+            return complex(self._nearest(self + conj, 0), self._nearest(self - conj, 1))
+        except OverflowError:
+            raise ArithmeticError("non-finite numeric embedding") from None
+
+    def _nearest(self, twice: Cyc, part: int) -> float:
+        """The double nearest the real (part 0) or imaginary (part 1) component.
+
+        twice is x + conj(x) = 2 Re x, or x - conj(x) = 2i Im x.  An
+        irrational component's sum of the numerators against the fixed-point
+        powers of :func:`_fixed_zeta_powers` at p bits is within sum |num|
+        units of 2^p den times the component; p doubles until both ends of
+        that interval round to the same double.
+        """
+        if twice.is_zero():
+            return 0.0
+        order = self.order
+        if part == 0:
+            rational = twice.as_rational()
+        elif order % 4 == 0:  # -i * twice = 2 Im x, with i = zeta^(order/4)
+            rational = Cyc._from_terms(order, ((e - order // 4, c) for e, c in enumerate(twice.num) if c), twice.den).as_rational()
+        else:  # i is not in the field, and a nonzero rational Im x would put i = twice / (2 Im x) there
+            rational = None
+        if rational is not None:
+            return float(rational / 2)
+        bound = sum(map(abs, self.num))
+        bits = 64
+        while True:
+            powers = _fixed_zeta_powers(order, bits)
+            total = sum(c * powers[e][part] for e, c in enumerate(self.num) if c)
+            lo, hi = total - bound, total + bound
+            if lo > 0 or hi < 0:
+                scale = self.den << bits
+                nearest = lo / scale  # int / int is correctly rounded
+                if nearest == hi / scale:
+                    return nearest
+            bits *= 2
 
     def _approx_mp(self, bits: int) -> mpmath.mpc:
         """The sum of zeta^e * mpf(c/g) / (den/g) at working precision bits + 16, rounding to nearest.
@@ -446,6 +490,84 @@ class _ZetaPowers(dict):
 def _zeta_powers(order: int, bits: int) -> _ZetaPowers:
     """The powers of zeta_order at working precision bits + 16, each computed on first use."""
     return _ZetaPowers(order, bits)
+
+
+class _FixedZetaPowers(dict):
+    """zeta_order^e as integers (C, S) within one unit of 2^bits (cos, sin)(2 pi e / order),
+    computed on the first lookup of each e.
+
+    The work runs at w = bits + g bits with g = 2 * bitlength(bits) + 8 guard
+    bits, and every step truncates.  pi is within 8w + 64 units of 2^-w
+    (:func:`_fixed_pi`), the reduced angle within 2w + 17, and the Taylor sum
+    within (w + 4)(2w + 19) < 2^(g-1) (:func:`_fixed_cos_sin`), so rounding
+    the guard bits away leaves each of C and S within one unit.
+    """
+
+    def __init__(self, order: int, bits: int):
+        super().__init__()
+        self.order, self.bits = order, bits
+        self.guard = 2 * bits.bit_length() + 8
+        self.pi = _fixed_pi(bits + self.guard)
+
+    def __missing__(self, e: int) -> tuple[int, int]:
+        n, guard = self.order, self.guard
+        # 2 pi e / n = quadrant * pi/2 + theta, with theta = pi r / (2n) folded into [0, pi/4]
+        quadrant, r = divmod(4 * (e % n), n)
+        folded = 2 * r > n
+        c, s = _fixed_cos_sin(self.pi * (n - r if folded else r) // (2 * n), self.bits + guard)
+        if folded:
+            c, s = s, c
+        half = 1 << (guard - 1)
+        c, s = (c + half) >> guard, (s + half) >> guard
+        for _ in range(quadrant):
+            c, s = -s, c
+        value = self[e] = (c, s)
+        return value
+
+
+@functools.lru_cache(maxsize=None)
+def _fixed_zeta_powers(order: int, bits: int) -> _FixedZetaPowers:
+    """The fixed-point powers of zeta_order at bits, each computed on first use."""
+    return _FixedZetaPowers(order, bits)
+
+
+@functools.lru_cache(maxsize=None)
+def _fixed_pi(w: int) -> int:
+    """pi * 2^w within 8w + 64, by Machin's formula pi = 16 atan(1/5) - 4 atan(1/239).
+
+    Each atan(1/m) series term is within 2 units and the dropped tail within 1,
+    over at most w / (2 log2 m) + 1 terms.
+    """
+    return 16 * _fixed_atan_inverse(5, w) - 4 * _fixed_atan_inverse(239, w)
+
+
+def _fixed_atan_inverse(m: int, w: int) -> int:
+    """atan(1/m) * 2^w by its alternating series, truncated."""
+    power, square = (1 << w) // m, m * m
+    total, k = 0, 0
+    while power:
+        term = power // (2 * k + 1)
+        total += -term if k & 1 else term
+        power //= square
+        k += 1
+    return total
+
+
+def _fixed_cos_sin(x: int, w: int) -> tuple[int, int]:
+    """(cos, sin)(x / 2^w) * 2^w, truncated, from the Taylor series of exp(i x / 2^w).
+
+    x / 2^w is within 2w + 17 units of an angle in [0, pi/4].  Term j carries
+    at most that error plus 2 units and is below 0.8 / j of term j - 1, so
+    the series stops within w + 2 terms, with a dropped tail below the last
+    kept term's error.
+    """
+    term, j = 1 << w, 0
+    sums = [term, 0, 0, 0]  # the terms (x / 2^w)^j / j! 2^w by j mod 4
+    while term:
+        j += 1
+        term = term * x // (j << w)
+        sums[j & 3] += term
+    return sums[0] - sums[2], sums[1] - sums[3]
 
 
 def _ratio_str(c: int, den: int) -> str:

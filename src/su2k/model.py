@@ -213,22 +213,28 @@ class Model:
     # -- R-symbols ----------------------------------------------------------------
 
     def _r_sign_exponent(self, a: int, b: int, c: int) -> tuple[int, int]:
+        """(sign, exponent) with R^{ab}_c = (-1)^sign zeta_N^exponent, symmetric in a and b.
+
+        Unchecked: callers pass an admissible triple (the R-symbols check it,
+        the table builders enumerate :attr:`_triples`).
+        """
+        return (c - a - b) // 2, (c * (c + 2) - a * (a + 2) - b * (b + 2)) // 2
+
+    def _checked_r_sign_exponent(self, a: int, b: int, c: int) -> tuple[int, int]:
         if not self.admissible(a, b, c):
             raise DomainError(
                 f"inadmissible triple ({label_str(a)},{label_str(b)};{label_str(c)}) at level {self.k}"
             )
-        sign = (c - a - b) // 2
-        exponent = (c * (c + 2) - a * (a + 2) - b * (b + 2)) // 2
-        return sign, exponent
+        return self._r_sign_exponent(a, b, c)
 
     def r_symbol(self, a: int, b: int, c: int) -> Cyc:
         """Exact R-symbol for the counterclockwise exchange of a and b in channel c."""
-        sign, exponent = self._r_sign_exponent(a, b, c)
+        sign, exponent = self._checked_r_sign_exponent(a, b, c)
         value = Cyc.root_of_unity(self.N, exponent)
         return -value if sign % 2 else value
 
     def r_symbol_complex(self, a: int, b: int, c: int) -> complex:
-        sign, exponent = self._r_sign_exponent(a, b, c)
+        sign, exponent = self._checked_r_sign_exponent(a, b, c)
         value = cmath.exp(2j * cmath.pi * exponent / self.N)
         return -value if sign % 2 else value
 
@@ -404,13 +410,14 @@ class Model:
 
         theta_x = zeta^{x(x+2)}, R = (-1)^sign zeta^exponent and -1 = zeta^{N/2},
         so both sides are powers of zeta, and zeta^x = zeta^y iff x = y (mod N):
-        this is the exact comparison of the two sides in Q(zeta_N).
+        this is the exact comparison of the two sides in Q(zeta_N).  R^{ba}_c
+        comes from the same symmetric formula as R^{ab}_c, so the right side
+        is (R^{ab}_c)^2 = zeta^{2 exponent}, the sign squared away: one
+        formula call per triple.
         """
-        sign_ab, exp_ab = self._r_sign_exponent(a, b, c)
-        sign_ba, exp_ba = self._r_sign_exponent(b, a, c)
+        _, exponent = self._r_sign_exponent(a, b, c)
         lhs = c * (c + 2) - a * (a + 2) - b * (b + 2)
-        rhs = exp_ab + exp_ba + (sign_ab + sign_ba) * (self.N // 2)
-        return (lhs - rhs) % self.N == 0
+        return (lhs - 2 * exponent) % self.N == 0
 
     @functools.cached_property
     def _validated_tables(self) -> tuple[list[Cyc], list[Cyc], list[list[Cyc]]]:

@@ -1,5 +1,7 @@
 """Exact cyclotomic arithmetic: field axioms, rationality, cosines, numerics."""
 
+import functools
+import json
 import math
 import random
 import subprocess
@@ -10,8 +12,10 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from su2k import cli, cyclotomic
 from su2k.cyclotomic import (
     Cyc,
+    _fixed_zeta_powers,
     _int_poly_div_exact,
     _power_table,
     cos_pi_fraction,
@@ -343,16 +347,38 @@ class TestApprox:
             assert err < mpmath.mpf(2) ** -250
 
 
+def nearest_doubles(x: Cyc) -> complex:
+    """Re x and Im x, each the double nearest the exact value.
+
+    A component that is zero in Q(zeta_N), decided by comparing x with its
+    conjugate, is +0.0; any other is float() of a 600-bit evaluation.
+    """
+    with mpmath.workprec(600):
+        z = mpmath.mpc(0)
+        for e, c in enumerate(x.coeffs):
+            if c:
+                z += mpmath.expjpi(mpmath.mpf(2 * e) / x.order) * mpmath.mpf(c.numerator) / c.denominator
+    conj = x.conjugate()
+    return complex(0.0 if x == -conj else float(z.real), 0.0 if x == conj else float(z.imag))
+
+
+def same_double(got: float, want: float) -> bool:
+    """Equal, with the sign of a zero compared too."""
+    return got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+
+
 def ref_approx(x: Cyc, bits: int):
-    """The numeric embedding as first written: a Fraction and a fresh expjpi per term."""
-    with mpmath.workprec(max(bits, 64) + 16):
+    """The numeric embedding: the nearest doubles at 53 bits or fewer, else as first written, a
+    Fraction and a fresh expjpi per term."""
+    if bits <= 53:
+        return nearest_doubles(x)
+    with mpmath.workprec(bits + 16):
         total = mpmath.mpc(0)
         for e, c in enumerate(x.coeffs):
             if c:
                 w = mpmath.expjpi(mpmath.mpf(2 * e) / x.order)
                 total += w * mpmath.mpf(c.numerator) / c.denominator
-        total = +total
-    return complex(total.real, total.imag) if bits <= 53 else total
+        return +total
 
 
 def mpc_route_approx(x: Cyc, bits: int) -> mpmath.mpc:
@@ -410,7 +436,7 @@ class TestCachedEmbedding:
         want = mpc_route_approx(x, max(bits, 64))
         assert x._approx_mp(max(bits, 64))._mpc_ == want._mpc_
         got = x.approx(bits)
-        assert got == (complex(want.real, want.imag) if bits <= 53 else want)
+        assert got == (nearest_doubles(x) if bits <= 53 else want)
 
     @pytest.mark.parametrize("order", [1, 4, 8, 24, 28, 128, 1680])
     def test_exact_str_matches_the_fraction_rendering(self, order):
@@ -419,6 +445,135 @@ class TestCachedEmbedding:
         samples += [Cyc.rational(0, order), Cyc.rational(Fraction(-5, 3), order), -samples[0]]
         for x in samples:
             assert x.exact_str() == ref_exact_str(x)
+
+
+def embedding_samples(order: int, rng: random.Random) -> list[Cyc]:
+    """A random element with negative and rational coefficients, and elements made from it whose
+    real part, imaginary part or both are exactly zero or rational."""
+    phi = euler_phi(order)
+    x = Cyc.from_exponents(order, {
+        e: Fraction(rng.randint(-10**12, 10**12), rng.choice((1, 3, 7, 2**40 + 1)))
+        for e in rng.sample(range(phi), min(phi, 12))
+    })
+    conj = x.conjugate()
+    return [x, -x, x / 10**25, x + conj, x - conj, Cyc.rational(Fraction(-7, 3), order), Cyc.rational(0, order)]
+
+
+class TestNearestDoubles:
+    @pytest.mark.parametrize("order", [3, 7, 12, 20, 24, 128, 8008])
+    def test_each_component_is_the_nearest_double(self, order):
+        rng = random.Random(order)
+        for _ in range(2 if order > 1000 else 4):
+            x, _, _, real, imaginary, rational, zero = samples = embedding_samples(order, rng)
+            for y in samples:
+                got, want = y.approx(), nearest_doubles(y)
+                assert same_double(got.real, want.real) and same_double(got.imag, want.imag), y
+            # exact zeros are +0.0, never rounding noise
+            assert same_double(real.approx().imag, 0.0) and same_double(imaginary.approx().real, 0.0)
+            assert same_double(rational.approx().imag, 0.0) and zero.approx() == 0j
+            assert not (x.approx().real == 0 or x.approx().imag == 0)
+
+    def test_cancellation_doubles_the_precision(self, monkeypatch):
+        # q - p (zeta_7 + zeta_7^-1) with q/p a continued-fraction convergent of 2 cos(2 pi/7): the
+        # value is about 1/p, against coefficients near 1e30, so 64 and 128 bits cannot decide it
+        with mpmath.workprec(600):
+            t = 2 * mpmath.cos(2 * mpmath.pi / 7)
+            h0, h1, k0, k1 = 0, 1, 1, 0
+            while k1 < 10**30:
+                a = int(mpmath.floor(t))
+                h0, h1, k0, k1 = h1, a * h1 + h0, k1, a * k1 + k0
+                t = 1 / (t - a)
+        x = Cyc.rational(h1, 7) - (Cyc.root_of_unity(7, 1) + Cyc.root_of_unity(7, -1)) * k1
+        seen = []
+        fixed = cyclotomic._fixed_zeta_powers
+        monkeypatch.setattr(cyclotomic, "_fixed_zeta_powers", lambda order, bits: seen.append(bits) or fixed(order, bits))
+        got, want = x.approx(), nearest_doubles(x)
+        assert 0 < abs(got.real) < 1e-29
+        assert same_double(got.real, want.real) and same_double(got.imag, 0.0)
+        assert max(seen) >= 256
+
+    def test_rational_ties_go_to_even(self):
+        assert Cyc.rational(2**53 + 1).approx() == complex(9007199254740992.0, 0.0)
+        assert Cyc.rational(2**53 + 3).approx() == complex(9007199254740996.0, 0.0)
+        assert (Cyc.root_of_unity(4, 1) * (2**53 + 1)).approx() == complex(0.0, 9007199254740992.0)
+
+    def test_rational_imaginary_part_is_exact(self):
+        assert (Cyc.root_of_unity(12, 3) / 3).approx().imag == 1 / 3
+        assert (Cyc.root_of_unity(20, 5) * Fraction(-2, 7)).approx() == complex(0.0, -2 / 7)
+
+    def test_out_of_range_raises(self):
+        for x in (Cyc.rational(10**400), Cyc.root_of_unity(7) * 10**400, Cyc.root_of_unity(12, 3) * -10**400):
+            with pytest.raises(ArithmeticError, match="non-finite"):
+                x.approx()
+
+    def test_out_of_range_raises_under_optimize(self):
+        code = (
+            "from su2k.cyclotomic import Cyc\n"
+            "try:\n"
+            "    Cyc.rational(10**400).approx()\n"
+            "except ArithmeticError as exc:\n"
+            "    print(exc)\n"
+        )
+        proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr[-400:]
+        assert proc.stdout.strip() == "non-finite numeric embedding"
+
+    @pytest.mark.parametrize("order", [3, 7, 12, 128, 8008, 16008])
+    @pytest.mark.parametrize("bits", [64, 128, 512])
+    def test_fixed_point_powers_are_within_one_unit(self, order, bits):
+        powers = _fixed_zeta_powers(order, bits)
+        exponents = set(range(0, order, max(1, order // 97))) | {order * j // 8 + d for j in range(8) for d in (-1, 0, 1)}
+        with mpmath.workprec(bits + 64):
+            for e in sorted(exponents):
+                c, s = powers[e]
+                z = mpmath.expjpi(mpmath.mpf(2 * e) / order) * mpmath.mpf(2) ** bits
+                assert abs(c - z.real) <= 1 and abs(s - z.imag) <= 1, e
+
+
+class TestPrintedFloats:
+    """Every float the JSON emitters print is the nearest double of the exact string beside it."""
+
+    @staticmethod
+    def parse_exact(text: str) -> Cyc:
+        terms, order = text.split("; N=")
+        coefficients = {}
+        for term in terms.split(" + "):
+            ratio, _, power = term.partition("*z^")
+            coefficients[int(power or 0)] = Fraction(ratio)
+        x = Cyc.from_exponents(int(order), coefficients)
+        assert x.exact_str() == text
+        return x
+
+    @staticmethod
+    @functools.lru_cache(maxsize=None)
+    def nearest(text: str) -> list[float]:
+        z = nearest_doubles(TestPrintedFloats.parse_exact(text))
+        return [z.real, z.imag]
+
+    def assert_nearest(self, exact: str, printed: list[float]) -> None:
+        want = self.nearest(exact)[: len(printed)]  # the model prints dimensions as reals
+        assert all(same_double(g, w) for g, w in zip(printed, want, strict=True)), (exact, printed)
+
+    def run_json(self, capsys, *argv: str) -> dict:
+        assert cli.main([*argv, "--format", "json"]) == 0
+        return json.loads(capsys.readouterr().out)
+
+    def test_universality_traces(self, capsys):
+        certificates = self.run_json(capsys, "universality", "--k", "3..30")["certificates"]
+        assert len(certificates) == 28
+        for cert in certificates:
+            for key in ("trA", "trB", "trW"):
+                self.assert_nearest(cert[key]["exact"], cert[key]["float"])
+
+    def test_model_dims_spins_and_s(self, capsys):
+        payload = self.run_json(capsys, "model", "--k", "30")
+        for exact, value in zip(payload["dims"]["exact"], payload["dims"]["float"], strict=True):
+            self.assert_nearest(exact, [value])
+        for exact, pair in zip(payload["spins"]["exact"], payload["spins"]["float"], strict=True):
+            self.assert_nearest(exact, pair)
+        for exact_row, float_row in zip(payload["S"]["exact"], payload["S"]["float"], strict=True):
+            for exact, pair in zip(exact_row, float_row, strict=True):
+                self.assert_nearest(exact, pair)
 
 
 def ref_power_table(order: int) -> tuple[tuple[tuple[int, int], ...], ...]:

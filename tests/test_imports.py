@@ -1,6 +1,6 @@
 """Each CLI run loads only the layers its subcommand uses.
 
-No run of the certify chain (universality, then model) imports NumPy, and
+No run of the certify chain (universality, then model) imports NumPy or mpmath, and
 building the parser imports no computation layer at all.  Every check runs in a fresh interpreter, since the
 test process itself has long since imported everything.
 """
@@ -93,6 +93,16 @@ def test_model_commands_skip_synthesis_and_certificates(argv):
                          ids=["exact", "float"])
 def test_verify_at_53_bits_loads_no_mpmath(argv):
     # the model invariants are decided in Q(zeta_N), and float64 needs no working precision
+    assert "mpmath" not in loaded_modules(f"assert cli.main({argv!r}) == 0")
+
+
+@pytest.mark.parametrize("argv", [
+    ["universality", "--k", "3..30", "--format", "json"],
+    ["model", "--k", "30", "--format", "json"],
+    ["synth", "--k", "5", "--profile-samples", "2", "--max-depth", "3"],
+], ids=["universality", "model", "synth"])
+def test_printed_floats_load_no_mpmath(argv):
+    # each float is the nearest double of an exact value, computed on integers
     assert "mpmath" not in loaded_modules(f"assert cli.main({argv!r}) == 0")
 
 

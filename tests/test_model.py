@@ -726,26 +726,21 @@ class TestSpinsDimsSMatrix:
 
     @pytest.mark.parametrize("k", range(0, 13))
     def test_exponent_decision_agrees_with_cyc_comparison(self, k, monkeypatch):
-        # every triple, as built and with R^{ab}_c shifted by -1 = zeta^{N/2}, by zeta or by both;
-        # for a = b the shift enters both R factors, so -1 squares away
+        # every triple, as built and with R^{ab}_c = R^{ba}_c shifted by -1 = zeta^{N/2}, by zeta
+        # or by both; the shift enters both R factors, so -1 squares away.  The spin condition reads
+        # the formula once per triple, which relies on its symmetry in a and b, checked first.
         m = Model(k)
         unshifted = m._r_sign_exponent
-        shifts = [
-            (0, 0, True, True),
-            (1, 0, False, True),
-            (0, 1, False, False),
-            (0, m.N // 2, False, True),
-            (1, m.N // 2, True, True),
-        ]
+        shifts = [(0, 0, True), (1, 0, True), (0, 1, False), (0, m.N // 2, True), (1, m.N // 2, True)]
         for a in m.labels:
             for b in m.labels:
                 for c in m.fusion(a, b):
-                    for d_sign, d_exp, holds_ab, holds_aa in shifts:
-                        holds = holds_aa if a == b else holds_ab
+                    assert unshifted(a, b, c) == unshifted(b, a, c)
+                    for d_sign, d_exp, holds in shifts:
 
                         def shifted(x, y, z, a=a, b=b, c=c, d_sign=d_sign, d_exp=d_exp):
                             sign, exponent = unshifted(x, y, z)
-                            if (x, y, z) == (a, b, c):
+                            if (x, y, z) in ((a, b, c), (b, a, c)):
                                 return sign + d_sign, exponent + d_exp
                             return sign, exponent
 
@@ -765,6 +760,14 @@ class TestSpinsDimsSMatrix:
         monkeypatch.setattr(m, "_r_sign_exponent", shifted)
         with pytest.raises(IntegrityError, match=r"spin condition fails at \(1/2,1;1/2\)"):
             m.spins_dims_smatrix()
+
+    def test_shifted_r_formula_fails_the_validated_tables(self, monkeypatch):
+        # every exponent one step off: both sides of the spin condition still power zeta, but differ by zeta^2
+        m = Model(4)
+        unshifted = m._r_sign_exponent
+        monkeypatch.setattr(m, "_r_sign_exponent", lambda a, b, c: (unshifted(a, b, c)[0], unshifted(a, b, c)[1] + 1))
+        with pytest.raises(IntegrityError, match=r"spin condition fails at \(0,0;0\)"):
+            m._validated_tables
 
     def test_shifted_r_exponent_fails_under_optimize(self):
         code = (
