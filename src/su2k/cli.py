@@ -8,8 +8,6 @@ flags and seed; JSON carries exact strings next to float renderings.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import os
 import sys
@@ -105,6 +103,9 @@ def _json_text(payload) -> str:
 
 
 def _csv_text(header: list[str], rows: list[list]) -> str:
+    import csv
+    import io
+
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(header)

@@ -34,12 +34,10 @@ Their floats are computed only for output, once per distinct value.
 
 from __future__ import annotations
 
-import cmath
 import contextlib
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from .cyclotomic import Cyc, cyclotomic_polynomial, euler_phi
@@ -120,6 +118,7 @@ class Model:
         self._qfact: dict[int, Cyc] = {}
         self._qfact_inv: dict[int, Cyc] = {}
         self._f_exact: dict[tuple[int, ...], Radical] = {}
+        self._zsums: dict[tuple[int, ...], Cyc] = {}  # z-sums by sorted (lows, highs), see _zsum_sign
         self._tensors: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._qint_f, self._qfact_f = self._q_tables(math.sin, math.pi)
 
@@ -234,6 +233,8 @@ class Model:
         return -value if sign % 2 else value
 
     def r_symbol_complex(self, a: int, b: int, c: int) -> complex:
+        import cmath
+
         sign, exponent = self._checked_r_sign_exponent(a, b, c)
         value = cmath.exp(2j * cmath.pi * exponent / self.N)
         return -value if sign % 2 else value
@@ -289,18 +290,28 @@ class Model:
         the [p]! with p <= k+1, are nonzero at zeta_N, so they hold there.
         The z-sum is collected as integer coefficients of zeta_N^e, e mod N,
         and reduced once by :meth:`Cyc._from_terms`.
+
+        The z range and the sorted parts depend only on the multisets of
+        lows and highs, so the z-sum is computed once per model for each
+        sorted (lows, highs): the tetrahedral and Regge symmetries of the 6j
+        symbol give many F-symbols one key (36 z-sums for the 329 F-symbols
+        at k = 4).
         """
         z_lo, z_hi, lows, highs = self._z_range(a, b, c, d, m, n)
+        sign = -1 if ((a + b + c + d) // 2) % 2 else 1
+        key = (*sorted(lows), *sorted(highs))
+        if key in self._zsums:
+            return self._zsums[key], sign
         coefficients = [0] * self.N
         for z in range(z_lo, z_hi + 1):
             # sorted, since the multinomial is symmetric in its parts and the sorted tuple is its cache key
             parts = tuple(sorted([z - t for t in lows] + [u - z for u in highs] + [1]))
             shift = -sum(p * q for p, q in itertools.combinations(parts, 2))
-            sign = -1 if z % 2 else 1
+            z_sign = -1 if z % 2 else 1
             for power, coefficient in enumerate(_q_multinomial(parts)):
-                coefficients[(2 * shift + 4 * power) % self.N] += sign * coefficient
-        zsum = Cyc._from_terms(self.N, ((e, c) for e, c in enumerate(coefficients) if c), 1)
-        return zsum, -1 if ((a + b + c + d) // 2) % 2 else 1
+                coefficients[(2 * shift + 4 * power) % self.N] += z_sign * coefficient
+        zsum = self._zsums[key] = Cyc._from_terms(self.N, ((e, c) for e, c in enumerate(coefficients) if c), 1)
+        return zsum, sign
 
     def f_symbol(self, a: int, b: int, c: int, d: int, m: int, n: int) -> Radical:
         """Exact F-symbol: row channel n (fusing b,c), column channel m (fusing a,b).
@@ -959,17 +970,17 @@ class Model:
 MAX_FAILURES = 20
 
 
-@dataclass
 class VerificationReport:
     """Outcome of an axiom sweep."""
 
-    name: str
-    mode: str
-    checked: int
-    failures: list[tuple] = field(default_factory=list)  # the first MAX_FAILURES failing instances
-    failed: int = 0  # every failing instance, kept or not
-    max_residual: float = 0.0
-    numeric_fallbacks: int = 0  # always 0 (every exact sum is decided exactly); kept in the verify JSON
+    def __init__(self, name: str, mode: str, checked: int):
+        self.name = name
+        self.mode = mode
+        self.checked = checked
+        self.failures: list[tuple] = []  # the first MAX_FAILURES failing instances
+        self.failed = 0  # every failing instance, kept or not
+        self.max_residual = 0.0
+        self.numeric_fallbacks = 0  # always 0 (every exact sum is decided exactly); kept in the verify JSON
 
     def record(self, instance: tuple, residual: float = 1.0) -> bool:
         """Count a failing instance and keep it if fewer than MAX_FAILURES are kept; return whether

@@ -27,11 +27,10 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
-from .cyclotomic import Cyc, cos_pi_fraction, euler_phi, minimal_polynomial
+from .cyclotomic import Cyc, cos_pi_fraction, euler_phi, factorize, minimal_polynomial
 from .cyclotomic import min_poly_2cos  # noqa: F401  (unused; bench/tracer.py patches it here)
 from .errors import MAX_LEVEL, DomainError, IntegrityError
 
@@ -45,7 +44,6 @@ if TYPE_CHECKING:
 Matrix = list[list[Cyc]]
 
 
-@dataclass(frozen=True)
 class WitnessPair:
     """The two double-braid words probed by the certificate, exactly.
 
@@ -54,9 +52,10 @@ class WitnessPair:
     D1 = diag(-d, d*s), d = [2]_q and s = sqrt(d^2 - 1) (see :func:`qubit_rep_exact`).
     """
 
-    k: int
-    a: Matrix  # rho~(s1^2 s2^4)
-    b: Matrix  # rho~(s1^2 s2^6)
+    def __init__(self, k: int, a: Matrix, b: Matrix):
+        self.k = k
+        self.a = a  # rho~(s1^2 s2^4)
+        self.b = b  # rho~(s1^2 s2^6)
 
     @functools.cached_property
     def w(self) -> Matrix:
@@ -104,19 +103,6 @@ def _adjugate(x: Matrix) -> Matrix:
     return [[x[1][1], -x[0][1]], [-x[1][0], x[0][0]]]
 
 
-def _power(x: Matrix, n: int) -> Matrix:
-    """x^n (n >= 1) of a determinant-one x, as p_n x - p_(n-1) I.
-
-    By Cayley-Hamilton x^2 = t x - I, t = tr x, so p_0 = 0, p_1 = 1 and
-    p_(j+1) = t p_j - p_(j-1): scalar products in place of matrix ones.
-    """
-    t = x[0][0] + x[1][1]
-    prev, cur = Cyc.rational(0, t.order), Cyc.rational(1, t.order)
-    for _ in range(n - 1):
-        prev, cur = cur, t * cur - prev
-    return [[cur * x[0][0] - prev, cur * x[0][1]], [cur * x[1][0], cur * x[1][1] - prev]]
-
-
 def _inverse_d2(N: int) -> Cyc:
     """1/d^2 for d = zeta_N^2 + zeta_N^-2, without a field inversion.
 
@@ -127,7 +113,7 @@ def _inverse_d2(N: int) -> Cyc:
     """
     step = N // 2 + 4
     n = N // math.gcd(step, N)
-    inv_1_minus_z = Cyc.from_exponents(N, {j * step % N: Fraction(-j, n) for j in range(1, n)})
+    inv_1_minus_z = Cyc._from_terms(N, ((j * step, -j) for j in range(1, n)), n)
     return Cyc.root_of_unity(N, 4) * inv_1_minus_z * inv_1_minus_z
 
 
@@ -155,11 +141,11 @@ def qubit_rep_exact(k: int) -> tuple[Matrix, Matrix]:
     inv_d2 = _inverse_d2(N)
     if d2 * inv_d2 != 1:
         raise IntegrityError(f"closed-form 1/d^2 is wrong at k={k}")
-    zero, one = Cyc.rational(0, N), Cyc.rational(1, N)
-    g = [[one, one], [d2 - 1, -one]]
-    r_tilde = [[Cyc.root_of_unity(N, quarter - 2), zero], [zero, -Cyc.root_of_unity(N, quarter + 2)]]
-    sigma2 = [[entry * inv_d2 for entry in row] for row in _mat_mul(_mat_mul(g, r_tilde), g)]
-    return r_tilde, sigma2
+    zero = Cyc.rational(0, N)
+    r1, r2 = Cyc.root_of_unity(N, quarter - 2), -Cyc.root_of_unity(N, quarter + 2)
+    # G R~ G = [[r1 + e r2, r1 - r2], [e (r1 - r2), e r1 + r2]] with e = d^2 - 1, and e / d^2 = 1 - 1/d^2
+    off = (r1 - r2) * inv_d2
+    return [[r1, zero], [zero, r2]], [[r2 + off, off], [r1 - r2 - off, r1 - off]]
 
 
 def witnesses(k: int) -> WitnessPair:
@@ -168,11 +154,24 @@ def witnesses(k: int) -> WitnessPair:
     A = R~^2 sigma~_2^4 and B = R~^2 sigma~_2^6 in the closed-form gauge, so
     every word, and so W, is conjugate to the unitary one by D1.  Determinant
     one is what the Fricke identity for tr W rests on.
+
+    Both powers come from one Cayley-Hamilton sequence: a determinant-one s
+    with t = tr s has s^2 = t s - I, so s^n = p_n s - p_(n-1) I with p_0 = 0,
+    p_1 = 1 and p_(j+1) = t p_j - p_(j-1), and the diagonal R~^2 scales rows.
     """
     s1, s2 = qubit_rep_exact(k)
-    r2 = _mat_mul(s1, s1)
-    a = _mat_mul(r2, _power(s2, 4))
-    b = _mat_mul(r2, _power(s2, 6))
+    t = s2[0][0] + s2[1][1]
+    p = [Cyc.rational(0, t.order), Cyc.rational(1, t.order), t]
+    while len(p) < 7:
+        p.append(t * p[-1] - p[-2])
+    rows = (s1[0][0] * s1[0][0], s1[1][1] * s1[1][1])  # R~^2 = diag(rows)
+
+    def word(n: int) -> Matrix:  # R~^2 s2^n
+        m = [[p[n] * x for x in row] for row in s2]
+        m[0][0], m[1][1] = m[0][0] - p[n - 1], m[1][1] - p[n - 1]
+        return [[scale * x for x in row] for scale, row in zip(rows, m)]
+
+    a, b = word(4), word(6)
     for name, mat in (("A", a), ("B", b)):
         if mat[0][0] * mat[1][1] - mat[0][1] * mat[1][0] != 1:
             raise IntegrityError(f"det({name}) != 1 at k={k}")
@@ -202,9 +201,10 @@ def trace_cosine_identity(which: str, k: int, trace: Cyc) -> None:
     if which not in _IDENTITY_TABLE:
         raise DomainError(f"no trace identity named {which!r}")
     cos_coeffs, theta_coeff, rhs = _IDENTITY_TABLE[which]
-    residual = trace * Fraction(theta_coeff, 2) - rhs
+    cosines = {}
     for m, coeff in cos_coeffs:
-        residual = residual + Cyc.from_exponents(4 * (k + 2), {4 * m: coeff / 2, -4 * m: coeff / 2})
+        cosines[4 * m] = cosines[-4 * m] = coeff / 2
+    residual = trace * Fraction(theta_coeff, 2) - rhs + Cyc.from_exponents(4 * (k + 2), cosines)
     if not residual.is_zero():
         raise IntegrityError(f"trace identity for {which} fails exactly at k={k}")
 
@@ -212,8 +212,7 @@ def trace_cosine_identity(which: str, k: int, trace: Cyc) -> None:
 # -- projective order decision ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OrderDecision:
+class OrderDecision(NamedTuple):
     """Exact finite/infinite decision for a special-unitary's projective order."""
 
     finite: bool
@@ -226,6 +225,25 @@ class OrderDecision:
 _NIVEN = {2: (1, 0), 1: (6, 1), 0: (4, 1), -1: (3, 1), -2: (2, 1)}
 
 
+@functools.lru_cache(maxsize=1)  # a certificate decides both of its traces in one field
+def _two_cos_residues(n: int) -> tuple[int, list[int], dict[int, int]]:
+    """(p, powers, table) for the ring map zeta_n -> w from Z[zeta_n] onto F_p.
+
+    p is the least prime = 1 (mod n), w an element of order n in F_p^*,
+    powers[i] = w^i mod p for i < n, and table maps (w^a + w^-a) mod p to a
+    for 0 < a < n/2.
+    """
+    p = n + 1
+    while any(p % f == 0 for f in range(2, math.isqrt(p) + 1)):
+        p += n
+    primes = factorize(n)
+    w = next(w for w in (pow(g, (p - 1) // n, p) for g in range(2, p)) if all(pow(w, n // q, p) != 1 for q in primes))
+    powers = [1]
+    for _ in range(n - 1):
+        powers.append(powers[-1] * w % p)
+    return p, powers, {(powers[a] + powers[n - a]) % p: a for a in range(1, n // 2)}
+
+
 def decide_projective_order_from_trace(trace: Cyc) -> OrderDecision:
     """Decide whether e^{i*theta} with 2cos(theta) = trace is a root of unity.
 
@@ -234,7 +252,8 @@ def decide_projective_order_from_trace(trace: Cyc) -> OrderDecision:
     the stored order, doubled if odd (the same field, the same phi), the
     order is finite iff trace = zeta_n^a + zeta_n^-a for some 0 < a < n/2;
     then m = n/g and j = a/g, g = gcd(a, n).  The projective order is m, or
-    m/2 for even m.
+    m/2 for even m.  At most one a can match, and it is found from one
+    residue modulo a prime, then confirmed by one exact comparison.
 
     Proof that the rule is complete.  Let trace = 2cos(2*pi*j/m) with
     gcd(j, m) = 1 and 0 <= j <= m/2.
@@ -253,8 +272,17 @@ def decide_projective_order_from_trace(trace: Cyc) -> OrderDecision:
     - Integrality: each candidate lies in Z[zeta_n], whose power basis is an
       integral basis (Phi_n is monic over Z), so it has integer coordinates;
       a trace with a denominator other than 1 matches none.
-    - Uniqueness: 2cos(2*pi*a/n) strictly decreases on [0, n/2], so at most
-      one a matches, and j/m is determined.
+    - One candidate: let p be a prime = 1 (mod n) (Dirichlet) and w of
+      order n in F_p^*.  As p does not divide n, x^n - 1 = prod_(d | n)
+      Phi_d has n distinct roots mod p, and the roots of Phi_n are the
+      elements of order n, w among them.  So h: Z[zeta_n] -> F_p with
+      zeta_n -> w is a ring map, and it sends the power-basis coordinates
+      c_i to sum c_i w^i.  A match a has h(trace) = w^a + w^-a.  For
+      0 < a, b < n/2 with w^a + w^-a = w^b + w^-b,
+      (w^a - w^b)(1 - w^-(a+b)) = 0, so a = b (mod n) or a + b = 0 (mod n),
+      and 0 < a + b < n rules out the second.  So h(trace) names the only
+      exponent that can match; h is not injective, so the exact comparison
+      still decides.
     """
     value = trace.as_rational()
     if value is not None:
@@ -266,8 +294,9 @@ def decide_projective_order_from_trace(trace: Cyc) -> OrderDecision:
         lifted = trace.lift(n)
         if lifted.den != 1:
             return OrderDecision(False)
-        a = next((a for a in range(1, n // 2) if Cyc.from_exponents(n, {a: 1, -a: 1}).num == lifted.num), None)
-        if a is None:
+        p, powers, table = _two_cos_residues(n)
+        a = table.get(sum(c * w for c, w in zip(lifted.num, powers)) % p)
+        if a is None or Cyc.from_exponents(n, {a: 1, -a: 1}).num != lifted.num:
             return OrderDecision(False)
         g = math.gcd(a, n)
         m, j = n // g, a // g
@@ -382,8 +411,7 @@ def match_known_identity(terms: list[tuple[Fraction, int, int]]) -> str | None:
 # -- rationality survey -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RationalitySurvey:
+class RationalitySurvey(NamedTuple):
     """Exact rationality data for the certificate's cosine ingredients at one level."""
 
     k: int
@@ -414,8 +442,7 @@ def rationality_survey(k: int) -> RationalitySurvey:
 # -- the certificate ------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     """Per-level universality verdict for the double-braiding gate set."""
 
     k: int

@@ -106,6 +106,25 @@ def test_printed_floats_load_no_mpmath(argv):
     assert "mpmath" not in loaded_modules(f"assert cli.main({argv!r}) == 0")
 
 
+@pytest.mark.parametrize("argv", [
+    ["universality", "--k", "3..30", "--format", "json"],
+    ["model", "--k", "30", "--format", "json"],
+], ids=["universality", "model"])
+def test_certify_runs_load_no_dataclasses_or_csv(argv):
+    # the records are NamedTuples and plain classes (dataclasses imports inspect), csv loads only for CSV
+    # and cmath only for complex R-symbols
+    assert not loaded_modules(f"assert cli.main({argv!r}) == 0") & {"dataclasses", "inspect", "csv", "cmath"}
+
+
+def test_csv_loads_where_csv_is_written():
+    assert "csv" in loaded_modules("assert cli.main(['universality', '--k', '3', '--format', 'csv']) == 0")
+
+
+def test_model_loads_cmath_only_for_complex_r_symbols():
+    assert "cmath" not in loaded_modules("assert cli.main(['model', '--k', '30', '--format', 'text']) == 0")
+    assert "cmath" in loaded_modules("from su2k.model import Model\nModel(3).r_symbol_complex(1, 1, 0)")
+
+
 def test_verify_above_53_bits_loads_mpmath():
     # sha256 of the stdout, recorded before mpmath was imported on first use
     modules, out = probe("assert cli.main(['verify', '--k', '4', '--precision', '64']) == 0")

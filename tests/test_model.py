@@ -451,22 +451,35 @@ class TestZSum:
                 assert coefficients == coefficients[::-1]
                 assert sum(coefficients) == math.comb(n, r)
 
-    def test_a_corrupted_multinomial_changes_one_gauge_entry(self, monkeypatch):
-        # raising one coefficient of one term moves its z-sum by a root of unity, never by zero
+    def test_a_corrupted_multinomial_changes_the_entries_sharing_its_z_sum(self, monkeypatch):
+        # raising one coefficient of one term moves its z-sum by a root of unity, never by zero; the z-sum is
+        # computed once per sorted (lows, highs), so exactly the entries with the corrupted term's key change
+        def zsum_key(lows, highs):
+            return sorted(lows), sorted(highs)
+
         clean = Model(3)._gauge_table
-        multinomial, calls = model_module._q_multinomial, []
+        keys = {entry: zsum_key(*Model._z_range(*entry)[2:]) for entry in clean}
+        target = max(keys.values(), key=list(keys.values()).count)
+        z_range, multinomial, state = Model._z_range, model_module._q_multinomial, {"corrupted": 0}
+
+        def recording(*entry):
+            found = z_range(*entry)
+            state["key"] = zsum_key(*found[2:])
+            return found
 
         def corrupted(parts):
             coefficients = list(multinomial(parts))
-            if not calls:
+            if state["key"] == target and not state["corrupted"]:
                 coefficients[-1] += 1
-            calls.append(parts)
+                state["corrupted"] += 1
             return tuple(coefficients)
 
+        monkeypatch.setattr(Model, "_z_range", staticmethod(recording))
         monkeypatch.setattr(model_module, "_q_multinomial", corrupted)
         bad = Model(3)._gauge_table
-        assert bad.keys() == clean.keys() and len(calls) > 1
-        assert sum(bad[key] != clean[key] for key in clean) == 1
+        assert bad.keys() == clean.keys() and state["corrupted"] == 1
+        changed = {entry for entry in clean if bad[entry] != clean[entry]}
+        assert changed == {entry for entry, key in keys.items() if key == target} and len(changed) == 18
 
 
 class TestGaugeTable:

@@ -2,7 +2,6 @@
 rational cosine sums."""
 
 import cmath
-import dataclasses
 import hashlib
 import math
 import subprocess
@@ -529,13 +528,12 @@ class TestCertificates:
 
     def test_verdict_is_derived_from_the_exact_data(self):
         # six stored fields; the commutator test, the reason and the verdict follow from them
-        assert [f.name for f in dataclasses.fields(Certificate)] == [
-            "k", "trace_a", "trace_b", "trace_w", "order_a", "order_b"]
+        assert Certificate._fields == ("k", "trace_a", "trace_b", "trace_w", "order_a", "order_b")
         two = Cyc.from_exponents(1, {0: 2})
-        trivial = dataclasses.replace(certificate(5), trace_w=two)
+        trivial = certificate(5)._replace(trace_w=two)
         assert not trivial.commutator_nontrivial
         assert (trivial.verdict, trivial.reason) == ("not-certified", "commutator trivial (trace exactly 2)")
-        assert dataclasses.replace(certificate(4), trace_w=two).reason == (
+        assert certificate(4)._replace(trace_w=two).reason == (
             "A finite projective order 2; B finite projective order 3; commutator trivial (trace exactly 2)")
 
     def test_json_payload(self):
@@ -562,6 +560,21 @@ class TestCertificates:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr[-400:]
         assert proc.stdout.strip() == "False"
+
+    def test_at_most_45_field_products_per_level(self, monkeypatch):
+        # the closed-form sigma~_2 and one Cayley-Hamilton sequence for both words take 39 per level
+        mul, products = Cyc.__mul__, []
+
+        def counting(self, other):
+            if isinstance(other, Cyc):
+                products.append(other)
+            return mul(self, other)
+
+        monkeypatch.setattr(Cyc, "__mul__", counting)
+        for k in range(3, K_MAX + 1):
+            products.clear()
+            certificate(k)
+            assert 0 < len(products) <= 45, k
 
     def test_commutator_nontrivial_everywhere_tested(self):
         for k in range(2, 13):
