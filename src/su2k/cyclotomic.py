@@ -12,19 +12,16 @@ Q(zeta_lcm) first.  The rational coefficients are available as
 ``Cyc.coeffs``; :meth:`Cyc.exact_str` prints the same lowest-terms ratios
 straight from the integers.
 
-The numeric embedding at 53 bits or fewer is a Python complex whose real
-and imaginary parts are each the double nearest the exact component, ties to
-even, computed on integers alone.  A component that is zero in Q(zeta_N) is
-+0.0 and a rational one is converted from its Fraction; any other is the
-numerators summed against fixed-point powers of zeta (Taylor cos and sin over
-Machin's pi, each power within one unit of the last place, cached per (order,
-precision) and computed on first use), at a precision doubled until both ends
-of the error interval round to the same double (Ziv's strategy).  Above 53
-bits the embedding is an mpmath.mpc: it adds c/den * zeta^e over the nonzero
-numerators, with c/den reduced by their gcd and zeta^e = ``expjpi(2e/N)`` from
-a table cached per (order, precision), through the libmp functions behind
-mpmath's operators, so its bits are those of a fresh ``Fraction`` and
-``expjpi`` per term.  Only that route imports mpmath.
+The numeric embedding rounds the real and imaginary parts each to the
+nearest value, ties to even, on integers alone: to a double in a Python
+complex at 53 bits or fewer, and to bits + 16 bits in an mpmath.mpc above
+53 bits, the working precision of the numeric tables.  A component that is
+zero in Q(zeta_N) is +0 and a rational one is rounded from its ratio; any
+other is the numerators summed against fixed-point powers of zeta (Taylor
+cos and sin over Machin's pi, each power within one unit of the last place,
+cached per (order, precision) and computed on first use), at a precision
+doubled until both ends of the error interval round to the same value
+(Ziv's strategy).  mpmath is imported only above 53 bits.
 
 Inversion multiplies the phi - 1 nontrivial Galois conjugates and divides by
 the rational norm, so it too runs on integers, but it is the one costly field
@@ -42,13 +39,11 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from fractions import Fraction
-from typing import TYPE_CHECKING
 
 from .errors import IntegrityError
 
-if TYPE_CHECKING:
-    import mpmath
 
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization {p: exponent} of n >= 1 by trial division."""
@@ -356,6 +351,10 @@ class Cyc:
             self.order, ((i * a, c) for i, c in enumerate(self.num) if c), self.den
         )
 
+    def shifted(self, e: int) -> Cyc:
+        """self * zeta^e, by moving each numerator e places and reducing, with no product."""
+        return Cyc._from_terms(self.order, ((i + e, c) for i, c in enumerate(self.num) if c), self.den)
+
     def conjugate(self) -> Cyc:
         """Complex conjugate (the automorphism zeta -> zeta^-1); the inverse of a root of unity."""
         if self.order <= 2:
@@ -378,46 +377,52 @@ class Cyc:
     # -- numerics ------------------------------------------------------------
 
     def approx(self, bits: int = 53):
-        """Numeric embedding at zeta = e^{2*pi*i/order}.
+        """Numeric embedding at zeta = e^{2*pi*i/order}, each part rounded to nearest, ties to even.
 
-        For bits <= 53 it returns a Python complex whose real and imaginary
-        parts are each the double nearest the exact component, ties to even.
-        A component that is exactly zero in Q(zeta_N) is +0.0, and a rational
-        one is converted from its Fraction.  Any other component is
-        irrational, so it is never a dyadic midpoint between two doubles, and
-        the doubling loop of :meth:`_nearest` ends.  Above 53 bits it returns
-        an mpmath.mpc computed at the requested binary precision, with
-        relative error within a few ulps of it.  A result out of float range
-        raises ArithmeticError.
+        For bits <= 53 it returns a Python complex of the doubles nearest the
+        exact components; a result out of float range raises ArithmeticError.
+        Above 53 bits it returns an mpmath.mpc whose parts are the nearest
+        values at bits + 16 bits.  A component that is exactly zero in
+        Q(zeta_N) is +0, and a rational one is rounded from its ratio.  Any
+        other component is irrational, so it is never a dyadic midpoint, and
+        the doubling loop of :meth:`_nearest` ends.
         """
-        if bits > 53:
-            return self._approx_mp(bits)
+        if bits <= 53:
+            rounding, make = operator.truediv, complex  # int / int is correctly rounded
+        else:
+            import mpmath
+            from mpmath.libmp import from_rational, round_nearest
+
+            def rounding(n: int, d: int) -> tuple:
+                return from_rational(n, d, bits + 16, round_nearest)
+
+            def make(re: tuple, im: tuple) -> mpmath.mpc:
+                return mpmath.mp.make_mpc((re, im))
+
         conj = self.conjugate()
         try:
-            return complex(self._nearest(self + conj, 0), self._nearest(self - conj, 1))
+            return make(self._nearest(self + conj, 0, rounding), self._nearest(self - conj, 1, rounding))
         except OverflowError:
             raise ArithmeticError("non-finite numeric embedding") from None
 
-    def _nearest(self, twice: Cyc, part: int) -> float:
-        """The double nearest the real (part 0) or imaginary (part 1) component.
+    def _nearest(self, twice: Cyc, part: int, rounding):
+        """The real (part 0) or imaginary (part 1) component, as rounding(n, d) rounds n / d.
 
         twice is x + conj(x) = 2 Re x, or x - conj(x) = 2i Im x.  An
         irrational component's sum of the numerators against the fixed-point
         powers of :func:`_fixed_zeta_powers` at p bits is within sum |num|
         units of 2^p den times the component; p doubles until both ends of
-        that interval round to the same double.
+        that interval round to the same value.
         """
         if twice.is_zero():
-            return 0.0
+            return rounding(0, 1)
         order = self.order
-        if part == 0:
-            rational = twice.as_rational()
-        elif order % 4 == 0:  # -i * twice = 2 Im x, with i = zeta^(order/4)
-            rational = Cyc._from_terms(order, ((e - order // 4, c) for e, c in enumerate(twice.num) if c), twice.den).as_rational()
-        else:  # i is not in the field, and a nonzero rational Im x would put i = twice / (2 Im x) there
-            rational = None
-        if rational is not None:
-            return float(rational / 2)
+        if part and order % 4 == 0:
+            twice = twice.shifted(-(order // 4))  # -i * twice = 2 Im x, with i = zeta^(order/4)
+        # twice is now rational exactly when the component is; where i is not in the field, a
+        # nonzero Im x is irrational, since i = twice / (2 Im x) otherwise
+        if not any(twice.num[1:]):
+            return rounding(twice.num[0], 2 * twice.den)
         bound = sum(map(abs, self.num))
         bits = 64
         while True:
@@ -426,32 +431,10 @@ class Cyc:
             lo, hi = total - bound, total + bound
             if lo > 0 or hi < 0:
                 scale = self.den << bits
-                nearest = lo / scale  # int / int is correctly rounded
-                if nearest == hi / scale:
+                nearest = rounding(lo, scale)
+                if nearest == rounding(hi, scale):
                     return nearest
             bits *= 2
-
-    def _approx_mp(self, bits: int) -> mpmath.mpc:
-        """The sum of zeta^e * mpf(c/g) / (den/g) at working precision bits + 16, rounding to nearest.
-
-        It calls the libmp functions that mpmath's operators call, in the
-        same order, on raw tuples, so the bits are those of the mpc
-        arithmetic without its object layer.
-        """
-        import mpmath
-        from mpmath.libmp import fzero, from_int, mpc_add, mpc_div_mpf, mpc_mul_mpf, mpc_pos, mpf_pos, round_nearest
-
-        powers = _zeta_powers(self.order, bits)
-        den = self.den
-        prec = bits + 16
-        total = (fzero, fzero)
-        for e, c in enumerate(self.num):
-            if c:
-                g = math.gcd(c, den)  # c/den in lowest terms, as a Fraction would hold it
-                term = mpc_mul_mpf(powers[e], mpf_pos(from_int(c // g), prec, round_nearest), prec, round_nearest)
-                term = mpc_div_mpf(term, from_int(den // g), prec, round_nearest)
-                total = mpc_add(total, term, prec, round_nearest)
-        return mpmath.mp.make_mpc(mpc_pos(total, prec, round_nearest))
 
     # -- formatting ----------------------------------------------------------
 
@@ -468,28 +451,6 @@ class Cyc:
 
     def __repr__(self) -> str:
         return f"Cyc({self.exact_str()!r})"
-
-
-class _ZetaPowers(dict):
-    """zeta_order^e = expjpi(2e/order) at working precision bits + 16, as a libmp (real, imaginary)
-    tuple, computed on the first lookup of each e."""
-
-    def __init__(self, order: int, bits: int):
-        super().__init__()
-        self.order, self.bits = order, bits
-
-    def __missing__(self, e: int) -> tuple:
-        import mpmath
-
-        with mpmath.workprec(self.bits + 16):
-            value = self[e] = mpmath.expjpi(mpmath.mpf(2 * e) / self.order)._mpc_
-        return value
-
-
-@functools.lru_cache(maxsize=None)
-def _zeta_powers(order: int, bits: int) -> _ZetaPowers:
-    """The powers of zeta_order at working precision bits + 16, each computed on first use."""
-    return _ZetaPowers(order, bits)
 
 
 class _FixedZetaPowers(dict):

@@ -453,7 +453,7 @@ class Model:
                 channels = self.fusion(a, b)
                 lo, hi = channels[0], channels[-1]
                 acc = upto[hi] - upto[lo - 2] if lo >= 2 else upto[hi]
-                smatrix[a][b] = smatrix[b][a] = acc * Cyc.root_of_unity(self.N, -(a * (a + 2) + b * (b + 2)))
+                smatrix[a][b] = smatrix[b][a] = acc.shifted(-(a * (a + 2) + b * (b + 2)))
         self._check_dims_and_s(dims, smatrix)
         return spins, dims, smatrix
 

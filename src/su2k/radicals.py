@@ -9,8 +9,9 @@ absorbed exactly through Gauss-sum square roots.
 
 A :class:`RadicalSum` holds such terms grouped by radicand.  Its zero test
 is sound: a sum is zero when every group cancels, and terms under distinct
-radicands are never set against each other.  ``approx`` evaluates a sum in
-float64 or in mpmath at a requested precision.
+radicands are never set against each other.  ``approx`` evaluates a sum
+through :meth:`su2k.cyclotomic.Cyc.approx`: in float64 at 53 bits or fewer,
+and above 53 bits in mpmath, which is imported only there.
 
 No computation of the package runs on these values.  The exact axiom
 sweeps decide every sum on the square-root-free vertex-gauge table of
@@ -22,11 +23,10 @@ tests and the benchmark probes compare against.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import mpmath
 
 from .cyclotomic import Cyc, sqrt_rational
 
@@ -207,20 +207,19 @@ class RadicalSum:
     # -- numerics -------------------------------------------------------------
 
     def approx(self, bits: int = 53):
+        """The sum over the groups of coef.approx(bits) times the square roots of its radicand's
+        symbols: in float64 at 53 bits or fewer, else in mpmath at working precision bits + 16."""
         if bits <= 53:
-            total = 0j
+            sqrt, total, precision = math.sqrt, 0j, contextlib.nullcontext()
+        else:
+            import mpmath
+
+            sqrt, total, precision = mpmath.sqrt, mpmath.mpc(0), mpmath.workprec(bits + 16)
+        with precision:
             for key, coef in self.groups.items():
                 root = 1.0
                 for n in key:
-                    root *= math.sqrt(max(self.context.symbols[n].approx().real, 0.0))
-                total += coef.approx() * root
-            return total
-        with mpmath.workprec(bits + 16):
-            total = mpmath.mpc(0)
-            for key, coef in self.groups.items():
-                root = mpmath.mpf(1)
-                for n in key:
-                    root *= mpmath.sqrt(mpmath.re(self.context.symbols[n].approx(bits)))
+                    root *= sqrt(max(self.context.symbols[n].approx(bits).real, 0.0))
                 total += coef.approx(bits) * root
             return +total
 

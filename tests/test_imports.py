@@ -1,7 +1,7 @@
 """Each CLI run loads only the layers its subcommand uses.
 
-No run of the certify chain (universality, then model) imports NumPy or mpmath, and
-building the parser imports no computation layer at all.  Every check runs in a fresh interpreter, since the
+No run of the certify chain (universality, then model) imports NumPy or mpmath, no run
+at 53 bits or fewer imports mpmath, and building the parser imports no computation layer at all.  Every check runs in a fresh interpreter, since the
 test process itself has long since imported everything.
 """
 
@@ -123,6 +123,27 @@ def test_csv_loads_where_csv_is_written():
 def test_model_loads_cmath_only_for_complex_r_symbols():
     assert "cmath" not in loaded_modules("assert cli.main(['model', '--k', '30', '--format', 'text']) == 0")
     assert "cmath" in loaded_modules("from su2k.model import Model\nModel(3).r_symbol_complex(1, 1, 0)")
+
+
+@pytest.mark.parametrize("body", [
+    "import su2k.radicals",
+    "assert cli.main(['--paper-regression']) == 0",
+], ids=["radicals", "paper-regression"])
+def test_radicals_and_the_paper_regression_load_no_mpmath(body):
+    # the reference F-symbols embed through Cyc.approx, which imports mpmath only above 53 bits
+    assert "mpmath" not in loaded_modules(body)
+
+
+@pytest.mark.parametrize("value", [
+    "Cyc.root_of_unity(7)",
+    "RadicalSum.from_terms(get_model(4).radicals, [get_model(4).f_symbol(1, 1, 1, 1, 0, 0)])",
+], ids=["cyc", "radical-sum"])
+def test_approx_above_53_bits_loads_mpmath(value):
+    modules = loaded_modules(
+        "from su2k.cyclotomic import Cyc\nfrom su2k.model import get_model\nfrom su2k.radicals import RadicalSum\n"
+        f"x = {value}\nx.approx(53)\nassert 'mpmath' not in sys.modules\nx.approx(64)"
+    )
+    assert "mpmath" in modules
 
 
 def test_verify_above_53_bits_loads_mpmath():
