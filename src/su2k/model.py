@@ -40,7 +40,7 @@ import itertools
 import math
 from typing import TYPE_CHECKING
 
-from .cyclotomic import Cyc, cyclotomic_polynomial, euler_phi
+from .cyclotomic import Cyc, _power_table, cyclotomic_polynomial, euler_phi
 from .errors import MAX_LEVEL, DomainError, IntegrityError, require_f_table  # MAX_LEVEL lives in .errors: universality and the CLI read it too
 
 if TYPE_CHECKING:
@@ -196,11 +196,9 @@ class Model:
         """The quantum factorial [n]_q!, with [0]! = 1."""
         if n < 0:
             raise DomainError(f"quantum factorial needs n >= 0, got {n}")
-        if n not in self._qfact:
-            value = Cyc.rational(1, self.N)  # [0]! in Q(zeta_N), so products with it need no lift
-            for t in range(1, n + 1):
-                value = value * self.qint(t)
-            self._qfact[n] = value
+        # filled in order from [0]! = 1 in Q(zeta_N), so products with it need no lift; [t]! = [t-1]! [t]
+        for t in range(len(self._qfact), n + 1):
+            self._qfact[t] = self._qfact[t - 1] * self.qint(t) if t else Cyc.rational(1, self.N)
         return self._qfact[n]
 
     def qfact_inverse(self, n: int) -> Cyc:
@@ -674,19 +672,57 @@ class Model:
         symmetric, and the pentagon and hexagon identities are
         gauge-invariant (Kitaev, arXiv:cond-mat/0506438, App. E), so F''
         satisfies them exactly when F does.  Built on first use.
+
+        The table holds few distinct values (15 for the 329 entries at
+        k = 4), so every factor is interned by value and the product of two
+        interned values is taken once: D(x,y,w) per sorted (p, q, r) and s,
+        [w+1] D, the outer factor [m+1] D(abm) D(mcd) shared by every n, and
+        zsum times the outer factor, negated for sign -1.  A product by 1 is
+        skipped.  Each entry is the same canonical element as the product in
+        any order.
         """
-        qfact = self.qfact
-        delta, weighted = {}, {}  # D(x,y,w) and [w+1] D(x,y,w)
+        ids: dict[tuple, int] = {}  # (num, den) -> index into values
+        values: list[Cyc] = []
+
+        def intern(x: Cyc) -> int:
+            key = x.num, x.den
+            if key not in ids:
+                ids[key] = len(values)
+                values.append(x)
+            return ids[key]
+
+        one = intern(Cyc.rational(1, self.N))
+        products: dict[tuple[int, int], int] = {}
+
+        def times(i: int, j: int) -> int:
+            """The index of values[i] * values[j], multiplied once per unordered pair."""
+            if one in (i, j):
+                return i + j - one
+            key = (i, j) if i <= j else (j, i)
+            if key not in products:
+                products[key] = intern(values[i] * values[j])
+            return products[key]
+
+        delta, weighted = {}, {}  # indices of D(x,y,w) and [w+1] D(x,y,w)
+        by_shape: dict[tuple, int] = {}  # D by (sorted (p, q, r), s)
         for x, y, w in self._triples:
-            p, q, r, s = self._triangle(x, y, w)
-            delta[x, y, w] = qfact(p) * qfact(q) * qfact(r) * self.qfact_inverse(s)
-            weighted[x, y, w] = self.qint(w + 1) * delta[x, y, w]
-        table, outer = {}, {}  # outer: [m+1] D(abm) D(mcd), shared by every n
+            *pqr, s = self._triangle(x, y, w)
+            shape = (*sorted(pqr), s)
+            if shape not in by_shape:
+                p, q, r = shape[:3]
+                factors = self.qfact(p), self.qfact(q), self.qfact(r), self.qfact_inverse(s)
+                by_shape[shape] = functools.reduce(times, map(intern, factors))
+            delta[x, y, w] = by_shape[shape]
+            weighted[x, y, w] = times(intern(self.qint(w + 1)), delta[x, y, w])
+        table, entries = {}, {}  # entries: the Cyc per indices of zsum and the outer factor, and sign
         for a, b, c, d, n, m in self._live_f():
-            if (a, b, c, d, m) not in outer:
-                outer[a, b, c, d, m] = weighted[a, b, m] * delta[m, c, d]
             zsum, sign = self._zsum_sign(a, b, c, d, m, n)
-            table[a, b, c, d, m, n] = zsum * sign * outer[a, b, c, d, m]
+            zsum_id, outer_id = intern(zsum), times(weighted[a, b, m], delta[m, c, d])
+            key = zsum_id, outer_id, sign
+            if key not in entries:
+                value = values[times(zsum_id, outer_id)]
+                entries[key] = -value if sign < 0 else value
+            table[a, b, c, d, m, n] = entries[key]
         return table
 
     def _vertex_float(self) -> np.ndarray:
@@ -733,17 +769,24 @@ class Model:
         import numpy as np
 
         table = self._gauge_table
-        D = math.lcm(*(value.den for value in table.values()))
-        numerators = {labels: [c * (D // value.den) for c in value.num] for labels, value in table.items()}
+        distinct = {(value.num, value.den) for value in table.values()}  # each is packed once
+        D = math.lcm(*(den for _, den in distinct))
+        numerators = {(num, den): [c * (D // den) for c in num] for num, den in distinct}
         H = max(abs(c) for coefficients in numerators.values() for c in coefficients)
         phi, modulus = euler_phi(self.N), cyclotomic_polynomial(self.N)
-        powers = [Cyc.root_of_unity(self.N, j).num for j in range(3 * phi + 2 * self.N)]
-        C = max(sum(abs(row[i]) for row in powers) for i in range(phi))
+        columns = [0] * phi  # sum over j < 3 phi + 2N of |zeta^j mod Phi_N|, per coefficient
+        powers = _power_table(self.N)
+        for j in range(3 * phi + 2 * self.N):
+            for i, c_i in powers[j % self.N]:
+                columns[i] += abs(c_i)
+        C = max(columns)
         B = ((self.k + 2) * phi * phi * H ** 3 * D * C + max(map(abs, modulus))).bit_length() + 1
+        packed = {key: sum(c_i << (i * B) for i, c_i in enumerate(coefficients))
+                  for key, coefficients in numerators.items()}
         size = self.k + 1
         F = np.zeros((size,) * 6, dtype=object)
-        for (a, b, c, d, m, n), coefficients in numerators.items():
-            F[a, b, c, d, n, m] = sum(c_i << (i * B) for i, c_i in enumerate(coefficients))
+        for (a, b, c, d, m, n), value in table.items():
+            F[a, b, c, d, n, m] = packed[value.num, value.den]
         R = np.zeros((size,) * 3, dtype=object)
         R_inv = np.zeros((size,) * 3, dtype=object)
         for a, b, c in self._triples:
@@ -842,15 +885,15 @@ class Model:
         return float(D) ** 3 * V[a, b, m] * V[m, c, n] * V[n, d, e] / (V[a, y, e] * V[c, d, z] * V[b, z, y])
 
     def _hexagon_rows(self):
-        """Hexagon instances (a,b,c,d,m,n) with (ba)m, (mc)d, (ac)n, (bn)d admissible, one block per (a,b)."""
+        """Hexagon instances (a,b,c,d,m,n) with (ba)m, (mc)d, (ac)n, (bn)d admissible, in
+        lexicographic order, one block per a (at most (k+1)^5 rows; the pentagon's blocks are per (a,b))."""
         import numpy as np
 
         A = self._adm
         for a in self.labels:
-            for b in self.labels:
-                cdmn = np.nonzero(np.einsum("m,mcd,cn,nd->cdmn", A[b, a], A, A[a], A[b]))
-                if len(cdmn[0]):
-                    yield np.column_stack((np.full_like(cdmn[0], a), np.full_like(cdmn[0], b), *cdmn))
+            bcdmn = np.nonzero(np.einsum("bm,mcd,cn,bnd->bcdmn", A[:, a], A, A[a], A))
+            if len(bcdmn[0]):
+                yield np.column_stack((np.full_like(bcdmn[0], a), *bcdmn))
 
     @staticmethod
     def _hexagon_sums(rows: np.ndarray, F: np.ndarray, R: np.ndarray, R_inv: np.ndarray, scale) -> np.ndarray:
@@ -907,9 +950,11 @@ class Model:
     def verify_unitarity(self) -> VerificationReport:
         """Every F-matrix is unitary within _UNITARITY_TOL: a block of the float64 F tensor, in any mode,
         whose rows and columns are the n and m of one (a, b, c, d) group of :meth:`_live_f`.  Every
-        R-symbol has unit modulus (exactly)."""
-        import numpy as np
+        R-symbol has unit modulus (exactly).
 
+        The blocks of one outer label a are checked together (batches over the whole table raised
+        the peak RSS of the k = 12 sweep), one stacked product per block size
+        (:meth:`_gram_residuals`), and their failures are recorded in :meth:`_live_f` order."""
         require_f_table(self.k)
         report = VerificationReport("unitarity", "float", 0)
         for a, b, c in self._triples:
@@ -918,18 +963,44 @@ class Model:
             if r * r.conjugate() != 1:
                 report.record(("r-modulus", a, b, c))
         F = self._recoupling_tensors(53)[0]
-        for (a, b, c, d), group in itertools.groupby(self._live_f(), key=lambda labels: labels[:4]):
-            rows, cols = (sorted(set(channels)) for channels in zip(*(labels[4:] for labels in group)))
-            if len(rows) != len(cols):
-                report.record(("f-not-square", a, b, c, d))
-                continue
-            mat = F[a, b, c, d][np.ix_(rows, cols)]
-            residual = float(np.max(np.abs(mat @ mat.T.conj() - np.eye(len(rows)))))
-            report.checked += 1
-            report.max_residual = max(report.max_residual, residual)
-            if residual > _UNITARITY_TOL:
-                report.record(("f-unitarity", a, b, c, d), residual)
+        for _, outer in itertools.groupby(self._live_f(), key=lambda labels: labels[0]):
+            blocks = []  # (a, b, c, d), rows, cols
+            for quad, group in itertools.groupby(outer, key=lambda labels: labels[:4]):
+                rows, cols = (sorted(set(channels)) for channels in zip(*(labels[4:] for labels in group)))
+                blocks.append((quad, rows, cols))
+            for (quad, _, _), residual in zip(blocks, self._gram_residuals(F, blocks)):
+                if residual is None:
+                    report.record(("f-not-square", *quad))
+                    continue
+                report.checked += 1
+                report.max_residual = max(report.max_residual, residual)
+                if residual > _UNITARITY_TOL:
+                    report.record(("f-unitarity", *quad), residual)
         return report
+
+    @staticmethod
+    def _gram_residuals(F: np.ndarray, blocks: list) -> list[float | None]:
+        """max |M M^dagger - I| of each block M = F[a, b, c, d][rows][:, cols], None where not square.
+
+        The square blocks of one size are gathered by one fancy index and multiplied as one
+        stack; each matrix of the stack takes the same product as on its own.
+        """
+        import numpy as np
+
+        residuals: list[float | None] = [None] * len(blocks)
+        by_size: dict[int, list[int]] = {}
+        for i, (_, rows, cols) in enumerate(blocks):
+            if len(rows) == len(cols):
+                by_size.setdefault(len(rows), []).append(i)
+        for size, members in by_size.items():
+            quads = np.array([blocks[i][0] for i in members]).T[:, :, None, None]
+            rows = np.array([blocks[i][1] for i in members])[:, :, None]
+            cols = np.array([blocks[i][2] for i in members])[:, None, :]
+            mats = F[(*quads, rows, cols)]
+            gram = mats @ mats.transpose(0, 2, 1).conj()
+            for i, residual in zip(members, np.abs(gram - np.eye(size)).max(axis=(1, 2)).tolist()):
+                residuals[i] = residual
+        return residuals
 
     # -- serialization ---------------------------------------------------------------------
 

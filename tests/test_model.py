@@ -3,6 +3,7 @@
 import cmath
 import functools
 import hashlib
+import itertools
 import math
 import subprocess
 import sys
@@ -385,6 +386,21 @@ class TestPentagonHexagon:
         assert set(pentagon) == reference_pentagon_instances(m)
         assert set(hexagon) == reference_hexagon_instances(m)
 
+    @pytest.mark.parametrize("k", range(0, 13))
+    def test_hexagon_blocks_are_per_outer_label_in_row_order(self, k):
+        # one block per a, whose rows run in the order of the per-(a, b) blocks one after another
+        m = Model(k)
+        A = m._adm
+        per_pair = []
+        for a in m.labels:
+            for b in m.labels:
+                cdmn = np.nonzero(np.einsum("m,mcd,cn,nd->cdmn", A[b, a], A, A[a], A[b]))
+                per_pair += [(a, b, *labels) for labels in zip(*(axis.tolist() for axis in cdmn))]
+        blocks = list(m._hexagon_rows())
+        assert [int(block[0, 0]) for block in blocks] == list(m.labels)
+        assert all((block[:, 0] == block[0, 0]).all() for block in blocks)
+        assert enumerated(blocks) == per_pair
+
     @pytest.mark.parametrize("mode,precision,tol", [
         ("float", 53, 1e-9), ("float", 256, 1e-30), ("exact", 53, 1e-9)
     ])
@@ -483,6 +499,38 @@ class TestZSum:
 
 
 class TestGaugeTable:
+    @pytest.mark.parametrize("k,limit", [(4, 300), (5, 500), (10, 6000)])
+    def test_gauge_table_products_per_level(self, monkeypatch, k, limit):
+        # the table is interned by value, so the field products grow with its distinct values, not
+        # with its entries (the per-entry build took 783, 1,661 and 27,412 at k = 4, 5 and 10)
+        products = []
+        multiply = Cyc.__mul__
+
+        def counted(self, other):
+            if isinstance(other, Cyc):
+                products.append(self.order)
+            return multiply(self, other)
+
+        monkeypatch.setattr(Cyc, "__mul__", counted)
+        Model(k)._packed
+        assert 0 < len(products) <= limit
+
+    @pytest.mark.parametrize("k", range(0, 7))
+    def test_interned_entries_equal_the_direct_products(self, k):
+        # sign * zsum * [m+1] * D(abm) * D(mcd), multiplied out per entry in Q(zeta_N)
+        m = Model(k)
+
+        def delta(x, y, w):
+            p, q, r, s = Model._triangle(x, y, w)
+            return m.qfact(p) * m.qfact(q) * m.qfact(r) * m.qfact_inverse(s)
+
+        table = m._gauge_table
+        assert list(table) == [(a, b, c, d, mm, n) for a, b, c, d, n, mm in m._live_f()]
+        for (a, b, c, d, mm, n), value in table.items():
+            zsum, sign = m._zsum_sign(a, b, c, d, mm, n)
+            want = zsum * sign * m.qint(mm + 1) * delta(a, b, mm) * delta(mm, c, d)
+            assert (value.order, value.num, value.den) == (want.order, want.num, want.den)
+
     @pytest.mark.parametrize("k", range(2, 8))
     def test_gauge_entries_are_unitary_f_times_vertex_factors(self, k):
         m = get_model(k)
@@ -603,6 +651,38 @@ class TestUnitarity:
         report = m.verify_unitarity()
         assert report.checked == full.checked - 1
         assert report.holds and report.failures == []
+
+    @pytest.mark.parametrize("k", range(2, 13))
+    def test_batched_residuals_equal_the_per_block_products(self, monkeypatch, k):
+        # with a negative tolerance every block fails, so the report lists each block's residual
+        monkeypatch.setattr(model_module, "_UNITARITY_TOL", -1.0)
+        monkeypatch.setattr(model_module, "MAX_FAILURES", 10 ** 6)
+        m = Model(k)
+        F = m._recoupling_tensors(53)[0]
+        want = []
+        for quad, group in itertools.groupby(m._live_f(), key=lambda labels: labels[:4]):
+            rows, cols = (sorted(set(channels)) for channels in zip(*(labels[4:] for labels in group)))
+            mat = F[quad][np.ix_(rows, cols)]
+            want.append((("f-unitarity", *quad), float(np.max(np.abs(mat @ mat.T.conj() - np.eye(len(rows)))))))
+        report = m.verify_unitarity()
+        assert report.failures == want  # bit for bit, in _live_f order
+        assert report.max_residual == max(residual for _, residual in want)
+
+    def test_failures_are_recorded_in_live_f_order(self, monkeypatch):
+        # F^{111}_1 and F^{222}_2 doubled, and F^{121}_2 made 2 x 1 by dropping its column m = 3/2:
+        # the non-square block is recorded between the two, as _live_f lists them
+        doubled = {(1, 1, 1, 1), (2, 2, 2, 2)}
+        m = Model(3)
+        six_j = m._six_j
+        monkeypatch.setattr(m, "_six_j", lambda labels, *tables: six_j(labels, *tables) * (2 if labels[:4] in doubled else 1))
+        live_f = m._live_f
+        monkeypatch.setattr(m, "_live_f", lambda: (labels for labels in live_f() if labels[:4] != (1, 2, 1, 2) or labels[5] != 3))
+        report = m.verify_unitarity()
+        assert [key for key, _ in report.failures] == [
+            ("f-unitarity", 1, 1, 1, 1), ("f-not-square", 1, 2, 1, 2), ("f-unitarity", 2, 2, 2, 2)
+        ]
+        assert [residual for _, residual in report.failures] == [pytest.approx(3.0), 1.0, pytest.approx(3.0)]  # 4I - I
+        assert report.checked == get_model(3).verify_unitarity().checked - 1
 
     def test_a_doubled_f_tensor_keeps_the_first_failures(self, monkeypatch):
         # every F-matrix of the k=3 tensor doubled: 96 blocks fail, and only the first MAX_FAILURES are kept
