@@ -401,8 +401,6 @@ class Cyc:
 
         conj = self.conjugate()
         try:
-            if conj.num == self.num and conj.den == self.den:  # real: 2 Re x = 2x, and Im x = +0
-                return make(self._nearest(self._scaled(2, 1), 0, rounding), rounding(0, 1))
             return make(self._nearest(self + conj, 0, rounding), self._nearest(self - conj, 1, rounding))
         except OverflowError:
             raise ArithmeticError("non-finite numeric embedding") from None

@@ -40,7 +40,7 @@ import itertools
 import math
 from typing import TYPE_CHECKING
 
-from .cyclotomic import Cyc, _power_table, cyclotomic_polynomial, euler_phi
+from .cyclotomic import Cyc, cyclotomic_polynomial, euler_phi
 from .errors import MAX_LEVEL, DomainError, IntegrityError, require_f_table  # MAX_LEVEL lives in .errors: universality and the CLI read it too
 
 if TYPE_CHECKING:
@@ -115,7 +115,7 @@ class Model:
         self.N = 4 * (k + 2)
         self.labels: tuple[int, ...] = tuple(range(k + 1))
         self._qint: dict[int, Cyc] = {}
-        self._qfact: dict[int, Cyc] = {}
+        self._qfact: list[Cyc] = [Cyc.rational(1, self.N)]  # [0]! .. [n]!, in Q(zeta_N) so products need no lift
         self._qfact_inv: dict[int, Cyc] = {}
         self._f_exact: dict[tuple[int, ...], Radical] = {}
         self._zsums: dict[tuple[int, ...], Cyc] = {}  # z-sums by sorted (lows, highs), see _zsum_sign
@@ -196,9 +196,8 @@ class Model:
         """The quantum factorial [n]_q!, with [0]! = 1."""
         if n < 0:
             raise DomainError(f"quantum factorial needs n >= 0, got {n}")
-        # filled in order from [0]! = 1 in Q(zeta_N), so products with it need no lift; [t]! = [t-1]! [t]
         for t in range(len(self._qfact), n + 1):
-            self._qfact[t] = self._qfact[t - 1] * self.qint(t) if t else Cyc.rational(1, self.N)
+            self._qfact.append(self._qfact[-1] * self.qint(t))  # [t]! = [t-1]! [t]
         return self._qfact[n]
 
     def qfact_inverse(self, n: int) -> Cyc:
@@ -774,12 +773,8 @@ class Model:
         numerators = {(num, den): [c * (D // den) for c in num] for num, den in distinct}
         H = max(abs(c) for coefficients in numerators.values() for c in coefficients)
         phi, modulus = euler_phi(self.N), cyclotomic_polynomial(self.N)
-        columns = [0] * phi  # sum over j < 3 phi + 2N of |zeta^j mod Phi_N|, per coefficient
-        powers = _power_table(self.N)
-        for j in range(3 * phi + 2 * self.N):
-            for i, c_i in powers[j % self.N]:
-                columns[i] += abs(c_i)
-        C = max(columns)
+        powers = [Cyc.root_of_unity(self.N, j).num for j in range(3 * phi + 2 * self.N)]
+        C = max(sum(abs(row[i]) for row in powers) for i in range(phi))
         B = ((self.k + 2) * phi * phi * H ** 3 * D * C + max(map(abs, modulus))).bit_length() + 1
         packed = {key: sum(c_i << (i * B) for i, c_i in enumerate(coefficients))
                   for key, coefficients in numerators.items()}

@@ -434,20 +434,6 @@ class TestCachedEmbedding:
             if bits > 53:
                 assert x.approx(bits)._mpc_ == want._mpc_
 
-    @pytest.mark.parametrize("order", [8, 24, 28, 128])
-    @pytest.mark.parametrize("bits", [53, 64, 128, 256])
-    def test_real_values_have_a_positive_zero_imaginary_part(self, order, bits):
-        # x + conj(x) is real: its embedding skips the conjugate sums, with the same real part
-        rng = random.Random(order * 7 + bits)
-        for x in [random_wide_cyc(order, rng) for _ in range(3)]:
-            real = x + x.conjugate()
-            got, want = real.approx(bits), ref_approx(real, bits)
-            assert got == want
-            if bits > 53:
-                assert got._mpc_ == want._mpc_
-            else:
-                assert same_double(got.imag, 0.0)
-
     @settings(max_examples=60, deadline=None)
     @given(wide_cyc_values(), st.sampled_from([64, 128, 256]))
     def test_wide_values_are_correctly_rounded_above_53_bits(self, x, bits):
