@@ -314,9 +314,9 @@ class Cyc:
         With y the product of the images of x under every automorphism but
         the identity, x * y is the norm N(x), a nonzero rational, so
         1/x = y / N(x).  This is the one costly field operation (phi - 1
-        products).  Hot callers avoid it: they invert the quantum factorials
-        once per model, and invert roots of unity with :meth:`conjugate`;
-        the reference F-symbol route inverts its radical symbols once each.
+        products).  Hot callers avoid it: they invert quantum integers in
+        closed form (:func:`inverse_one_minus_root`) and roots of unity with
+        :meth:`conjugate`; the reference F-symbol route inverts its radical symbols once each.
         """
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
@@ -541,6 +541,18 @@ def _coerce(value: Cyc | int | Fraction) -> Cyc:
     if isinstance(value, Cyc):
         return value
     return Cyc.rational(Fraction(value))
+
+
+def inverse_one_minus_root(order: int, e: int) -> Cyc:
+    """1 / (1 - zeta_order^e) with no field inversion; zeta_order^e must not be 1.
+
+    For a root of unity z != 1 of order n, 1/(1 - z) = -(1/n) sum_{j<n} j z^j:
+    multiplied out, (1 - z) sum_{j<n} j z^j telescopes to -n.
+    """
+    n = order // math.gcd(e, order)
+    if n == 1:
+        raise ZeroDivisionError("1 - zeta^e is zero")
+    return Cyc._from_terms(order, ((j * e, -j) for j in range(1, n)), n)
 
 
 # -- square roots of rationals as cyclotomic numbers --------------------------

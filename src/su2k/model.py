@@ -9,21 +9,23 @@ The recoupling data has an exact and a numeric form:
 
 * exact -- quantum integers as cyclotomic numbers, F-symbols as formal
   coef*sqrt(radicand) values (:class:`su2k.radicals.Radical`, a reference
-  form that no computation here multiplies), and, for verification,
-  F-symbols in a vertex gauge where each lies in Q(zeta_N) with no square
-  root, and
-* numeric -- one 6j formula evaluated over tables of [n] and [n]!, in
-  float64 or directly in mpmath at a requested precision.
+  form that no computation here multiplies), and the one F table: each
+  admissible F-symbol's index into the distinct values it takes in a
+  vertex gauge, where each lies in Q(zeta_N) with no square root, and
+* numeric -- the same table's values rounded at a working precision
+  (float64, or mpmath above 53 bits) and divided by their vertex factors,
+  each the square root of an exact element rounded alike; the R-symbols
+  are their exact values rounded alike.
 
 Pentagon and hexagon verification is one engine: an admissibility table
 A[a, b, c] built once per model on first use, one instance enumerator per
 axiom yielding bounded index blocks, and one vectorized evaluator per axiom
 of the signed sums lhs - rhs over zero-extended F/R tensors.  The tensors
-hold float64 or mpmath numbers, or, in exact mode, the gauge table as
+hold float64 or mpmath numbers, or, in exact mode, the table's values as
 Python ints evaluated at x = 2^B (Kronecker substitution) once per model,
 whose sums are decided in Q(zeta_N) by one remainder modulo Phi_N(2^B).
-The float64 F tensor is the one stored float F table; unitarity reads its
-F-matrices there in every mode.  mpmath is imported only above 53 bits.
+Unitarity reads its F-matrices from the float64 F tensor in every mode.
+mpmath is imported only above 53 bits.
 
 Topological spins, quantum dimensions and the modular S-matrix live here as
 well.  They are validated once per model, exactly: the spin condition on
@@ -40,7 +42,7 @@ import itertools
 import math
 from typing import TYPE_CHECKING
 
-from .cyclotomic import Cyc, cyclotomic_polynomial, euler_phi
+from .cyclotomic import Cyc, cyclotomic_polynomial, euler_phi, inverse_one_minus_root
 from .errors import MAX_LEVEL, DomainError, IntegrityError, require_f_table  # MAX_LEVEL lives in .errors: universality and the CLI read it too
 
 if TYPE_CHECKING:
@@ -73,21 +75,22 @@ def _gaussian_binomial(n: int, r: int) -> tuple[int, ...]:
 
 
 @functools.lru_cache(maxsize=None)
-def _q_multinomial(parts: tuple[int, ...]) -> tuple[int, ...]:
-    """Coefficients of the Gaussian multinomial (p_1 + ... + p_r)!_y / prod (p_i)!_y.
+def _q_multinomial(parts: tuple[int, ...], period: int) -> tuple[int, ...]:
+    """Coefficients of the Gaussian multinomial (p_1 + ... + p_r)!_y / prod (p_i)!_y mod y^period - 1:
+    entry j sums the coefficients of the powers y^e with e = j (mod period).
 
-    It is the product over i of (p_1 + ... + p_i choose p_i)_y.
+    It is the product over i of (p_1 + ... + p_i choose p_i)_y, each product reduced mod y^period - 1.
     """
-    out, total = (1,), 0
+    out, total = [1], 0
     for p in parts:
         total += p
         binomial = _gaussian_binomial(total, p)
-        product = [0] * (len(out) + len(binomial) - 1)
+        product = [0] * min(len(out) + len(binomial) - 1, period)
         for i, u in enumerate(out):
-            for j, v in enumerate(binomial):
-                product[i + j] += u * v
-        out = tuple(product)
-    return out
+            for j, v in enumerate(binomial, i):
+                product[j % period] += u * v
+        out = product
+    return tuple(out)
 
 
 _UNITARITY_TOL = 1e-12  # the largest |F F^dag - I| entry that verify_unitarity accepts
@@ -103,6 +106,33 @@ def _workprec(bits: int):
     return mpmath.workprec(bits + 16)
 
 
+class _Interned:
+    """Distinct elements of Q(zeta_N), each stored once and named by its index, and the product of
+    two of them, taken once per unordered pair.  Index 0 is 1, and a product by it is skipped."""
+
+    def __init__(self, N: int):
+        self.values: list[Cyc] = []
+        self._ids: dict[tuple, int] = {}  # (num, den) -> index into values
+        self._products: dict[tuple[int, int], int] = {}
+        self.id(Cyc.rational(1, N))
+
+    def id(self, x: Cyc) -> int:
+        key = x.num, x.den
+        if key not in self._ids:
+            self._ids[key] = len(self.values)
+            self.values.append(x)
+        return self._ids[key]
+
+    def times(self, i: int, j: int) -> int:
+        """The index of values[i] * values[j]."""
+        if not (i and j):
+            return i + j
+        key = (i, j) if i <= j else (j, i)
+        if key not in self._products:
+            self._products[key] = self.id(self.values[i] * self.values[j])
+        return self._products[key]
+
+
 class Model:
     """All static data of the anyon model at a fixed level."""
 
@@ -116,11 +146,13 @@ class Model:
         self.labels: tuple[int, ...] = tuple(range(k + 1))
         self._qint: dict[int, Cyc] = {}
         self._qfact: list[Cyc] = [Cyc.rational(1, self.N)]  # [0]! .. [n]!, in Q(zeta_N) so products need no lift
-        self._qfact_inv: dict[int, Cyc] = {}
+        self._inverse_qfact: list[Cyc] = [Cyc.rational(1, self.N)]  # 1/[0]! .. 1/[n]!
         self._f_exact: dict[tuple[int, ...], Radical] = {}
-        self._zsums: dict[tuple[int, ...], Cyc] = {}  # z-sums by sorted (lows, highs), see _zsum_sign
+        self._zsums: dict[tuple[int, ...], Cyc] = {}  # z-sums by sorted (lows, highs), see _zsum
+        self._pool = _Interned(self.N)  # the factors of the vertex-gauge F-symbols
+        self._triangles: dict[tuple[int, int, int], tuple[int, int]] = {}  # see _triangle_ids
+        self._embedded: dict[tuple[int, int, int], float] = {}  # see _embedding
         self._tensors: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self._qint_f, self._qfact_f = self._q_tables(math.sin, math.pi)
 
     @functools.cached_property
     def radicals(self) -> RadicalContext:
@@ -142,15 +174,6 @@ class Model:
         adm = np.zeros((self.k + 1,) * 3, dtype=bool)
         adm[tuple(zip(*self._triples))] = True
         return adm
-
-    def _q_tables(self, sin, pi) -> tuple[list, list]:
-        """[n] = sin(n pi/(k+2)) / sin(pi/(k+2)) and [n]! for n < 2k+4, in the arithmetic of sin and pi."""
-        denom = sin(pi / (self.k + 2))
-        qint = [sin(n * pi / (self.k + 2)) / denom for n in range(0, 2 * self.k + 4)]
-        qfact = [1.0]
-        for n in range(1, 2 * self.k + 4):
-            qfact.append(qfact[-1] * qint[n])
-        return qint, qfact
 
     # -- labels and fusion ----------------------------------------------------
 
@@ -201,10 +224,19 @@ class Model:
         return self._qfact[n]
 
     def qfact_inverse(self, n: int) -> Cyc:
-        """1 / [n]_q!, inverted once per model; n must be below k+2."""
-        if n not in self._qfact_inv:
-            self._qfact_inv[n] = self.qfact(n).inverse()
-        return self._qfact_inv[n]
+        """1 / [n]_q! for 0 <= n <= k+1, a running product like [n]! with no field inversion.
+
+        With x = zeta_N^2, 1/[t] = (x - x^-1) x^-t / (1 - z) with z = zeta_N^(-4t), a root of
+        unity other than 1 for 0 < t < k+2, so 1/[t] is two shifts of 1/(1 - z)
+        (:func:`inverse_one_minus_root`).
+        """
+        if not 0 <= n <= self.k + 1:
+            raise DomainError(f"1/[n]! is defined for 0 <= n <= k+1 = {self.k + 1}, got {n}")
+        for t in range(len(self._inverse_qfact), n + 1):
+            inverse = inverse_one_minus_root(self.N, -4 * t)  # 1/(1 - z)
+            reciprocal = inverse.shifted(2 - 2 * t) - inverse.shifted(-2 - 2 * t)  # 1/[t]
+            self._inverse_qfact.append(self._inverse_qfact[-1] * reciprocal)
+        return self._inverse_qfact[n]
 
     # -- R-symbols ----------------------------------------------------------------
 
@@ -263,7 +295,13 @@ class Model:
         return max(lows), min(highs), lows, highs
 
     def _zsum_sign(self, a: int, b: int, c: int, d: int, m: int, n: int) -> tuple[Cyc, int]:
-        """The alternating z-sum of the 6j formula, exact, and the sign (-1)^((a+b+c+d)/2).
+        """The alternating z-sum of the 6j formula, exact (:meth:`_zsum`), and the sign (-1)^((a+b+c+d)/2)."""
+        _, _, lows, highs = self._z_range(a, b, c, d, m, n)
+        sign = -1 if ((a + b + c + d) // 2) % 2 else 1
+        return self._zsum((*sorted(lows), *sorted(highs))), sign
+
+    def _zsum(self, key: tuple[int, ...]) -> Cyc:
+        """The z-sum for sorted vertex sums key[:4] (lows) and sorted face sums key[4:] (highs).
 
         The sum runs over z in [max lows, min highs] of
         (-1)^z [z+1]! / prod_t [z - t]! prod_u [u - z]!, with t over the four
@@ -282,6 +320,7 @@ class Model:
           coefficients (:func:`_q_multinomial`).  With [z+1] = x^(-z) (z+1)_y,
           (z+1)_y M is the multinomial of the eight parts (p, 1), and the
           exponent of x is -sum_{i<j} p_i p_j over those eight parts.
+        * y = zeta_N^4 has order k+2, so M is taken mod y^(k+2) - 1.
 
         These are identities of rational functions in x.  Their denominators,
         the [p]! with p <= k+1, are nonzero at zeta_N, so they hold there.
@@ -290,25 +329,21 @@ class Model:
 
         The z range and the sorted parts depend only on the multisets of
         lows and highs, so the z-sum is computed once per model for each
-        sorted (lows, highs): the tetrahedral and Regge symmetries of the 6j
-        symbol give many F-symbols one key (36 z-sums for the 329 F-symbols
-        at k = 4).
+        key: the tetrahedral and Regge symmetries of the 6j symbol give many
+        F-symbols one key (36 z-sums for the 329 F-symbols at k = 4).
         """
-        z_lo, z_hi, lows, highs = self._z_range(a, b, c, d, m, n)
-        sign = -1 if ((a + b + c + d) // 2) % 2 else 1
-        key = (*sorted(lows), *sorted(highs))
-        if key in self._zsums:
-            return self._zsums[key], sign
-        coefficients = [0] * self.N
-        for z in range(z_lo, z_hi + 1):
-            # sorted, since the multinomial is symmetric in its parts and the sorted tuple is its cache key
-            parts = tuple(sorted([z - t for t in lows] + [u - z for u in highs] + [1]))
-            shift = -sum(p * q for p, q in itertools.combinations(parts, 2))
-            z_sign = -1 if z % 2 else 1
-            for power, coefficient in enumerate(_q_multinomial(parts)):
-                coefficients[(2 * shift + 4 * power) % self.N] += z_sign * coefficient
-        zsum = self._zsums[key] = Cyc._from_terms(self.N, ((e, c) for e, c in enumerate(coefficients) if c), 1)
-        return zsum, sign
+        if key not in self._zsums:
+            lows, highs = key[:4], key[4:]
+            coefficients = [0] * self.N
+            for z in range(lows[-1], highs[0] + 1):
+                # sorted, since the multinomial is symmetric in its parts and the sorted tuple is its cache key
+                parts = tuple(sorted([z - t for t in lows] + [u - z for u in highs] + [1]))
+                shift = -sum(p * q for p, q in itertools.combinations(parts, 2))
+                z_sign = -1 if z % 2 else 1
+                for power, coefficient in enumerate(_q_multinomial(parts, self.k + 2)):
+                    coefficients[(2 * shift + 4 * power) % self.N] += z_sign * coefficient
+            self._zsums[key] = Cyc._from_terms(self.N, ((e, c) for e, c in enumerate(coefficients) if c), 1)
+        return self._zsums[key]
 
     def f_symbol(self, a: int, b: int, c: int, d: int, m: int, n: int) -> Radical:
         """Exact F-symbol: row channel n (fusing b,c), column channel m (fusing a,b).
@@ -336,35 +371,14 @@ class Model:
         return value
 
     def f_symbol_float(self, a: int, b: int, c: int, d: int, m: int, n: int) -> float:
-        """Double-precision F-symbol (real), evaluated on each call; the sweeps read the F tensor."""
+        """Double-precision F-symbol (real): the bits of its float F tensor entry (:meth:`_recoupling_tensors`),
+        from the same exact factors and vertex floats, with no table built."""
         self._f_check(a, b, c, d, m, n)
-        return self._six_j((a, b, c, d, m, n), self._qint_f, self._qfact_f, math.sqrt)
-
-    def _six_j(self, labels: tuple[int, ...], qint, qfact, sqrt):
-        """The 6j formula for F over tables of [n] and [n]! and a matching sqrt.
-
-        One body serves float64 (math tables) and mpmath (mpf tables); a
-        negative radicand means the tables are wrong and raises.  The labels
-        must be admissible: callers check them, or enumerate only live ones.
-        """
-        a, b, c, d, m, n = labels
-        z_lo, z_hi, lows, highs = self._z_range(a, b, c, d, m, n)
-        zsum = 0.0
-        for z in range(z_lo, z_hi + 1):
-            term = qfact[z + 1]
-            for t in lows:
-                term /= qfact[z - t]
-            for u in highs:
-                term /= qfact[u - z]
-            zsum += -term if z % 2 else term
-        sign = -1.0 if ((a + b + c + d) // 2) % 2 else 1.0
-        radicand = qint[m + 1] * qint[n + 1]
-        for vertex in self._f_vertices(a, b, c, d, m, n):
-            p, q, r, s = self._triangle(*vertex)
-            radicand *= qfact[p] * qfact[q] * qfact[r] / qfact[s]
-        if radicand < 0:
-            raise IntegrityError(f"negative F-symbol radicand {radicand} at labels {labels}")
-        return sign * zsum * sqrt(radicand)
+        zsum, sign = self._zsum_sign(a, b, c, d, m, n)
+        pool = self._pool
+        outer = pool.times(self._triangle_ids(a, b, m)[1], self._triangle_ids(m, c, d)[0])
+        value, v = pool.times(pool.id(zsum), outer), self._vertex
+        return self._embedding(value, sign) * (v(b, c, n) * v(a, n, d)) / (v(a, b, m) * v(m, c, d))
 
     def _channels(self, a: int, b: int, c: int, d: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """(rows, cols) of F^{abc}_d: the admissible n-channels of b x c and m-channels of a x b."""
@@ -543,7 +557,7 @@ class Model:
         """Check F^{mcd}_{e;zn} F^{abz}_{e;ym} = sum_x F^{abc}_{n;xm} F^{axd}_{e;yn} F^{bcd}_{y;zx}.
 
         mode "exact" decides each instance exactly in the vertex gauge (see
-        :attr:`_gauge_table`); mode "float" reports the maximum residual.
+        :attr:`_f_table`); mode "float" reports the maximum residual.
         "auto" picks exact for k <= 3.  tol must be positive and finite.
         """
         return self._verify("pentagon", mode, tol, precision, self._pentagon_rows(),
@@ -567,7 +581,7 @@ class Model:
         One evaluator per axiom gives the signed sum lhs - rhs of each
         identity of a row over the tensors of a route.  The float routes
         report its magnitude.  The exact route evaluates the same expression
-        over the gauge table at x = 2^B (:attr:`_packed`) and settles each
+        over the F table at x = 2^B (:attr:`_packed`) and settles each
         sum by its residue mod Phi_N(2^B) (:meth:`_settle`): 0 for a sum
         proved zero, and for any other sum its magnitude in the unitary
         gauge.  An identity fails when its residual exceeds tol (0 in exact
@@ -587,7 +601,8 @@ class Model:
                 F, R, R_inv, D, B, P = self._packed
 
                 def evaluate(rows):
-                    return self._settle(sums(rows, F, R, R_inv, D), B, P, lambda: gauge(rows, self._vertex_float(), D))
+                    return self._settle(sums(rows, F, R, R_inv, D), B, P,
+                                        lambda: gauge(rows, self._vertex_factors(), D))
             else:
                 report = VerificationReport(name, "float" if precision <= 53 else f"float{precision}", 0)
                 bound = tol
@@ -611,56 +626,48 @@ class Model:
         report.max_residual = float(report.max_residual)
         return report
 
-    def _live_f(self):
-        """Labels (a, b, c, d, n, m) of every admissible F-symbol, in lexicographic order."""
+    @functools.cached_property
+    def _f_labels(self) -> np.ndarray:
+        """(a, b, c, d, n, m) of every admissible F-symbol, one row each, in lexicographic order, in the
+        least unsigned type that holds 4k, the largest sum taken of them."""
         import numpy as np
 
         A = self._adm
-        live = np.nonzero(np.einsum("abm,mcd,bcn,and->abcdnm", A, A, A, A))
-        return zip(*(axis.tolist() for axis in live))
+        live = np.einsum("abm,mcd,bcn,and->abcdnm", A, A, A, A)
+        return np.argwhere(live).astype(np.min_scalar_type(4 * self.k))
 
     def _recoupling_tensors(self, precision: int) -> tuple[np.ndarray, np.ndarray]:
-        """Zero-extended F[a, b, c, d, n, m] and R[a, b, c] at a working precision.
+        """Zero-extended F[a, b, c, d, n, m] and R[a, b, c] at a working precision, from the exact values.
 
-        Up to 53 bits: float64/complex128 arrays of the 6j formula over the
-        float tables and of r_symbol_complex.  Above: object arrays of
-        mpf/mpc, the same 6j formula and the R phases evaluated in mpmath at
-        precision + 16 bits.
+        F holds, per label of the F table (:attr:`_f_table`), its value F'' embedded once per distinct
+        value and times the vertex ratio v(b,c,n) v(a,n,d) / (v(a,b,m) v(m,c,d)) (:meth:`_vertex`);
+        R holds the embedded R-symbols.  Up to 53 bits the arrays are float64 and complex128; above,
+        object arrays of mpf and mpc, rounded to nearest at precision + 16 bits (Cyc.approx).
         """
         import numpy as np
 
         key = max(precision, 53)
         if key not in self._tensors:
-            size = self.k + 1
+            size, dtype = self.k + 1, float if key == 53 else object
+            values, index = self._f_table
+            a, b, c, d, n, m = self._f_labels.T
             with _workprec(key):
-                if key == 53:
-                    qint, qfact, sqrt, dtype = self._qint_f, self._qfact_f, math.sqrt, float
-                    r_value = self.r_symbol_complex
-                else:
-                    import mpmath
-
-                    qint, qfact = self._q_tables(mpmath.sin, mpmath.pi)
-                    sqrt, dtype = mpmath.sqrt, object
-
-                    def r_value(a, b, c):
-                        sign, exponent = self._r_sign_exponent(a, b, c)
-                        value = mpmath.expjpi(mpmath.mpf(2 * exponent) / self.N)
-                        return -value if sign % 2 else value
-
+                V = self._vertex_factors(key)
+                embedded = np.array([value.approx(key).real for value in values], dtype=dtype)
                 F = np.zeros((size,) * 6, dtype=dtype)
-                for a, b, c, d, n, m in self._live_f():
-                    F[a, b, c, d, n, m] = self._six_j((a, b, c, d, m, n), qint, qfact, sqrt)
-                R = np.zeros((size,) * 3, dtype=complex if dtype is float else object)
+                F[a, b, c, d, n, m] = embedded[index] * (V[b, c, n] * V[a, n, d]) / (V[a, b, m] * V[m, c, d])
+                R = np.zeros((size,) * 3, dtype=complex if key == 53 else object)
                 for a, b, c in self._triples:
-                    R[a, b, c] = r_value(a, b, c)
+                    R[a, b, c] = self.r_symbol(a, b, c).approx(key)
             self._tensors[key] = F, R
         return self._tensors[key]
 
-    # -- the exact route: F in the vertex gauge, packed -----------------------------------
+    # -- the F table: the vertex-gauge values, interned ----------------------------------
 
     @functools.cached_property
-    def _gauge_table(self) -> dict[tuple[int, ...], Cyc]:
-        """Every admissible F in the vertex gauge, keyed like f_symbol (a, b, c, d, m, n).
+    def _f_table(self) -> tuple[list[Cyc], np.ndarray]:
+        """(values, index): the distinct F in the vertex gauge, and per row of :attr:`_f_labels` the index
+        of its value.
 
         The unitary F is sign * zsum * sqrt([m+1][n+1] D(abm) D(mcd) D(bcn) D(and))
         with D(x,y,w) = [(-x+y+w)/2]! [(x-y+w)/2]! [(x+y-w)/2]! / [(x+y+w)/2+1]!.
@@ -672,72 +679,78 @@ class Model:
         gauge-invariant (Kitaev, arXiv:cond-mat/0506438, App. E), so F''
         satisfies them exactly when F does.  Built on first use.
 
-        The table holds few distinct values (15 for the 329 entries at
-        k = 4), so every factor is interned by value and the product of two
-        interned values is taken once: D(x,y,w) per sorted (p, q, r) and s,
-        [w+1] D, the outer factor [m+1] D(abm) D(mcd) shared by every n, and
-        zsum times the outer factor, negated for sign -1.  A product by 1 is
-        skipped.  Each entry is the same canonical element as the product in
-        any order.
+        The table holds few distinct values (15 for the 329 labels at
+        k = 4).  Each label's keys -- its z-sum key (:meth:`_zsum`), the pair
+        of factors of its outer factor [m+1] D(abm) D(mcd), the pair of z-sum
+        and outer factor, and the pair of their product and sign -- are
+        integer-encoded and deduplicated by np.unique, so the field work runs
+        once per distinct key, on values interned in the model's pool
+        (:class:`_Interned`).
         """
-        ids: dict[tuple, int] = {}  # (num, den) -> index into values
-        values: list[Cyc] = []
-
-        def intern(x: Cyc) -> int:
-            key = x.num, x.den
-            if key not in ids:
-                ids[key] = len(values)
-                values.append(x)
-            return ids[key]
-
-        one = intern(Cyc.rational(1, self.N))
-        products: dict[tuple[int, int], int] = {}
-
-        def times(i: int, j: int) -> int:
-            """The index of values[i] * values[j], multiplied once per unordered pair."""
-            if one in (i, j):
-                return i + j - one
-            key = (i, j) if i <= j else (j, i)
-            if key not in products:
-                products[key] = intern(values[i] * values[j])
-            return products[key]
-
-        delta, weighted = {}, {}  # indices of D(x,y,w) and [w+1] D(x,y,w)
-        by_shape: dict[tuple, int] = {}  # D by (sorted (p, q, r), s)
-        for x, y, w in self._triples:
-            *pqr, s = self._triangle(x, y, w)
-            shape = (*sorted(pqr), s)
-            if shape not in by_shape:
-                p, q, r = shape[:3]
-                factors = self.qfact(p), self.qfact(q), self.qfact(r), self.qfact_inverse(s)
-                by_shape[shape] = functools.reduce(times, map(intern, factors))
-            delta[x, y, w] = by_shape[shape]
-            weighted[x, y, w] = times(intern(self.qint(w + 1)), delta[x, y, w])
-        table, entries = {}, {}  # entries: the Cyc per indices of zsum and the outer factor, and sign
-        for a, b, c, d, n, m in self._live_f():
-            zsum, sign = self._zsum_sign(a, b, c, d, m, n)
-            zsum_id, outer_id = intern(zsum), times(weighted[a, b, m], delta[m, c, d])
-            key = zsum_id, outer_id, sign
-            if key not in entries:
-                value = values[times(zsum_id, outer_id)]
-                entries[key] = -value if sign < 0 else value
-            table[a, b, c, d, m, n] = entries[key]
-        return table
-
-    def _vertex_float(self) -> np.ndarray:
-        """The gauge's vertex factors v(x, y, w) = sqrt([w+1] D(x,y,w)) in float64, 0 where inadmissible."""
         import numpy as np
 
-        qint, qfact = self._qint_f, self._qfact_f
-        V = np.zeros((self.k + 1,) * 3)
+        a, b, c, d, n, m = self._f_labels.T
+        size, pool = self.k + 1, self._pool
+
+        def each(f, columns, bound):
+            """f of each distinct row of the int columns (each below bound), gathered per label."""
+            _, first, of = np.unique(np.ravel_multi_index(columns, (bound,) * len(columns)),
+                                     return_index=True, return_inverse=True)
+            return np.array([f(*row) for row in np.column_stack(columns)[first].tolist()], dtype=np.int32)[of]
+
+        lows = np.sort(np.column_stack((a + b + m, m + c + d, b + c + n, a + n + d)) // 2, axis=1)
+        highs = np.sort(np.column_stack((a + b + c + d, a + m + c + n, b + m + d + n)) // 2, axis=1)
+        # every vertex and face sum is at most 2k
+        zsums = each(lambda *key: pool.id(self._zsum(key)), (*lows.T, *highs.T), 2 * size - 1)
+        delta, weighted = np.zeros((2, size, size, size), dtype=np.int32)
         for x, y, w in self._triples:
-            p, q, r, s = self._triangle(x, y, w)
-            V[x, y, w] = math.sqrt(qint[w + 1] * qfact[p] * qfact[q] * qfact[r] / qfact[s])
+            delta[x, y, w], weighted[x, y, w] = self._triangle_ids(x, y, w)
+        outers = each(pool.times, (weighted[a, b, m], delta[m, c, d]), len(pool.values))  # [m+1] D(abm) D(mcd)
+        products = each(pool.times, (zsums, outers), len(pool.values))
+        table = _Interned(self.N)
+        index = each(lambda i, odd: table.id(-pool.values[i] if odd else pool.values[i]),
+                     (products, (a + b + c + d) // 2 % 2), len(pool.values))
+        return table.values, index.astype(np.min_scalar_type(len(table.values)))
+
+    def _triangle_ids(self, x: int, y: int, w: int) -> tuple[int, int]:
+        """Pool indices of D(x,y,w) and of v(x,y,w)^2 = [w+1] D(x,y,w), found once per triple."""
+        if (x, y, w) not in self._triangles:
+            *pqr, s = self._triangle(x, y, w)
+            p, q, r = sorted(pqr)  # so that the triangles of one shape share their partial products
+            pool = self._pool
+            delta = functools.reduce(pool.times, map(pool.id, (self.qfact(p), self.qfact(q), self.qfact(r),
+                                                               self.qfact_inverse(s))))
+            self._triangles[x, y, w] = delta, pool.times(pool.id(self.qint(w + 1)), delta)
+        return self._triangles[x, y, w]
+
+    def _embedding(self, i: int, sign: int = 1, bits: int = 53):
+        """The real part of sign * pool.values[i], rounded to nearest at a precision (Cyc.approx), once per model."""
+        if (i, sign, bits) not in self._embedded:
+            x = self._pool.values[i]
+            self._embedded[i, sign, bits] = (-x if sign < 0 else x).approx(bits).real
+        return self._embedded[i, sign, bits]
+
+    def _vertex(self, x: int, y: int, w: int, bits: int = 53):
+        """v(x,y,w) = sqrt([w+1] D(x,y,w)), the root of the embedded exact square: a float up to
+        53 bits, an mpf in the working precision above.  A square that is not positive means the
+        exact tables are wrong, and raises."""
+        square = self._embedding(self._triangle_ids(x, y, w)[1], bits=bits)
+        if not square > 0:
+            raise IntegrityError(f"vertex factor square {square} at ({x},{y};{w}) is not positive")
+        return math.sqrt(square) if bits <= 53 else square ** 0.5  # mpf ** 0.5 is mpmath's sqrt
+
+    def _vertex_factors(self, bits: int = 53) -> np.ndarray:
+        """V[x, y, w] = v(x,y,w) (:meth:`_vertex`) over every admissible triple, 0 elsewhere."""
+        import numpy as np
+
+        V = np.zeros((self.k + 1,) * 3, dtype=float if bits <= 53 else object)
+        for x, y, w in self._triples:
+            V[x, y, w] = self._vertex(x, y, w, bits)
         return V
 
     @functools.cached_property
     def _packed(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, int, int]:
-        """The gauge table at x = 2^B and the modulus that decides its sums: (F, R, R_inv, D, B, P).
+        """The F table at x = 2^B and the modulus that decides its sums: (F, R, R_inv, D, B, P).
 
         Built once per model for both axioms.  D is the common denominator of
         the table.  F[a, b, c, d, n, m] is f(2^B) for the integer polynomial
@@ -767,21 +780,19 @@ class Model:
         """
         import numpy as np
 
-        table = self._gauge_table
-        distinct = {(value.num, value.den) for value in table.values()}  # each is packed once
-        D = math.lcm(*(den for _, den in distinct))
-        numerators = {(num, den): [c * (D // den) for c in num] for num, den in distinct}
-        H = max(abs(c) for coefficients in numerators.values() for c in coefficients)
+        values, index = self._f_table
+        D = math.lcm(*(value.den for value in values))
+        numerators = [[c * (D // value.den) for c in value.num] for value in values]
+        H = max(abs(c) for coefficients in numerators for c in coefficients)
         phi, modulus = euler_phi(self.N), cyclotomic_polynomial(self.N)
         powers = [Cyc.root_of_unity(self.N, j).num for j in range(3 * phi + 2 * self.N)]
         C = max(sum(abs(row[i]) for row in powers) for i in range(phi))
         B = ((self.k + 2) * phi * phi * H ** 3 * D * C + max(map(abs, modulus))).bit_length() + 1
-        packed = {key: sum(c_i << (i * B) for i, c_i in enumerate(coefficients))
-                  for key, coefficients in numerators.items()}
+        packed = np.array([sum(c_i << (i * B) for i, c_i in enumerate(coefficients)) for coefficients in numerators],
+                          dtype=object)
         size = self.k + 1
         F = np.zeros((size,) * 6, dtype=object)
-        for (a, b, c, d, m, n), value in table.items():
-            F[a, b, c, d, n, m] = packed[value.num, value.den]
+        F[tuple(self._f_labels.T)] = packed[index]
         R = np.zeros((size,) * 3, dtype=object)
         R_inv = np.zeros((size,) * 3, dtype=object)
         for a, b, c in self._triples:
@@ -944,12 +955,14 @@ class Model:
 
     def verify_unitarity(self) -> VerificationReport:
         """Every F-matrix is unitary within _UNITARITY_TOL: a block of the float64 F tensor, in any mode,
-        whose rows and columns are the n and m of one (a, b, c, d) group of :meth:`_live_f`.  Every
+        whose rows and columns are the n and m of one (a, b, c, d) group of :attr:`_f_labels`.  Every
         R-symbol has unit modulus (exactly).
 
         The blocks of one outer label a are checked together (batches over the whole table raised
         the peak RSS of the k = 12 sweep), one stacked product per block size
-        (:meth:`_gram_residuals`), and their failures are recorded in :meth:`_live_f` order."""
+        (:meth:`_gram_residuals`), and their failures are recorded in :attr:`_f_labels` order."""
+        import numpy as np
+
         require_f_table(self.k)
         report = VerificationReport("unitarity", "float", 0)
         for a, b, c in self._triples:
@@ -958,10 +971,12 @@ class Model:
             if r * r.conjugate() != 1:
                 report.record(("r-modulus", a, b, c))
         F = self._recoupling_tensors(53)[0]
-        for _, outer in itertools.groupby(self._live_f(), key=lambda labels: labels[0]):
+        labels = self._f_labels
+        bounds = np.searchsorted(labels[:, 0], range(self.k + 2)).tolist()
+        for lo, hi in itertools.pairwise(bounds):
             blocks = []  # (a, b, c, d), rows, cols
-            for quad, group in itertools.groupby(outer, key=lambda labels: labels[:4]):
-                rows, cols = (sorted(set(channels)) for channels in zip(*(labels[4:] for labels in group)))
+            for quad, group in itertools.groupby(labels[lo:hi].tolist(), key=lambda row: tuple(row[:4])):
+                rows, cols = (sorted(set(channels)) for channels in zip(*(row[4:] for row in group)))
                 blocks.append((quad, rows, cols))
             for (quad, _, _), residual in zip(blocks, self._gram_residuals(F, blocks)):
                 if residual is None:

@@ -30,7 +30,7 @@ import math
 from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple
 
-from .cyclotomic import Cyc, cos_pi_fraction, euler_phi, factorize, minimal_polynomial
+from .cyclotomic import Cyc, cos_pi_fraction, euler_phi, factorize, inverse_one_minus_root, minimal_polynomial
 from .cyclotomic import min_poly_2cos  # noqa: F401  (unused; bench/tracer.py patches it here)
 from .errors import MAX_LEVEL, DomainError, IntegrityError
 
@@ -106,14 +106,11 @@ def _adjugate(x: Matrix) -> Matrix:
 def _inverse_d2(N: int) -> Cyc:
     """1/d^2 for d = zeta_N^2 + zeta_N^-2, without a field inversion.
 
-    With y = zeta_N^4, d^2 = (1 + y)^2 / y.  For a root of unity z != 1 with
-    z^n = 1, 1/(1 - z) = -(1/n) sum_{j<n} j z^j (multiply out: the product
-    telescopes to -n).  Take z = -y = zeta_N^(N/2 + 4) and n its order; then
-    1/d^2 = y (1/(1 - z))^2.  z != 1 because y has order k + 2 >= 4.
+    With y = zeta_N^4, d^2 = (1 + y)^2 / y.  Take z = -y = zeta_N^(N/2 + 4);
+    then 1/d^2 = y (1/(1 - z))^2, with 1/(1 - z) in closed form
+    (:func:`inverse_one_minus_root`).  z != 1 because y has order k + 2 >= 4.
     """
-    step = N // 2 + 4
-    n = N // math.gcd(step, N)
-    inv_1_minus_z = Cyc._from_terms(N, ((j * step, -j) for j in range(1, n)), n)
+    inv_1_minus_z = inverse_one_minus_root(N, N // 2 + 4)
     return Cyc.root_of_unity(N, 4) * inv_1_minus_z * inv_1_minus_z
 
 

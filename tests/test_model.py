@@ -26,16 +26,29 @@ def f_value(model: Model, *labels) -> complex:
     return RadicalSum.from_terms(model.radicals, [model.f_symbol(*labels)]).approx()
 
 
-def corrupted_model(monkeypatch, mode: str) -> Model:
-    """A fresh k=3 model whose route for ``mode`` reads F(1,1,1,1; 0,0) doubled."""
-    bad = (1, 1, 1, 1, 0, 0)
+def row_of(model: Model, *labels) -> int:
+    """The row of model._f_labels holding (a, b, c, d, n, m)."""
+    return int(np.flatnonzero((model._f_labels == labels).all(axis=1))[0])
+
+
+def double_rows(model: Model, rows) -> None:
+    """Point the given rows of the model's F table at doubled copies of their values, before any route reads it."""
+    values, index = model._f_table
+    for row in rows:
+        values.append(values[index[row]] * 2)
+        index[row] = len(values) - 1
+
+
+def gauge_entries(model: Model) -> list[Cyc]:
+    """The vertex-gauge F'' of each row of model._f_labels."""
+    values, index = model._f_table
+    return [values[i] for i in index.tolist()]
+
+
+def corrupted_model() -> Model:
+    """A fresh k=3 model whose F table reads F(1,1,1,1; 0,0) doubled, in every route."""
     m = Model(3)
-    if mode == "exact":
-        table = m._gauge_table
-        table[bad] = table[bad] * 2
-    else:
-        six_j = m._six_j
-        monkeypatch.setattr(m, "_six_j", lambda labels, *tables: six_j(labels, *tables) * (2 if labels == bad else 1))
+    double_rows(m, [row_of(m, 1, 1, 1, 1, 0, 0)])
     return m
 
 
@@ -222,6 +235,14 @@ class TestQuantumIntegers:
         for n in range(2 * k + 4):
             assert m.qint(n) == (zeta(2 * n) - zeta(-2 * n)) * den_inverse, n
 
+    @pytest.mark.parametrize("k", range(2, 31))
+    def test_closed_form_inverse_factorials(self, k):
+        m = Model(k)
+        for s in range(k + 2):
+            assert m.qfact(s) * m.qfact_inverse(s) == 1, s
+        with pytest.raises(DomainError):
+            m.qfact_inverse(k + 2)  # [k+2] = 0
+
 
 class TestRSymbols:
     def test_one_qubit_values(self):
@@ -302,23 +323,23 @@ class TestFSymbols:
         with pytest.raises(DomainError):
             get_model(2).f_symbol(1, 1, 1, 1, 1, 0)
 
-    def test_negative_radicand_raises(self, monkeypatch):
-        # flipping the sign of [2]! leaves an odd power of it in this radicand
+    def test_negative_radicand_raises(self):
+        # v(1,1;0)^2 = [1] D(1,1,0) = 1/[2], negated in the model's pool of exact factors
         m = Model(3)
-        table = list(m._qfact_f)
-        table[2] = -table[2]
-        monkeypatch.setattr(m, "_qfact_f", table)
-        with pytest.raises(IntegrityError):
-            m.f_symbol_float(0, 0, 1, 1, 0, 1)
+        square = m._triangle_ids(1, 1, 0)[1]
+        m._pool.values[square] = -m._pool.values[square]
+        with pytest.raises(IntegrityError, match="vertex factor square"):
+            m.f_symbol_float(1, 1, 1, 1, 0, 0)
 
     def test_negative_radicand_raises_under_optimize(self):
         code = (
             "from su2k.errors import IntegrityError\n"
             "from su2k.model import Model\n"
             "m = Model(3)\n"
-            "m._qfact_f[2] = -m._qfact_f[2]\n"
+            "square = m._triangle_ids(1, 1, 0)[1]\n"
+            "m._pool.values[square] = -m._pool.values[square]\n"
             "try:\n"
-            "    m.f_symbol_float(0, 0, 1, 1, 0, 1)\n"
+            "    m.f_symbol_float(1, 1, 1, 1, 0, 0)\n"
             "except IntegrityError:\n"
             "    print('raised')\n"
         )
@@ -326,9 +347,49 @@ class TestFSymbols:
         assert proc.returncode == 0, proc.stderr[-400:]
         assert proc.stdout.strip() == "raised"
 
+    @pytest.mark.parametrize("k", range(0, 9))
+    def test_f_symbol_float_is_the_table_entry(self, k):
+        # the same exact factors and the same vertex floats, with no table built, bit for bit
+        m = Model(k)
+        want = [m.f_symbol_float(a, b, c, d, mm, n) for a, b, c, d, n, mm in m._f_labels.tolist()]
+        assert "_f_table" not in vars(m) and not m._tensors
+        F = m._recoupling_tensors(53)[0]
+        assert np.array_equal(F[tuple(m._f_labels.T)].view(np.int64), np.array(want).view(np.int64))
+
+    def test_a_high_level_f_matrix_builds_no_table(self):
+        m = Model(30)
+        rows, cols, mat = m.f_matrix_float(1, 1, 1, 1)
+        assert rows == cols == (0, 2) and np.max(np.abs(mat @ mat - np.eye(2))) < 1e-12
+        assert not {"_f_labels", "_f_table", "_adm"} & set(vars(m)) and not m._tensors
+
+    @pytest.mark.parametrize("k,zeros", [(8, 52), (10, 224), (12, 341)])
+    def test_exact_zeros_are_positive_zeros(self, k, zeros):
+        m = Model(k)
+        values, index = m._f_table
+        F = m._recoupling_tensors(53)[0]
+        zero = np.array([value.is_zero() for value in values])[index]
+        assert np.count_nonzero(zero) == zeros
+        entries = F[tuple(m._f_labels[zero].T)]
+        assert (entries == 0).all() and not np.signbit(entries).any()
+
+    # the worst error of the parent's 6j route over float tables, 1.47e-15 at k = 8 and 2.52e-15 at k = 10
+    @pytest.mark.parametrize("k,parent", [(8, 1.48e-15), (10, 2.52e-15)])
+    def test_float_table_error_against_the_radical_route(self, k, parent):
+        m = Model(k)
+        F = m._recoupling_tensors(53)[0]
+        worst, reference = mpmath.mpf(0), {}
+        with mpmath.workprec(208):
+            for (a, b, c, d, n, mm), entry in zip(m._f_labels.tolist(), F[tuple(m._f_labels.T)].tolist()):
+                radical = m.f_symbol(a, b, c, d, mm, n)
+                key = radical.coef.num, radical.coef.den, radical.key
+                if key not in reference:
+                    reference[key] = RadicalSum.from_terms(m.radicals, [radical]).approx(192).real
+                worst = max(worst, abs(mpmath.mpf(entry) - reference[key]))
+        assert 0 < worst <= parent
+
     @pytest.mark.parametrize("k", [2, 3, 4, 5])
     def test_mpmath_tensors_match_exact(self, k):
-        # the 256-bit route evaluates the 6j formula directly; compare it with
+        # the 256-bit route embeds the table's values and vertex factors at 256 bits; compare it with
         # the exact radicals approximated at the same precision
         m = Model(k)
         F, R = m._recoupling_tensors(256)
@@ -404,8 +465,8 @@ class TestPentagonHexagon:
     @pytest.mark.parametrize("mode,precision,tol", [
         ("float", 53, 1e-9), ("float", 256, 1e-30), ("exact", 53, 1e-9)
     ])
-    def test_every_route_reports_a_corrupted_f_entry(self, monkeypatch, mode, precision, tol):
-        m = corrupted_model(monkeypatch, mode)
+    def test_every_route_reports_a_corrupted_f_entry(self, mode, precision, tol):
+        m = corrupted_model()
         pentagon = m.verify_pentagon(mode, tol=tol, precision=precision)
         hexagon = m.verify_hexagon(mode, tol=tol, precision=precision)
         healthy = get_model(3).verify_pentagon(mode, tol=tol, precision=precision)
@@ -426,7 +487,7 @@ class TestPentagonHexagon:
         # identities; each keeps its row key, and its residual (the gauge sum
         # over the row's vertex factor) is what the float route measures for
         # the same corrupted entry in the unitary gauge
-        exact, unitary = corrupted_model(monkeypatch, "exact"), corrupted_model(monkeypatch, "float")
+        exact, unitary = corrupted_model(), corrupted_model()
         capped = exact.verify_pentagon("exact").failures
         monkeypatch.setattr(model_module, "MAX_FAILURES", 1000)
         for verify, count in (("verify_pentagon", 28), ("verify_hexagon", 6)):
@@ -454,7 +515,7 @@ class TestZSum:
     @pytest.mark.parametrize("k", range(2, 7))
     def test_multinomial_sum_equals_the_racah_sum(self, k):
         m = Model(k)
-        for a, b, c, d, n, mm in m._live_f():
+        for a, b, c, d, n, mm in m._f_labels.tolist():
             zsum, sign = m._zsum_sign(a, b, c, d, mm, n)
             assert zsum == racah_zsum(m, a, b, c, d, mm, n), (a, b, c, d, mm, n)
             assert sign == (-1) ** ((a + b + c + d) // 2)
@@ -473,28 +534,30 @@ class TestZSum:
         def zsum_key(lows, highs):
             return sorted(lows), sorted(highs)
 
-        clean = Model(3)._gauge_table
-        keys = {entry: zsum_key(*Model._z_range(*entry)[2:]) for entry in clean}
+        clean = Model(3)
+        before = gauge_entries(clean)
+        labels = [(a, b, c, d, mm, n) for a, b, c, d, n, mm in clean._f_labels.tolist()]
+        keys = {entry: zsum_key(*Model._z_range(*entry)[2:]) for entry in labels}
         target = max(keys.values(), key=list(keys.values()).count)
-        z_range, multinomial, state = Model._z_range, model_module._q_multinomial, {"corrupted": 0}
+        zsum, multinomial, state = Model._zsum, model_module._q_multinomial, {"corrupted": 0}
 
-        def recording(*entry):
-            found = z_range(*entry)
-            state["key"] = zsum_key(*found[2:])
-            return found
+        def recording(self, key):
+            state["key"] = zsum_key(key[:4], key[4:])
+            return zsum(self, key)
 
-        def corrupted(parts):
-            coefficients = list(multinomial(parts))
+        def corrupted(parts, period):
+            coefficients = list(multinomial(parts, period))
             if state["key"] == target and not state["corrupted"]:
                 coefficients[-1] += 1
                 state["corrupted"] += 1
             return tuple(coefficients)
 
-        monkeypatch.setattr(Model, "_z_range", staticmethod(recording))
+        monkeypatch.setattr(Model, "_zsum", recording)
         monkeypatch.setattr(model_module, "_q_multinomial", corrupted)
-        bad = Model(3)._gauge_table
-        assert bad.keys() == clean.keys() and state["corrupted"] == 1
-        changed = {entry for entry in clean if bad[entry] != clean[entry]}
+        bad = Model(3)
+        after = gauge_entries(bad)
+        assert (bad._f_labels == clean._f_labels).all() and state["corrupted"] == 1
+        changed = {entry for entry, x, y in zip(labels, before, after) if x != y}
         assert changed == {entry for entry, key in keys.items() if key == target} and len(changed) == 18
 
 
@@ -502,7 +565,8 @@ class TestGaugeTable:
     @pytest.mark.parametrize("k,limit", [(4, 300), (5, 500), (10, 6000)])
     def test_gauge_table_products_per_level(self, monkeypatch, k, limit):
         # the table is interned by value, so the field products grow with its distinct values, not
-        # with its entries (the per-entry build took 783, 1,661 and 27,412 at k = 4, 5 and 10)
+        # with its entries (the per-entry build took 783, 1,661 and 27,412 at k = 4, 5 and 10); with
+        # the inverse factorials in closed form it takes 49, 82 and 1,127
         products = []
         multiply = Cyc.__mul__
 
@@ -515,6 +579,13 @@ class TestGaugeTable:
         Model(k)._packed
         assert 0 < len(products) <= limit
 
+    def test_the_packed_table_takes_no_field_inverse(self, monkeypatch):
+        inverses = []
+        inverse = Cyc.inverse
+        monkeypatch.setattr(Cyc, "inverse", lambda self: inverses.append(self) or inverse(self))
+        Model(10)._packed
+        assert inverses == []
+
     @pytest.mark.parametrize("k", range(0, 7))
     def test_interned_entries_equal_the_direct_products(self, k):
         # sign * zsum * [m+1] * D(abm) * D(mcd), multiplied out per entry in Q(zeta_N)
@@ -524,24 +595,23 @@ class TestGaugeTable:
             p, q, r, s = Model._triangle(x, y, w)
             return m.qfact(p) * m.qfact(q) * m.qfact(r) * m.qfact_inverse(s)
 
-        table = m._gauge_table
-        assert list(table) == [(a, b, c, d, mm, n) for a, b, c, d, n, mm in m._live_f()]
-        for (a, b, c, d, mm, n), value in table.items():
+        for (a, b, c, d, n, mm), value in zip(m._f_labels.tolist(), gauge_entries(m)):
             zsum, sign = m._zsum_sign(a, b, c, d, mm, n)
             want = zsum * sign * m.qint(mm + 1) * delta(a, b, mm) * delta(mm, c, d)
             assert (value.order, value.num, value.den) == (want.order, want.num, want.den)
 
     @pytest.mark.parametrize("k", range(2, 8))
     def test_gauge_entries_are_unitary_f_times_vertex_factors(self, k):
+        # F'' over the vertex ratio is the radical route's F
         m = get_model(k)
-        table, V = m._gauge_table, m._vertex_float()
+        V = m._vertex_factors()
         live = np.count_nonzero(np.einsum("abm,mcd,bcn,and->abcdnm", *(m._adm,) * 4))
-        assert len(table) == live
-        for (a, b, c, d, mm, n), value in table.items():
+        assert len(m._f_labels) == live
+        for (a, b, c, d, n, mm), value in zip(m._f_labels.tolist(), gauge_entries(m)):
             gauge = V[a, b, mm] * V[mm, c, d] / (V[b, c, n] * V[a, n, d])
             z = value.approx()
-            assert abs(z.imag) < 1e-12
-            assert abs(z.real / gauge - m.f_symbol_float(a, b, c, d, mm, n)) < 1e-12
+            assert z.imag == 0
+            assert abs(z.real / gauge - f_value(m, a, b, c, d, mm, n)) < 1e-12
 
     @pytest.mark.parametrize("k", [6, 7])
     def test_exact_holds_with_float_instance_counts(self, k):
@@ -553,17 +623,22 @@ class TestGaugeTable:
 
     # sha256 over the uncapped exact failures (key and repr of each residual) and the max residual,
     # pentagon then hexagon, with one gauge entry doubled; recorded while exact sums were still
-    # unpacked digit by digit and reduced by a matrix
+    # unpacked digit by digit and reduced by a matrix.  Re-recorded when the vertex factors became
+    # square roots of the nearest doubles of their exact squares: 140 of the 270 residuals moved,
+    # each by at most 5.8e-16 of its value (before:
+    # 26283b703d9bd8bf27612ea4612253ef08dceffb05f1f82360d0b273f3a99b2f,
+    # 8f9179a0d62e7ee5d12db0d97b83c35d144dfcdc48c2e062bccabb4cd3258ff8,
+    # c767958b3548a84bddc59970fa84c70269ec192a4d7a236fa0cd23eac1a125bc)
     @pytest.mark.parametrize("k,bad,counts,digest", [
-        (3, (1, 1, 1, 1, 0, 0), (28, 6), "26283b703d9bd8bf27612ea4612253ef08dceffb05f1f82360d0b273f3a99b2f"),
-        (4, (1, 1, 1, 1, 2, 2), (66, 6), "8f9179a0d62e7ee5d12db0d97b83c35d144dfcdc48c2e062bccabb4cd3258ff8"),
-        (5, (2, 2, 2, 2, 2, 2), (154, 10), "c767958b3548a84bddc59970fa84c70269ec192a4d7a236fa0cd23eac1a125bc"),
+        (3, (1, 1, 1, 1, 0, 0), (28, 6), "2fc0b9c6b924e80073e810d255ccf6f664b021849f75f012b1a7b73f01efdc18"),
+        (4, (1, 1, 1, 1, 2, 2), (66, 6), "e7ad90493d530f6f19cb26a2741256613601be646063cec1b65927978cd4462d"),
+        (5, (2, 2, 2, 2, 2, 2), (154, 10), "bd92b70f729552daeed06ad49c219ebe9c5602d006c66dfa7bcdcf149930170e"),
     ])
     def test_exact_failures_are_pinned(self, monkeypatch, k, bad, counts, digest):
         monkeypatch.setattr(model_module, "MAX_FAILURES", 10 ** 6)
         m = Model(k)
-        table = m._gauge_table
-        table[bad] = table[bad] * 2
+        a, b, c, d, mm, n = bad
+        double_rows(m, [row_of(m, a, b, c, d, n, mm)])
         sha = hashlib.sha256()
         for verify, count in zip((m.verify_pentagon, m.verify_hexagon), counts):
             report = verify("exact")
@@ -611,8 +686,10 @@ class TestGaugeTable:
             "import su2k.model as model_module\n"
             "model_module.MAX_FAILURES = 1000\n"
             "m = model_module.Model(3)\n"
-            "table = m._gauge_table\n"
-            "table[1, 1, 1, 1, 0, 0] = table[1, 1, 1, 1, 0, 0] * 2\n"
+            "row = ((m._f_labels == (1, 1, 1, 1, 0, 0)).all(axis=1)).argmax()\n"
+            "values, index = m._f_table\n"
+            "values.append(values[index[row]] * 2)\n"
+            "index[row] = len(values) - 1\n"
             "print(len(m.verify_pentagon('exact').failures), len(m.verify_hexagon('exact').failures))\n"
         )
         proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
@@ -629,25 +706,24 @@ class TestUnitarity:
     @pytest.mark.parametrize("mode,precision,tol", [
         ("float", 53, 1e-9), ("exact", 53, 1e-9), ("float", 128, 1e-20)
     ])
-    def test_a_doubled_f_entry_is_reported_at_its_quad(self, monkeypatch, mode, precision, tol):
+    def test_a_doubled_f_entry_is_reported_at_its_quad(self, mode, precision, tol):
         # unitarity reads the float64 F tensor whichever route the axiom sweeps take
-        m = corrupted_model(monkeypatch, "float")
+        m = corrupted_model()
         m.verify_pentagon(mode, tol=tol, precision=precision)
         report = m.verify_unitarity()
-        rows, cols, mat = m.f_matrix_float(1, 1, 1, 1)
-        assert rows == cols == (0, 2) and mat[0, 0] == 2 * get_model(3).f_symbol_float(1, 1, 1, 1, 0, 0)
+        mat = m._recoupling_tensors(53)[0][1, 1, 1, 1][np.ix_((0, 2), (0, 2))]
+        assert mat[0, 0] == 2 * get_model(3).f_symbol_float(1, 1, 1, 1, 0, 0)
         residual = float(np.max(np.abs(mat @ mat.T - np.eye(2))))
         assert report.failures == [(("f-unitarity", 1, 1, 1, 1), residual)]
         assert report.checked == get_model(3).verify_unitarity().checked
 
     def test_the_blocks_are_the_groups_of_the_live_f_labels(self, monkeypatch):
-        # unitarity reads its blocks from _live_f: without the labels of F^{111}_1 that block,
+        # unitarity reads its blocks from _f_labels: without the labels of F^{111}_1 that block,
         # and the doubled entry in it, are not checked
-        m = corrupted_model(monkeypatch, "float")
+        m = corrupted_model()
         full = m.verify_unitarity()
         assert full.failures == [(("f-unitarity", 1, 1, 1, 1), full.max_residual)]
-        live_f = m._live_f
-        monkeypatch.setattr(m, "_live_f", lambda: (labels for labels in live_f() if labels[:4] != (1, 1, 1, 1)))
+        monkeypatch.setattr(m, "_f_labels", m._f_labels[(m._f_labels[:, :4] != (1, 1, 1, 1)).any(axis=1)])
         report = m.verify_unitarity()
         assert report.checked == full.checked - 1
         assert report.holds and report.failures == []
@@ -660,23 +736,23 @@ class TestUnitarity:
         m = Model(k)
         F = m._recoupling_tensors(53)[0]
         want = []
-        for quad, group in itertools.groupby(m._live_f(), key=lambda labels: labels[:4]):
+        for quad, group in itertools.groupby(m._f_labels.tolist(), key=lambda labels: tuple(labels[:4])):
             rows, cols = (sorted(set(channels)) for channels in zip(*(labels[4:] for labels in group)))
             mat = F[quad][np.ix_(rows, cols)]
             want.append((("f-unitarity", *quad), float(np.max(np.abs(mat @ mat.T.conj() - np.eye(len(rows)))))))
         report = m.verify_unitarity()
-        assert report.failures == want  # bit for bit, in _live_f order
+        assert report.failures == want  # bit for bit, in _f_labels order
         assert report.max_residual == max(residual for _, residual in want)
 
     def test_failures_are_recorded_in_live_f_order(self, monkeypatch):
         # F^{111}_1 and F^{222}_2 doubled, and F^{121}_2 made 2 x 1 by dropping its column m = 3/2:
-        # the non-square block is recorded between the two, as _live_f lists them
+        # the non-square block is recorded between the two, as _f_labels lists them
         doubled = {(1, 1, 1, 1), (2, 2, 2, 2)}
         m = Model(3)
-        six_j = m._six_j
-        monkeypatch.setattr(m, "_six_j", lambda labels, *tables: six_j(labels, *tables) * (2 if labels[:4] in doubled else 1))
-        live_f = m._live_f
-        monkeypatch.setattr(m, "_live_f", lambda: (labels for labels in live_f() if labels[:4] != (1, 2, 1, 2) or labels[5] != 3))
+        labels = m._f_labels
+        double_rows(m, [row for row, quad in enumerate(labels[:, :4].tolist()) if tuple(quad) in doubled])
+        m._recoupling_tensors(53)
+        monkeypatch.setattr(m, "_f_labels", labels[(labels[:, :4] != (1, 2, 1, 2)).any(axis=1) | (labels[:, 5] != 3)])
         report = m.verify_unitarity()
         assert [key for key, _ in report.failures] == [
             ("f-unitarity", 1, 1, 1, 1), ("f-not-square", 1, 2, 1, 2), ("f-unitarity", 2, 2, 2, 2)
@@ -687,8 +763,8 @@ class TestUnitarity:
     def test_a_doubled_f_tensor_keeps_the_first_failures(self, monkeypatch):
         # every F-matrix of the k=3 tensor doubled: 96 blocks fail, and only the first MAX_FAILURES are kept
         m = Model(3)
-        six_j = m._six_j
-        monkeypatch.setattr(m, "_six_j", lambda labels, *tables: six_j(labels, *tables) * 2)
+        values = m._f_table[0]
+        values[:] = [value * 2 for value in values]
         capped = m.verify_unitarity()
         capped_sweeps = [m.verify_pentagon("float"), m.verify_hexagon("float")]
         monkeypatch.setattr(model_module, "MAX_FAILURES", 1000)

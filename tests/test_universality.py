@@ -187,7 +187,7 @@ def gauge_route_traces(k: int) -> tuple[Cyc, tuple[Cyc, Cyc, Cyc]]:
     """det and det^4 tr A, det^6 tr B, det^20 tr W from the vertex-gauge F''(1,1,1,1; m, n in {0, 2}).
 
     F''[m][n] = sign zsum [m+1] D(1,1,m) D(m,1,1) is X F Y for diagonal X and
-    Y (see Model._gauge_table), so sigma~_2 = F''^-1 R~ F'' and sigma~_1 = R~
+    Y (see Model._f_table), so sigma~_2 = F''^-1 R~ F'' and sigma~_1 = R~
     are the unitary pair conjugated by one diagonal matrix, and every word
     keeps its trace.  The traces therefore check the z-sums and signs, not
     the diagonal factors.  Each D is a ratio of quantum factorials; scaling
